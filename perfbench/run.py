@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout:
 
-    python3 perfbench/run.py --workload fan_weight --seed 1 --seconds 15 --trace 0
+    python3 perfbench/run.py --workload fan_weight --seed 1 --seconds 24 --trace 0
 
 Workloads: fan_weight, ladder_roundtrip, bounded_complex, cli_mix (see
 perfbench/README.md for their inputs and why each exists).  The run is a
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -43,6 +44,17 @@ DEADLINE_S = 170
 
 class RunFailed(RuntimeError):
     pass
+
+
+def pin_to_one_cpu():
+    """Run this process and every process it starts on one CPU.  The
+    speed gauge must read the CPU the timed work runs on: on the 2-vCPU
+    machine the baseline was recorded on, the two vCPUs often ran at
+    different speeds, and a `tropnc --help` child timed unpinned varied
+    with a coefficient of variation of 0.24 after scaling, against 0.02
+    pinned."""
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
 
 
 def worker(argv: list[str], started: float) -> dict:
@@ -72,13 +84,14 @@ def measure(args) -> tuple[dict, dict]:
     setups = []
     if args.workload != "cli_mix" and not args.trace:
         for _ in range(SETUP_PROBES):
-            setups.append(worker(common + ["--setup-only"], started)["setup_s"])
+            setups.append(worker(common + ["--setup-only"], started))
     out = worker(common + ["--seed", str(args.seed), "--seconds", str(args.seconds),
                            "--trace", str(args.trace)], started)
-    setups.append(out["setup_s"])
+    setups.append(out)
+    out["setup_wall_s"] = statistics.median(s["setup_wall_s"] for s in setups)
 
-    groups = out["groups"]
-    if None in groups:
+    timing = out["timing"]
+    if timing is None:
         raise RunFailed(f"no item succeeded: {out['errors'][:3]}")
     if args.trace:
         values = layer_metrics(out["layers"])
@@ -87,9 +100,8 @@ def measure(args) -> tuple[dict, dict]:
         values["trace.overhead_s"] = out["traced_round_s"] - out["untraced_round_s"]
         metrics = {name: {"value": values[name], "unit": unit} for name, unit, _ in LAYER_METRICS}
     else:
-        values = {name: statistics.median(g[name] for g in groups)
-                  for name in ("items_per_s", "item_p50_ms", "item_p90_ms")}
-        values["setup_s"] = statistics.median(setups)
+        values = {name: timing[name] for name in ("items_per_s", "item_p50_ms", "item_p90_ms")}
+        values["setup_s"] = statistics.median(s["setup_s"] for s in setups)
         values["peak_rss_mb"] = out["peak_rss_mb"]
         metrics = {name: {"value": values[name], "unit": unit} for name, unit in END_TO_END}
     return out, metrics
@@ -109,6 +121,7 @@ def main() -> int:
     if not (SRC / "tropnc" / "__init__.py").is_file():
         print(f"error: no tropnc package under {SRC}", file=sys.stderr)
         return 2
+    pin_to_one_cpu()
     try:
         out, metrics = measure(args)
     except (RunFailed, subprocess.TimeoutExpired) as exc:
@@ -118,12 +131,17 @@ def main() -> int:
     failed = len(out["errors"])
     for error in out["errors"][:5]:
         print(f"failed item: {error}", file=sys.stderr)
-    samples = sum(g["samples"] for g in out["groups"])
+    samples = out["timing"]["samples"]
     print(f"{args.workload} seed={args.seed} trace={args.trace}: {out['attempted']} item runs "
-          f"in {len(out['groups'])} group(s), {failed} failed; {samples} timed samples, "
+          f"in {out['timing']['rounds']} rounds, {failed} failed; {samples} timed samples, "
           f"{samples - int(samples * 0.9)} beyond p90")
     for name, metric in metrics.items():
         print(f"  {name} = {metric['value']:.6g} {metric['unit']}")
+    if "wall" in out:
+        wall = out["wall"]
+        print(f"  wall time, unscaled: set-up {out['setup_wall_s']:.6g} s, "
+              f"{wall['items_per_s']:.6g} items/s, p50 {wall['item_p50_ms']:.6g} ms, "
+              f"p90 {wall['item_p90_ms']:.6g} ms")
     correct = failed == 0 and out.get("answers_match", True)
     if not out.get("answers_match", True):
         print("traced answers differ from untraced answers", file=sys.stderr)

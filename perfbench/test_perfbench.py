@@ -19,6 +19,7 @@ HERE = Path(__file__).resolve().parent
 sys.path[:0] = [str(HERE), str(HERE.parent / "src")]
 
 import run  # noqa: E402
+import speed  # noqa: E402
 import tracer  # noqa: E402
 import worker  # noqa: E402
 import workloads  # noqa: E402
@@ -72,13 +73,26 @@ def test_corrupted_golden_value_is_a_failure(name):
     assert len(result["errors"]) == 1
     assert result["times"][0] is None
     assert None not in result["times"][1:]
-    assert worker.group_metrics([result["times"]])["samples"] == len(items) - 1
+    assert worker.timing_metrics([result["times"]])["samples"] == len(items) - 1
 
 
-def test_each_item_counts_with_its_fastest_round():
-    metrics = worker.group_metrics([[0.3, None, 0.1], [0.1, 0.2, 0.3]])
-    assert metrics["samples"] == 2  # the item that failed once has no time
-    assert metrics["items_per_s"] == pytest.approx(2 / 0.2)
+def test_throughput_takes_each_items_median_and_percentiles_every_run():
+    metrics = worker.timing_metrics([[0.3, None, 0.1], [0.1, 0.2, 0.3], [0.2, 0.2, 0.9]])
+    assert metrics["samples"] == 8 and metrics["rounds"] == 3  # the failed run has no time
+    assert metrics["items_per_s"] == pytest.approx(3 / (0.2 + 0.2 + 0.3))
+    assert metrics["item_p50_ms"] == pytest.approx(200)
+
+
+def test_gauge_scales_by_the_readings_around_each_item():
+    gauge = speed.Gauge()
+    gauge.readings = [0.010, 0.012, 0.002, 0.016, 0.020]
+    # Item 2 sees readings 1-4 (two before it, two after); items 0 and 3,
+    # at the ends of this four-item round, see three.
+    assert gauge.scale(0) == pytest.approx(speed.NOMINAL_S / 0.010)
+    assert gauge.scale(2) == pytest.approx(speed.NOMINAL_S / 0.014)
+    assert gauge.scale(3) == pytest.approx(speed.NOMINAL_S / 0.016)
+    result = worker.run_round(workloads.WORKLOADS["fan_weight"](tiny=True), [], None)
+    assert result["times"] == result["scaled"] == []
 
 
 def test_tracer_restores_every_function():

@@ -5,11 +5,13 @@ stdout line.  In-process workloads time `import tropnc` plus their
 warm-up as set-up; cli_mix times cold `python -m tropnc.cli --help`
 processes instead and spends its rounds on tropnc subprocesses.
 
-A round runs every item of the workload's fixed list once.  A group is
-`rounds` rounds (a workload constant); each item counts with its fastest
-round.  A run times as many groups as fit in --seconds, and at least
-one; run.py reports the median over groups.  With --trace 1 the worker
-runs `rounds` untraced and as many traced rounds, alternating, and
+A round runs every item of the workload's fixed list once, each item just
+after a reading of the machine-speed gauge (speed.py).  A run times as
+many rounds as fit in --seconds, and at least MIN_ROUNDS; every
+successful item run is one sample of the end-to-end timings, which are
+the samples' scaled times.  Their wall times are reported beside them,
+for reading only.  With --trace 1 the worker runs
+TRACE_ROUNDS untraced and as many traced rounds, alternating, and
 reports the per-layer sums over the traced set-up and the traced rounds.
 """
 
@@ -25,6 +27,7 @@ import sys
 import time
 from pathlib import Path
 
+import speed
 import tracer as tracing
 
 HERE = Path(__file__).resolve().parent
@@ -32,6 +35,8 @@ ROOT = HERE.parent
 SRC = ROOT / "src"
 HELP_SAMPLES = 5
 CLI_TIMEOUT_S = 60
+MIN_ROUNDS = 2
+TRACE_ROUNDS = 2
 
 
 def child_env() -> dict[str, str]:
@@ -46,65 +51,74 @@ def child_env() -> dict[str, str]:
 
 def run_round(workload, items, call) -> dict:
     """Time `call(item)` once per item and judge each answer outside the
-    timing.  times[i] is None when item i failed."""
+    timing.  times[i] is item i's wall time and scaled[i] that time at the
+    gauge's nominal machine speed (speed.py); both are None when item i
+    failed."""
     times, fingerprints, errors = [], [], []
-    timed = 0.0
+    gauge = speed.Gauge()
     for item in items:
+        gauge.sample()
         start = time.perf_counter()
         try:
             answer = call(item)
         except Exception as exc:  # any exception is a failed item, never a crash
-            timed += time.perf_counter() - start
             errors.append(f"{type(exc).__name__}: {exc}")
             times.append(None)
             fingerprints.append(None)
             continue
         elapsed = time.perf_counter() - start
-        timed += elapsed
         problem = workload.check(item, answer)
         if problem is not None:
             errors.append(problem)
         times.append(elapsed if problem is None else None)
         fingerprints.append(workload.fingerprint(answer))
-    return {"times": times, "errors": errors, "timed_s": timed, "fingerprints": fingerprints}
+    gauge.sample()
+    scaled = [None if t is None else t * gauge.scale(i) for i, t in enumerate(times)]
+    return {"times": times, "scaled": scaled, "errors": errors, "fingerprints": fingerprints}
 
 
-def group_metrics(rounds: list[list]) -> dict | None:
-    """End-to-end timings of one group of rounds over the same items.
-
-    An item's time is its fastest round, which keeps the figures steady
-    on a machine whose speed drifts; an item that failed in any round has
-    no time.  None when no item succeeded."""
-    best = [None if None in ts else min(ts) for ts in zip(*rounds)]
-    times = [t for t in best if t is not None]
+def timing_metrics(rounds: list[list]) -> dict | None:
+    """End-to-end timings of rounds over the same items.  Throughput counts
+    each item with the median of its successful runs, so that one run
+    scaled wrongly (a long item during which the machine changed speed)
+    does not move it; the percentiles pool every successful item run as
+    one sample.  None when no item succeeded."""
+    times = [t for ts in rounds for t in ts if t is not None]
     if not times:
         return None
+    per_item = [statistics.median(ok) for ts in zip(*rounds)
+                if (ok := [t for t in ts if t is not None])]
     deciles = statistics.quantiles(times, n=10, method="inclusive") if len(times) > 1 else [times[0]] * 9
     return {
         "samples": len(times),
-        "items_per_s": len(times) / sum(times),
+        "rounds": len(rounds),
+        "items_per_s": len(per_item) / sum(per_item),
         "item_p50_ms": statistics.median(times) * 1000,
         "item_p90_ms": deciles[8] * 1000,
     }
 
 
-def timed_groups(workload, items, call, seconds: float) -> dict:
-    """Groups of `workload.rounds` rounds, as many as fit in `seconds`
-    judged by the last group's length, and always at least one."""
-    groups, errors, attempted = [], [], 0
+def timed_rounds(workload, items, call, seconds: float, who: int) -> dict:
+    """Rounds over all items, as many as fit in `seconds` judged by the
+    last round's length, and always at least MIN_ROUNDS.  Peak memory of
+    `who` (getrusage) is read after MIN_ROUNDS rounds: tropnc's heap keeps
+    growing over repeated bounded-complex rounds, so a later reading would
+    depend on how many rounds the machine's speed let in."""
+    rounds, walls, errors = [], [], []
+    peak = None
     start = time.perf_counter()
     last = 0.0
-    while not groups or time.perf_counter() - start + last <= seconds:
+    while len(rounds) < MIN_ROUNDS or time.perf_counter() - start + last <= seconds:
         begun = time.perf_counter()
-        rounds = []
-        for _ in range(workload.rounds):
-            result = run_round(workload, items, call)
-            rounds.append(result["times"])
-            errors += result["errors"]
-            attempted += len(items)
-        groups.append(group_metrics(rounds))
+        result = run_round(workload, items, call)
+        rounds.append(result["scaled"])
+        walls.append(result["times"])
+        errors += result["errors"]
         last = time.perf_counter() - begun
-    return {"groups": groups, "errors": errors, "attempted": attempted}
+        if len(rounds) == MIN_ROUNDS:
+            peak = peak_rss_mb(who)
+    return {"timing": timing_metrics(rounds), "wall": timing_metrics(walls), "errors": errors,
+            "attempted": len(rounds) * len(items), "peak_rss_mb": peak}
 
 
 def fastest_total(rounds: list[list]) -> float:
@@ -113,11 +127,11 @@ def fastest_total(rounds: list[list]) -> float:
 
 
 def traced_rounds(workload, items, plain_call, traced_call, tracer) -> dict:
-    """`workload.rounds` untraced and as many traced rounds, alternating,
+    """TRACE_ROUNDS untraced and as many traced rounds, alternating,
     so that drift of the machine's speed falls on both kinds alike.  The
     answers of every round must match."""
     plain, traced, errors, fingerprints = [], [], [], []
-    for _ in range(workload.rounds):
+    for _ in range(TRACE_ROUNDS):
         plain_round = run_round(workload, items, plain_call)
         if tracer is not None:
             tracer.install()
@@ -131,9 +145,9 @@ def traced_rounds(workload, items, plain_call, traced_call, tracer) -> dict:
             errors += result["errors"]
             fingerprints.append(result["fingerprints"])
     return {
-        "groups": [group_metrics(plain + traced)],
+        "timing": timing_metrics(plain + traced),
         "errors": errors,
-        "attempted": 2 * workload.rounds * len(items),
+        "attempted": 2 * TRACE_ROUNDS * len(items),
         "untraced_round_s": fastest_total(plain),
         "traced_round_s": fastest_total(traced),
         "answers_match": all(f == fingerprints[0] for f in fingerprints),
@@ -162,18 +176,18 @@ def in_process(args) -> dict:
     finally:
         if tracer is not None:
             tracer.uninstall()
-    setup_s = time.perf_counter() - start
+    setup_wall_s = time.perf_counter() - start
+    setup = {"setup_s": setup_wall_s * speed.scale_now(), "setup_wall_s": setup_wall_s}
     if args.setup_only:
-        return {"setup_s": setup_s}
+        return setup
 
     items = workload.items(args.seed, load_golden(args))
     if args.trace:
         out = traced_rounds(workload, items, workload.run, workload.run, tracer)
         out["layers"] = tracer.sums()
     else:
-        out = timed_groups(workload, items, workload.run, args.seconds)
-    out["setup_s"] = setup_s
-    out["peak_rss_mb"] = peak_rss_mb(resource.RUSAGE_SELF)
+        out = timed_rounds(workload, items, workload.run, args.seconds, resource.RUSAGE_SELF)
+    out.update(setup)
     return out
 
 
@@ -191,14 +205,17 @@ def cli_process(prefix: list[str], item, traces: list | None = None):
 def cli_mix(args) -> dict:
     module = [sys.executable, "-m", "tropnc.cli"]
     help_times = []
-    for i in range(HELP_SAMPLES + 1):  # the first run is untimed, so every timed one is warm
+    gauge = speed.Gauge()
+    for _ in range(HELP_SAMPLES + 1):  # the first run is untimed, so every timed one is warm
+        gauge.sample()
         start = time.perf_counter()
         proc = subprocess.run(module + ["--help"], capture_output=True,
                               env=child_env(), cwd=ROOT, timeout=CLI_TIMEOUT_S)
         if proc.returncode != 0:
             raise SystemExit(f"tropnc --help failed: {proc.stderr.decode()[-500:]}")
-        if i:
-            help_times.append(time.perf_counter() - start)
+        help_times.append(time.perf_counter() - start)
+    gauge.sample()
+    help_scaled = [t * gauge.scale(i) for i, t in enumerate(help_times)][1:]
 
     sys.path.insert(0, str(SRC))
     import workloads
@@ -229,9 +246,9 @@ def cli_mix(args) -> dict:
             tracing.merge(sums, trace)
         out["layers"] = sums
     else:
-        out = timed_groups(workload, items, plain, args.seconds)
-    out["setup_s"] = statistics.median(help_times)
-    out["peak_rss_mb"] = peak_rss_mb(resource.RUSAGE_CHILDREN)
+        out = timed_rounds(workload, items, plain, args.seconds, resource.RUSAGE_CHILDREN)
+    out["setup_s"] = statistics.median(help_scaled)
+    out["setup_wall_s"] = statistics.median(help_times[1:])
     return out
 
 
