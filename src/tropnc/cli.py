@@ -18,8 +18,8 @@ from fractions import Fraction
 
 from . import ladder, ncfan, planar, pluecker, troplin, weight
 from .combinat import noncyclic_subsets
-from .exact import format_fraction
-from .ncfan import DecompositionError, TPoint
+from .exact import InvariantError, format_fraction
+from .ncfan import TPoint
 
 
 class SchemaError(ValueError):
@@ -64,9 +64,11 @@ def _load_pluecker(obj) -> pluecker.PlueckerVector:
     for label, value in obj["entries"].items():
         pointer = f"/entries/{label}"
         try:
-            elems = tuple(int(part) for part in label.split(","))
+            elems = tuple(sorted(int(part) for part in label.split(",")))
         except ValueError:
             raise SchemaError(pointer, "bad subset label") from None
+        if elems in entries:
+            raise SchemaError(pointer, "second spelling of an already given subset")
         entries[elems] = _rational(value, pointer)
     try:
         return pluecker.PlueckerVector(k, n, entries)
@@ -112,17 +114,21 @@ def _emit(payload: dict, path: str | None):
         sys.stdout.write(text)
 
 
+def _check_kn(k: int, n: int, force: bool, pointer: str):
+    if not (2 <= k <= n - 2):
+        raise SchemaError(pointer, f"need 2 <= k <= n-2, got k={k}, n={n}")
+    desk_scale = k <= 6 and n <= 12 and math.comb(n, k) <= 1000
+    if not desk_scale and not force:
+        raise SchemaError(
+            pointer, f"(k,n)=({k},{n}) beyond the desk-scale default; pass --force"
+        )
+
+
 def _require_kn(args) -> tuple[int, int]:
     if args.k is None or args.n is None:
         raise SchemaError("", "--k and --n are required for this command")
     k, n = args.k, args.n
-    if not (2 <= k <= n - 2):
-        raise SchemaError("", f"need 2 <= k <= n-2, got k={k}, n={n}")
-    desk_scale = k <= 6 and n <= 12 and math.comb(n, k) <= 1000
-    if not desk_scale and not args.force:
-        raise SchemaError(
-            "", f"(k,n)=({k},{n}) beyond the desk-scale default; pass --force"
-        )
+    _check_kn(k, n, args.force, "")
     return k, n
 
 
@@ -163,9 +169,10 @@ def cmd_duality(args) -> int:
 
 def cmd_decompose(args) -> int:
     t = _load_tpoint(_read_json(args.input))
+    _check_kn(t.k, t.n, args.force, "/k")
     try:
         tab = ncfan.nc_decompose(t)
-    except DecompositionError as exc:
+    except InvariantError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _emit(ncfan.tableau_to_json_dict(tab), args.out)
@@ -174,6 +181,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_weight(args) -> int:
     pi = _load_pluecker(_read_json(args.input))
+    _check_kn(pi.k, pi.n, args.force, "/k")
     report = weight.weight_report(pi)
     _emit(report.to_json_dict(), args.out)
     return 0 if report.agree else 1
@@ -258,9 +266,9 @@ def _verify_checks(k: int, n: int, seed: int, threads: int):
     record("corank_equals_planar", ok)
 
     try:
-        ncfan._cone_data(k, n)
+        ncfan.audit_fan(k, n)
         record("fan_unimodular", True, "all maximal cone determinants are +-1")
-    except AssertionError as exc:
+    except InvariantError as exc:
         record("fan_unimodular", False, str(exc))
 
     samples = [random_tpoint() for _ in range(25)]
@@ -270,7 +278,7 @@ def _verify_checks(k: int, n: int, seed: int, threads: int):
             for t, pi in ((t, ladder.rho(t)) for t in samples)
         )
         record("weight_equality", ok, "25 seeded samples")
-    except DecompositionError as exc:
+    except InvariantError as exc:
         record("weight_equality", False, str(exc))
 
     ok = all(weight.bridge(rhos[i]) == 1 for i in range(len(ncyc)))

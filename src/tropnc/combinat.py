@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import as_fraction
+from .exact import InvariantError, as_fraction
 
 
 def mod1(x: int, n: int) -> int:
@@ -196,7 +196,8 @@ def maximal_noncrossing_collections(k: int, n: int) -> tuple[tuple[KSubset, ...]
     """All inclusion-maximal noncrossing collections, sorted lexicographically.
 
     Maximality is by inclusion among noncyclic subsets; that every maximal
-    collection has (k-1)(n-k-1) elements is asserted, not assumed.
+    collection has (k-1)(n-k-1) elements is checked (InvariantError), not
+    assumed.
     """
     nodes, adj = _compatibility(k, n)
     cliques: list[tuple[int, ...]] = []
@@ -214,9 +215,10 @@ def maximal_noncrossing_collections(k: int, n: int) -> tuple[tuple[KSubset, ...]
     bron_kerbosch([], set(range(len(nodes))), set())
     expected = (k - 1) * (n - k - 1)
     for c in cliques:
-        assert len(c) == expected, (
-            f"maximal noncrossing collection of unexpected size {len(c)} != {expected}"
-        )
+        if len(c) != expected:
+            raise InvariantError(
+                f"maximal noncrossing collection of unexpected size {len(c)} != {expected}"
+            )
     return tuple(tuple(nodes[i] for i in c) for c in sorted(cliques))
 
 

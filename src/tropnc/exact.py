@@ -14,6 +14,14 @@ from typing import Iterable, Sequence, Union
 Rational = Union[int, Fraction]
 
 
+class InvariantError(RuntimeError):
+    """A mathematical invariant the code relies on does not hold.
+
+    Raised explicitly instead of by `assert`, so that the check survives
+    `python -O`; it signals a bug or a broken input table, not bad data.
+    """
+
+
 def as_fraction(value) -> Fraction:
     """Coerce an int, Fraction, or "p/q" string to Fraction; refuse floats."""
     if isinstance(value, bool):

@@ -3,33 +3,47 @@
 Points of the target space are (k-1) rows of (n-k) rationals, each row
 taken modulo the all-ones vector; the canonical representative subtracts
 the row minimum, which makes every ray vector a 0/1 array matching the
-interval formula on the nose.  Decomposition scans the maximal
-noncrossing collections, solving the (unimodular) system on each
-candidate cone and accepting nonnegative solutions.
+interval formula on the nose.
+
+Decomposition walks the flip graph of maximal noncrossing collections
+(a visibility walk, Devillers-Pion-Teillaud 2002).  It starts in a fixed
+cone, keeps that cone's integer inverse ray matrix, and while some cone
+coordinate of the point is negative it flips the most negative ray to its
+unique partner, updating the inverse by an exact rank-one step.  Only the
+cones on the path are visited.  `audit_fan` scans every maximal cone: it
+checks unimodularity and the flip structure, and its `scan` is the
+brute-force decomposition kept as the test oracle and as the walk's
+fallback should the walk ever revisit a cone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Mapping
 
 from . import exact, planar
 from .combinat import (
     KSubset,
     NoncrossingTableau,
+    _compatibility,
     maximal_noncrossing_collections,
-    noncyclic_subsets,
     tableau,
 )
-from .exact import Rational, as_fraction, format_fraction
+from .exact import InvariantError, Rational, as_fraction, format_fraction
 from .pluecker import PlueckerVector
 
 
-class DecompositionError(RuntimeError):
+class DecompositionError(InvariantError):
     """Raised when the cone scan fails; signals a fan completeness or
     uniqueness violation, i.e. a bug, not a data condition."""
+
+
+# Work done by `nc_decompose` since import: walks run, flips made, and
+# walks that revisited a cone and finished with the full scan.
+WALK_COUNTS = {"walks": 0, "flips": 0, "fallbacks": 0}
 
 
 def _canonical_rows(rows) -> tuple[tuple[Fraction, ...], ...]:
@@ -170,43 +184,194 @@ def lattice_coords(t: TPoint) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
+def _ray_coords(J: KSubset) -> tuple[int, ...]:
+    """Lattice coordinates of the ray of J; rays are 0/1, so these are ints."""
+    return tuple(int(v) for v in lattice_coords(t_vector(J)))
+
+
+def _cone_matrix(coll) -> list[list[int]]:
+    """The matrix whose columns are the lattice coordinates of the rays."""
+    return [list(row) for row in zip(*(_ray_coords(J) for J in coll))]
+
+
+def _integer_inverse(matrix) -> list[list[int]]:
+    """Inverse of a unimodular integer matrix, as ints."""
+    inv = exact.inverse(matrix)
+    if inv is None or any(v.denominator != 1 for row in inv for v in row):
+        raise InvariantError(f"cone matrix has no integer inverse: {matrix}")
+    return [[int(v) for v in row] for row in inv]
+
+
+def _scaled(target) -> tuple[list[int], int]:
+    """A rational vector as integers over one common denominator."""
+    scale = math.lcm(*(v.denominator for v in target))
+    return [int(v * scale) for v in target], scale
+
+
+def _flip_partner(adj, coll, i: int) -> int:
+    """The unique node outside `coll` compatible with every ray but coll[i]."""
+    others = [adj[j] for p, j in enumerate(coll) if p != i]
+    common = set.intersection(*others) if others else set(adj)
+    common.discard(coll[i])
+    if len(common) != 1:
+        raise InvariantError(
+            f"facet of collection {coll} without ray {coll[i]} has "
+            f"{len(common)} flip partners, not 1"
+        )
+    return common.pop()
+
+
+@dataclass(frozen=True)
+class _WalkTables:
+    nodes: tuple[KSubset, ...]
+    adj: dict[int, set[int]]
+    rays: tuple[tuple[tuple[int, int], ...], ...]  # per node: nonzero (coord, value)
+    start: tuple[int, ...]
+    start_inv: tuple[tuple[int, ...], ...]
+
+
 @lru_cache(maxsize=None)
-def _cone_data(k: int, n: int):
-    """Per maximal collection: the inverse ray matrix in lattice coords."""
-    collections = maximal_noncrossing_collections(k, n)
-    data = []
-    for coll in collections:
-        cols = [lattice_coords(t_vector(J)) for J in coll]
-        matrix = [[cols[j][i] for j in range(len(cols))] for i in range(len(cols[0]))]
-        d = exact.det(matrix)
-        assert abs(d) == 1, f"non-unimodular cone for collection {coll}: det={d}"
-        inv = exact.inverse(matrix)
-        data.append((coll, inv))
-    return tuple(data)
+def _walk_tables(k: int, n: int) -> _WalkTables:
+    """Compatibility graph, sparse rays and the start cone for (k, n).
+
+    The start cone is built greedily in lexicographic order; the complex
+    is pure, so it must have (k-1)(n-k-1) rays.
+    """
+    nodes, adj = _compatibility(k, n)
+    start: list[int] = []
+    for i in range(len(nodes)):
+        if all(i in adj[j] for j in start):
+            start.append(i)
+    if len(start) != (k - 1) * (n - k - 1):
+        raise InvariantError(
+            f"greedy noncrossing collection has {len(start)} rays, "
+            f"not (k-1)(n-k-1) = {(k - 1) * (n - k - 1)}"
+        )
+    rays = tuple(
+        tuple((c, v) for c, v in enumerate(_ray_coords(J)) if v) for J in nodes
+    )
+    inv = _integer_inverse(_cone_matrix(nodes[i] for i in start))
+    return _WalkTables(nodes, adj, rays, tuple(start), tuple(map(tuple, inv)))
+
+
+def _choose_flip(mu) -> int | None:
+    """Position of the most negative coordinate (lowest on ties), if any."""
+    low = min(mu)
+    return mu.index(low) if low < 0 else None
 
 
 def nc_decompose(t: TPoint) -> NoncrossingTableau:
     """Unique expression of t as a nonnegative combination of pairwise
-    noncrossing rays, found by scanning all maximal cones.
+    noncrossing rays, found by walking across flips from a fixed cone.
 
-    Raises DecompositionError if no cone accepts or two cones accept with
-    different positive supports (fan completeness/uniqueness violated).
+    The walk keeps the current cone's inverse ray matrix in integers and
+    the point's cone coordinates mu, scaled by the common denominator of
+    t.  Flipping ray i to its partner v changes the inverse by the rank-one
+    step whose pivot is the old-basis coordinate of v on i; unimodularity
+    makes that pivot +-1.  A walk that revisits a cone finishes with the
+    full scan of `audit_fan` and is counted in WALK_COUNTS["fallbacks"].
     """
-    target = lattice_coords(t)
-    found: dict[tuple, tuple] = {}
-    for coll, inv in _cone_data(t.k, t.n):
-        mu = [sum(row[i] * target[i] for i in range(len(target))) for row in inv]
-        if all(m >= 0 for m in mu):
-            entry = tuple(sorted((J, m) for J, m in zip(coll, mu) if m > 0))
-            found[entry] = entry
-    if not found:
-        raise DecompositionError(f"no cone contains the point {t!r}")
-    if len(found) > 1:
-        raise DecompositionError(f"multiple distinct decompositions for {t!r}")
-    (entry,) = found.values()
-    if t.is_integral():
-        assert all(m.denominator == 1 for _, m in entry), "integral point, fractional cone coordinates"
-    return tableau(t.k, t.n, entry)
+    k, n = t.k, t.n
+    tables = _walk_tables(k, n)
+    target, scale = _scaled(lattice_coords(t))
+    coll = list(tables.start)
+    inv = [list(row) for row in tables.start_inv]
+    mu = [sum(a * b for a, b in zip(row, target)) for row in inv]
+    visited = {frozenset(coll)}
+    WALK_COUNTS["walks"] += 1
+    while (i := _choose_flip(mu)) is not None:
+        new = _flip_partner(tables.adj, coll, i)
+        c = [sum(row[j] * v for j, v in tables.rays[new]) for row in inv]
+        pivot = c[i]
+        if pivot not in (1, -1):
+            raise InvariantError(
+                f"flip of {tables.nodes[coll[i]]} to {tables.nodes[new]} has pivot {pivot}"
+            )
+        inv[i] = pivot_row = [pivot * a for a in inv[i]]
+        mu[i] = pivot_mu = pivot * mu[i]
+        for r, cr in enumerate(c):
+            if cr and r != i:
+                inv[r] = [a - cr * b for a, b in zip(inv[r], pivot_row)]
+                mu[r] -= cr * pivot_mu
+        coll[i] = new
+        WALK_COUNTS["flips"] += 1
+        key = frozenset(coll)
+        if key in visited:
+            WALK_COUNTS["fallbacks"] += 1
+            return audit_fan(k, n).scan(t)
+        visited.add(key)
+    return tableau(k, n, (
+        (tables.nodes[J], Fraction(m, scale)) for J, m in zip(coll, mu) if m > 0
+    ))
+
+
+@dataclass(frozen=True)
+class FanAudit:
+    """The maximal cones of an audited fan, with their ray matrices."""
+
+    k: int
+    n: int
+    cones: tuple[tuple[tuple[KSubset, ...], list[list[int]]], ...]
+
+    @cached_property
+    def _inverses(self) -> tuple[list[list[int]], ...]:
+        return tuple(_integer_inverse(matrix) for _, matrix in self.cones)
+
+    def scan(self, t: TPoint) -> NoncrossingTableau:
+        """Decompose t by solving the system on every maximal cone.
+
+        Raises DecompositionError if no cone accepts or two cones accept
+        with different positive supports (completeness/uniqueness).
+        """
+        if (t.k, t.n) != (self.k, self.n):
+            raise ValueError("mismatched (k, n)")
+        target, scale = _scaled(lattice_coords(t))
+        found = set()
+        for (coll, _), inv in zip(self.cones, self._inverses):
+            mu = [sum(a * b for a, b in zip(row, target)) for row in inv]
+            if all(m >= 0 for m in mu):
+                found.add(tuple((J, Fraction(m, scale)) for J, m in zip(coll, mu) if m > 0))
+        if not found:
+            raise DecompositionError(f"no cone contains the point {t!r}")
+        if len(found) > 1:
+            raise DecompositionError(f"multiple distinct decompositions for {t!r}")
+        return tableau(self.k, self.n, found.pop())
+
+
+@lru_cache(maxsize=None)
+def audit_fan(k: int, n: int) -> FanAudit:
+    """Check the whole fan at (k, n) by determinants alone.
+
+    Every maximal cone must be unimodular, and every facet of every
+    maximal cone must have exactly one flip partner, which together with
+    the facet forms a maximal cone lying on the other side of it.  Raises
+    InvariantError otherwise.  Cached per (k, n), so that repeated scans
+    and walk fallbacks audit once.
+    """
+    nodes, adj = _compatibility(k, n)
+    index = {J: i for i, J in enumerate(nodes)}
+    cones = []
+    dets = {}
+    for coll in maximal_noncrossing_collections(k, n):
+        matrix = _cone_matrix(coll)
+        d = exact.det(matrix)
+        if abs(d) != 1:
+            raise InvariantError(f"non-unimodular cone for collection {coll}: det={d}")
+        cones.append((coll, matrix))
+        dets[tuple(index[J] for J in coll)] = d
+    for ids, d in dets.items():
+        for i in range(len(ids)):
+            new = _flip_partner(adj, ids, i)
+            flipped = tuple(sorted(ids[:i] + ids[i + 1:] + (new,)))
+            if flipped not in dets:
+                raise InvariantError(f"flip of {ids} at {i} is not a maximal collection")
+            # Moving column `new` from position i to its sorted position
+            # takes |pos - i| adjacent swaps; across the facet the
+            # determinant with `new` in place i must change sign.
+            sign = -1 if (flipped.index(new) - i) % 2 else 1
+            if sign * dets[flipped] != -d:
+                raise InvariantError(f"cones {ids} and {flipped} lie on one side of their facet")
+    return FanAudit(k, n, tuple(cones))
 
 
 def nc_weight(t: TPoint) -> Fraction:

@@ -1,11 +1,17 @@
 """CLI pipelines: schemas, exit codes, and deterministic output."""
 
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from conftest import canon
-from tropnc import cli, ncfan, planar, pluecker
+import tropnc
+from tropnc import cli, exact, ncfan, planar, pluecker
 from tropnc.combinat import ksubset
 
 
@@ -179,3 +185,62 @@ def test_output_file(tmp_path, capsys):
     code = cli.main(["duality", "--k", "2", "--n", "5", "--out", str(out_path)])
     assert code == 0
     assert json.loads(out_path.read_text())["ok"]
+
+
+def test_duplicate_subset_spelling_rejected(tmp_path, capsys):
+    payload = weight_two_vector_payload()
+    payload["entries"]["6,5,4"] = "7"
+    path = write_json(tmp_path, "pi.json", payload)
+    code = cli.main(["weight", "--in", path])
+    err = capsys.readouterr().err
+    assert code == 2 and "/entries/6,5,4" in err
+
+
+def test_decompose_and_weight_desk_scale_guard(tmp_path, capsys):
+    t = ncfan.t_vector(ksubset(13, [1, 5]))
+    tpath = write_json(tmp_path, "t.json", ncfan.to_json_dict(t))
+    code = cli.main(["decompose", "--in", tpath])
+    err = capsys.readouterr().err
+    assert code == 2 and "/k" in err and "--force" in err
+    code, out = run_cli(capsys, "decompose", "--in", tpath, "--force")
+    assert code == 0 and json.loads(out)["entries"] == [["1,5", "1"]]
+    pi = pluecker.PlueckerVector.from_function(2, 13, lambda I: 0)
+    pipath = write_json(tmp_path, "pi.json", pluecker.to_json_dict(pi))
+    code = cli.main(["weight", "--in", pipath])
+    err = capsys.readouterr().err
+    assert code == 2 and "/k" in err and "--force" in err
+    kpath = write_json(tmp_path, "k1.json", {"k": 1, "n": 5, "rows": []})
+    code = cli.main(["decompose", "--in", kpath, "--force"])
+    err = capsys.readouterr().err
+    assert code == 2 and "/k" in err
+
+
+def test_verify_reports_non_unimodular_fan(monkeypatch, capsys):
+    monkeypatch.setattr(exact, "det", lambda matrix: Fraction(2))
+    ncfan.audit_fan.cache_clear()
+    code, out = run_cli(capsys, "verify", "--k", "3", "--n", "6")
+    checks = {c["name"]: c["ok"] for c in json.loads(out)["checks"]}
+    assert code == 1 and checks["fan_unimodular"] is False
+    assert all(ok for name, ok in checks.items() if name != "fan_unimodular")
+
+
+def run_optimized(*code_lines) -> subprocess.CompletedProcess:
+    """Run Python code under -O, which strips every assert."""
+    env = dict(os.environ, PYTHONPATH=str(Path(tropnc.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-O", "-c", "\n".join(code_lines)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def test_verify_checks_survive_python_O():
+    main = "import sys; from tropnc import cli; sys.exit(cli.main(['verify', '--k', '3', '--n', '6']))"
+    ok = run_optimized(main)
+    assert ok.returncode == 0 and json.loads(ok.stdout)["ok"]
+    broken = run_optimized(
+        "from fractions import Fraction; from tropnc import exact",
+        "exact.det = lambda matrix: Fraction(2)",
+        main,
+    )
+    checks = {c["name"]: c["ok"] for c in json.loads(broken.stdout)["checks"]}
+    assert broken.returncode == 1 and checks["fan_unimodular"] is False

@@ -1,4 +1,4 @@
-"""Fan rays, the two projections, and the cone-scan decomposition."""
+"""Fan rays, the two projections, the flip-walk decomposition and the fan audit."""
 
 import math
 from fractions import Fraction
@@ -13,10 +13,12 @@ from conftest import (
     rng_for,
     vector_312,
 )
-from tropnc import exact, ncfan, planar
+from tropnc import combinat, exact, ncfan, planar
 from tropnc.combinat import all_ksubsets, ksubset, maximal_noncrossing_collections, noncyclic_subsets
+from tropnc.exact import InvariantError
 from tropnc.ncfan import (
     TPoint,
+    audit_fan,
     d1_project,
     lattice_coords,
     nc_decompose,
@@ -188,3 +190,96 @@ def test_tpoint_json_round_trip():
 def test_canonical_form():
     t = T(3, 6, [[5, 6, 4], [1, 1, 1]])
     assert t == T(3, 6, [[1, 2, 0], [0, 0, 0]])
+
+
+# ------------------------------------------------- walk against the full scan
+
+DIFFERENTIAL_SIZES = [(2, 6), (3, 6), (3, 7), (4, 7)]
+
+
+def combine(k, n, coeffs) -> TPoint:
+    t = TPoint.zero(k, n)
+    for J, m in coeffs:
+        t = t + t_vector(J).scale(m)
+    return t
+
+
+def differential_points(rng, audit):
+    """Seeded integer and rational points, the zero point, every single ray,
+    and points on lower-dimensional faces, each with its known tableau
+    where one is known (None otherwise)."""
+    k, n = audit.k, audit.n
+    points = [(random_tpoint(rng, k, n), None) for _ in range(20)]
+    points += [(random_rational_tpoint(rng, k, n), None) for _ in range(10)]
+    points.append((TPoint.zero(k, n), ()))
+    points += [(t_vector(J), ((J, 1),)) for J in noncyclic_subsets(k, n)]
+    for _ in range(15):
+        coll, _ = audit.cones[rng.randrange(len(audit.cones))]
+        face = rng.sample(coll, rng.randint(1, len(coll) - 1))
+        coeffs = [(J, Fraction(rng.randint(1, 9), rng.randint(1, 3))) for J in face]
+        points.append((combine(k, n, coeffs), tuple(sorted(coeffs))))
+    return points
+
+
+@pytest.mark.parametrize("k,n", DIFFERENTIAL_SIZES)
+def test_walk_matches_full_scan(k, n):
+    audit = audit_fan(k, n)
+    rng = rng_for(f"walk-vs-scan-{k}-{n}")
+    fallbacks = ncfan.WALK_COUNTS["fallbacks"]
+    for t, known in differential_points(rng, audit):
+        walked = nc_decompose(t)
+        assert walked == audit.scan(t), t
+        if known is not None:
+            assert walked.entries == tuple((J, Fraction(m)) for J, m in known)
+    assert ncfan.WALK_COUNTS["fallbacks"] == fallbacks
+
+
+def test_walk_never_enumerates_maximal_collections(monkeypatch):
+    def refuse(k, n):
+        raise AssertionError("the walk enumerated the maximal collections")
+
+    monkeypatch.setattr(combinat, "maximal_noncrossing_collections", refuse)
+    monkeypatch.setattr(ncfan, "maximal_noncrossing_collections", refuse)
+    rng = rng_for("walk-no-enumeration")
+    for _ in range(20):
+        t = random_tpoint(rng, 4, 7)
+        assert combine(4, 7, nc_decompose(t).entries) == t
+
+
+def test_cycle_guard_falls_back_to_scan(monkeypatch):
+    # Flipping position 0 twice returns to the start cone: a forced cycle.
+    rng = rng_for("walk-cycle-guard")
+    points = [random_tpoint(rng, 3, 7) for _ in range(20)]
+    expected = [audit_fan(3, 7).scan(t) for t in points]
+    monkeypatch.setattr(ncfan, "_choose_flip", lambda mu: 0 if min(mu) < 0 else None)
+    before = ncfan.WALK_COUNTS["fallbacks"]
+    assert [nc_decompose(t) for t in points] == expected
+    assert ncfan.WALK_COUNTS["fallbacks"] > before
+
+
+def test_walk_reaches_4_8():
+    rng = rng_for("walk-4-8")
+    fallbacks = ncfan.WALK_COUNTS["fallbacks"]
+    for _ in range(20):
+        t = random_tpoint(rng, 4, 8)
+        tab = nc_decompose(t)
+        assert combine(4, 8, tab.entries) == t
+        assert all(m > 0 and m.denominator == 1 for _, m in tab.entries)
+        support = tab.support()
+        assert all(
+            combinat.noncrossing(I, J) for i, I in enumerate(support) for J in support[i + 1:]
+        )
+    assert ncfan.WALK_COUNTS["fallbacks"] == fallbacks
+
+
+@pytest.mark.parametrize("k,n", [(2, 4), (2, 6), (3, 6), (3, 7), (4, 7)])
+def test_audit_fan_passes(k, n):
+    audit = audit_fan(k, n)
+    assert len(audit.cones) == len(maximal_noncrossing_collections(k, n))
+
+
+def test_audit_fan_rejects_non_unimodular_cone(monkeypatch):
+    monkeypatch.setattr(exact, "det", lambda matrix: Fraction(2))
+    audit_fan.cache_clear()
+    with pytest.raises(InvariantError, match="non-unimodular"):
+        audit_fan(3, 6)
