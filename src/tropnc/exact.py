@@ -1,15 +1,19 @@
-"""Exact rational scalars and small dense linear algebra.
+"""Exact rational scalars, small dense linear algebra, and the JSON boundary.
 
 Everything in this package computes with `fractions.Fraction`; floats are
 rejected at the boundary so no rounding can leak in.  The linear algebra
 here is plain Gaussian elimination on small matrices (fan decompositions
-are at most a few dozen rows), kept dependency-free on purpose.
+are at most a few dozen rows), kept dependency-free on purpose: `det` and
+`inverse` share one pivot-and-eliminate loop.  The JSON loaders of every
+type (`pluecker`, `ncfan`, `ladder`) read their (k, n) header and their
+rationals through the checks here and raise `SchemaError`, with a JSON
+pointer to the fault, on any malformed input.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 Rational = Union[int, Fraction]
 
@@ -20,6 +24,14 @@ class InvariantError(RuntimeError):
     Raised explicitly instead of by `assert`, so that the check survives
     `python -O`; it signals a bug or a broken input table, not bad data.
     """
+
+
+class SchemaError(ValueError):
+    """Input violates a JSON schema; carries a JSON-pointer-ish path."""
+
+    def __init__(self, pointer: str, message: str):
+        super().__init__(f"{message} (at {pointer})")
+        self.pointer = pointer
 
 
 def as_fraction(value) -> Fraction:
@@ -33,61 +45,77 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
+def json_fraction(value, pointer: str) -> Fraction:
+    """`as_fraction` for a decoded JSON value; a refusal is a SchemaError."""
+    try:
+        return as_fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise SchemaError(
+            pointer, f"not a rational: {value!r}; use an integer or a 'p/q' string"
+        ) from None
+
+
+def json_kn(obj, body: str) -> tuple[int, int]:
+    """The integer k and n of a JSON object with keys k, n and `body`."""
+    if not isinstance(obj, dict):
+        raise SchemaError("", f"expected an object with keys k, n, {body}")
+    for key in ("k", "n", body):
+        if key not in obj:
+            raise SchemaError(f"/{key}", "missing required key")
+    k, n = obj["k"], obj["n"]
+    if type(k) is not int or type(n) is not int:
+        raise SchemaError("/k", "k and n must be integers")
+    return k, n
+
+
+def json_rows(obj, build):
+    """Decode {"k", "n", "rows"} into `build(k, n, rows)` of exact rationals."""
+    k, n = json_kn(obj, "rows")
+    rows = obj["rows"]
+    if not isinstance(rows, list):
+        raise SchemaError("/rows", "expected a list of rows")
+    cooked = []
+    for i, row in enumerate(rows):
+        if not isinstance(row, list):
+            raise SchemaError(f"/rows/{i}", "expected a list")
+        cooked.append([json_fraction(v, f"/rows/{i}/{j}") for j, v in enumerate(row)])
+    try:
+        return build(k, n, cooked)
+    except ValueError as exc:
+        raise SchemaError("/rows", str(exc)) from None
+
+
 def format_fraction(value: Rational) -> str:
     """Render a rational as "p/q" (or "p" when the denominator is 1)."""
     return str(Fraction(value))
 
 
-def vector(values: Iterable[Rational]) -> list[Fraction]:
-    return [as_fraction(v) for v in values]
-
-
-def _pivot_row(rows: list[list[Fraction]], col: int, start: int) -> int | None:
-    for r in range(start, len(rows)):
-        if rows[r][col] != 0:
-            return r
-    return None
+def _eliminate(rows: list[list[Fraction]], jordan: bool) -> Fraction:
+    """Row-reduce the leading square block of `rows` in place, with
+    partial pivoting, and return its determinant (0 when singular, at
+    which point the reduction stops).  `jordan` also clears each pivot
+    column above the pivot, leaving the block diagonal."""
+    size = len(rows)
+    result = Fraction(1)
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if rows[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            result = -result
+        lead = rows[col][col]
+        result *= lead
+        for r in range(0 if jordan else col + 1, size):
+            if r != col and rows[r][col] != 0:
+                factor = rows[r][col] / lead
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    return result
 
 
 def det(matrix: Sequence[Sequence[Rational]]) -> Fraction:
     """Determinant of a square matrix, by fraction-exact elimination."""
-    m = [[as_fraction(v) for v in row] for row in matrix]
-    size = len(m)
-    sign = 1
-    result = Fraction(1)
-    for col in range(size):
-        pivot = _pivot_row(m, col, col)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            sign = -sign
-        result *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, size):
-            if m[r][col] != 0:
-                factor = m[r][col] * inv
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return sign * result
-
-
-def solve(matrix: Sequence[Sequence[Rational]], rhs: Sequence[Rational]) -> list[Fraction] | None:
-    """Solve a square system exactly; None when the matrix is singular."""
-    size = len(matrix)
-    aug = [[as_fraction(v) for v in row] + [as_fraction(rhs[i])] for i, row in enumerate(matrix)]
-    for col in range(size):
-        pivot = _pivot_row(aug, col, col)
-        if pivot is None:
-            return None
-        if pivot != col:
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [a * inv for a in aug[col]]
-        for r in range(size):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [aug[r][size] for r in range(size)]
+    return _eliminate([[as_fraction(v) for v in row] for row in matrix], jordan=False)
 
 
 def inverse(matrix: Sequence[Sequence[Rational]]) -> list[list[Fraction]] | None:
@@ -97,16 +125,6 @@ def inverse(matrix: Sequence[Sequence[Rational]]) -> list[list[Fraction]] | None
         [as_fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(size)]
         for i, row in enumerate(matrix)
     ]
-    for col in range(size):
-        pivot = _pivot_row(aug, col, col)
-        if pivot is None:
-            return None
-        if pivot != col:
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [a * inv for a in aug[col]]
-        for r in range(size):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [row[size:] for row in aug]
+    if _eliminate(aug, jordan=True) == 0:
+        return None
+    return [[a / row[i] for a in row[size:]] for i, row in enumerate(aug)]

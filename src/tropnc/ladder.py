@@ -15,10 +15,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping
 
 from .combinat import KSubset, ksubset
-from .exact import as_fraction, format_fraction
+from .exact import InvariantError, as_fraction, format_fraction, json_rows
 from .ncfan import TPoint
 from .pluecker import PlueckerVector
 
@@ -92,7 +91,8 @@ def enumerate_path_families(J: KSubset) -> tuple[PathFamily, ...]:
     sources = [r for r in range(1, k + 1) if r not in small]
     sinks = sorted(j - k for j in J.elems if j > k)
     m = len(sources)
-    assert len(sinks) == m
+    if len(sinks) != m:
+        raise InvariantError(f"{J.elems}: {m} active sources but {len(sinks)} sinks")
     # topmost source pairs with the rightmost sink
     sink_of = {sources[i]: sinks[m - 1 - i] for i in range(m)}
     families: list[PathFamily] = []
@@ -150,7 +150,8 @@ def tropical_pluecker(J: KSubset, y: LadderPoint) -> Fraction:
         total = sum((y.weight(l, t) for l, t in family.edges()), Fraction(0))
         if best is None or total < best:
             best = total
-    assert best is not None, "every subset admits at least one family"
+    if best is None:
+        raise InvariantError(f"{J.elems} admits no path family")
     return best
 
 
@@ -176,5 +177,5 @@ def to_json_dict(y: LadderPoint) -> dict:
     }
 
 
-def from_json_dict(obj: Mapping) -> LadderPoint:
-    return LadderPoint.of(int(obj["k"]), int(obj["n"]), obj["rows"])
+def from_json_dict(obj) -> LadderPoint:
+    return json_rows(obj, LadderPoint.of)

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Mapping
 
 from . import exact, planar
 from .combinat import (
@@ -32,7 +31,7 @@ from .combinat import (
     maximal_noncrossing_collections,
     tableau,
 )
-from .exact import InvariantError, Rational, as_fraction, format_fraction
+from .exact import InvariantError, Rational, as_fraction, format_fraction, json_rows
 from .pluecker import PlueckerVector
 
 
@@ -394,8 +393,8 @@ def to_json_dict(t: TPoint) -> dict:
     }
 
 
-def from_json_dict(obj: Mapping) -> TPoint:
-    return TPoint.of(int(obj["k"]), int(obj["n"]), obj["rows"])
+def from_json_dict(obj) -> TPoint:
+    return json_rows(obj, TPoint.of)
 
 
 def tableau_to_json_dict(tab: NoncrossingTableau) -> dict:

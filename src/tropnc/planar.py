@@ -26,7 +26,7 @@ from .combinat import (
     noncyclic_subsets,
     positroid_bases,
 )
-from .exact import as_fraction
+from .exact import InvariantError, as_fraction
 from .pluecker import PlueckerVector
 
 
@@ -118,10 +118,11 @@ def cubical_array(J: KSubset) -> CrossRatioExponent:
                 shifted.remove(m)
                 shifted.add(mod1(m + 1, n))
             key = tuple(sorted(shifted))
-            assert len(key) == J.k and key not in exponents, "cubical array collision"
+            if len(key) != J.k or key in exponents:
+                raise InvariantError(f"cubical array of {J.elems} collides at {key}")
             exponents[key] = (-1) ** (len(M) + 1)
-    assert len(exponents) == 2 ** len(endpoints)
-    assert sum(exponents.values()) == 0
+    if sum(exponents.values()) != 0:
+        raise InvariantError(f"cubical array of {J.elems} has a nonzero signed sum")
     return CrossRatioExponent(J, exponents)
 
 

@@ -9,12 +9,20 @@ maps (to the facets x_l = 1 and x_l = 0 of the hypersimplex).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .combinat import KSubset
-from .exact import Rational, as_fraction, format_fraction
+from .exact import (
+    Rational,
+    SchemaError,
+    as_fraction,
+    format_fraction,
+    json_fraction,
+    json_kn,
+)
 
 
 def _key(subset) -> tuple[int, ...]:
@@ -214,10 +222,29 @@ def to_json_dict(pi: PlueckerVector) -> dict:
     }
 
 
-def from_json_dict(obj: Mapping) -> PlueckerVector:
-    k, n = int(obj["k"]), int(obj["n"])
+def from_json_dict(obj) -> PlueckerVector:
+    """Decode {"k", "n", "entries"}.  A label names its subset in any order;
+    a second label naming the same subset is a SchemaError."""
+    k, n = json_kn(obj, "entries")
+    if not isinstance(obj["entries"], dict):
+        raise SchemaError("/entries", "expected an object of 'i,j,...' keys")
     entries = {}
     for label, value in obj["entries"].items():
-        elems = tuple(int(part) for part in label.split(","))
-        entries[elems] = as_fraction(value)
-    return PlueckerVector(k, n, entries)
+        pointer = f"/entries/{label}"
+        try:
+            elems = tuple(sorted(int(part) for part in label.split(",")))
+        except ValueError:
+            raise SchemaError(pointer, "bad subset label") from None
+        if elems in entries:
+            raise SchemaError(pointer, "second spelling of an already given subset")
+        entries[elems] = json_fraction(value, pointer)
+    # Counted before the constructor lists all C(n, k) subsets, so that a
+    # tiny input naming a huge (k, n) fails at once.
+    if not 0 <= k <= n or len(entries) != math.comb(n, k):
+        raise SchemaError(
+            "/entries", f"need one entry per {k}-subset of [{n}], got {len(entries)}"
+        )
+    try:
+        return PlueckerVector(k, n, entries)
+    except ValueError as exc:
+        raise SchemaError("/entries", str(exc)) from None

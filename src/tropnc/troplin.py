@@ -8,6 +8,13 @@ piecewise-linear convex function whose cell gradients enumerate the
 complex's vertices; the balanced representative pins the translation so
 the whole complex sits inside the weight-fold dilate of the fundamental
 alcoved region.
+
+`diameter_check` is the one diameter path: expand once in the planar
+basis, balance that expansion (`balanced_representative`, the only place
+that balances), then enumerate vertices from the same expansion.  Every
+invariant the enumeration relies on is checked by an explicit raise, so
+the checks survive `python -O`; coefficients that do not expand the
+vector are a ValueError.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from .combinat import (
     is_cyclic_interval,
     mod1,
 )
-from .exact import Rational, as_fraction, format_fraction
+from .exact import InvariantError, Rational, as_fraction, format_fraction
 from .pluecker import PlueckerVector, lineality_shift
 
 
@@ -149,7 +156,8 @@ def grassmann_necklace(M: Matroid) -> list[tuple[int, ...]]:
             trial = chosen | {x}
             if any(trial <= B for B in bases):
                 chosen = trial
-        assert len(chosen) == M.k
+        if len(chosen) != M.k:
+            raise InvariantError(f"greedy basis from {a} has rank {len(chosen)}, not {M.k}")
         necklace.append(tuple(sorted(chosen)))
     return necklace
 
@@ -257,7 +265,8 @@ def central_representative(pi: PlueckerVector) -> PlueckerVector:
 
 
 def _lineality_solve(diff: PlueckerVector) -> list[Fraction]:
-    """Recover y with diff_I = sum(y_i, i in I); asserts diff is lineality."""
+    """Recover y with diff_I = sum(y_i, i in I); ValueError when diff is
+    not in the lineality space."""
     k, n = diff.k, diff.n
     offsets = [Fraction(0)] * n
     for i in range(2, n + 1):
@@ -268,22 +277,21 @@ def _lineality_solve(diff: PlueckerVector) -> list[Fraction]:
     base = tuple(range(1, k + 1))
     t = (diff.entries[base] - sum(offsets[i - 1] for i in base)) / k
     y = [o + t for o in offsets]
-    for I, v in diff.entries.items():
-        assert sum(y[i - 1] for i in I) == v, "difference vector is not lineality"
+    if any(sum(y[i - 1] for i in I) != v for I, v in diff.entries.items()):
+        raise ValueError("the coefficients do not expand the vector modulo lineality")
     return y
 
 
-def balanced_representative(pi: PlueckerVector) -> PlueckerVector:
+def balanced_representative(
+    pi: PlueckerVector, coeffs: Mapping | None = None
+) -> PlueckerVector:
     """Lineality shift of the central representative making all n
-    cyclic-gap differences equal to (total weight)/n."""
-    support = _nonzero_support(pi, None)
+    cyclic-gap differences equal to (total weight)/n.  `coeffs` is the
+    planar expansion of pi when the caller already has it."""
+    support = _nonzero_support(pi, coeffs)
     central = _combine_central(pi.k, pi.n, support)
     wt = sum((c for _, c in support), Fraction(0))
-    return lineality_shift(central, _balancing_shift(central, wt))
-
-
-def _balancing_shift(central: PlueckerVector, wt: Fraction) -> list[Fraction]:
-    k, n = central.k, central.n
+    k, n = pi.k, pi.n
     delta = [Fraction(0)] * (n + 1)
     for j in range(n):
         m = mod1(j + k, n)
@@ -292,11 +300,12 @@ def _balancing_shift(central: PlueckerVector, wt: Fraction) -> list[Fraction]:
             - central.entries[gap_interval(j, k, n)]
             - Fraction(wt, n)
         )
-    assert sum(delta) == 0, "cyclic consistency violated"
+    if sum(delta) != 0:
+        raise InvariantError("cyclic-gap differences do not sum to zero")
     y = [Fraction(0)] * n
     for m in range(1, n):
         y[m] = y[m - 1] - delta[m]
-    return y
+    return lineality_shift(central, y)
 
 
 @dataclass(frozen=True)
@@ -359,7 +368,8 @@ def bounded_complex_vertices(
     contribs = []
     for J, c in support:
         factor = Fraction(-c * scale, k)
-        assert factor.denominator == 1
+        if factor.denominator != 1:
+            raise InvariantError(f"scale {scale} leaves roof factor {factor} fractional")
         contribs.append(
             [tuple(int(factor) * x for x in W) for W in central_roof(J).W]
         )
@@ -480,8 +490,5 @@ def diameter_check(
     every vertex spread must be at most the total weight.  Convexity of
     the dilated region makes the vertex check sufficient."""
     coeffs = planar.planar_expand(pi)
-    support = [(J, c) for J, c in coeffs.items() if c != 0]
-    wt = sum((c for _, c in support), Fraction(0))
-    central = _combine_central(pi.k, pi.n, support)
-    balanced = lineality_shift(central, _balancing_shift(central, wt))
+    balanced = balanced_representative(pi, coeffs)
     return bounded_complex_vertices(balanced, coeffs, time_budget_s=time_budget_s)

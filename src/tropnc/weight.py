@@ -23,7 +23,7 @@ from .combinat import (
     noncyclic_subsets,
     weakly_separated,
 )
-from .exact import format_fraction
+from .exact import InvariantError, format_fraction
 from .ladder import LadderPoint
 from .pluecker import PlueckerVector, is_positive_tropical
 
@@ -119,6 +119,9 @@ def weight_two_candidates(k: int, n: int) -> list[tuple[KSubset, KSubset, Plueck
         if noncrossing(I, J) and not weakly_separated(I, J):
             vec = ladder.rho(ncfan.t_vector(I) + ncfan.t_vector(J))
             cert = is_positive_tropical(vec)
-            assert cert.ok, f"candidate {I.elems},{J.elems} failed positivity: {cert.violation}"
+            if not cert.ok:
+                raise InvariantError(
+                    f"candidate {I.elems},{J.elems} failed positivity: {cert.violation}"
+                )
             out.append((I, J, vec))
     return out

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import tropnc
 from tropnc import ladder, ncfan, planar
 from tropnc.combinat import maximal_noncrossing_collections
 from tropnc.ncfan import TPoint
@@ -58,6 +63,15 @@ def random_tableau_point(rng: random.Random, k: int, n: int, max_weight: int):
         if m:
             t = t + ncfan.t_vector(K).scale(m)
     return t, {K: m for K, m in zip(coll, mults) if m}
+
+
+def run_optimized(*code_lines) -> subprocess.CompletedProcess:
+    """Run Python code under -O, which strips every assert."""
+    env = dict(os.environ, PYTHONPATH=str(Path(tropnc.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-O", "-c", "\n".join(code_lines)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
 
 
 def canon(point) -> tuple[Fraction, ...]:

@@ -1,16 +1,11 @@
 """CLI pipelines: schemas, exit codes, and deterministic output."""
 
 import json
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-from conftest import canon
-import tropnc
+from conftest import canon, run_optimized
 from tropnc import cli, exact, ncfan, planar, pluecker
 from tropnc.combinat import ksubset
 
@@ -48,11 +43,17 @@ def test_duality_4_7(capsys):
     assert payload["ok"] and payload["size"] == 28
 
 
-def test_duality_parallel_matches_serial(capsys):
-    code1, out1 = run_cli(capsys, "duality", "--k", "3", "--n", "6")
-    code2, out2 = run_cli(capsys, "duality", "--k", "3", "--n", "6", "--threads", "4")
-    assert (code1, code2) == (0, 0)
-    assert out1 == out2
+def test_unread_options_are_usage_errors(capsys):
+    # --threads is gone, and an input command takes no --seed, --k or --n
+    for argv in (
+        ["duality", "--k", "3", "--n", "6", "--threads", "4"],
+        ["psi", "--in", "-", "--seed", "1"],
+        ["psi", "--in", "-", "--k", "9"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_decompose_pipeline(tmp_path, capsys):
@@ -196,6 +197,17 @@ def test_duplicate_subset_spelling_rejected(tmp_path, capsys):
     assert code == 2 and "/entries/6,5,4" in err
 
 
+def test_repeated_json_key_rejected(tmp_path, capsys):
+    # the literal same label twice: json.load alone would keep the last value
+    text = json.dumps(weight_two_vector_payload())
+    text = text.replace('"1,2,3": ', '"1,2,3": "99", "1,2,3": ', 1)
+    path = tmp_path / "pi.json"
+    path.write_text(text)
+    code = cli.main(["weight", "--in", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2 and "'1,2,3' given twice" in err
+
+
 def test_decompose_and_weight_desk_scale_guard(tmp_path, capsys):
     t = ncfan.t_vector(ksubset(13, [1, 5]))
     tpath = write_json(tmp_path, "t.json", ncfan.to_json_dict(t))
@@ -215,6 +227,24 @@ def test_decompose_and_weight_desk_scale_guard(tmp_path, capsys):
     assert code == 2 and "/k" in err
 
 
+@pytest.mark.parametrize("command", ["psi", "rho", "bounded", "diameter"])
+def test_input_commands_apply_the_guard(command, tmp_path, capsys):
+    def payload(k, n):
+        if command == "rho":
+            return ncfan.to_json_dict(ncfan.TPoint.zero(k, n))
+        return pluecker.to_json_dict(pluecker.PlueckerVector.zero(k, n))
+
+    k1 = write_json(tmp_path, "k1.json", payload(1, 5))
+    assert cli.main([command, "--in", k1, "--force"]) == 2
+    assert "/k" in capsys.readouterr().err
+    big = write_json(tmp_path, "big.json", payload(2, 13))
+    assert cli.main([command, "--in", big]) == 2
+    err = capsys.readouterr().err
+    assert "/k" in err and "--force" in err
+    code, out = run_cli(capsys, command, "--in", big, "--force")
+    assert code == 0 and json.loads(out)
+
+
 def test_verify_reports_non_unimodular_fan(monkeypatch, capsys):
     monkeypatch.setattr(exact, "det", lambda matrix: Fraction(2))
     ncfan.audit_fan.cache_clear()
@@ -222,15 +252,6 @@ def test_verify_reports_non_unimodular_fan(monkeypatch, capsys):
     checks = {c["name"]: c["ok"] for c in json.loads(out)["checks"]}
     assert code == 1 and checks["fan_unimodular"] is False
     assert all(ok for name, ok in checks.items() if name != "fan_unimodular")
-
-
-def run_optimized(*code_lines) -> subprocess.CompletedProcess:
-    """Run Python code under -O, which strips every assert."""
-    env = dict(os.environ, PYTHONPATH=str(Path(tropnc.__file__).parents[1]))
-    return subprocess.run(
-        [sys.executable, "-O", "-c", "\n".join(code_lines)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
 
 
 def test_verify_checks_survive_python_O():

@@ -13,9 +13,9 @@ from conftest import (
     rng_for,
     vector_312,
 )
-from tropnc import combinat, exact, ncfan, planar
+from tropnc import combinat, exact, ladder, ncfan, planar
 from tropnc.combinat import all_ksubsets, ksubset, maximal_noncrossing_collections, noncyclic_subsets
-from tropnc.exact import InvariantError
+from tropnc.exact import InvariantError, SchemaError
 from tropnc.ncfan import (
     TPoint,
     audit_fan,
@@ -185,6 +185,25 @@ def test_tpoint_json_round_trip():
     t = T(3, 6, [[1, 2, 0], [0, "1/2", 1]])
     again = ncfan.from_json_dict(ncfan.to_json_dict(t))
     assert again == t
+
+
+@pytest.mark.parametrize("load", [ncfan.from_json_dict, ladder.from_json_dict])
+def test_rows_loaders_are_strict(load):
+    good = {"k": 3, "n": 6, "rows": [["1", "2", "0"], ["0", "1/2", "1"]]}
+
+    def pointer(obj) -> str:
+        with pytest.raises(SchemaError) as exc:
+            load(obj)
+        return exc.value.pointer
+
+    for bad in (3.0, True, "3"):
+        assert pointer({**good, "k": bad}) == "/k"
+        assert pointer({**good, "n": bad}) == "/k"
+    assert pointer({**good, "rows": [["1", "2", "0"], ["0", 0.5, "1"]]}) == "/rows/1/1"
+    assert pointer({**good, "rows": [["1", "2", "0"], ["0", "1/0", "1"]]}) == "/rows/1/1"
+    assert pointer({**good, "rows": [["1", "2", "0"], "0"]}) == "/rows/1"
+    assert pointer({**good, "rows": [["1", "2", "0"]]}) == "/rows"
+    assert pointer({"k": 3, "n": 6}) == "/rows"
 
 
 def test_canonical_form():

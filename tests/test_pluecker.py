@@ -7,6 +7,7 @@ import pytest
 from conftest import rng_for, random_positive_vector, random_vector
 from tropnc import planar, pluecker
 from tropnc.combinat import ksubset, noncyclic_subsets
+from tropnc.exact import SchemaError
 from tropnc.planar import planar_basis_vector
 from tropnc.pluecker import (
     PlueckerVector,
@@ -34,6 +35,30 @@ def test_json_round_trip():
     again = pluecker.from_json_dict(pluecker.to_json_dict(pi))
     assert again == pi
     assert pluecker.to_json_dict(pi)["entries"]["1,2"] == "1/4"
+
+
+def test_json_loader_is_strict():
+    good = pluecker.to_json_dict(planar_basis_vector(ksubset(6, [1, 3, 5])))
+
+    def pointer(obj) -> str:
+        with pytest.raises(SchemaError) as exc:
+            pluecker.from_json_dict(obj)
+        return exc.value.pointer
+
+    def with_entry(label, value) -> dict:
+        return {**good, "entries": {**good["entries"], label: value}}
+
+    assert pointer(with_entry("5,3,1", "99")) == "/entries/5,3,1"
+    for bad in (3.0, True, "3"):
+        assert pointer({**good, "k": bad}) == "/k"
+        assert pointer({**good, "n": bad}) == "/k"
+    for bad in (0.5, False, "1/0", None):
+        assert pointer(with_entry("1,3,5", bad)) == "/entries/1,3,5"
+    assert pointer(with_entry("1,x,5", "1")) == "/entries/1,x,5"
+    assert pointer({"k": 3, "entries": {}}) == "/n"
+    assert pointer({**good, "entries": {"1,2,3": "0"}}) == "/entries"
+    # counted before C(40, 10) subsets are listed
+    assert pointer({"k": 10, "n": 40, "entries": {}}) == "/entries"
 
 
 def test_lineality_shift_examples():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import canon, random_tpoint, rng_for
+from conftest import canon, random_tpoint, rng_for, run_optimized
 from tropnc import combinat, ladder, planar, pluecker, troplin
 from tropnc.combinat import (
     cyc_interval,
@@ -167,6 +167,7 @@ def test_balanced_representative_differences():
             t = random_tpoint(rng, k, n)
             pi = rho(t)
             bal = balanced_representative(pi)
+            assert balanced_representative(pi, planar.planar_expand(pi)) == bal
             from tropnc.weight import pk_weight
 
             wt = pk_weight(pi)
@@ -203,6 +204,19 @@ def test_bounded_complex_3split_reference_values():
 def test_bounded_complex_empty_support():
     rep = bounded_complex_vertices(PlueckerVector.zero(3, 6), {})
     assert rep.vertices == () and rep.max_coordinate_spread == 0 and rep.within_dilate
+
+
+def test_coefficients_that_do_not_expand_the_vector_raise():
+    with pytest.raises(ValueError, match="do not expand"):
+        bounded_complex_vertices(central_pluecker_vector(J_2BLOCK), {J_2BLOCK: 2})
+    # the check is an explicit raise, so it survives -O
+    result = run_optimized(
+        "from tropnc.combinat import ksubset",
+        "from tropnc.troplin import bounded_complex_vertices, central_pluecker_vector",
+        "J = ksubset(6, [2, 3, 6])",
+        "bounded_complex_vertices(central_pluecker_vector(J), {J: 2})",
+    )
+    assert result.returncode == 1 and "ValueError" in result.stderr
 
 
 def test_tree_2_5():
