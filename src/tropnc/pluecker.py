@@ -223,18 +223,19 @@ def to_json_dict(pi: PlueckerVector) -> dict:
 
 
 def from_json_dict(obj) -> PlueckerVector:
-    """Decode {"k", "n", "entries"}.  A label names its subset in any order;
-    a second label naming the same subset is a SchemaError."""
+    """Decode {"k", "n", "entries"}.  A label is comma-separated ASCII
+    decimal integers naming its subset in any order; a second label naming
+    the same subset is a SchemaError."""
     k, n = json_kn(obj, "entries")
     if not isinstance(obj["entries"], dict):
         raise SchemaError("/entries", "expected an object of 'i,j,...' keys")
     entries = {}
     for label, value in obj["entries"].items():
         pointer = f"/entries/{label}"
-        try:
-            elems = tuple(sorted(int(part) for part in label.split(",")))
-        except ValueError:
-            raise SchemaError(pointer, "bad subset label") from None
+        parts = label.split(",")
+        if not all(part.isascii() and part.isdigit() for part in parts):
+            raise SchemaError(pointer, "bad subset label")
+        elems = tuple(sorted(map(int, parts)))
         if elems in entries:
             raise SchemaError(pointer, "second spelling of an already given subset")
         entries[elems] = json_fraction(value, pointer)

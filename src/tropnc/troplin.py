@@ -9,6 +9,12 @@ complex's vertices; the balanced representative pins the translation so
 the whole complex sits inside the weight-fold dilate of the fundamental
 alcoved region.
 
+`_shift_face` is the one classifier of shift points, in scaled integers;
+vertex filtering, `bounded_complex_edges`, `face_dimension_at` and
+`in_bounded_part` all use it.  `argmin_matroid`, `loops`, `coloops`,
+`components_partition` and `in_linear_space` are the `Fraction`
+reference the tests check it against.
+
 `diameter_check` is the one diameter path: expand once in the planar
 basis, balance that expansion (`balanced_representative`, the only place
 that balances), then enumerate vertices from the same expansion.  Every
@@ -179,8 +185,7 @@ def in_linear_space(pi: PlueckerVector, w: Sequence[Rational]) -> bool:
 
 def in_bounded_part(pi: PlueckerVector, w: Sequence[Rational]) -> bool:
     """Loopless and coloopless shift matroid."""
-    M = argmin_matroid(pi, w)
-    return not loops(M) and not coloops(M)
+    return isinstance(face_dimension_at(pi, w), int)
 
 
 @dataclass(frozen=True)
@@ -355,24 +360,18 @@ def bounded_complex_vertices(
     if not support:
         return BoundedComplexReport((), wt, Fraction(0), True)
 
-    pure = _combine_central(k, n, support)
-    y = _lineality_solve(pure - pi_hat)
+    y = _lineality_solve(_combine_central(k, n, support) - pi_hat)
 
-    scale = lcm(
-        *(v.denominator for v in pi_hat.entries.values()),
-        *(k * c.denominator for _, c in support),
-        *(v.denominator for v in y),
+    scale, table = _scaled_table(
+        pi_hat, [k * c.denominator for _, c in support] + [v.denominator for v in y]
     )
-    pi_scaled = {I: int(v * scale) for I, v in pi_hat.entries.items()}
     base = [int(-v * scale) for v in y]
     contribs = []
     for J, c in support:
         factor = Fraction(-c * scale, k)
         if factor.denominator != 1:
             raise InvariantError(f"scale {scale} leaves roof factor {factor} fractional")
-        contribs.append(
-            [tuple(int(factor) * x for x in W) for W in central_roof(J).W]
-        )
+        contribs.append([tuple(int(factor) * x for x in W) for W in central_roof(J).W])
 
     candidates: dict[tuple[int, ...], tuple[int, ...]] = {}
 
@@ -388,51 +387,50 @@ def bounded_complex_vertices(
 
     enumerate_sums(0, base)
 
-    subsets = [(I, tuple(i - 1 for i in I), v) for I, v in pi_scaled.items()]
-    full = set(range(1, n + 1))
     vertices = []
     for w_scaled in candidates.values():
         if deadline is not None and time.monotonic() > deadline:
             raise TimeBudgetExceeded("matroid filtering over budget")
-        best = None
-        argmin: list[tuple[int, ...]] = []
-        for I, idx, v in subsets:
-            val = v - sum(w_scaled[i] for i in idx)
-            if best is None or val < best:
-                best = val
-                argmin = [I]
-            elif val == best:
-                argmin.append(I)
-        if set().union(*map(set, argmin)) != full:
-            continue  # loop: outside the linear space
-        inter = set(argmin[0])
-        for B in argmin[1:]:
-            inter &= set(B)
-            if not inter:
-                break
-        if inter:
-            continue  # coloop: unbounded direction
-        M = Matroid(k, n, frozenset(argmin))
-        if is_connected(M):
+        if _shift_face(table, w_scaled) == 0:
             vertices.append(tuple(Fraction(v - w_scaled[0], scale) for v in w_scaled))
 
     vertices.sort()
-    spread = max(
-        (max(wv) - min(wv) for wv in vertices), default=Fraction(0)
-    )
+    spread = max((max(wv) - min(wv) for wv in vertices), default=Fraction(0))
     return BoundedComplexReport(tuple(vertices), wt, spread, spread <= wt)
 
 
-def face_dimension_at(pi: PlueckerVector, w: Sequence[Rational]):
-    """Dimension of the face through w, or a tag for non-face points:
-    "outside" when w misses the linear space, "unbounded" when the face
-    through w is unbounded."""
-    M = argmin_matroid(pi, w)
-    if loops(M):
+def _scaled_table(pi: PlueckerVector, denominators):
+    """Put pi over one common denominator that also clears `denominators`:
+    the scale and a list of (subset, 0-based indices, scaled entry)."""
+    scale = lcm(*(v.denominator for v in pi.entries.values()), *denominators)
+    return scale, [
+        (I, tuple(i - 1 for i in I), int(v * scale)) for I, v in pi.entries.items()
+    ]
+
+
+def _shift_face(table, w_scaled: Sequence[int]):
+    """The face through a shift point, both scaled as by `_scaled_table`:
+    "outside" when the argmin matroid has a loop, "unbounded" when it has
+    a coloop, and otherwise its number of components minus one."""
+    vals = [v - sum(w_scaled[i] for i in idx) for _, idx, v in table]
+    best = min(vals)
+    argmin = [I for (I, _, _), val in zip(table, vals) if val == best]
+    if len(set().union(*argmin)) != len(w_scaled):
         return "outside"
-    if coloops(M):
+    if set(argmin[0]).intersection(*argmin[1:]):
         return "unbounded"
+    M = Matroid(len(argmin[0]), len(w_scaled), frozenset(argmin))
     return len(components_partition(M)) - 1
+
+
+def face_dimension_at(pi: PlueckerVector, w: Sequence[Rational]):
+    """Dimension of the face through w, or "outside" when w misses the
+    linear space, "unbounded" when the face through w is unbounded."""
+    ws = [as_fraction(v) for v in w]
+    if len(ws) != pi.n:
+        raise ValueError(f"need {pi.n} coordinates, got {len(ws)}")
+    scale, table = _scaled_table(pi, [v.denominator for v in ws])
+    return _shift_face(table, [int(v * scale) for v in ws])
 
 
 def matroid_polytope_contains(M: Matroid, x: Sequence[Rational]) -> bool:
@@ -471,16 +469,18 @@ def subdifferential_at(
 def bounded_complex_edges(
     pi_hat: PlueckerVector, vertices: Sequence[Sequence[Rational]]
 ) -> list[tuple[int, int]]:
-    """Vertex pairs whose midpoint lies on a one-dimensional face."""
-    out = []
-    for i, j in itertools.combinations(range(len(vertices)), 2):
-        mid = [
-            (as_fraction(a) + as_fraction(b)) / 2
-            for a, b in zip(vertices[i], vertices[j])
-        ]
-        if face_dimension_at(pi_hat, mid) == 1:
-            out.append((i, j))
-    return out
+    """Vertex pairs whose exact midpoint lies on a one-dimensional face; the
+    scale clears twice every vertex denominator, so midpoints are integers."""
+    verts = [[as_fraction(v) for v in w] for w in vertices]
+    if any(len(w) != pi_hat.n for w in verts):
+        raise ValueError(f"every vertex needs {pi_hat.n} coordinates")
+    scale, table = _scaled_table(pi_hat, [2 * v.denominator for w in verts for v in w])
+    scaled = [[int(v * scale) for v in w] for w in verts]
+    return [
+        (i, j)
+        for (i, a), (j, b) in itertools.combinations(enumerate(scaled), 2)
+        if _shift_face(table, [(x + y) // 2 for x, y in zip(a, b)]) == 1
+    ]
 
 
 def diameter_check(

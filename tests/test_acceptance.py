@@ -35,7 +35,6 @@ from tropnc.ncfan import TPoint, d1_project, lattice_coords, nc_decompose, nc_we
 from tropnc.planar import corank_vector, planar_basis_vector, tropical_u
 from tropnc.pluecker import equivalent_mod_lineality, face_restrict_one, is_positive_tropical
 from tropnc.troplin import (
-    TimeBudgetExceeded,
     argmin_matroid,
     basis_exchange_ok,
     bounded_complex_vertices,
@@ -191,12 +190,8 @@ def test_criterion_10_diameter_bound():
     pi312 = vector_312()
     with criterion(10, "diameter bound: weight-4 example at (3,12)", 660):
         assert pk_weight(pi312) == 4
-        try:
-            rep = diameter_check(pi312, time_budget_s=600)
-        except TimeBudgetExceeded:
-            print("ACCEPTANCE 10 note: (3,12) vertex enumeration skipped (over budget)")
-        else:
-            assert rep.pk_weight == 4 and rep.within_dilate
+        rep = diameter_check(pi312, time_budget_s=600)
+        assert rep.pk_weight == 4 and rep.within_dilate
 
 
 def test_criterion_11_path_counts():

@@ -55,6 +55,13 @@ def test_json_loader_is_strict():
     for bad in (0.5, False, "1/0", None):
         assert pointer(with_entry("1,3,5", bad)) == "/entries/1,3,5"
     assert pointer(with_entry("1,x,5", "1")) == "/entries/1,x,5"
+    # only ASCII decimal digits between the commas
+    ten = pluecker.to_json_dict(planar_basis_vector(ksubset(10, [1, 3])))["entries"]
+    value = ten.pop("2,10")
+    for label in ("1_0,2", " 2,10", "+2,10", "2,10 ", "2,\uff110", "2,,10", "-2,10"):
+        with pytest.raises(SchemaError) as exc:
+            pluecker.from_json_dict({"k": 2, "n": 10, "entries": {**ten, label: value}})
+        assert exc.value.pointer == f"/entries/{label}"
     assert pointer({"k": 3, "entries": {}}) == "/n"
     assert pointer({**good, "entries": {"1,2,3": "0"}}) == "/entries"
     # counted before C(40, 10) subsets are listed

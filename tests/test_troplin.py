@@ -289,6 +289,76 @@ def test_face_dimensions():
     assert face_dimension_at(eta, far) in ("outside", "unbounded")
 
 
+def _reference_face(pi, w):
+    """Face through w from the Fraction reference: argmin matroid, then
+    loops, coloops and components."""
+    M = argmin_matroid(pi, w)
+    if loops(M):
+        return "outside"
+    if coloops(M):
+        return "unbounded"
+    return len(components_partition(M)) - 1
+
+
+def _reference_edges(pi, points):
+    """The per-pair rule: the Fraction midpoint lies on a 1-dimensional face."""
+    return [
+        (i, j)
+        for i, j in itertools.combinations(range(len(points)), 2)
+        if _reference_face(pi, [(a + b) / 2 for a, b in zip(points[i], points[j])]) == 1
+    ]
+
+
+@pytest.mark.parametrize("k,n", [(3, 6), (3, 7), (4, 8)])
+def test_shift_face_classifier_matches_fraction_reference(k, n):
+    rng = rng_for(f"shift-face-{k}-{n}")
+    seen = set()
+    for _ in range(3):
+        pi = rho(random_tpoint(rng, k, n, hi=2))
+        coeffs = planar.planar_expand(pi)
+        for vec in (pi, balanced_representative(pi, coeffs)):
+            vertices = list(bounded_complex_vertices(vec, coeffs).vertices)
+            assert bounded_complex_edges(vec, vertices) == _reference_edges(vec, vertices)
+            # seeded points with denominators 2 and 3, near a vertex and anywhere
+            loose = [
+                [x + Fraction(rng.randint(-2, 2), den) for x in rng.choice(vertices)]
+                if near else [Fraction(rng.randint(-4, 4), den) for _ in range(n)]
+                for den in (2, 3) for near in (True, False) for _ in range(2)
+            ]
+            mixed = vertices + loose
+            assert bounded_complex_edges(vec, mixed) == _reference_edges(vec, mixed)
+            midpoints = [
+                [(a + b) / 2 for a, b in zip(u, v)]
+                for u, v in itertools.combinations(vertices, 2)
+            ]
+            for w in vertices + midpoints + loose:
+                face = face_dimension_at(vec, w)
+                assert face == _reference_face(vec, w)
+                assert in_bounded_part(vec, w) == isinstance(face, int)
+                seen.add(face)
+            assert all(face_dimension_at(vec, w) == 0 for w in vertices)
+        with pytest.raises(ValueError):
+            face_dimension_at(pi, [0] * (n - 1))
+        with pytest.raises(ValueError):
+            in_bounded_part(pi, [0] * (n + 1))
+        with pytest.raises(ValueError):
+            bounded_complex_edges(pi, [[0] * n, [0] * (n - 1)])
+    assert {0, 1, "outside", "unbounded"} <= seen
+
+
+def test_production_path_does_not_use_the_fraction_reference(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("argmin_matroid called on the production path")
+
+    monkeypatch.setattr(troplin, "argmin_matroid", refuse)
+    pi = rho(TPoint.of(3, 6, [[2, 0, 1], [1, 3, 0]]))
+    rep = diameter_check(pi)
+    balanced = balanced_representative(pi)
+    assert len(bounded_complex_edges(balanced, rep.vertices)) >= len(rep.vertices) - 1
+    assert face_dimension_at(balanced, rep.vertices[0]) == 0
+    assert in_bounded_part(balanced, rep.vertices[0])
+
+
 def test_subdifferential_queries():
     eta = central_pluecker_vector(J_2BLOCK)
     # interior of the left cell (first block sums below the crease)
