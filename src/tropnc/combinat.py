@@ -158,7 +158,6 @@ def crossing(I: KSubset, J: KSubset) -> bool:
 @lru_cache(maxsize=None)
 def _compatibility(k: int, n: int) -> tuple[tuple[KSubset, ...], dict]:
     nodes = noncyclic_subsets(k, n)
-    index = {J: i for i, J in enumerate(nodes)}
     adj = {i: set() for i in range(len(nodes))}
     for i, j in itertools.combinations(range(len(nodes)), 2):
         if noncrossing(nodes[i], nodes[j]):

@@ -1,7 +1,8 @@
 """Exact rational scalars, small dense linear algebra, and the JSON boundary.
 
-Everything in this package computes with `fractions.Fraction`; floats are
-rejected at the boundary so no rounding can leak in.  The linear algebra
+Everything in this package computes with `fractions.Fraction`, or with
+integers over one common denominator (`scaled`) in its hot loops; floats
+are rejected at the boundary so no rounding can leak in.  The linear algebra
 here is plain Gaussian elimination on small matrices (fan decompositions
 are at most a few dozen rows), kept dependency-free on purpose: `det` and
 `inverse` share one pivot-and-eliminate loop.  The JSON loaders of every
@@ -12,8 +13,9 @@ pointer to the fault, on any malformed input.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 Rational = Union[int, Fraction]
 
@@ -83,6 +85,17 @@ def json_rows(obj, build):
         return build(k, n, cooked)
     except ValueError as exc:
         raise SchemaError("/rows", str(exc)) from None
+
+
+def scaled(values: Iterable[Rational], clear: Iterable[int] = ()) -> tuple[list[int], int]:
+    """Rationals as integers over one common denominator: (ints, scale).
+
+    `scale` is the least common multiple of the denominators, made also a
+    multiple of every integer in `clear`; each value is int / scale.
+    """
+    values = list(values)
+    scale = math.lcm(*(v.denominator for v in values), *clear)
+    return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
 def format_fraction(value: Rational) -> str:

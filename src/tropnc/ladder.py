@@ -7,6 +7,13 @@ large elements of J; the topmost active source exits at the rightmost
 sink.  Plücker coordinates are minima of total vertical weight over
 non-intersecting path families, enumerated explicitly (tropical
 cancellation rules out a determinant shortcut).
+
+The families depend only on (k, n), so `_family_table` enumerates them
+once per (k, n) as tuples of flat grid indices; `pluecker_vector_of_grid`
+scales the grid to integers over one common denominator and takes, per
+subset, the minimum of integer sums over that table.  `tropical_pluecker`
+over the `PathFamily` objects of `enumerate_path_families` is the
+`Fraction` reference it is tested against.
 """
 
 from __future__ import annotations
@@ -16,8 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .combinat import KSubset, ksubset
-from .exact import InvariantError, as_fraction, format_fraction, json_rows
+from .combinat import KSubset
+from .exact import InvariantError, as_fraction, format_fraction, json_rows, scaled
 from .ncfan import TPoint
 from .pluecker import PlueckerVector
 
@@ -82,10 +89,10 @@ class PathFamily:
         return sum(len(d) for _, d in self.paths)
 
 
-@lru_cache(maxsize=None)
-def enumerate_path_families(J: KSubset) -> tuple[PathFamily, ...]:
-    """All non-intersecting families from the active sources to the sinks
-    of J, by recursive descent with interlacing pruning."""
+def _path_families(J: KSubset):
+    """Yield every non-intersecting family from the active sources to the
+    sinks of J as its `paths` tuple, by recursive descent with interlacing
+    pruning."""
     k, n = J.k, J.n
     small = set(J.elems) & set(range(1, k + 1))
     sources = [r for r in range(1, k + 1) if r not in small]
@@ -95,12 +102,11 @@ def enumerate_path_families(J: KSubset) -> tuple[PathFamily, ...]:
         raise InvariantError(f"{J.elems}: {m} active sources but {len(sinks)} sinks")
     # topmost source pairs with the rightmost sink
     sink_of = {sources[i]: sinks[m - 1 - i] for i in range(m)}
-    families: list[PathFamily] = []
 
     def descend(idx: int, prev: tuple[int, ...] | None, prev_source: int | None,
                 chosen: list[tuple[int, tuple[int, ...]]]):
         if idx == m:
-            families.append(PathFamily(tuple(chosen)))
+            yield tuple(chosen)
             return
         r = sources[idx]
         sink = sink_of[r]
@@ -109,7 +115,7 @@ def enumerate_path_families(J: KSubset) -> tuple[PathFamily, ...]:
         if not levels:
             # bottom-rail source: interval [0, sink] on rail k, no descents
             chosen.append((r, ()))
-            descend(idx + 1, None, r, chosen)
+            yield from descend(idx + 1, None, r, chosen)
             chosen.pop()
             return
 
@@ -128,21 +134,28 @@ def enumerate_path_families(J: KSubset) -> tuple[PathFamily, ...]:
                     if next_sink is not None and t <= next_sink:
                         continue
                     chosen.append((r, tuple(t_acc + [t])))
-                    descend(idx + 1, tuple(t_acc + [t]), r, chosen)
+                    yield from descend(idx + 1, tuple(t_acc + [t]), r, chosen)
                     chosen.pop()
                 else:
                     t_acc.append(t)
-                    build(pos + 1, t_acc)
+                    yield from build(pos + 1, t_acc)
                     t_acc.pop()
 
-        build(0, [])
+        yield from build(0, [])
 
-    descend(0, None, None, [])
-    return tuple(families)
+    yield from descend(0, None, None, [])
+
+
+@lru_cache(maxsize=None)
+def enumerate_path_families(J: KSubset) -> tuple[PathFamily, ...]:
+    """All non-intersecting families from the active sources to the sinks
+    of J, as `PathFamily` objects (the reference enumeration)."""
+    return tuple(PathFamily(paths) for paths in _path_families(J))
 
 
 def tropical_pluecker(J: KSubset, y: LadderPoint) -> Fraction:
-    """Minimum over families of the summed vertical-edge weights."""
+    """Minimum over families of the summed vertical-edge weights (the
+    `Fraction` reference of `pluecker_vector_of_grid`)."""
     if (J.k, J.n) != (y.k, y.n):
         raise ValueError("mismatched (k, n)")
     best = None
@@ -155,13 +168,37 @@ def tropical_pluecker(J: KSubset, y: LadderPoint) -> Fraction:
     return best
 
 
-def pluecker_vector_of_grid(y: LadderPoint) -> PlueckerVector:
-    """All tropical Plücker coordinates of a grid point."""
-    k, n = y.k, y.n
-    entries = {}
+@lru_cache(maxsize=None)
+def _family_table(k: int, n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Per k-subset of [n] in lexicographic order, its path families, each
+    as the flat grid indices (level - 1) * (n - k) + (position - 1) of its
+    vertical edges."""
+    width = n - k
+    table = []
     for elems in itertools.combinations(range(1, n + 1), k):
-        entries[elems] = tropical_pluecker(ksubset(n, elems), y)
-    return PlueckerVector(k, n, entries)
+        families = tuple(
+            tuple((source + i - 1) * width + t - 1
+                  for source, descents in paths for i, t in enumerate(descents))
+            for paths in _path_families(KSubset(n, elems))
+        )
+        if not families:
+            raise InvariantError(f"{elems} admits no path family")
+        table.append(families)
+    return tuple(table)
+
+
+def pluecker_vector_of_grid(y: LadderPoint) -> PlueckerVector:
+    """All tropical Plücker coordinates of a grid point: each is the
+    minimum over its families of the family's summed weights, evaluated
+    over `_family_table` with the grid scaled to integers."""
+    k, n = y.k, y.n
+    ws, scale = scaled(v for row in y.rows for v in row)
+    at = ws.__getitem__
+    return PlueckerVector(k, n, {
+        elems: Fraction(min(sum(map(at, family)) for family in families), scale)
+        for elems, families in zip(
+            itertools.combinations(range(1, n + 1), k), _family_table(k, n))
+    })
 
 
 def rho(t: TPoint) -> PlueckerVector:

@@ -18,7 +18,6 @@ fallback should the walk ever revisit a cone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -29,9 +28,17 @@ from .combinat import (
     NoncrossingTableau,
     _compatibility,
     maximal_noncrossing_collections,
+    noncyclic_subsets,
     tableau,
 )
-from .exact import InvariantError, Rational, as_fraction, format_fraction, json_rows
+from .exact import (
+    InvariantError,
+    Rational,
+    as_fraction,
+    format_fraction,
+    json_rows,
+    scaled,
+)
 from .pluecker import PlueckerVector
 
 
@@ -161,13 +168,35 @@ def phi(point: TTildePoint) -> TPoint:
     return TPoint.of(k, n, rows)
 
 
+@lru_cache(maxsize=None)
+def _ray_supports(k: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """Per noncyclic J in `noncyclic_subsets` order, the flat indices
+    (row - 1) * (n - k) + (column - 1) where the 0/1 ray of J is 1."""
+    out = []
+    for J in noncyclic_subsets(k, n):
+        flat = [v for row in t_vector(J).rows for v in row]
+        if any(v not in (0, 1) for v in flat):
+            raise InvariantError(f"ray of {J.elems} is not a 0/1 array")
+        out.append(tuple(i for i, v in enumerate(flat) if v))
+    return tuple(out)
+
+
 def psi(pi: PlueckerVector) -> TPoint:
-    """Projection along the planar basis: sum of u_J(pi) times the ray of J."""
-    out = TPoint.zero(pi.k, pi.n)
-    for J, c in planar.planar_expand(pi).items():
-        if c != 0:
-            out = out + t_vector(J).scale(c)
-    return out
+    """Projection along the planar basis: sum of u_J(pi) times the ray of J.
+
+    Each scaled u_J is added over the support of J's ray in one flat
+    integer list, which becomes one canonical point at the end."""
+    k, n = pi.k, pi.n
+    width = n - k
+    us, scale = planar._scaled_expansion(pi)
+    acc = [0] * ((k - 1) * width)
+    for u, support in zip(us, _ray_supports(k, n)):
+        if u:
+            for i in support:
+                acc[i] += u
+    return TPoint.of(k, n, [
+        [Fraction(v, scale) for v in acc[r:r + width]] for r in range(0, len(acc), width)
+    ])
 
 
 def lattice_coords(t: TPoint) -> tuple[Fraction, ...]:
@@ -199,12 +228,6 @@ def _integer_inverse(matrix) -> list[list[int]]:
     if inv is None or any(v.denominator != 1 for row in inv for v in row):
         raise InvariantError(f"cone matrix has no integer inverse: {matrix}")
     return [[int(v) for v in row] for row in inv]
-
-
-def _scaled(target) -> tuple[list[int], int]:
-    """A rational vector as integers over one common denominator."""
-    scale = math.lcm(*(v.denominator for v in target))
-    return [int(v * scale) for v in target], scale
 
 
 def _flip_partner(adj, coll, i: int) -> int:
@@ -272,7 +295,7 @@ def nc_decompose(t: TPoint) -> NoncrossingTableau:
     """
     k, n = t.k, t.n
     tables = _walk_tables(k, n)
-    target, scale = _scaled(lattice_coords(t))
+    target, scale = scaled(lattice_coords(t))
     coll = list(tables.start)
     inv = [list(row) for row in tables.start_inv]
     mu = [sum(a * b for a, b in zip(row, target)) for row in inv]
@@ -324,7 +347,7 @@ class FanAudit:
         """
         if (t.k, t.n) != (self.k, self.n):
             raise ValueError("mismatched (k, n)")
-        target, scale = _scaled(lattice_coords(t))
+        target, scale = scaled(lattice_coords(t))
         found = set()
         for (coll, _), inv in zip(self.cones, self._inverses):
             mu = [sum(a * b for a, b in zip(row, target)) for row in inv]

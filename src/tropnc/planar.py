@@ -6,6 +6,10 @@ hypersimplex edge graph, one as the corank function of a positroid.
 Each is the oracle for the other.  The cross-ratio side produces, for
 each subset, a signed exponent vector over its cubical array; the
 associated tropical functional is the dual linear form.
+
+`planar_expand` evaluates every cross-ratio at once in scaled integers,
+over a per-(k, n) table of each cubical array as (rank, sign) pairs;
+`tropical_u` is the `Fraction` reference it is tested against.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .combinat import (
     positroid_bases,
 )
 from .exact import InvariantError, as_fraction
-from .pluecker import PlueckerVector
+from .pluecker import PlueckerVector, lex_rank, scaled_entries
 
 
 @lru_cache(maxsize=None)
@@ -127,7 +131,8 @@ def cubical_array(J: KSubset) -> CrossRatioExponent:
 
 
 def tropical_u(J: KSubset, pi: PlueckerVector) -> Fraction:
-    """The tropical cross-ratio functional: signed sum over the cubical array."""
+    """The tropical cross-ratio functional: signed sum over the cubical
+    array (the `Fraction` reference of `planar_expand`)."""
     if (J.k, J.n) != (pi.k, pi.n):
         raise ValueError("mismatched (k, n)")
     array = cubical_array(J)
@@ -136,10 +141,33 @@ def tropical_u(J: KSubset, pi: PlueckerVector) -> Fraction:
     )
 
 
+@lru_cache(maxsize=None)
+def _expansion_table(k: int, n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per noncyclic J in `noncyclic_subsets` order, its cubical array as
+    (lexicographic rank, sign) pairs."""
+    rank = lex_rank(k, n)
+    return tuple(
+        tuple((rank[M], sign) for M, sign in cubical_array(J).exponents.items())
+        for J in noncyclic_subsets(k, n)
+    )
+
+
+def _scaled_expansion(pi: PlueckerVector) -> tuple[list[int], int]:
+    """scale * u_J(pi) for every noncyclic J in `noncyclic_subsets` order,
+    and the scale."""
+    vals, scale = scaled_entries(pi)
+    return [
+        sum([sign * vals[r] for r, sign in terms]) for terms in _expansion_table(pi.k, pi.n)
+    ], scale
+
+
 def planar_expand(pi: PlueckerVector) -> dict[KSubset, Fraction]:
     """Coefficient map J -> u_J(pi) over all noncyclic J; the combination
     sum of c_J times the planar basis reproduces pi modulo lineality."""
-    return {J: tropical_u(J, pi) for J in noncyclic_subsets(pi.k, pi.n)}
+    us, scale = _scaled_expansion(pi)
+    return {
+        J: Fraction(u, scale) for J, u in zip(noncyclic_subsets(pi.k, pi.n), us)
+    }
 
 
 def planar_combination(k: int, n: int, coeffs) -> PlueckerVector:

@@ -4,6 +4,10 @@ A vector assigns a rational to every k-subset of [n].  The module covers
 lineality shifts, the three-term positivity certificate, equivalence
 modulo the lineality space, and the two families of face restriction
 maps (to the facets x_l = 1 and x_l = 0 of the hypersimplex).
+
+The positivity scan reads the entries once, in lexicographic rank order
+and scaled to integers (`scaled_entries`), and runs over a per-(k, n)
+table of the six ranks each three-term relation compares.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .combinat import KSubset
@@ -22,6 +27,7 @@ from .exact import (
     format_fraction,
     json_fraction,
     json_kn,
+    scaled,
 )
 
 
@@ -136,22 +142,50 @@ class PositivityCertificate:
         return self.ok
 
 
+@lru_cache(maxsize=None)
+def lex_rank(k: int, n: int) -> dict[tuple[int, ...], int]:
+    """The rank of every k-subset of [n] in lexicographic order."""
+    return {I: r for r, I in enumerate(itertools.combinations(range(1, n + 1), k))}
+
+
+def scaled_entries(pi: PlueckerVector) -> tuple[list[int], int]:
+    """The entries of pi in lexicographic rank order, as integers over
+    one common denominator: (ints, scale)."""
+    entries = pi.entries
+    return scaled(entries[I] for I in lex_rank(pi.k, pi.n))
+
+
+@lru_cache(maxsize=None)
+def _three_term_table(k: int, n: int) -> tuple[tuple, ...]:
+    """One row per S in C([n], k-2) and a < b < c < d outside S, in scan
+    order: S, (a, b, c, d), and the ranks of Sac, Sbd, Sab, Scd, Sad, Sbc."""
+    rank = lex_rank(k, n)
+    ground = range(1, n + 1)
+    table = []
+    for S in itertools.combinations(ground, k - 2):
+        rest = [x for x in ground if x not in S]
+        for a, b, c, d in itertools.combinations(rest, 4):
+            pairs = ((a, c), (b, d), (a, b), (c, d), (a, d), (b, c))
+            table.append((S, (a, b, c, d), *(rank[tuple(sorted(S + p))] for p in pairs)))
+    return tuple(table)
+
+
 def is_positive_tropical(pi: PlueckerVector) -> PositivityCertificate:
     """Check pi_{Sac} + pi_{Sbd} = min(pi_{Sab} + pi_{Scd}, pi_{Sad} + pi_{Sbc})
-    for every S in C([n], k-2) and a < b < c < d disjoint from S."""
-    k, n = pi.k, pi.n
-    entries = pi.entries
-    ground = range(1, n + 1)
-    for S in itertools.combinations(ground, k - 2):
-        sset = set(S)
-        rest = [x for x in ground if x not in sset]
-        for a, b, c, d in itertools.combinations(rest, 4):
-            lhs = entries[_key(S + (a, c))] + entries[_key(S + (b, d))]
-            r1 = entries[_key(S + (a, b))] + entries[_key(S + (c, d))]
-            r2 = entries[_key(S + (a, d))] + entries[_key(S + (b, c))]
-            rhs = min(r1, r2)
-            if lhs != rhs:
-                return PositivityCertificate(False, (S, (a, b, c, d), lhs, rhs))
+    for every S in C([n], k-2) and a < b < c < d disjoint from S.
+
+    The entries are read once as scaled integers; the scan runs over the
+    rank rows of `_three_term_table`."""
+    vals, scale = scaled_entries(pi)
+    for S, quad, ac, bd, ab, cd, ad, bc in _three_term_table(pi.k, pi.n):
+        lhs = vals[ac] + vals[bd]
+        r1 = vals[ab] + vals[cd]
+        r2 = vals[ad] + vals[bc]
+        rhs = r1 if r1 < r2 else r2
+        if lhs != rhs:
+            return PositivityCertificate(
+                False, (S, quad, Fraction(lhs, scale), Fraction(rhs, scale))
+            )
     return PositivityCertificate(True)
 
 
@@ -159,12 +193,8 @@ def equivalent_mod_lineality(a: PlueckerVector, b: PlueckerVector) -> bool:
     """True iff every tropical cross-ratio agrees on a and b."""
     a._check_shape(b)
     from . import planar
-    from .combinat import noncyclic_subsets
 
-    return all(
-        planar.tropical_u(J, a) == planar.tropical_u(J, b)
-        for J in noncyclic_subsets(a.k, a.n)
-    )
+    return planar.planar_expand(a) == planar.planar_expand(b)
 
 
 def _drop_index(I: tuple[int, ...], ell: int) -> tuple[int, ...]:

@@ -30,7 +30,6 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from typing import Mapping, Sequence
 
 from . import planar
@@ -42,7 +41,7 @@ from .combinat import (
     is_cyclic_interval,
     mod1,
 )
-from .exact import InvariantError, Rational, as_fraction, format_fraction
+from .exact import InvariantError, Rational, as_fraction, format_fraction, scaled
 from .pluecker import PlueckerVector, lineality_shift
 
 
@@ -402,10 +401,8 @@ def bounded_complex_vertices(
 def _scaled_table(pi: PlueckerVector, denominators):
     """Put pi over one common denominator that also clears `denominators`:
     the scale and a list of (subset, 0-based indices, scaled entry)."""
-    scale = lcm(*(v.denominator for v in pi.entries.values()), *denominators)
-    return scale, [
-        (I, tuple(i - 1 for i in I), int(v * scale)) for I, v in pi.entries.items()
-    ]
+    ints, scale = scaled(pi.entries.values(), denominators)
+    return scale, [(I, tuple(i - 1 for i in I), v) for I, v in zip(pi.entries, ints)]
 
 
 def _shift_face(table, w_scaled: Sequence[int]):

@@ -29,11 +29,10 @@ from .pluecker import PlueckerVector, is_positive_tropical
 
 
 def pk_weight(pi: PlueckerVector) -> Fraction:
-    """Sum of the tropical cross-ratios over all noncyclic subsets."""
-    return sum(
-        (planar.tropical_u(J, pi) for J in noncyclic_subsets(pi.k, pi.n)),
-        Fraction(0),
-    )
+    """Sum of the tropical cross-ratios over all noncyclic subsets (one
+    scaled-integer expansion)."""
+    us, scale = planar._scaled_expansion(pi)
+    return Fraction(sum(us), scale)
 
 
 def bridge(pi: PlueckerVector) -> Fraction:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_tpoint, rng_for
+from conftest import random_tpoint, rng_for, run_optimized
 from tropnc import ladder, ncfan, planar
 from tropnc.combinat import (
     all_ksubsets,
@@ -22,8 +22,10 @@ from tropnc.ladder import (
     rho,
     tropical_pluecker,
 )
+from tropnc.exact import InvariantError
 from tropnc.ncfan import TPoint, psi, t_vector
 from tropnc.pluecker import equivalent_mod_lineality, is_positive_tropical, PlueckerVector
+from tropnc.weight import weight_report
 
 
 def test_initial_subset_has_single_empty_family():
@@ -173,3 +175,74 @@ def test_psi_rho_inverse_on_random_points():
 def test_ladder_json_round_trip():
     y = LadderPoint.of(3, 7, [[1, "1/2", 0, 3], [0, 2, "5/3", 1]])
     assert ladder.from_json_dict(ladder.to_json_dict(y)) == y
+
+
+def _seeded_grids(rng, k, n):
+    """Integer, negative-integer, and halves-and-thirds grids at (k, n)."""
+    def grid(draw):
+        return LadderPoint.of(k, n, [[draw() for _ in range(n - k)] for _ in range(k - 1)])
+
+    return [
+        grid(lambda: rng.randint(0, 6)),
+        grid(lambda: rng.randint(-6, 6)),
+        grid(lambda: Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3)))),
+        grid(lambda: Fraction(rng.randint(-9, 9), rng.choice((2, 3)))),
+    ]
+
+
+@pytest.mark.parametrize("k,n", [(2, 5), (3, 6), (3, 7), (4, 8), (5, 9)])
+def test_grid_kernel_matches_fraction_reference(k, n):
+    rng = rng_for(f"grid-kernel-{k}-{n}")
+    for y in _seeded_grids(rng, k, n):
+        pi = pluecker_vector_of_grid(y)
+        for J in all_ksubsets(k, n):
+            assert pi[J] == tropical_pluecker(J, y), (J.elems, y)
+
+
+def _without_families_of(elems):
+    real = ladder._path_families
+    return lambda J: iter(()) if J.elems == elems else real(J)
+
+
+def test_subset_without_families_raises(monkeypatch):
+    monkeypatch.setattr(ladder, "_path_families", _without_families_of((2, 4, 6)))
+    ladder._family_table.cache_clear()
+    with pytest.raises(InvariantError, match=r"^\(2, 4, 6\) admits no path family$"):
+        rho(TPoint.zero(3, 6))
+
+
+def test_subset_without_families_raises_under_optimize():
+    result = run_optimized(
+        "from tropnc import ladder",
+        "from tropnc.exact import InvariantError",
+        "from tropnc.ncfan import TPoint",
+        "real = ladder._path_families",
+        "ladder._path_families = lambda J: iter(()) if J.elems == (2, 4, 6) else real(J)",
+        "try:",
+        "    ladder.rho(TPoint.zero(3, 6))",
+        "except InvariantError as exc:",
+        "    print(exc)",
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "(2, 4, 6) admits no path family\n"
+
+
+def test_production_path_never_calls_the_fraction_references(monkeypatch):
+    def reference_called(*args, **kwargs):
+        raise AssertionError("a Fraction reference was called")
+
+    families = ladder.enumerate_path_families
+    families.cache_clear()
+    ladder._family_table.cache_clear()
+    monkeypatch.setattr(ladder, "tropical_pluecker", reference_called)
+    monkeypatch.setattr(ladder, "enumerate_path_families", reference_called)
+    monkeypatch.setattr(planar, "tropical_u", reference_called)
+    rng = rng_for("production-path")
+    for k, n in [(3, 7), (4, 8)]:
+        t = random_tpoint(rng, k, n)
+        pi = rho(t)
+        assert families.cache_info().currsize == 0
+        assert is_positive_tropical(pi).ok
+        assert psi(pi) == t
+        assert len(planar.planar_expand(pi)) == len(noncyclic_subsets(k, n))
+    assert weight_report(rho(random_tpoint(rng, 3, 7))).agree

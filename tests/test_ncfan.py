@@ -10,6 +10,7 @@ from conftest import (
     canon,
     random_rational_tpoint,
     random_tpoint,
+    random_vector,
     rng_for,
     vector_312,
 )
@@ -105,6 +106,18 @@ def test_psi_312_tableau():
     for elems in TABLEAU_312:
         expected = expected + t_vector(ksubset(12, elems))
     assert psi(vector_312()) == expected
+
+
+@pytest.mark.parametrize("k,n", [(2, 5), (3, 6), (3, 7), (4, 8)])
+def test_psi_matches_ray_sum_reference(k, n):
+    rng = rng_for(f"psi-reference-{k}-{n}")
+    for _ in range(3):
+        pi = random_vector(rng, k, n)
+        expected = TPoint.zero(k, n)
+        for J in noncyclic_subsets(k, n):
+            expected = expected + t_vector(J).scale(planar.tropical_u(J, pi))
+        assert psi(pi) == expected
+        assert not expected.is_integral()
 
 
 def test_decompose_single_ray_and_pair():

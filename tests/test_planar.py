@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import COEFFS_312, rng_for, random_vector, vector_312
+from conftest import COEFFS_312, random_positive_vector, random_vector, rng_for, vector_312
 from tropnc import planar
 from tropnc.combinat import all_ksubsets, cyclic_intervals, ksubset, noncyclic_subsets
 from tropnc.planar import (
@@ -185,3 +185,15 @@ def test_cyclic_basis_vectors_span_lineality(k, n):
         ]
         rank, consistent = _eliminate(aug, n)
         assert consistent  # each incidence vector lies in their span
+
+
+@pytest.mark.parametrize("k,n", [(2, 5), (3, 6), (3, 7), (4, 8)])
+def test_planar_expand_matches_tropical_u(k, n):
+    rng = rng_for(f"expand-reference-{k}-{n}")
+    fractional = False
+    for pi in (random_vector(rng, k, n), random_vector(rng, k, n),
+               random_positive_vector(rng, k, n)):
+        expected = [(J, tropical_u(J, pi)) for J in noncyclic_subsets(k, n)]
+        assert list(planar_expand(pi).items()) == expected
+        fractional |= any(c.denominator > 1 for _, c in expected)
+    assert fractional

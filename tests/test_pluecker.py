@@ -1,11 +1,12 @@
 """Plücker vector storage, positivity certificates, and face restrictions."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from conftest import rng_for, random_positive_vector, random_vector
-from tropnc import planar, pluecker
+from conftest import random_positive_vector, random_tpoint, random_vector, rng_for
+from tropnc import ladder, planar, pluecker
 from tropnc.combinat import ksubset, noncyclic_subsets
 from tropnc.exact import SchemaError
 from tropnc.planar import planar_basis_vector
@@ -193,3 +194,44 @@ def test_restriction_commutes_with_shift():
 def test_lineality_basis_vectors_span_check():
     v = lineality_basis(2, 4, 1)
     assert v[(1, 2)] == 1 and v[(3, 4)] == 0
+
+
+def _three_term_reference(pi):
+    """The three-term scan written out over Fraction entries: the first
+    violation in scan order as (S, (a, b, c, d), lhs, rhs), else None."""
+    ground = range(1, pi.n + 1)
+    for S in itertools.combinations(ground, pi.k - 2):
+        rest = [x for x in ground if x not in S]
+        for a, b, c, d in itertools.combinations(rest, 4):
+            def at(*pair):
+                return pi[S + pair]
+
+            lhs = at(a, c) + at(b, d)
+            rhs = min(at(a, b) + at(c, d), at(a, d) + at(b, c))
+            if lhs != rhs:
+                return S, (a, b, c, d), lhs, rhs
+    return None
+
+
+@pytest.mark.parametrize("k,n", [(2, 5), (3, 6), (3, 7), (4, 8)])
+def test_positivity_scan_matches_three_term_reference(k, n):
+    rng = rng_for(f"three-term-{k}-{n}")
+    vectors = []
+    for _ in range(3):
+        pi = ladder.rho(random_tpoint(rng, k, n, lo=-3, hi=5))
+        x = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
+        shifted = lineality_shift(pi, x)
+        vectors += [pi, shifted]
+        for base in (pi, shifted):
+            I = rng.choice(sorted(base.entries))
+            bump = Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 3))
+            vectors.append(PlueckerVector(k, n, {**base.entries, I: base[I] + bump}))
+    vectors.append(random_vector(rng, k, n))
+    violations = 0
+    for pi in vectors:
+        cert = is_positive_tropical(pi)
+        expected = _three_term_reference(pi)
+        assert cert.ok == (expected is None)
+        assert cert.violation == expected
+        violations += expected is not None
+    assert 0 < violations < len(vectors)
