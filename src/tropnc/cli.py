@@ -36,12 +36,15 @@ def _unique_keys(pairs) -> dict:
 
 
 def _read_json(path: str):
+    # Bytes, so that text that is not UTF-8 is a schema error, not a crash.
+    if path == "-":
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
     try:
-        if path == "-":
-            return json.load(sys.stdin, object_pairs_hook=_unique_keys)
-        with open(path) as fh:
-            return json.load(fh, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
+        return json.loads(data, object_pairs_hook=_unique_keys)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaError("", f"invalid JSON: {exc}") from None
 
 

@@ -14,6 +14,7 @@ pointer to the fault, on any malformed input.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -47,14 +48,23 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
+# The one spelling of a rational in a JSON string: ASCII digits, an
+# optional leading minus, an optional "/q"; no sign "+", space, point or
+# exponent.
+_JSON_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def json_fraction(value, pointer: str) -> Fraction:
-    """`as_fraction` for a decoded JSON value; a refusal is a SchemaError."""
-    try:
-        return as_fraction(value)
-    except (TypeError, ValueError, ZeroDivisionError):
-        raise SchemaError(
-            pointer, f"not a rational: {value!r}; use an integer or a 'p/q' string"
-        ) from None
+    """A decoded JSON value as a Fraction: a JSON integer, or a string
+    "p", "-p", "p/q" or "-p/q"; anything else is a SchemaError."""
+    if type(value) is int or (isinstance(value, str) and _JSON_RATIONAL.fullmatch(value)):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise SchemaError(
+        pointer, f"not a rational: {value!r}; use an integer or a 'p/q' string"
+    )
 
 
 def json_kn(obj, body: str) -> tuple[int, int]:

@@ -9,16 +9,17 @@ non-intersecting path families, enumerated explicitly (tropical
 cancellation rules out a determinant shortcut).
 
 The families depend only on (k, n), so `_family_table` enumerates them
-once per (k, n) as tuples of flat grid indices; `pluecker_vector_of_grid`
-scales the grid to integers over one common denominator and takes, per
-subset, the minimum of integer sums over that table.  `tropical_pluecker`
-over the `PathFamily` objects of `enumerate_path_families` is the
-`Fraction` reference it is tested against.
+once per (k, n), subset by subset in `lex_rank` order, as tuples of flat
+grid indices; `pluecker_vector_of_grid` scales the grid to integers over
+one common denominator and builds the vector's rank-ordered values
+directly, each the minimum of integer sums over that subset's row of the
+table.  `tropical_pluecker` over the `PathFamily` objects of
+`enumerate_path_families` is the `Fraction` reference it is tested
+against.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -26,7 +27,7 @@ from functools import lru_cache
 from .combinat import KSubset
 from .exact import InvariantError, as_fraction, format_fraction, json_rows, scaled
 from .ncfan import TPoint
-from .pluecker import PlueckerVector
+from .pluecker import PlueckerVector, lex_rank
 
 
 @dataclass(frozen=True)
@@ -170,12 +171,12 @@ def tropical_pluecker(J: KSubset, y: LadderPoint) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _family_table(k: int, n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Per k-subset of [n] in lexicographic order, its path families, each
+    """Per k-subset of [n] in `lex_rank` order, its path families, each
     as the flat grid indices (level - 1) * (n - k) + (position - 1) of its
     vertical edges."""
     width = n - k
     table = []
-    for elems in itertools.combinations(range(1, n + 1), k):
+    for elems in lex_rank(k, n):
         families = tuple(
             tuple((source + i - 1) * width + t - 1
                   for source, descents in paths for i, t in enumerate(descents))
@@ -194,11 +195,10 @@ def pluecker_vector_of_grid(y: LadderPoint) -> PlueckerVector:
     k, n = y.k, y.n
     ws, scale = scaled(v for row in y.rows for v in row)
     at = ws.__getitem__
-    return PlueckerVector(k, n, {
-        elems: Fraction(min(sum(map(at, family)) for family in families), scale)
-        for elems, families in zip(
-            itertools.combinations(range(1, n + 1), k), _family_table(k, n))
-    })
+    return PlueckerVector(k, n, [
+        Fraction(min(sum(map(at, family)) for family in families), scale)
+        for families in _family_table(k, n)
+    ])
 
 
 def rho(t: TPoint) -> PlueckerVector:

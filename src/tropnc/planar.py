@@ -7,9 +7,11 @@ Each is the oracle for the other.  The cross-ratio side produces, for
 each subset, a signed exponent vector over its cubical array; the
 associated tropical functional is the dual linear form.
 
-`planar_expand` evaluates every cross-ratio at once in scaled integers,
-over a per-(k, n) table of each cubical array as (rank, sign) pairs;
-`tropical_u` is the `Fraction` reference it is tested against.
+`planar_expand` evaluates every cross-ratio at once in scaled integers:
+it scales a vector's rank-ordered values and sums them over a per-(k, n)
+table of each cubical array as (rank, sign) pairs; `tropical_u` is the
+`Fraction` reference it is tested against.  `planar_combination` sums
+basis vectors into one vector, value by value in rank order.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from .combinat import (
     noncyclic_subsets,
     positroid_bases,
 )
-from .exact import InvariantError, as_fraction
-from .pluecker import PlueckerVector, lex_rank, scaled_entries
+from .exact import InvariantError, as_fraction, scaled
+from .pluecker import PlueckerVector, lex_rank, linear_combination
 
 
 @lru_cache(maxsize=None)
@@ -70,9 +72,7 @@ def directed_distance(src: KSubset, dst: KSubset) -> int:
 def planar_basis_vector(J: KSubset) -> PlueckerVector:
     """Basis vector with entries d(e_J, e_I) / n over all k-subsets I."""
     dist = _distance_map(J.n, J.elems)
-    return PlueckerVector(
-        J.k, J.n, {I: Fraction(d, J.n) for I, d in dist.items()}
-    )
+    return PlueckerVector.from_function(J.k, J.n, lambda I: Fraction(dist[I], J.n))
 
 
 @lru_cache(maxsize=None)
@@ -97,15 +97,6 @@ class CrossRatioExponent:
 
     J: KSubset
     exponents: dict
-
-    def support(self) -> list[tuple[int, ...]]:
-        return sorted(self.exponents)
-
-    def to_json_dict(self) -> dict:
-        return {
-            ",".join(str(x) for x in M): sign
-            for M, sign in sorted(self.exponents.items())
-        }
 
 
 @lru_cache(maxsize=None)
@@ -136,9 +127,7 @@ def tropical_u(J: KSubset, pi: PlueckerVector) -> Fraction:
     if (J.k, J.n) != (pi.k, pi.n):
         raise ValueError("mismatched (k, n)")
     array = cubical_array(J)
-    return sum(
-        (sign * pi.entries[M] for M, sign in array.exponents.items()), Fraction(0)
-    )
+    return sum((sign * pi[M] for M, sign in array.exponents.items()), Fraction(0))
 
 
 @lru_cache(maxsize=None)
@@ -155,7 +144,7 @@ def _expansion_table(k: int, n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 def _scaled_expansion(pi: PlueckerVector) -> tuple[list[int], int]:
     """scale * u_J(pi) for every noncyclic J in `noncyclic_subsets` order,
     and the scale."""
-    vals, scale = scaled_entries(pi)
+    vals, scale = scaled(pi.values)
     return [
         sum([sign * vals[r] for r, sign in terms]) for terms in _expansion_table(pi.k, pi.n)
     ], scale
@@ -175,12 +164,7 @@ def planar_combination(k: int, n: int, coeffs) -> PlueckerVector:
 
     Keys may be KSubset or plain element tuples; zero coefficients are fine.
     """
-    out = PlueckerVector.zero(k, n)
-    for J, c in coeffs.items():
-        c = as_fraction(c)
-        if c == 0:
-            continue
-        if not isinstance(J, KSubset):
-            J = ksubset(n, J)
-        out = out + planar_basis_vector(J).scale(c)
-    return out
+    return linear_combination(k, n, (
+        (c, planar_basis_vector(J if isinstance(J, KSubset) else ksubset(n, J)))
+        for J, c in coeffs.items() if as_fraction(c) != 0
+    ))

@@ -1,13 +1,18 @@
 """Tropical Plücker vectors over exact rationals.
 
-A vector assigns a rational to every k-subset of [n].  The module covers
-lineality shifts, the three-term positivity certificate, equivalence
-modulo the lineality space, and the two families of face restriction
-maps (to the facets x_l = 1 and x_l = 0 of the hypersimplex).
+A vector is C(n, k) rationals, one per k-subset I of [n] (one per vertex
+e_I of the hypersimplex), stored as one tuple of `Fraction`s in the
+lexicographic rank order of `lex_rank(k, n)`, the single definition of
+that order.  Other modules read a vector only through `pi[I]`,
+`pi.items()` (pairs in rank order) or `pi.values`; the kernels scale
+`pi.values` to integers and index them by rank.  `from_json_dict` is the
+one place that checks that labels cover every subset.
 
-The positivity scan reads the entries once, in lexicographic rank order
-and scaled to integers (`scaled_entries`), and runs over a per-(k, n)
-table of the six ranks each three-term relation compares.
+The module also covers lineality shifts, linear combinations, the
+three-term positivity certificate (a scan over a per-(k, n) table of the
+six ranks each relation compares), equivalence modulo the lineality
+space, and the two families of face restriction maps (to the facets
+x_l = 1 and x_l = 0 of the hypersimplex).
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .combinat import KSubset
 from .exact import (
@@ -37,66 +42,70 @@ def _key(subset) -> tuple[int, ...]:
     return tuple(sorted(subset))
 
 
+@lru_cache(maxsize=None)
+def lex_rank(k: int, n: int) -> dict[tuple[int, ...], int]:
+    """The rank of every k-subset of [n] in lexicographic order."""
+    return {I: r for r, I in enumerate(itertools.combinations(range(1, n + 1), k))}
+
+
 class PlueckerVector:
-    """Total map from k-subsets of [n] to exact rationals."""
+    """One exact rational per k-subset of [n], in `lex_rank(k, n)` order."""
 
-    __slots__ = ("k", "n", "entries")
+    __slots__ = ("k", "n", "values")
 
-    def __init__(self, k: int, n: int, entries: Mapping):
+    def __init__(self, k: int, n: int, values: Iterable[Rational]):
+        values = tuple(v if type(v) is Fraction else as_fraction(v) for v in values)
+        if len(values) != math.comb(n, k):
+            raise ValueError(
+                f"need one value per {k}-subset of [{n}], "
+                f"{math.comb(n, k)} in all; got {len(values)}"
+            )
         self.k = k
         self.n = n
-        cooked = {_key(I): as_fraction(v) for I, v in entries.items()}
-        expected = list(itertools.combinations(range(1, n + 1), k))
-        if sorted(cooked) != expected:
-            missing = set(expected) - set(cooked)
-            extra = set(cooked) - set(expected)
-            raise ValueError(
-                f"entries must cover all k-subsets exactly; missing={sorted(missing)[:3]} extra={sorted(extra)[:3]}"
-            )
-        self.entries = cooked
+        self.values = values
 
     @classmethod
     def zero(cls, k: int, n: int) -> "PlueckerVector":
-        return cls(k, n, {I: 0 for I in itertools.combinations(range(1, n + 1), k)})
+        return cls(k, n, (Fraction(0),) * math.comb(n, k))
 
     @classmethod
     def from_function(cls, k: int, n: int, fn) -> "PlueckerVector":
-        return cls(k, n, {I: fn(I) for I in itertools.combinations(range(1, n + 1), k)})
+        return cls(k, n, [fn(I) for I in lex_rank(k, n)])
 
     def __getitem__(self, subset) -> Fraction:
-        return self.entries[_key(subset)]
+        return self.values[lex_rank(self.k, self.n)[_key(subset)]]
+
+    def items(self) -> Iterable[tuple[tuple[int, ...], Fraction]]:
+        """An iterator over the (subset, value) pairs, in rank order."""
+        return zip(lex_rank(self.k, self.n), self.values)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, PlueckerVector)
             and (self.k, self.n) == (other.k, other.n)
-            and self.entries == other.entries
+            and self.values == other.values
         )
 
     def __add__(self, other: "PlueckerVector") -> "PlueckerVector":
         self._check_shape(other)
-        return PlueckerVector(
-            self.k, self.n, {I: v + other.entries[I] for I, v in self.entries.items()}
-        )
+        return PlueckerVector(self.k, self.n, [a + b for a, b in zip(self.values, other.values)])
 
     def __sub__(self, other: "PlueckerVector") -> "PlueckerVector":
         self._check_shape(other)
-        return PlueckerVector(
-            self.k, self.n, {I: v - other.entries[I] for I, v in self.entries.items()}
-        )
+        return PlueckerVector(self.k, self.n, [a - b for a, b in zip(self.values, other.values)])
 
     def __neg__(self) -> "PlueckerVector":
         return self.scale(-1)
 
     def scale(self, c: Rational) -> "PlueckerVector":
         c = as_fraction(c)
-        return PlueckerVector(self.k, self.n, {I: c * v for I, v in self.entries.items()})
+        return PlueckerVector(self.k, self.n, [c * v for v in self.values])
 
     def support(self) -> list[tuple[int, ...]]:
-        return [I for I, v in sorted(self.entries.items()) if v != 0]
+        return [I for I, v in self.items() if v != 0]
 
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self.entries.values())
+        return not any(self.values)
 
     def _check_shape(self, other: "PlueckerVector"):
         if (self.k, self.n) != (other.k, other.n):
@@ -107,6 +116,17 @@ class PlueckerVector:
     def __repr__(self) -> str:
         nonzero = len(self.support())
         return f"PlueckerVector(k={self.k}, n={self.n}, nonzero={nonzero})"
+
+
+def linear_combination(k: int, n: int, terms) -> PlueckerVector:
+    """The sum of c * v over the (c, v) pairs of `terms`, formed as one vector."""
+    acc = [Fraction(0)] * math.comb(n, k)
+    for c, v in terms:
+        if (v.k, v.n) != (k, n):
+            raise ValueError(f"mismatched (k, n): ({k},{n}) vs ({v.k},{v.n})")
+        c = as_fraction(c)
+        acc = [a + c * x for a, x in zip(acc, v.values)]
+    return PlueckerVector(k, n, acc)
 
 
 def lineality_vector(k: int, n: int, x: Sequence[Rational]) -> PlueckerVector:
@@ -142,18 +162,6 @@ class PositivityCertificate:
         return self.ok
 
 
-@lru_cache(maxsize=None)
-def lex_rank(k: int, n: int) -> dict[tuple[int, ...], int]:
-    """The rank of every k-subset of [n] in lexicographic order."""
-    return {I: r for r, I in enumerate(itertools.combinations(range(1, n + 1), k))}
-
-
-def scaled_entries(pi: PlueckerVector) -> tuple[list[int], int]:
-    """The entries of pi in lexicographic rank order, as integers over
-    one common denominator: (ints, scale)."""
-    entries = pi.entries
-    return scaled(entries[I] for I in lex_rank(pi.k, pi.n))
-
 
 @lru_cache(maxsize=None)
 def _three_term_table(k: int, n: int) -> tuple[tuple, ...]:
@@ -174,9 +182,9 @@ def is_positive_tropical(pi: PlueckerVector) -> PositivityCertificate:
     """Check pi_{Sac} + pi_{Sbd} = min(pi_{Sab} + pi_{Scd}, pi_{Sad} + pi_{Sbc})
     for every S in C([n], k-2) and a < b < c < d disjoint from S.
 
-    The entries are read once as scaled integers; the scan runs over the
+    The values are read once as scaled integers; the scan runs over the
     rank rows of `_three_term_table`."""
-    vals, scale = scaled_entries(pi)
+    vals, scale = scaled(pi.values)
     for S, quad, ac, bd, ab, cd, ad, bc in _three_term_table(pi.k, pi.n):
         lhs = vals[ac] + vals[bd]
         r1 = vals[ab] + vals[cd]
@@ -197,9 +205,9 @@ def equivalent_mod_lineality(a: PlueckerVector, b: PlueckerVector) -> bool:
     return planar.planar_expand(a) == planar.planar_expand(b)
 
 
-def _drop_index(I: tuple[int, ...], ell: int) -> tuple[int, ...]:
-    """Order-preserving relabeling [n] \\ {ell} -> [n-1]."""
-    return tuple(x - 1 if x > ell else x for x in I)
+# Dropping an element that every kept subset contains, or that none
+# contains, and relabeling [n] \\ {ell} ~ [n-1] keeps lexicographic order,
+# so each restriction keeps its values in rank order.
 
 
 def face_restrict_one(pi: PlueckerVector, ell: int) -> PlueckerVector:
@@ -210,11 +218,7 @@ def face_restrict_one(pi: PlueckerVector, ell: int) -> PlueckerVector:
         raise ValueError(f"ell out of range: {ell}")
     if k - 1 < 2 or n - 1 < (k - 1) + 2:
         raise ValueError(f"restriction leaves the domain: (k,n)=({k - 1},{n - 1})")
-    out = {}
-    for I, v in pi.entries.items():
-        if ell in I:
-            out[_drop_index(tuple(x for x in I if x != ell), ell)] = v
-    return PlueckerVector(k - 1, n - 1, out)
+    return PlueckerVector(k - 1, n - 1, [v for I, v in pi.items() if ell in I])
 
 
 def face_restrict_zero(pi: PlueckerVector, ell: int) -> PlueckerVector:
@@ -225,11 +229,7 @@ def face_restrict_zero(pi: PlueckerVector, ell: int) -> PlueckerVector:
         raise ValueError(f"ell out of range: {ell}")
     if n - 1 < k + 2:
         raise ValueError(f"restriction leaves the domain: (k,n)=({k},{n - 1})")
-    out = {}
-    for I, v in pi.entries.items():
-        if ell not in I:
-            out[_drop_index(I, ell)] = v
-    return PlueckerVector(k, n - 1, out)
+    return PlueckerVector(k, n - 1, [v for I, v in pi.items() if ell not in I])
 
 
 def face_restrict_zero_multi(pi: PlueckerVector, keep: Sequence[int]) -> PlueckerVector:
@@ -246,16 +246,17 @@ def to_json_dict(pi: PlueckerVector) -> dict:
         "k": pi.k,
         "n": pi.n,
         "entries": {
-            ",".join(str(x) for x in I): format_fraction(v)
-            for I, v in sorted(pi.entries.items())
+            ",".join(str(x) for x in I): format_fraction(v) for I, v in pi.items()
         },
     }
 
 
 def from_json_dict(obj) -> PlueckerVector:
     """Decode {"k", "n", "entries"}.  A label is comma-separated ASCII
-    decimal integers naming its subset in any order; a second label naming
-    the same subset is a SchemaError."""
+    decimal integers naming a k-subset of [n] in any order; a label naming
+    no k-subset, or the same subset as another label, is a SchemaError at
+    that label.  This is the one check that the labels cover every subset:
+    C(n, k) distinct k-subsets are all of them."""
     k, n = json_kn(obj, "entries")
     if not isinstance(obj["entries"], dict):
         raise SchemaError("/entries", "expected an object of 'i,j,...' keys")
@@ -266,16 +267,15 @@ def from_json_dict(obj) -> PlueckerVector:
         if not all(part.isascii() and part.isdigit() for part in parts):
             raise SchemaError(pointer, "bad subset label")
         elems = tuple(sorted(map(int, parts)))
+        if len(elems) != k or len(set(elems)) != k or not 1 <= elems[0] <= elems[-1] <= n:
+            raise SchemaError(pointer, f"names no {k}-subset of [{n}]")
         if elems in entries:
             raise SchemaError(pointer, "second spelling of an already given subset")
         entries[elems] = json_fraction(value, pointer)
-    # Counted before the constructor lists all C(n, k) subsets, so that a
-    # tiny input naming a huge (k, n) fails at once.
+    # Counted before the subsets are ranked, so that a tiny input naming a
+    # huge (k, n) fails at once.
     if not 0 <= k <= n or len(entries) != math.comb(n, k):
         raise SchemaError(
             "/entries", f"need one entry per {k}-subset of [{n}], got {len(entries)}"
         )
-    try:
-        return PlueckerVector(k, n, entries)
-    except ValueError as exc:
-        raise SchemaError("/entries", str(exc)) from None
+    return PlueckerVector(k, n, [entries[I] for I in lex_rank(k, n)])

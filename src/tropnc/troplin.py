@@ -4,16 +4,18 @@ A tropical Plücker vector, read as a height function on hypersimplex
 vertices, induces a matroid at every shift point w; looplessness puts w
 on the tropical linear space and coloop-freeness on its bounded part.
 Central roof functions turn the planar-basis expansion into a concrete
-piecewise-linear convex function whose cell gradients enumerate the
-complex's vertices; the balanced representative pins the translation so
-the whole complex sits inside the weight-fold dilate of the fundamental
-alcoved region.
+piecewise-linear convex function (summed into one vector, value by value
+in rank order) whose cell gradients enumerate the complex's vertices;
+the balanced representative pins the translation so the whole complex
+sits inside the weight-fold dilate of the fundamental alcoved region.
 
-`_shift_face` is the one classifier of shift points, in scaled integers;
-vertex filtering, `bounded_complex_edges`, `face_dimension_at` and
-`in_bounded_part` all use it.  `argmin_matroid`, `loops`, `coloops`,
-`components_partition` and `in_linear_space` are the `Fraction`
-reference the tests check it against.
+`_shift_face` is the one classifier of shift points, in scaled integers
+over `_scaled_table`, which scales a vector's rank-ordered values once
+and pairs each with its subset; vertex filtering,
+`bounded_complex_edges`, `face_dimension_at` and `in_bounded_part` all
+use it.  `argmin_matroid`, `loops`, `coloops`, `components_partition`
+and `in_linear_space` are the `Fraction` reference the tests check it
+against.
 
 `diameter_check` is the one diameter path: expand once in the planar
 basis, balance that expansion (`balanced_representative`, the only place
@@ -42,7 +44,7 @@ from .combinat import (
     mod1,
 )
 from .exact import InvariantError, Rational, as_fraction, format_fraction, scaled
-from .pluecker import PlueckerVector, lineality_shift
+from .pluecker import PlueckerVector, lex_rank, lineality_shift, linear_combination
 
 
 class TimeBudgetExceeded(RuntimeError):
@@ -90,7 +92,7 @@ def argmin_matroid(pi: PlueckerVector, w: Sequence[Rational]) -> Matroid:
     ws = [as_fraction(v) for v in w]
     if len(ws) != pi.n:
         raise ValueError(f"need {pi.n} coordinates, got {len(ws)}")
-    vals = {I: v - sum(ws[i - 1] for i in I) for I, v in pi.entries.items()}
+    vals = {I: v - sum(ws[i - 1] for i in I) for I, v in pi.items()}
     best = min(vals.values())
     return Matroid(pi.k, pi.n, frozenset(I for I, v in vals.items() if v == best))
 
@@ -173,9 +175,7 @@ def in_linear_space(pi: PlueckerVector, w: Sequence[Rational]) -> bool:
     ws = [as_fraction(v) for v in w]
     k, n = pi.k, pi.n
     for tau in itertools.combinations(range(1, n + 1), k + 1):
-        vals = [
-            pi.entries[tuple(x for x in tau if x != i)] + ws[i - 1] for i in tau
-        ]
+        vals = [pi[tuple(x for x in tau if x != i)] + ws[i - 1] for i in tau]
         m = min(vals)
         if vals.count(m) < 2:
             return False
@@ -245,10 +245,7 @@ def central_pluecker_vector(J: KSubset) -> PlueckerVector:
 
 
 def _combine_central(k: int, n: int, support) -> PlueckerVector:
-    out = PlueckerVector.zero(k, n)
-    for J, c in support:
-        out = out + central_pluecker_vector(J).scale(c)
-    return out
+    return linear_combination(k, n, ((c, central_pluecker_vector(J)) for J, c in support))
 
 
 def _nonzero_support(pi: PlueckerVector, coeffs) -> list[tuple[KSubset, Fraction]]:
@@ -277,11 +274,11 @@ def _lineality_solve(diff: PlueckerVector) -> list[Fraction]:
         S = [x for x in range(1, n + 1) if x not in (1, i)][: k - 1]
         key_i = tuple(sorted(S + [i]))
         key_1 = tuple(sorted(S + [1]))
-        offsets[i - 1] = diff.entries[key_i] - diff.entries[key_1]
+        offsets[i - 1] = diff[key_i] - diff[key_1]
     base = tuple(range(1, k + 1))
-    t = (diff.entries[base] - sum(offsets[i - 1] for i in base)) / k
+    t = (diff[base] - sum(offsets[i - 1] for i in base)) / k
     y = [o + t for o in offsets]
-    if any(sum(y[i - 1] for i in I) != v for I, v in diff.entries.items()):
+    if any(sum(y[i - 1] for i in I) != v for I, v in diff.items()):
         raise ValueError("the coefficients do not expand the vector modulo lineality")
     return y
 
@@ -300,8 +297,8 @@ def balanced_representative(
     for j in range(n):
         m = mod1(j + k, n)
         delta[m] = (
-            central.entries[cyc_interval(j, k, n)]
-            - central.entries[gap_interval(j, k, n)]
+            central[cyc_interval(j, k, n)]
+            - central[gap_interval(j, k, n)]
             - Fraction(wt, n)
         )
     if sum(delta) != 0:
@@ -373,18 +370,7 @@ def bounded_complex_vertices(
         contribs.append([tuple(int(factor) * x for x in W) for W in central_roof(J).W])
 
     candidates: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-    def enumerate_sums(level: int, acc: list[int]):
-        if deadline is not None and time.monotonic() > deadline:
-            raise TimeBudgetExceeded("assignment enumeration over budget")
-        if level == len(contribs):
-            key = tuple(v - acc[0] for v in acc)
-            candidates.setdefault(key, tuple(acc))
-            return
-        for W in contribs[level]:
-            enumerate_sums(level + 1, [a + wv for a, wv in zip(acc, W)])
-
-    enumerate_sums(0, base)
+    _sector_sums(contribs, 0, base, candidates, deadline)
 
     vertices = []
     for w_scaled in candidates.values():
@@ -398,11 +384,25 @@ def bounded_complex_vertices(
     return BoundedComplexReport(tuple(vertices), wt, spread, spread <= wt)
 
 
+def _sector_sums(contribs, level: int, acc: list[int], candidates: dict, deadline):
+    """Add acc plus one sector vector per remaining level to `candidates`,
+    keyed modulo all-ones.  A module-level function, not a closure: a
+    recursive closure is a reference cycle that keeps `candidates` alive
+    until the next full garbage collection."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise TimeBudgetExceeded("assignment enumeration over budget")
+    if level == len(contribs):
+        candidates.setdefault(tuple(v - acc[0] for v in acc), tuple(acc))
+        return
+    for W in contribs[level]:
+        _sector_sums(contribs, level + 1, [a + wv for a, wv in zip(acc, W)], candidates, deadline)
+
+
 def _scaled_table(pi: PlueckerVector, denominators):
     """Put pi over one common denominator that also clears `denominators`:
     the scale and a list of (subset, 0-based indices, scaled entry)."""
-    ints, scale = scaled(pi.entries.values(), denominators)
-    return scale, [(I, tuple(i - 1 for i in I), v) for I, v in zip(pi.entries, ints)]
+    ints, scale = scaled(pi.values, denominators)
+    return scale, [(I, tuple(i - 1 for i in I), v) for I, v in zip(lex_rank(pi.k, pi.n), ints)]
 
 
 def _shift_face(table, w_scaled: Sequence[int]):

@@ -39,8 +39,7 @@ def bridge(pi: PlueckerVector) -> Fraction:
     """Alternating sum over the cycle of (cyclic - gap) entries."""
     k, n = pi.k, pi.n
     return sum(
-        (pi.entries[cyc_interval(j, k, n)] - pi.entries[gap_interval(j, k, n)]
-         for j in range(n)),
+        (pi[cyc_interval(j, k, n)] - pi[gap_interval(j, k, n)] for j in range(n)),
         Fraction(0),
     )
 

@@ -264,7 +264,7 @@ def test_criterion_13_property_suites():
                 checked += 1
                 nu = pluecker.lineality_shift(central, w)
                 for j in range(6):
-                    assert nu.entries[cyc_interval(j, 3, 6)] >= nu.entries[gap_interval(j, 3, 6)]
+                    assert nu[cyc_interval(j, 3, 6)] >= nu[gap_interval(j, 3, 6)]
                 assert is_noncrossing_partition(components_partition(M), 6)
                 assert basis_exchange_ok(M)
         assert checked >= 100

@@ -1,5 +1,6 @@
 """CLI pipelines: schemas, exit codes, and deterministic output."""
 
+import io
 import json
 from fractions import Fraction
 
@@ -195,6 +196,21 @@ def test_duplicate_subset_spelling_rejected(tmp_path, capsys):
     code = cli.main(["weight", "--in", path])
     err = capsys.readouterr().err
     assert code == 2 and "/entries/6,5,4" in err
+
+
+def test_input_that_is_not_utf8_is_a_schema_error(tmp_path, capsys, monkeypatch):
+    data = b'{"k": 3, "n": 6, "rows": [["0", "1", "0"], ["0", "0", "\xff"]]}'
+    path = tmp_path / "t.json"
+    path.write_bytes(data)
+    code = cli.main(["rho", "--in", str(path)])
+    assert code == 2 and "invalid JSON" in capsys.readouterr().err
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+    code = cli.main(["rho", "--in", "-"])
+    assert code == 2 and "invalid JSON" in capsys.readouterr().err
+    # the same input in UTF-8, from stdin, is read
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data.replace(b"\xff", b"1"))))
+    code, out = run_cli(capsys, "rho", "--in", "-")
+    assert code == 0 and json.loads(out)["k"] == 3
 
 
 def test_repeated_json_key_rejected(tmp_path, capsys):

@@ -214,6 +214,8 @@ def test_rows_loaders_are_strict(load):
         assert pointer({**good, "n": bad}) == "/k"
     assert pointer({**good, "rows": [["1", "2", "0"], ["0", 0.5, "1"]]}) == "/rows/1/1"
     assert pointer({**good, "rows": [["1", "2", "0"], ["0", "1/0", "1"]]}) == "/rows/1/1"
+    for bad in ("1.5", "1e1", " 2 ", "+3", "1/+2", "\uff13"):
+        assert pointer({**good, "rows": [["1", "2", "0"], ["0", bad, "1"]]}) == "/rows/1/1"
     assert pointer({**good, "rows": [["1", "2", "0"], "0"]}) == "/rows/1"
     assert pointer({**good, "rows": [["1", "2", "0"]]}) == "/rows"
     assert pointer({"k": 3, "n": 6}) == "/rows"

@@ -24,11 +24,75 @@ from tropnc.pluecker import (
 
 
 def test_vector_must_be_total():
-    with pytest.raises(ValueError):
-        PlueckerVector(2, 4, {(1, 2): 1})
-    with pytest.raises(ValueError):
-        PlueckerVector(2, 4, dict.fromkeys(
-            [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (1, 5)], 0))
+    # one value per k-subset: too few and too many are refused
+    for bad in ([], [1], [0] * 5, [0] * 7):
+        with pytest.raises(ValueError):
+            PlueckerVector(2, 4, bad)
+    # the subset labels of a JSON vector must cover every subset exactly
+    full = {"1,2": "1", "1,3": "0", "1,4": "0", "2,3": "0", "2,4": "0", "3,4": "0"}
+    with pytest.raises(SchemaError) as exc:
+        pluecker.from_json_dict({"k": 2, "n": 4, "entries": {"1,2": "1"}})
+    assert exc.value.pointer == "/entries"
+    with pytest.raises(SchemaError) as exc:
+        pluecker.from_json_dict({"k": 2, "n": 4, "entries": {**full, "1,5": "0"}})
+    assert exc.value.pointer == "/entries/1,5"
+
+
+def test_constructor_refuses_floats_and_bools():
+    values = [Fraction(v, 3) for v in range(6)]
+    pi = PlueckerVector(2, 4, values)
+    assert all(a is b for a, b in zip(pi.values, values))  # Fractions kept as given
+    assert PlueckerVector(2, 4, [0, 1, "1/2", -3, Fraction(2), 5]).values == (
+        0, 1, Fraction(1, 2), -3, 2, 5)
+    for bad in (0.5, 1.0, True, False):
+        with pytest.raises(TypeError):
+            PlueckerVector(2, 4, [0, 0, 0, bad, 0, 0])
+
+
+def _dict_reference(rng, k, n) -> dict:
+    """A seeded dict from every k-subset to a rational, nearly half of them 0."""
+    return {
+        I: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) if rng.random() < 0.6 else Fraction(0)
+        for I in itertools.combinations(range(1, n + 1), k)
+    }
+
+
+def _from_reference(k, n, ref) -> PlueckerVector:
+    return PlueckerVector(k, n, [ref[I] for I in itertools.combinations(range(1, n + 1), k)])
+
+
+@pytest.mark.parametrize("k,n", [(2, 5), (3, 6), (4, 8)])
+def test_dense_vector_matches_dict_reference(k, n):
+    rng = rng_for(f"dense-vector-{k}-{n}")
+    for _ in range(4):
+        a, b = _dict_reference(rng, k, n), _dict_reference(rng, k, n)
+        pa, pb = _from_reference(k, n, a), _from_reference(k, n, b)
+        c = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+        for I, v in a.items():
+            assert pa[I] == v
+            assert pa[ksubset(n, I)] == v and pa[tuple(reversed(I))] == v
+        assert list(pa.items()) == sorted(a.items())
+        assert list(pa.values) == [v for _, v in sorted(a.items())]
+        assert dict((pa + pb).items()) == {I: a[I] + b[I] for I in a}
+        assert dict((pa - pb).items()) == {I: a[I] - b[I] for I in a}
+        assert dict(pa.scale(c).items()) == {I: c * a[I] for I in a}
+        assert dict(pa.scale(3).items()) == {I: 3 * a[I] for I in a}
+        assert dict((-pa).items()) == {I: -a[I] for I in a}
+        assert dict(pluecker.linear_combination(k, n, [(c, pa), (2, pb)]).items()) == {
+            I: c * a[I] + 2 * b[I] for I in a}
+        assert pa.support() == sorted(I for I, v in a.items() if v != 0)
+        assert pa.is_zero() == all(v == 0 for v in a.values())
+        assert (pa - pa).is_zero() and PlueckerVector.zero(k, n).is_zero()
+        zeros = dict.fromkeys(a, Fraction(0))
+        for I in (min(a), max(a)):
+            assert not _from_reference(k, n, {**zeros, I: Fraction(1)}).is_zero()
+        assert pa == _from_reference(k, n, dict(a))
+        assert (pa == pb) == (a == b)
+        I = rng.choice(sorted(a))
+        assert pa != _from_reference(k, n, {**a, I: a[I] + 1})
+        assert pa != PlueckerVector.zero(k, n + 1) and pa != dict(a)
+        with pytest.raises(ValueError):
+            pa + PlueckerVector.zero(k, n + 1)
 
 
 def test_json_round_trip():
@@ -56,6 +120,17 @@ def test_json_loader_is_strict():
     for bad in (0.5, False, "1/0", None):
         assert pointer(with_entry("1,3,5", bad)) == "/entries/1,3,5"
     assert pointer(with_entry("1,x,5", "1")) == "/entries/1,x,5"
+    # an integer, or a "p/q" string of ASCII digits with an optional "-"
+    for bad in ("1.5", "1e1", " 2 ", "+3", "2 ", "1/ 2", "-1/-2", "\uff13", "1_0", ""):
+        assert pointer(with_entry("1,3,5", bad)) == "/entries/1,3,5"
+    for fine in (-3, 7, "-3", "12/4", "-1/2"):
+        assert pluecker.from_json_dict(with_entry("1,3,5", fine))[(1, 3, 5)] == Fraction(fine)
+    # with the right count, a label naming no k-subset of [n] fails at itself
+    without = {label: v for label, v in good["entries"].items() if label != "4,5,6"}
+    for label in ("1,2,7", "0,1,2", "1,1,2", "1,2", "1,2,3,4"):
+        with pytest.raises(SchemaError) as exc:
+            pluecker.from_json_dict({**good, "entries": {**without, label: "0"}})
+        assert exc.value.pointer == f"/entries/{label}"
     # only ASCII decimal digits between the commas
     ten = pluecker.to_json_dict(planar_basis_vector(ksubset(10, [1, 3])))["entries"]
     value = ten.pop("2,10")
@@ -223,9 +298,10 @@ def test_positivity_scan_matches_three_term_reference(k, n):
         shifted = lineality_shift(pi, x)
         vectors += [pi, shifted]
         for base in (pi, shifted):
-            I = rng.choice(sorted(base.entries))
+            I = rng.choice([J for J, _ in base.items()])
             bump = Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 3))
-            vectors.append(PlueckerVector(k, n, {**base.entries, I: base[I] + bump}))
+            vectors.append(PlueckerVector.from_function(
+                k, n, lambda J: base[J] + bump if J == I else base[J]))
     vectors.append(random_vector(rng, k, n))
     violations = 0
     for pi in vectors:

@@ -1,5 +1,6 @@
 """Tropical linear spaces: matroids, roofs, vertices, and the dilate bound."""
 
+import gc
 import itertools
 from fractions import Fraction
 
@@ -173,7 +174,7 @@ def test_balanced_representative_differences():
             wt = pk_weight(pi)
             assert pk_weight(bal) == wt
             diffs = {
-                bal.entries[cyc_interval(j, k, n)] - bal.entries[gap_interval(j, k, n)]
+                bal[cyc_interval(j, k, n)] - bal[gap_interval(j, k, n)]
                 for j in range(n)
             }
             assert diffs == {Fraction(wt, n)}
@@ -184,7 +185,7 @@ def test_balanced_diagonal_differences_2_n():
         for J in combinat.noncyclic_subsets(2, n):
             bal = balanced_representative(planar.planar_basis_vector(J))
             diffs = {
-                bal.entries[cyc_interval(j, 2, n)] - bal.entries[gap_interval(j, 2, n)]
+                bal[cyc_interval(j, 2, n)] - bal[gap_interval(j, 2, n)]
                 for j in range(n)
             }
             assert diffs == {Fraction(1, n)}
@@ -359,6 +360,23 @@ def test_production_path_does_not_use_the_fraction_reference(monkeypatch):
     assert in_bounded_part(balanced, rep.vertices[0])
 
 
+def test_bounded_complex_leaves_no_reference_cycles():
+    # A cycle would keep the candidate gradients alive until the next full
+    # collection, so two enumerations' candidates could sit in memory at once.
+    rng = rng_for("no-cycles")
+    for k, n in [(3, 6), (3, 7), (4, 8)]:
+        pi = rho(random_tpoint(rng, k, n))
+        diameter_check(pi)  # fill the per-(k, n) caches first
+        gc.collect()
+        gc.disable()
+        try:
+            report = diameter_check(pi)
+            bounded_complex_edges(balanced_representative(pi), report.vertices)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
 def test_subdifferential_queries():
     eta = central_pluecker_vector(J_2BLOCK)
     # interior of the left cell (first block sums below the crease)
@@ -430,7 +448,7 @@ def test_bounded_points_satisfy_necklace_inequality_and_partitions():
             checked += 1
             nu = lineality_shift(central, w)
             for j in range(6):
-                assert nu.entries[cyc_interval(j, 3, 6)] >= nu.entries[gap_interval(j, 3, 6)]
+                assert nu[cyc_interval(j, 3, 6)] >= nu[gap_interval(j, 3, 6)]
             assert is_noncrossing_partition(components_partition(M), 6)
             assert basis_exchange_ok(M)
             assert in_linear_space(central, w)
