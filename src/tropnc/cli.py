@@ -7,7 +7,9 @@ desk-scale guard to its (k, n) once for every command, runs the command
 and writes its JSON payload.  Each subcommand takes only the options it
 reads.  Rationals travel as "p/q" strings (never floats), outputs are
 deterministic given the same input and seed, and exit codes are
-0 = pass, 1 = mathematical failure, 2 = usage or schema error.
+0 = pass, 1 = mathematical failure, 2 = usage or schema error.  `main`
+turns an `InvariantError` raised by any layer into exit 1 with one
+`error:` line on stderr.
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ def _unique_keys(pairs) -> dict:
 
 def _read_json(path: str):
     # Bytes, so that text that is not UTF-8 is a schema error, not a crash.
+    # ValueError covers JSONDecodeError, UnicodeDecodeError and an integer
+    # past Python's digit limit for int conversion.
     if path == "-":
         data = sys.stdin.buffer.read()
     else:
@@ -44,7 +48,9 @@ def _read_json(path: str):
             data = fh.read()
     try:
         return json.loads(data, object_pairs_hook=_unique_keys)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except SchemaError:
+        raise
+    except ValueError as exc:
         raise SchemaError("", f"invalid JSON: {exc}") from None
 
 
@@ -94,11 +100,7 @@ def cmd_duality(args):
 
 
 def cmd_decompose(t: TPoint):
-    try:
-        tab = ncfan.nc_decompose(t)
-    except InvariantError as exc:
-        return _failure(str(exc))
-    return 0, ncfan.tableau_to_json_dict(tab)
+    return 0, ncfan.tableau_to_json_dict(ncfan.nc_decompose(t))
 
 
 def cmd_weight(pi: pluecker.PlueckerVector):
@@ -121,10 +123,9 @@ def _bounded_complex(pi: pluecker.PlueckerVector, balance: bool):
     cert = pluecker.is_positive_tropical(pi)
     if not cert.ok:
         return _failure(f"vector is not positive tropical: {cert.violation}")
-    coeffs = planar.planar_expand(pi)
     if balance:
-        pi = troplin.balanced_representative(pi, coeffs)
-    report = troplin.bounded_complex_vertices(pi, coeffs)
+        pi = troplin.balanced_representative(pi)
+    report = troplin.bounded_complex_vertices(pi)
     edges = troplin.bounded_complex_edges(pi, report.vertices)
     code = 1 if balance and not report.within_dilate else 0
     return code, report.to_json_dict(edges=edges)
@@ -260,6 +261,9 @@ def main(argv=None) -> int:
     except (SchemaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InvariantError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return code
 
 

@@ -6,7 +6,7 @@ are rejected at the boundary so no rounding can leak in.  The linear algebra
 here is plain Gaussian elimination on small matrices (fan decompositions
 are at most a few dozen rows), kept dependency-free on purpose: `det` and
 `inverse` share one pivot-and-eliminate loop.  The JSON loaders of every
-type (`pluecker`, `ncfan`, `ladder`) read their (k, n) header and their
+type (`pluecker`, `ncfan`) read their (k, n) header and their
 rationals through the checks here and raise `SchemaError`, with a JSON
 pointer to the fault, on any malformed input.
 """

@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .combinat import KSubset
-from .exact import InvariantError, as_fraction, format_fraction, json_rows, scaled
+from .exact import InvariantError, as_fraction, scaled
 from .ncfan import TPoint
 from .pluecker import PlueckerVector, lex_rank
 
@@ -204,15 +204,3 @@ def pluecker_vector_of_grid(y: LadderPoint) -> PlueckerVector:
 def rho(t: TPoint) -> PlueckerVector:
     """Positive parametrization at the canonical grid representative."""
     return pluecker_vector_of_grid(grid_of(t))
-
-
-def to_json_dict(y: LadderPoint) -> dict:
-    return {
-        "k": y.k,
-        "n": y.n,
-        "rows": [[format_fraction(v) for v in row] for row in y.rows],
-    }
-
-
-def from_json_dict(obj) -> LadderPoint:
-    return json_rows(obj, LadderPoint.of)

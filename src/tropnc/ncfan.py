@@ -10,10 +10,11 @@ Decomposition walks the flip graph of maximal noncrossing collections
 cone, keeps that cone's integer inverse ray matrix, and while some cone
 coordinate of the point is negative it flips the most negative ray to its
 unique partner, updating the inverse by an exact rank-one step.  Only the
-cones on the path are visited.  `audit_fan` scans every maximal cone: it
-checks unimodularity and the flip structure, and its `scan` is the
-brute-force decomposition kept as the test oracle and as the walk's
-fallback should the walk ever revisit a cone.
+cones on the path are visited, and a walk that comes back to a cone it
+has left raises `InvariantError`: the walk is the one production path.
+`audit_fan` scans every maximal cone: it checks unimodularity and the
+flip structure, and its `scan` is the brute-force decomposition kept as
+the test oracle and as the `verify` check, never as a fallback.
 """
 
 from __future__ import annotations
@@ -47,9 +48,8 @@ class DecompositionError(InvariantError):
     uniqueness violation, i.e. a bug, not a data condition."""
 
 
-# Work done by `nc_decompose` since import: walks run, flips made, and
-# walks that revisited a cone and finished with the full scan.
-WALK_COUNTS = {"walks": 0, "flips": 0, "fallbacks": 0}
+# Work done by `nc_decompose` since import: walks run and flips made.
+WALK_COUNTS = {"walks": 0, "flips": 0}
 
 
 def _canonical_rows(rows) -> tuple[tuple[Fraction, ...], ...]:
@@ -290,8 +290,8 @@ def nc_decompose(t: TPoint) -> NoncrossingTableau:
     the point's cone coordinates mu, scaled by the common denominator of
     t.  Flipping ray i to its partner v changes the inverse by the rank-one
     step whose pivot is the old-basis coordinate of v on i; unimodularity
-    makes that pivot +-1.  A walk that revisits a cone finishes with the
-    full scan of `audit_fan` and is counted in WALK_COUNTS["fallbacks"].
+    makes that pivot +-1.  A walk that revisits a cone raises
+    InvariantError naming the cone's collection.
     """
     k, n = t.k, t.n
     tables = _walk_tables(k, n)
@@ -319,8 +319,10 @@ def nc_decompose(t: TPoint) -> NoncrossingTableau:
         WALK_COUNTS["flips"] += 1
         key = frozenset(coll)
         if key in visited:
-            WALK_COUNTS["fallbacks"] += 1
-            return audit_fan(k, n).scan(t)
+            raise InvariantError(
+                "flip walk revisited the cone of collection "
+                f"{[tables.nodes[j].label() for j in coll]}"
+            )
         visited.add(key)
     return tableau(k, n, (
         (tables.nodes[J], Fraction(m, scale)) for J, m in zip(coll, mu) if m > 0
@@ -368,7 +370,7 @@ def audit_fan(k: int, n: int) -> FanAudit:
     maximal cone must have exactly one flip partner, which together with
     the facet forms a maximal cone lying on the other side of it.  Raises
     InvariantError otherwise.  Cached per (k, n), so that repeated scans
-    and walk fallbacks audit once.
+    audit once.
     """
     nodes, adj = _compatibility(k, n)
     index = {J: i for i, J in enumerate(nodes)}

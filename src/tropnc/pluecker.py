@@ -266,7 +266,10 @@ def from_json_dict(obj) -> PlueckerVector:
         parts = label.split(",")
         if not all(part.isascii() and part.isdigit() for part in parts):
             raise SchemaError(pointer, "bad subset label")
-        elems = tuple(sorted(map(int, parts)))
+        try:
+            elems = tuple(sorted(map(int, parts)))
+        except ValueError:  # a part past Python's digit limit for int conversion
+            raise SchemaError(pointer, f"names no {k}-subset of [{n}]") from None
         if len(elems) != k or len(set(elems)) != k or not 1 <= elems[0] <= elems[-1] <= n:
             raise SchemaError(pointer, f"names no {k}-subset of [{n}]")
         if elems in entries:

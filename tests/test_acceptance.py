@@ -154,14 +154,14 @@ def test_criterion_08_positivity_iff_weak_separation():
 def test_criterion_09_reference_vertex_values():
     with criterion(9, "bounded-complex vertex values", 30):
         J = ksubset(6, [2, 3, 6])  # blocks (123|456), decorations (2,1)
-        rep = bounded_complex_vertices(central_pluecker_vector(J), {J: 1})
+        rep = bounded_complex_vertices(central_pluecker_vector(J))
         want = {
             canon([-1, -1, -1, Fraction(-1, 3), Fraction(-1, 3), Fraction(-1, 3)]),
             canon([Fraction(-2, 3)] * 3 + [-1] * 3),
         }
         assert set(rep.vertices) == want
         J = ksubset(6, [2, 4, 6])  # blocks (12|34|56), decorations (1,1,1)
-        rep = bounded_complex_vertices(central_pluecker_vector(J), {J: 1})
+        rep = bounded_complex_vertices(central_pluecker_vector(J))
         want = {
             canon([Fraction(-1, 3), Fraction(-1, 3), Fraction(-2, 3), Fraction(-2, 3), -1, -1]),
             canon([-1, -1, Fraction(-1, 3), Fraction(-1, 3), Fraction(-2, 3), Fraction(-2, 3)]),

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import canon, run_optimized
-from tropnc import cli, exact, ncfan, planar, pluecker
+from tropnc import cli, exact, ladder, ncfan, planar, pluecker, troplin, weight
 from tropnc.combinat import ksubset
 
 
@@ -222,6 +222,60 @@ def test_repeated_json_key_rejected(tmp_path, capsys):
     code = cli.main(["weight", "--in", str(path)])
     err = capsys.readouterr().err
     assert code == 2 and "'1,2,3' given twice" in err
+
+
+def test_integers_past_the_digit_limit_are_schema_errors(tmp_path, capsys):
+    # Python refuses to convert a decimal string of more than 4300 digits
+    # to int; in a value or in a label part that is bad input, not a crash.
+    huge = "9" * 5000
+    payload = weight_two_vector_payload()
+    payload["entries"]["1,2,3"] = "HUGE"
+    text = json.dumps(payload)
+    for bad, where in (
+        (text.replace('"HUGE"', huge), "invalid JSON"),
+        (text.replace('"1,2,3": "HUGE"', f'"{huge},2,3": "0"'), f"(at /entries/{huge},2,3)"),
+    ):
+        assert bad != text
+        path = tmp_path / "pi.json"
+        path.write_text(bad)
+        code = cli.main(["weight", "--in", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and where in captured.err
+
+
+POINT_PAYLOAD = {"k": 3, "n": 6, "rows": [["0", "1", "0"], ["0", "2", "1"]]}
+
+
+# command -> the layer patched to raise, under its module
+INVARIANT_LAYERS = {
+    "duality": (ladder, "rho"),
+    "decompose": (ncfan, "nc_decompose"),
+    "weight": (weight, "weight_report"),
+    "psi": (ncfan, "psi"),
+    "rho": (ladder, "rho"),
+    "bounded": (troplin, "bounded_complex_vertices"),
+    "diameter": (troplin, "balanced_representative"),
+}
+
+
+@pytest.mark.parametrize("command", INVARIANT_LAYERS)
+def test_invariant_errors_exit_1_with_one_error_line(command, tmp_path, capsys, monkeypatch):
+    if command == "duality":
+        argv = [command, "--k", "3", "--n", "6"]
+    else:
+        payload = POINT_PAYLOAD if command in ("decompose", "rho") else (
+            pluecker.to_json_dict(ladder.rho(ncfan.from_json_dict(POINT_PAYLOAD))))
+        argv = [command, "--in", write_json(tmp_path, "in.json", payload)]
+
+    def broken(*args, **kwargs):
+        raise exact.InvariantError("planted invariant failure")
+
+    monkeypatch.setattr(*INVARIANT_LAYERS[command], broken)
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: planted invariant failure\n"
 
 
 def test_decompose_and_weight_desk_scale_guard(tmp_path, capsys):

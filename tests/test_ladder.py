@@ -172,11 +172,6 @@ def test_psi_rho_inverse_on_random_points():
         assert psi(rho(t)) == t
 
 
-def test_ladder_json_round_trip():
-    y = LadderPoint.of(3, 7, [[1, "1/2", 0, 3], [0, 2, "5/3", 1]])
-    assert ladder.from_json_dict(ladder.to_json_dict(y)) == y
-
-
 def _seeded_grids(rng, k, n):
     """Integer, negative-integer, and halves-and-thirds grids at (k, n)."""
     def grid(draw):

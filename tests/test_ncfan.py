@@ -12,9 +12,10 @@ from conftest import (
     random_tpoint,
     random_vector,
     rng_for,
+    run_optimized,
     vector_312,
 )
-from tropnc import combinat, exact, ladder, ncfan, planar
+from tropnc import combinat, exact, ncfan, planar
 from tropnc.combinat import all_ksubsets, ksubset, maximal_noncrossing_collections, noncyclic_subsets
 from tropnc.exact import InvariantError, SchemaError
 from tropnc.ncfan import (
@@ -200,13 +201,12 @@ def test_tpoint_json_round_trip():
     assert again == t
 
 
-@pytest.mark.parametrize("load", [ncfan.from_json_dict, ladder.from_json_dict])
-def test_rows_loaders_are_strict(load):
+def test_rows_loaders_are_strict():
     good = {"k": 3, "n": 6, "rows": [["1", "2", "0"], ["0", "1/2", "1"]]}
 
     def pointer(obj) -> str:
         with pytest.raises(SchemaError) as exc:
-            load(obj)
+            ncfan.from_json_dict(obj)
         return exc.value.pointer
 
     for bad in (3.0, True, "3"):
@@ -259,13 +259,11 @@ def differential_points(rng, audit):
 def test_walk_matches_full_scan(k, n):
     audit = audit_fan(k, n)
     rng = rng_for(f"walk-vs-scan-{k}-{n}")
-    fallbacks = ncfan.WALK_COUNTS["fallbacks"]
     for t, known in differential_points(rng, audit):
         walked = nc_decompose(t)
         assert walked == audit.scan(t), t
         if known is not None:
             assert walked.entries == tuple((J, Fraction(m)) for J, m in known)
-    assert ncfan.WALK_COUNTS["fallbacks"] == fallbacks
 
 
 def test_walk_never_enumerates_maximal_collections(monkeypatch):
@@ -280,20 +278,29 @@ def test_walk_never_enumerates_maximal_collections(monkeypatch):
         assert combine(4, 7, nc_decompose(t).entries) == t
 
 
-def test_cycle_guard_falls_back_to_scan(monkeypatch):
+def test_cycle_guard_raises(monkeypatch):
     # Flipping position 0 twice returns to the start cone: a forced cycle.
     rng = rng_for("walk-cycle-guard")
     points = [random_tpoint(rng, 3, 7) for _ in range(20)]
-    expected = [audit_fan(3, 7).scan(t) for t in points]
+    tables = ncfan._walk_tables(3, 7)
+    start = [tables.nodes[i].label() for i in tables.start]
     monkeypatch.setattr(ncfan, "_choose_flip", lambda mu: 0 if min(mu) < 0 else None)
-    before = ncfan.WALK_COUNTS["fallbacks"]
-    assert [nc_decompose(t) for t in points] == expected
-    assert ncfan.WALK_COUNTS["fallbacks"] > before
+    for t in points:
+        with pytest.raises(InvariantError) as exc:
+            nc_decompose(t)
+        assert str(exc.value) == f"flip walk revisited the cone of collection {start}"
+    # the guard is an explicit raise, so it survives -O
+    result = run_optimized(
+        "from tropnc import ncfan",
+        "ncfan._choose_flip = lambda mu: 0 if min(mu) < 0 else None",
+        "ncfan.nc_decompose(ncfan.TPoint.of(3, 7, [[0, 1, 1, 1], [0, 2, 4, 4]]))",
+    )
+    assert result.returncode == 1
+    assert "InvariantError: flip walk revisited the cone of collection" in result.stderr
 
 
 def test_walk_reaches_4_8():
     rng = rng_for("walk-4-8")
-    fallbacks = ncfan.WALK_COUNTS["fallbacks"]
     for _ in range(20):
         t = random_tpoint(rng, 4, 8)
         tab = nc_decompose(t)
@@ -303,7 +310,6 @@ def test_walk_reaches_4_8():
         assert all(
             combinat.noncrossing(I, J) for i, I in enumerate(support) for J in support[i + 1:]
         )
-    assert ncfan.WALK_COUNTS["fallbacks"] == fallbacks
 
 
 @pytest.mark.parametrize("k,n", [(2, 4), (2, 6), (3, 6), (3, 7), (4, 7)])

@@ -16,6 +16,7 @@ from tropnc.combinat import (
     ksubset,
     maximal_noncrossing_collections,
 )
+from tropnc.exact import InvariantError
 from tropnc.ladder import rho
 from tropnc.ncfan import TPoint, t_vector
 from tropnc.pluecker import PlueckerVector, lineality_shift
@@ -168,7 +169,6 @@ def test_balanced_representative_differences():
             t = random_tpoint(rng, k, n)
             pi = rho(t)
             bal = balanced_representative(pi)
-            assert balanced_representative(pi, planar.planar_expand(pi)) == bal
             from tropnc.weight import pk_weight
 
             wt = pk_weight(pi)
@@ -192,32 +192,40 @@ def test_balanced_diagonal_differences_2_n():
 
 
 def test_bounded_complex_2block_reference_values():
-    rep = bounded_complex_vertices(central_pluecker_vector(J_2BLOCK), {J_2BLOCK: 1})
+    rep = bounded_complex_vertices(central_pluecker_vector(J_2BLOCK))
     assert set(rep.vertices) == V_2BLOCK
     assert rep.pk_weight == 1
 
 
 def test_bounded_complex_3split_reference_values():
-    rep = bounded_complex_vertices(central_pluecker_vector(J_3SPLIT), {J_3SPLIT: 1})
+    rep = bounded_complex_vertices(central_pluecker_vector(J_3SPLIT))
     assert set(rep.vertices) == V_3SPLIT
 
 
 def test_bounded_complex_empty_support():
-    rep = bounded_complex_vertices(PlueckerVector.zero(3, 6), {})
+    rep = bounded_complex_vertices(PlueckerVector.zero(3, 6))
     assert rep.vertices == () and rep.max_coordinate_spread == 0 and rep.within_dilate
 
 
-def test_coefficients_that_do_not_expand_the_vector_raise():
-    with pytest.raises(ValueError, match="do not expand"):
-        bounded_complex_vertices(central_pluecker_vector(J_2BLOCK), {J_2BLOCK: 2})
+def test_coefficients_that_do_not_expand_the_vector_raise(monkeypatch):
+    # A broken expansion: every planar coefficient doubled.
+    expand = planar.planar_expand
+    monkeypatch.setattr(
+        planar, "planar_expand", lambda pi: {J: 2 * c for J, c in expand(pi).items()}
+    )
+    with pytest.raises(InvariantError, match="do not expand"):
+        bounded_complex_vertices(central_pluecker_vector(J_2BLOCK))
     # the check is an explicit raise, so it survives -O
     result = run_optimized(
+        "from tropnc import planar",
         "from tropnc.combinat import ksubset",
         "from tropnc.troplin import bounded_complex_vertices, central_pluecker_vector",
-        "J = ksubset(6, [2, 3, 6])",
-        "bounded_complex_vertices(central_pluecker_vector(J), {J: 2})",
+        "expand = planar.planar_expand",
+        "planar.planar_expand = lambda pi: {J: 2 * c for J, c in expand(pi).items()}",
+        "bounded_complex_vertices(central_pluecker_vector(ksubset(6, [2, 3, 6])))",
     )
-    assert result.returncode == 1 and "ValueError" in result.stderr
+    assert result.returncode == 1
+    assert "InvariantError: the planar coefficients do not expand" in result.stderr
 
 
 def test_tree_2_5():
@@ -275,13 +283,13 @@ def test_vertex_set_invariant_under_lineality():
 
 def test_face_dimensions():
     eta = central_pluecker_vector(J_2BLOCK)
-    rep = bounded_complex_vertices(eta, {J_2BLOCK: 1})
+    rep = bounded_complex_vertices(eta)
     v = rep.vertices
     assert face_dimension_at(eta, v[0]) == 0
     mid = [(a + b) / 2 for a, b in zip(v[0], v[1])]
     assert face_dimension_at(eta, mid) == 1
     eta3 = central_pluecker_vector(J_3SPLIT)
-    rep3 = bounded_complex_vertices(eta3, {J_3SPLIT: 1})
+    rep3 = bounded_complex_vertices(eta3)
     bary = [sum(col, Fraction(0)) / 3 for col in zip(*rep3.vertices)]
     assert face_dimension_at(eta3, bary) == 2
     M = argmin_matroid(eta3, bary)
@@ -316,9 +324,8 @@ def test_shift_face_classifier_matches_fraction_reference(k, n):
     seen = set()
     for _ in range(3):
         pi = rho(random_tpoint(rng, k, n, hi=2))
-        coeffs = planar.planar_expand(pi)
-        for vec in (pi, balanced_representative(pi, coeffs)):
-            vertices = list(bounded_complex_vertices(vec, coeffs).vertices)
+        for vec in (pi, balanced_representative(pi)):
+            vertices = list(bounded_complex_vertices(vec).vertices)
             assert bounded_complex_edges(vec, vertices) == _reference_edges(vec, vertices)
             # seeded points with denominators 2 and 3, near a vertex and anywhere
             loose = [
@@ -382,14 +389,14 @@ def test_subdifferential_queries():
     # interior of the left cell (first block sums below the crease)
     x = [Fraction(2, 3), Fraction(2, 3), Fraction(1, 3),
          Fraction(1, 2), Fraction(1, 2), Fraction(1, 3)]
-    assert len(subdifferential_at(eta, x, {J_2BLOCK: 1})) == 1
+    assert len(subdifferential_at(eta, x)) == 1
     # on the crease both gradients are subgradients
     x = [Fraction(2, 3)] * 3 + [Fraction(1, 3)] * 3
-    assert len(subdifferential_at(eta, x, {J_2BLOCK: 1})) == 2
+    assert len(subdifferential_at(eta, x)) == 2
     eta3 = central_pluecker_vector(J_3SPLIT)
-    assert len(subdifferential_at(eta3, [Fraction(1, 2)] * 6, {J_3SPLIT: 1})) == 3
+    assert len(subdifferential_at(eta3, [Fraction(1, 2)] * 6)) == 3
     with pytest.raises(ValueError):
-        subdifferential_at(eta, [Fraction(1)] * 3 + [Fraction(0)] * 3, {J_2BLOCK: 1})
+        subdifferential_at(eta, [Fraction(1)] * 3 + [Fraction(0)] * 3)
 
 
 def test_matroid_polytope_membership():
