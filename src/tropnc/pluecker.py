@@ -251,6 +251,16 @@ def to_json_dict(pi: PlueckerVector) -> dict:
     }
 
 
+def _comb_up_to(n: int, k: int, bound: int) -> int | None:
+    """C(n, k), or None once a partial product C(n, i) passes `bound`."""
+    count = 1
+    for i in range(min(k, n - k)):
+        count = count * (n - i) // (i + 1)
+        if count > bound:
+            return None
+    return count
+
+
 def from_json_dict(obj) -> PlueckerVector:
     """Decode {"k", "n", "entries"}.  A label is comma-separated ASCII
     decimal integers naming a k-subset of [n] in any order; a label naming
@@ -277,7 +287,7 @@ def from_json_dict(obj) -> PlueckerVector:
         entries[elems] = json_fraction(value, pointer)
     # Counted before the subsets are ranked, so that a tiny input naming a
     # huge (k, n) fails at once.
-    if not 0 <= k <= n or len(entries) != math.comb(n, k):
+    if not 0 <= k <= n or _comb_up_to(n, k, len(entries)) != len(entries):
         raise SchemaError(
             "/entries", f"need one entry per {k}-subset of [{n}], got {len(entries)}"
         )

@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -242,6 +243,21 @@ def test_integers_past_the_digit_limit_are_schema_errors(tmp_path, capsys):
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("error: ") and where in captured.err
+
+
+@pytest.mark.parametrize("k,n", [(500_000, 1_000_000), (2_000_000, 4_000_000)])
+def test_tiny_input_naming_a_huge_binomial_fails_at_once(k, n, tmp_path, capsys):
+    # C(n, k) has hundreds of thousands of digits; the entry count is
+    # compared with it step by step and never forms it.
+    payload = {"k": k, "n": n, "entries": {}}
+    start = time.perf_counter()
+    with pytest.raises(exact.SchemaError) as caught:
+        pluecker.from_json_dict(payload)
+    assert caught.value.pointer == "/entries"
+    code = cli.main(["weight", "--in", write_json(tmp_path, "pi.json", payload)])
+    captured = capsys.readouterr()
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and captured.out == "" and "(at /entries)" in captured.err
 
 
 POINT_PAYLOAD = {"k": 3, "n": 6, "rows": [["0", "1", "0"], ["0", "2", "1"]]}

@@ -3,10 +3,18 @@
 import gc
 import itertools
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from conftest import canon, random_tpoint, rng_for, run_optimized
+from conftest import (
+    canon,
+    random_rational_tpoint,
+    random_tableau_point,
+    random_tpoint,
+    rng_for,
+    run_optimized,
+)
 from tropnc import combinat, ladder, planar, pluecker, troplin
 from tropnc.combinat import (
     cyc_interval,
@@ -22,6 +30,7 @@ from tropnc.ncfan import TPoint, t_vector
 from tropnc.pluecker import PlueckerVector, lineality_shift
 from tropnc.troplin import (
     Matroid,
+    TimeBudgetExceeded,
     argmin_matroid,
     balanced_representative,
     basis_exchange_ok,
@@ -215,6 +224,11 @@ def test_coefficients_that_do_not_expand_the_vector_raise(monkeypatch):
     )
     with pytest.raises(InvariantError, match="do not expand"):
         bounded_complex_vertices(central_pluecker_vector(J_2BLOCK))
+    # The same weight on another roof: the gap differences still sum
+    # right, so the entrywise check is the one that trips.
+    monkeypatch.setattr(planar, "planar_expand", lambda pi: {J_3SPLIT: Fraction(1)})
+    with pytest.raises(InvariantError, match="do not expand"):
+        bounded_complex_vertices(central_pluecker_vector(J_2BLOCK))
     # the check is an explicit raise, so it survives -O
     result = run_optimized(
         "from tropnc import planar",
@@ -226,6 +240,16 @@ def test_coefficients_that_do_not_expand_the_vector_raise(monkeypatch):
     )
     assert result.returncode == 1
     assert "InvariantError: the planar coefficients do not expand" in result.stderr
+
+
+def test_balancing_checks_the_gap_sum(monkeypatch):
+    # Roof rows off by a factor: the central representative's cyclic-gap
+    # differences no longer sum to the weight its coefficients claim.
+    pi = central_pluecker_vector(J_2BLOCK)
+    row = troplin._roof_row
+    monkeypatch.setattr(troplin, "_roof_row", lambda J: tuple(2 * v for v in row(J)))
+    with pytest.raises(InvariantError, match="do not expand"):
+        balanced_representative(pi)
 
 
 def test_tree_2_5():
@@ -272,13 +296,96 @@ def test_k2_tree_model_counts_and_directions():
 
 def test_vertex_set_invariant_under_lineality():
     rng = rng_for("vertex-lineality")
+    for pi in (
+        rho(TPoint.of(3, 6, [[2, 0, 1], [1, 3, 0]])),
+        rho(random_tpoint(rng, 3, 7, hi=1)),
+        rho(random_tpoint(rng, 4, 8, hi=1)),
+    ):
+        central = central_representative(pi)
+        rep1 = bounded_complex_vertices(central)
+        for den in (1, 2, 3, 7):
+            shift = [Fraction(rng.randint(-3 * den, 3 * den), den) for _ in range(pi.n)]
+            rep2 = bounded_complex_vertices(lineality_shift(central, shift))
+            moved = sorted(canon([a - b for a, b in zip(v, shift)]) for v in rep1.vertices)
+            assert moved == sorted(canon(v) for v in rep2.vertices)
+
+
+def _brute_force_vertices(central):
+    """Every sector assignment of every roof, each gradient classified by
+    the Fraction argmin matroid; `central` must be the central
+    representative itself, so no lineality shift is involved."""
+    k = central.k
+    support = [(J, c) for J, c in planar.planar_expand(central).items() if c]
+    sectors = [[[-c * x / k for x in W] for W in central_roof(J).W] for J, c in support]
+    gradients = {
+        canon([sum(col, Fraction(0)) for col in zip(*choice)])
+        for choice in itertools.product(*sectors)
+    }
+    return {w for w in gradients if troplin.is_connected(argmin_matroid(central, w))}
+
+
+@pytest.mark.parametrize("k,n", [(3, 6), (3, 7), (4, 8)])
+def test_vertices_match_the_sector_product_brute_force(k, n):
+    rng = rng_for(f"vertex-brute-force-{k}-{n}")
+    for t in (
+        random_tpoint(rng, k, n, hi=2),
+        random_rational_tpoint(rng, k, n),
+        random_tableau_point(rng, k, n, 4)[0],
+    ):
+        pi = rho(t)
+        central = pluecker.linear_combination(k, n, [
+            (c, central_pluecker_vector(J))
+            for J, c in planar.planar_expand(pi).items() if c
+        ])
+        expected = _brute_force_vertices(central)
+        assert expected
+        assert set(bounded_complex_vertices(central).vertices) == expected
+        shift = [Fraction(rng.randint(-20, 20), rng.choice([1, 2, 3, 7])) for _ in range(n)]
+        moved = {canon([a - b for a, b in zip(w, shift)]) for w in expected}
+        assert set(bounded_complex_vertices(lineality_shift(central, shift)).vertices) == moved
+
+
+@pytest.mark.parametrize("k,n", [(3, 6), (3, 7), (4, 8)])
+def test_roof_rows_are_k_times_the_roof_values(k, n):
+    for J in combinat.noncyclic_subsets(k, n):
+        values = [
+            central_roof_value(J, [int(i in I) for i in range(1, n + 1)])
+            for I in itertools.combinations(range(1, n + 1), k)
+        ]
+        assert troplin._roof_row(J) == tuple(k * v for v in values)
+        assert central_pluecker_vector(J).values == tuple(values)
+
+
+def test_time_budget_stops_the_candidate_enumeration():
     pi = rho(TPoint.of(3, 6, [[2, 0, 1], [1, 3, 0]]))
-    central = central_representative(pi)
-    rep1 = bounded_complex_vertices(central)
-    shift = [Fraction(rng.randint(-3, 3)) for _ in range(6)]
-    rep2 = bounded_complex_vertices(lineality_shift(central, shift))
-    moved = sorted(canon([a - b for a, b in zip(v, shift)]) for v in rep1.vertices)
-    assert moved == sorted(canon(v) for v in rep2.vertices)
+    with pytest.raises(TimeBudgetExceeded, match="assignment enumeration"):
+        diameter_check(pi, time_budget_s=-1)
+
+
+def test_time_budget_stops_the_matroid_filtering(monkeypatch):
+    # A clock that stands still until the first candidate is classified,
+    # then jumps far past any budget.
+    now = [0.0]
+    monkeypatch.setattr(troplin, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    shift_face = troplin._shift_face
+
+    def classify(table, w):
+        now[0] = 1e9
+        return shift_face(table, w)
+
+    monkeypatch.setattr(troplin, "_shift_face", classify)
+    pi = central_pluecker_vector(J_2BLOCK)  # two candidates
+    with pytest.raises(TimeBudgetExceeded, match="matroid filtering"):
+        bounded_complex_vertices(pi, time_budget_s=1.0)
+
+
+def test_reference_functions_check_the_coordinate_count():
+    with pytest.raises(ValueError, match="need 6 coordinates, got 2"):
+        central_roof_value(J_2BLOCK, [1, 2])
+    pi = central_pluecker_vector(J_2BLOCK)
+    for w in ([0] * 7, [0] * 3):
+        with pytest.raises(ValueError, match=f"need 6 coordinates, got {len(w)}"):
+            in_linear_space(pi, w)
 
 
 def test_face_dimensions():
