@@ -8,8 +8,9 @@ and writes its JSON payload.  Each subcommand takes only the options it
 reads.  Rationals travel as "p/q" strings (never floats), outputs are
 deterministic given the same input and seed, and exit codes are
 0 = pass, 1 = mathematical failure, 2 = usage or schema error.  `main`
-turns an `InvariantError` raised by any layer into exit 1 with one
-`error:` line on stderr.
+turns an `InvariantError` raised by any layer, and the vertex walk
+overrunning `BOUNDED_BUDGET_S` in `bounded` or `diameter`, into exit 1
+with one `error:` line on stderr.
 """
 
 from __future__ import annotations
@@ -24,6 +25,10 @@ from . import ladder, ncfan, planar, pluecker, troplin, weight
 from .combinat import noncyclic_subsets
 from .exact import InvariantError, SchemaError, format_fraction
 from .ncfan import TPoint
+
+# Wall-clock budget of the vertex walk behind `bounded` and `diameter`;
+# overrunning it is exit 1 with one error line.
+BOUNDED_BUDGET_S = 60.0
 
 
 def _unique_keys(pairs) -> dict:
@@ -125,7 +130,7 @@ def _bounded_complex(pi: pluecker.PlueckerVector, balance: bool):
         return _failure(f"vector is not positive tropical: {cert.violation}")
     if balance:
         pi = troplin.balanced_representative(pi)
-    report = troplin.bounded_complex_vertices(pi)
+    report = troplin.bounded_complex_vertices(pi, time_budget_s=BOUNDED_BUDGET_S)
     edges = troplin.bounded_complex_edges(pi, report.vertices)
     code = 1 if balance and not report.within_dilate else 0
     return code, report.to_json_dict(edges=edges)
@@ -261,7 +266,7 @@ def main(argv=None) -> int:
     except (SchemaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except InvariantError as exc:
+    except (InvariantError, troplin.TimeBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return code

@@ -172,9 +172,12 @@ def _three_term_table(k: int, n: int) -> tuple[tuple, ...]:
     table = []
     for S in itertools.combinations(ground, k - 2):
         rest = [x for x in ground if x not in S]
-        for a, b, c, d in itertools.combinations(rest, 4):
-            pairs = ((a, c), (b, d), (a, b), (c, d), (a, d), (b, c))
-            table.append((S, (a, b, c, d), *(rank[tuple(sorted(S + p))] for p in pairs)))
+        # pair[i][j]: the rank of S + {rest[i], rest[j]}, looked up once per
+        # pair rather than six times per quadruple (None when i == j)
+        pair = [[rank.get(tuple(sorted(S + (x, y)))) for y in rest] for x in rest]
+        for a, b, c, d in itertools.combinations(range(len(rest)), 4):
+            table.append((S, (rest[a], rest[b], rest[c], rest[d]), pair[a][c], pair[b][d],
+                          pair[a][b], pair[c][d], pair[a][d], pair[b][c]))
     return tuple(table)
 
 

@@ -4,25 +4,34 @@ A tropical Plücker vector, read as a height function on hypersimplex
 vertices, induces a matroid at every shift point w; looplessness puts w
 on the tropical linear space and coloop-freeness on its bounded part.
 The planar cross-ratios u_J(pi) of a vector are the coefficients of its
-central roof function, a sum of roofs; its cell gradients, the vertices
-of the bounded complex, lie in the Minkowski sum of each roof's sector
-gradients.  Everything here reads its vector alone, and the whole vertex
-path is one integer pass: each roof has an integer row, k times its
+central roof function, a sum of roofs.  Everything here reads its vector
+alone, in scaled integers: each roof has an integer row, k times its
 central vector in rank order (`_roof_row`, cached per subset), so the
 central representative is an integer sum of rows over one scale; one
 routine, `_gap_shift`, finds a lineality shift from the n cyclic-gap
 differences, both to balance (`balanced_representative`, every gap
-weight/n) and to carry the candidates back to the caller's vector; the
-candidates are built roof by roof, modulo all-ones at every step.
-`diameter_check` balances, then enumerates.
+weight/n) and to carry the roof gradients back to the caller's vector.
 
-`_shift_face` is the one classifier of shift points, in scaled integers
-over `_scaled_table`; vertex filtering, `bounded_complex_edges`,
-`face_dimension_at` and `in_bounded_part` all use it.  `argmin_matroid`,
-`loops`, `coloops`, `components_partition`, `in_linear_space` and
+`bounded_complex_vertices` walks the bounded complex of a positive
+vector vertex to vertex.  It starts at the gradient of the central roof
+function at the perturbed centre of the hypersimplex.  Every cell is a
+positroid polytope, whose facets are cut out by cyclic intervals S
+(Ardila–Rincón–Williams), so every edge at a vertex runs along some
+e_S and ends at an exact integer breakpoint; the bounded complex is
+connected (Speyer), so the walk reaches every vertex.  Subsets and
+intervals are bitmasks built per call.  `diameter_check` balances, then
+walks.
+
+One classifier, `_face`, reads the argmin bases of a shift point as
+bitmasks and counts components on the fundamental graph of one basis;
+the walk feeds it values it updates along each edge, and `_shift_face`
+feeds it a point over `_scaled_table` for `bounded_complex_edges`,
+`face_dimension_at` and `in_bounded_part`.  `argmin_matroid`, `loops`,
+`coloops`, `components_partition`, `in_linear_space` and
 `central_roof_value` are the `Fraction` reference the tests check
-against.  Every invariant is an explicit raise of `InvariantError`, so
-the checks survive `python -O`.
+against, and the tests keep the Minkowski sum of the roofs' sector
+gradients as the walk's oracle.  Every invariant is an explicit raise of
+`InvariantError`, so the checks survive `python -O`.
 """
 
 from __future__ import annotations
@@ -32,7 +41,6 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import add
 from typing import Sequence
 
 from . import planar
@@ -45,11 +53,11 @@ from .combinat import (
     mod1,
 )
 from .exact import InvariantError, Rational, as_fraction, format_fraction, scaled
-from .pluecker import PlueckerVector, lex_rank
+from .pluecker import PlueckerVector, is_positive_tropical, lex_rank
 
 
 class TimeBudgetExceeded(RuntimeError):
-    """Raised when vertex enumeration overruns its optional wall-clock budget."""
+    """Raised when the vertex walk overruns its optional wall-clock budget."""
 
 
 @dataclass(frozen=True)
@@ -333,16 +341,23 @@ class BoundedComplexReport:
 def bounded_complex_vertices(
     pi_hat: PlueckerVector, *, time_budget_s: float | None = None
 ) -> BoundedComplexReport:
-    """Enumerate the vertices of the bounded complex of pi_hat.
+    """Enumerate the vertices of the bounded complex of the positive
+    vector pi_hat by walking its edges.
 
-    The candidates are the Minkowski sum of each roof's sector gradients,
-    built roof by roof modulo all-ones, so a partial sum reached twice is
-    extended once; a candidate is a vertex exactly when its shift matroid
-    is connected.  All in scaled integers; pi_hat may be any lineality
+    The start is the gradient of the central roof function at the centre
+    of the hypersimplex, perturbed lexicographically.  Every cell is a
+    positroid polytope, so each edge at a vertex w leaves it along some
+    e_S, S a proper cyclic interval, and ends at the first breakpoint of
+    w + t e_S; the bounded complex is connected, so the walk reaches every
+    vertex.  All in scaled integers; pi_hat may be any lineality
     representative (the shift to its own cyclic-gap differences realigns
-    the candidates, and every entry is checked against it).
+    the start, and every entry is checked against it).  A vector that is
+    not positive tropical is a ValueError: the walk would be incomplete.
     """
     deadline = time.monotonic() + time_budget_s if time_budget_s is not None else None
+    cert = is_positive_tropical(pi_hat)
+    if not cert.ok:
+        raise ValueError(f"vector is not positive tropical: {cert.violation}")
     k, n = pi_hat.k, pi_hat.n
     scale, table, terms, central = _roof_sum(pi_hat)
     wt = Fraction(k * sum(f for _, f in terms), scale)
@@ -350,53 +365,166 @@ def bounded_complex_vertices(
         return BoundedComplexReport((), wt, Fraction(0), True)
 
     # The shift that gives central - pi_hat zero gaps must leave it constant.
-    y, rest = _gap_shift([c - v for c, v in zip(central, (v for _, _, v in table))], 0, k, n)
+    y, rest = _gap_shift([c - v for c, (_, _, v) in zip(central, table)], 0, k, n)
     if len(set(rest)) != 1:
         raise InvariantError("the planar coefficients do not expand the vector modulo lineality")
 
-    # Partial sums with first coordinate 0, one per class modulo all-ones.
-    level = {tuple(-v for v in y)}
+    # Each roof's sector at the centre, ties broken by the perturbation
+    # sum over j < n-1 of eps^(j+1) (e_j - e_(n-1)), eps small.
+    start = [-v for v in y]
     for J, factor in terms:
-        sectors = [tuple(-factor * (x - W[0]) for x in W) for W in central_roof(J).W]
-        grown = set()
-        for acc in level:
-            if deadline is not None and time.monotonic() > deadline:
-                raise TimeBudgetExceeded("assignment enumeration over budget")
-            grown.update(tuple(map(add, acc, W)) for W in sectors)
-        level = grown
+        W = min(central_roof(J).W, key=lambda W: (sum(W), [x - W[-1] for x in W[:-1]]))
+        start = [a - factor * x for a, x in zip(start, W)]
 
-    vertices = []
-    for w_scaled in level:
+    def over_budget():
         if deadline is not None and time.monotonic() > deadline:
-            raise TimeBudgetExceeded("matroid filtering over budget")
-        if _shift_face(table, w_scaled) == 0:
-            vertices.append(tuple(Fraction(v, scale) for v in w_scaled))
+            raise TimeBudgetExceeded(f"vertex walk over its {time_budget_s} s budget")
 
-    vertices.sort()
-    spread = max((max(wv) - min(wv) for wv in vertices), default=Fraction(0))
+    masks = [m for _, m, _ in table]
+    w = tuple(v - start[0] for v in start)
+    vals = _values(table, w)
+    over_budget()
+    if _face(_argmin(masks, vals), n) != 0:
+        raise InvariantError("the perturbed centre's roof gradient is not a vertex")
+    faces = {w: 0}
+    todo = [(w, vals)]
+    while todo:
+        w, vals = todo.pop()
+        best = min(vals)
+        for s, top in _edge_intervals(list(_argmin(masks, vals)), n):
+            counts = [(m & s).bit_count() for m in masks]
+            t = _breakpoint(vals, counts, best, (next(iter(top)) & s).bit_count())
+            lead = t * (s & 1)  # w[0] is 0: keep the first coordinate 0
+            nxt = tuple(x + t * (s >> i & 1) - lead for i, x in enumerate(w))
+            if nxt not in faces:
+                over_budget()
+                nvals = [v - t * c + k * lead for v, c in zip(vals, counts)]
+                faces[nxt] = _face(_argmin(masks, nvals), n)
+                if faces[nxt] == 0:
+                    todo.append((nxt, nvals))
+            if faces[nxt] != 0 and _components(top, n) == 2:
+                S = [i + 1 for i in range(n) if s >> i & 1]
+                raise InvariantError(f"the edge along e_S, S = {S}, ends off a vertex")
+
+    vertices = sorted(tuple(Fraction(v, scale) for v in w) for w, f in faces.items() if f == 0)
+    spread = max(max(wv) - min(wv) for wv in vertices)
     return BoundedComplexReport(tuple(vertices), wt, spread, spread <= wt)
 
 
 def _scaled_table(pi: PlueckerVector, denominators):
     """Put pi over one common denominator that also clears `denominators`:
-    the scale and a list of (subset, 0-based indices, scaled entry)."""
+    the scale and a list of (0-based indices, bitmask, scaled entry) in
+    rank order."""
     ints, scale = scaled(pi.values, denominators)
-    return scale, [(I, tuple(i - 1 for i in I), v) for I, v in zip(lex_rank(pi.k, pi.n), ints)]
+    return scale, [
+        (tuple(i - 1 for i in I), sum(1 << (i - 1) for i in I), v)
+        for I, v in zip(lex_rank(pi.k, pi.n), ints)
+    ]
+
+
+def _values(table, w_scaled: Sequence[int]) -> list[int]:
+    """pi_I - sum(w_i, i in I) for every entry of the table."""
+    coordinate = w_scaled.__getitem__
+    return [v - sum(map(coordinate, idx)) for idx, _, v in table]
+
+
+def _argmin(masks, vals) -> set[int]:
+    """The bitmasks of the subsets that attain the least value."""
+    best = min(vals)
+    return {m for m, v in zip(masks, vals) if v == best}
+
+
+def _components(bases: set[int], n: int) -> int:
+    """Number of connected components of the matroid on n elements whose
+    bases are the bitmasks `bases`.  They are those of the fundamental
+    graph of one basis B: x outside B and y in B are joined when
+    B - y + x is a basis, k(n-k) lookups in all."""
+    B = next(iter(bases))
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    inside = [y for y in range(n) if B >> y & 1]
+    count = n
+    for x in range(n):
+        if B >> x & 1:
+            continue
+        for y in inside:
+            if B ^ (1 << x | 1 << y) in bases:
+                rx, ry = find(x), find(y)
+                if rx != ry:
+                    parent[rx] = ry
+                    count -= 1
+    return count
+
+
+def _breakpoint(vals, counts, best: int, r: int) -> int:
+    """The least t > 0 at which a subset I with counts[I] = |I & S| > r
+    reaches the top face's value along w + t e_S: the vertex at the far
+    end of the edge.  It must exist and be a positive integer."""
+    steps = [(v - best, c - r) for v, c in zip(vals, counts) if c > r]
+    if not steps:
+        raise InvariantError("a face with no loop and no coloop has an unbounded edge")
+    t = min(num // den for num, den in steps)
+    if t <= 0 or all(num != t * den for num, den in steps):
+        least = min(Fraction(num, den) for num, den in steps)
+        raise InvariantError(f"the breakpoint {least} of an edge is not a positive integer")
+    return t
+
+
+def _edge_intervals(bases: list[int], n: int):
+    """Each proper cyclic interval S (a bitmask) whose top face, the bases
+    B with the most elements in S, has no loop and no coloop, with that
+    face.  The counts |B & S| of all bases at once are bit-sliced over
+    base positions and grow by one element of S at a time."""
+    member = [0] * n  # per element, the positions of the bases holding it
+    for j, m in enumerate(bases):
+        for i in range(n):
+            if m >> i & 1:
+                member[i] |= 1 << j
+    everyone = (1 << len(bases)) - 1
+    for start in range(n):
+        s, planes = 0, []  # planes[p]: bit p of every count
+        for size in range(1, n):
+            x = (start + size - 1) % n
+            s |= 1 << x
+            carry = member[x]
+            for p, plane in enumerate(planes):
+                planes[p] = plane ^ carry
+                carry &= plane
+            if carry:
+                planes.append(carry)
+            top = everyone  # narrowed to the largest count, high bit first
+            for plane in reversed(planes):
+                if top & plane:
+                    top &= plane
+            # Every element in some top basis but not in all of them.
+            if all(member[i] & top not in (0, top) for i in range(n)):
+                yield s, {m for j, m in enumerate(bases) if top >> j & 1}
+
+
+def _face(bases: set[int], n: int):
+    """The face whose argmin bases are the bitmasks `bases`: "outside" when
+    they have a loop, "unbounded" when they have a coloop, and otherwise
+    the number of components minus one."""
+    union, inter = 0, -1
+    for m in bases:
+        union |= m
+        inter &= m
+    if union != (1 << n) - 1:
+        return "outside"
+    if inter:
+        return "unbounded"
+    return _components(bases, n) - 1
 
 
 def _shift_face(table, w_scaled: Sequence[int]):
-    """The face through a shift point, both scaled as by `_scaled_table`:
-    "outside" when the argmin matroid has a loop, "unbounded" when it has
-    a coloop, and otherwise its number of components minus one."""
-    vals = [v - sum(w_scaled[i] for i in idx) for _, idx, v in table]
-    best = min(vals)
-    argmin = [I for (I, _, _), val in zip(table, vals) if val == best]
-    if len(set().union(*argmin)) != len(w_scaled):
-        return "outside"
-    if set(argmin[0]).intersection(*argmin[1:]):
-        return "unbounded"
-    M = Matroid(len(argmin[0]), len(w_scaled), frozenset(argmin))
-    return len(components_partition(M)) - 1
+    """The face through a shift point, both scaled as by `_scaled_table`."""
+    return _face(_argmin([m for _, m, _ in table], _values(table, w_scaled)), len(w_scaled))
 
 
 def face_dimension_at(pi: PlueckerVector, w: Sequence[Rational]):

@@ -294,6 +294,16 @@ def test_invariant_errors_exit_1_with_one_error_line(command, tmp_path, capsys, 
     assert captured.err == "error: planted invariant failure\n"
 
 
+@pytest.mark.parametrize("command", ["bounded", "diameter"])
+def test_walk_over_its_budget_exits_1_with_one_error_line(command, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "BOUNDED_BUDGET_S", -1)
+    payload = pluecker.to_json_dict(ladder.rho(ncfan.from_json_dict(POINT_PAYLOAD)))
+    code = cli.main([command, "--in", write_json(tmp_path, "in.json", payload)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: vertex walk over its -1 s budget\n"
+
+
 def test_decompose_and_weight_desk_scale_guard(tmp_path, capsys):
     t = ncfan.t_vector(ksubset(13, [1, 5]))
     tpath = write_json(tmp_path, "t.json", ncfan.to_json_dict(t))

@@ -2,7 +2,10 @@
 
 import gc
 import itertools
+import time
 from fractions import Fraction
+from functools import reduce
+from operator import and_, or_
 from types import SimpleNamespace
 
 import pytest
@@ -12,8 +15,10 @@ from conftest import (
     random_rational_tpoint,
     random_tableau_point,
     random_tpoint,
+    random_vector,
     rng_for,
     run_optimized,
+    vector_312,
 )
 from tropnc import combinat, ladder, planar, pluecker, troplin
 from tropnc.combinat import (
@@ -26,7 +31,7 @@ from tropnc.combinat import (
 )
 from tropnc.exact import InvariantError
 from tropnc.ladder import rho
-from tropnc.ncfan import TPoint, t_vector
+from tropnc.ncfan import TPoint, nc_decompose, t_vector
 from tropnc.pluecker import PlueckerVector, lineality_shift
 from tropnc.troplin import (
     Matroid,
@@ -345,6 +350,143 @@ def test_vertices_match_the_sector_product_brute_force(k, n):
         assert set(bounded_complex_vertices(lineality_shift(central, shift)).vertices) == moved
 
 
+def _minkowski_vertices(pi_hat):
+    """The Minkowski enumeration the walk replaced: every sum of one sector
+    gradient per roof, built roof by roof modulo all-ones and moved to
+    pi_hat's own cyclic-gap differences, each classified in scaled
+    integers.  Returns the canonical vertices."""
+    k, n = pi_hat.k, pi_hat.n
+    scale, table, terms, central = troplin._roof_sum(pi_hat)
+    y, _ = troplin._gap_shift([c - v for c, (_, _, v) in zip(central, table)], 0, k, n)
+    level = {tuple(-v for v in y)}
+    for J, factor in terms:
+        sectors = [[-factor * (x - W[0]) for x in W] for W in central_roof(J).W]
+        level = {tuple(a + x for a, x in zip(acc, W)) for acc in level for W in sectors}
+    vertices = [w for w in level if troplin._shift_face(table, w) == 0]
+    return {tuple(Fraction(v, scale) for v in w) for w in vertices}
+
+
+def _walk_points(k, n):
+    """Seeded integer, rational and tableau points, and at (3, 9) a point
+    on one cone of the flip walk's decomposition of an integer point."""
+    rng = rng_for(f"walk-oracle-{k}-{n}")
+    points = [random_tpoint(rng, k, n, hi=2), random_rational_tpoint(rng, k, n)]
+    if n <= 8:
+        points.append(random_tableau_point(rng, k, n, 4)[0])
+    else:
+        cone = [J for J, _ in nc_decompose(random_tpoint(rng, k, n)).entries]
+        t = TPoint.zero(k, n)
+        for J in rng.sample(cone, 4):
+            t = t + t_vector(J).scale(rng.randint(1, 2))
+        points.append(t)
+    return rng, points
+
+
+@pytest.mark.parametrize("k,n", [(3, 6), (3, 7), (4, 8), (3, 9)])
+def test_walk_matches_the_minkowski_oracle(k, n):
+    rng, points = _walk_points(k, n)
+    for t in points:
+        pi = rho(t)
+        for vec in (pi, balanced_representative(pi)):
+            expected = _minkowski_vertices(vec)
+            assert expected and set(bounded_complex_vertices(vec).vertices) == expected
+            shift = [Fraction(rng.randint(-20, 20), rng.choice([1, 2, 3, 7])) for _ in range(n)]
+            moved = {canon([a - b for a, b in zip(w, shift)]) for w in expected}
+            shifted = lineality_shift(vec, shift)
+            assert set(bounded_complex_vertices(shifted).vertices) == moved
+            assert _minkowski_vertices(shifted) == moved
+
+
+def test_walk_matches_the_minkowski_oracle_at_3_12():
+    pi = vector_312()
+    assert set(bounded_complex_vertices(pi).vertices) == _minkowski_vertices(pi)
+
+
+def test_walk_finishes_a_rational_4_8_vector_with_15_roofs():
+    # Its Minkowski sum has 118,272 distinct candidates (about 80 MB).
+    pi = rho(random_rational_tpoint(rng_for("big48"), 4, 8))
+    assert sum(1 for c in planar.planar_expand(pi).values() if c) == 15
+    start = time.perf_counter()
+    report = bounded_complex_vertices(pi)
+    assert time.perf_counter() - start < 1.0
+    assert len(report.vertices) == 20
+    for w in report.vertices:
+        assert troplin.is_connected(argmin_matroid(pi, w))
+
+
+def test_breakpoints_must_be_integers_and_exist():
+    # values 0 at the top face (r = 1), one subset with |I & S| = 3 at 3
+    assert troplin._breakpoint([0, 4], [1, 3], 0, 1) == 2
+    with pytest.raises(InvariantError, match="breakpoint 3/2 of an edge is not a positive"):
+        troplin._breakpoint([0, 3], [1, 3], 0, 1)
+    # a subset of the top face's value with more elements in S: r was wrong
+    with pytest.raises(InvariantError, match="breakpoint 0 of an edge is not a positive"):
+        troplin._breakpoint([0, 0, 4], [1, 2, 3], 0, 1)
+    with pytest.raises(InvariantError, match="unbounded edge"):
+        troplin._breakpoint([0, 3], [1, 1], 0, 1)
+
+
+def test_edge_intervals_match_a_count_per_basis():
+    rng = rng_for("edge-intervals")
+    for k, n in [(3, 6), (3, 7), (4, 8)]:
+        pi = rho(random_tpoint(rng, k, n, hi=2))
+        scale, table = troplin._scaled_table(pi, [])
+        masks = [m for _, m, _ in table]
+        vertices = bounded_complex_vertices(pi).vertices
+        # the vertices, and the origin, whose argmin bases are many more
+        for w in vertices + ((0,) * n,):
+            bases = sorted(troplin._argmin(masks, troplin._values(table, [x * scale for x in w])))
+            expected = []
+            for a, size in itertools.product(range(n), range(1, n)):
+                s = sum(1 << ((a + i) % n) for i in range(size))
+                r = max((m & s).bit_count() for m in bases)
+                top = {m for m in bases if (m & s).bit_count() == r}
+                if reduce(or_, top) == (1 << n) - 1 and not reduce(and_, top):
+                    expected.append((s, top))
+            assert list(troplin._edge_intervals(bases, n)) == expected
+
+
+def test_walk_checks_where_it_starts_and_where_edges_end(monkeypatch):
+    face = troplin._face
+    pi = central_pluecker_vector(J_2BLOCK)
+    monkeypatch.setattr(troplin, "_face", lambda bases, n: 1)
+    with pytest.raises(InvariantError, match="roof gradient is not a vertex"):
+        bounded_complex_vertices(pi)
+    # The start classifies right, the far end of its one edge does not.
+    calls = []
+
+    def far_end_off_a_vertex(bases, n):
+        calls.append(n)
+        return face(bases, n) if len(calls) == 1 else 1
+
+    monkeypatch.setattr(troplin, "_face", far_end_off_a_vertex)
+    with pytest.raises(InvariantError, match="ends off a vertex"):
+        bounded_complex_vertices(pi)
+
+
+def test_fundamental_graph_counts_the_components():
+    # Argmin matroids at vertices, edge midpoints and face barycentres:
+    # 1, 2 and 3 or more components, against the pairwise reference.
+    rng = rng_for("fundamental-graph")
+    seen = set()
+    for k, n in [(3, 6), (3, 7), (4, 8)]:
+        for _ in range(3):
+            pi = rho(random_tpoint(rng, k, n, hi=2))
+            vertices = bounded_complex_vertices(pi).vertices
+            points = list(vertices) + [
+                [sum(col, Fraction(0)) / len(group) for col in zip(*group)]
+                for size in (2, 3, 4)
+                for group in itertools.islice(itertools.combinations(vertices, size), 40)
+            ]
+            for w in points:
+                M = argmin_matroid(pi, w)
+                masks = {sum(1 << (i - 1) for i in B) for B in M.bases}
+                count = len(components_partition(M))
+                assert troplin._components(masks, n) == count
+                seen.add(min(count, 3))
+    assert seen == {1, 2, 3}
+
+
 @pytest.mark.parametrize("k,n", [(3, 6), (3, 7), (4, 8)])
 def test_roof_rows_are_k_times_the_roof_values(k, n):
     for J in combinat.noncyclic_subsets(k, n):
@@ -356,27 +498,38 @@ def test_roof_rows_are_k_times_the_roof_values(k, n):
         assert central_pluecker_vector(J).values == tuple(values)
 
 
-def test_time_budget_stops_the_candidate_enumeration():
+def test_time_budget_stops_the_walk():
     pi = rho(TPoint.of(3, 6, [[2, 0, 1], [1, 3, 0]]))
-    with pytest.raises(TimeBudgetExceeded, match="assignment enumeration"):
+    with pytest.raises(TimeBudgetExceeded, match="vertex walk over its -1 s budget"):
         diameter_check(pi, time_budget_s=-1)
 
 
-def test_time_budget_stops_the_matroid_filtering(monkeypatch):
-    # A clock that stands still until the first candidate is classified,
+def test_time_budget_stops_the_walk_between_classifications(monkeypatch):
+    # A clock that stands still until the start vertex is classified,
     # then jumps far past any budget.
     now = [0.0]
     monkeypatch.setattr(troplin, "time", SimpleNamespace(monotonic=lambda: now[0]))
-    shift_face = troplin._shift_face
+    face = troplin._face
 
-    def classify(table, w):
+    def classify(bases, n):
         now[0] = 1e9
-        return shift_face(table, w)
+        return face(bases, n)
 
-    monkeypatch.setattr(troplin, "_shift_face", classify)
-    pi = central_pluecker_vector(J_2BLOCK)  # two candidates
-    with pytest.raises(TimeBudgetExceeded, match="matroid filtering"):
+    monkeypatch.setattr(troplin, "_face", classify)
+    pi = central_pluecker_vector(J_2BLOCK)  # two vertices, one edge
+    with pytest.raises(TimeBudgetExceeded, match="vertex walk"):
         bounded_complex_vertices(pi, time_budget_s=1.0)
+
+
+def test_vertices_need_a_positive_vector():
+    rng = rng_for("not-positive")
+    pi = random_vector(rng, 3, 6)
+    assert not pluecker.is_positive_tropical(pi).ok
+    interior = [Fraction(1, 2)] * 6
+    for call in (bounded_complex_vertices, diameter_check,
+                 lambda v: subdifferential_at(v, interior)):
+        with pytest.raises(ValueError, match="not positive tropical"):
+            call(pi)
 
 
 def test_reference_functions_check_the_coordinate_count():
@@ -475,8 +628,8 @@ def test_production_path_does_not_use_the_fraction_reference(monkeypatch):
 
 
 def test_bounded_complex_leaves_no_reference_cycles():
-    # A cycle would keep the candidate gradients alive until the next full
-    # collection, so two enumerations' candidates could sit in memory at once.
+    # A cycle would keep a walk's vertex values alive until the next full
+    # collection, so two walks' tables could sit in memory at once.
     rng = rng_for("no-cycles")
     for k, n in [(3, 6), (3, 7), (4, 8)]:
         pi = rho(random_tpoint(rng, k, n))
