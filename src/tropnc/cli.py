@@ -4,13 +4,14 @@ Every subcommand is a thin shell around exactly one core operation.
 `main` decodes the input with the library's own strict loader
 (`pluecker.from_json_dict`, `ncfan.from_json_dict`), applies the
 desk-scale guard to its (k, n) once for every command, runs the command
-and writes its JSON payload.  Each subcommand takes only the options it
-reads.  Rationals travel as "p/q" strings (never floats), outputs are
-deterministic given the same input and seed, and exit codes are
-0 = pass, 1 = mathematical failure, 2 = usage or schema error.  `main`
-turns an `InvariantError` raised by any layer, and the vertex walk
-overrunning `BOUNDED_BUDGET_S` in `bounded` or `diameter`, into exit 1
-with one `error:` line on stderr.
+and writes its JSON payload.  `verify`, which lists every maximal cone,
+also refuses past `VERIFY_MAX_CONES` cones unless given --force.  Each
+subcommand takes only the options it reads.  Rationals travel as "p/q"
+strings (never floats), outputs are deterministic given the same input
+and seed, and exit codes are 0 = pass, 1 = mathematical failure, 2 =
+usage or schema error.  `main` turns an `InvariantError` raised by any
+layer, and the vertex walk overrunning `BOUNDED_BUDGET_S` in `bounded` or
+`diameter`, into exit 1 with one `error:` line on stderr.
 """
 
 from __future__ import annotations
@@ -29,6 +30,10 @@ from .ncfan import TPoint
 # Wall-clock budget of the vertex walk behind `bounded` and `diameter`;
 # overrunning it is exit 1 with one error line.
 BOUNDED_BUDGET_S = 60.0
+
+# `verify` lists every maximal cone of the fan; past this many (the count
+# at (4,8)) it needs --force.
+VERIFY_MAX_CONES = 24024
 
 
 def _unique_keys(pairs) -> dict:
@@ -201,7 +206,20 @@ def _verify_checks(k: int, n: int, seed: int):
     return checks
 
 
+def _maximal_cone_count(k: int, n: int) -> int:
+    """The number of maximal noncrossing cones at (k, n): the standard
+    Young tableaux of a k x (n-k) rectangle, by the hook-length formula."""
+    hooks = math.prod(i + j + 1 for i in range(k) for j in range(n - k))
+    return math.factorial(k * (n - k)) // hooks
+
+
 def cmd_verify(args):
+    cones = _maximal_cone_count(args.k, args.n)
+    if cones > VERIFY_MAX_CONES and not args.force:
+        raise SchemaError(
+            "", f"verify lists all {cones} maximal cones at (k,n)=({args.k},{args.n}), "
+                f"more than {VERIFY_MAX_CONES}; pass --force"
+        )
     checks = _verify_checks(args.k, args.n, args.seed)
     ok = all(c["ok"] for c in checks)
     payload = {"k": args.k, "n": args.n, "seed": args.seed, "checks": checks, "ok": ok}
@@ -246,7 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=0, help="seed of the sampled checks")
         p.add_argument("--out", default=None, help="output JSON file (default stdout)")
         p.add_argument("--force", action="store_true",
-                       help="lift the desk-scale (k,n) guard")
+                       help="lift the desk-scale (k,n) guard"
+                       + (" and the maximal-cone limit" if name == "verify" else ""))
         p.set_defaults(handler=handler, load=load)
     return parser
 

@@ -4,22 +4,27 @@ The network has k horizontal rails and a vertical edge of weight y[l][t]
 from rail l to rail l+1 at each position t in [1, n-k].  A subset J
 activates the sources [k] minus (J ∩ [k]) and the sinks {j - k} for the
 large elements of J; the topmost active source exits at the rightmost
-sink.  Plücker coordinates are minima of total vertical weight over
-non-intersecting path families, enumerated explicitly (tropical
-cancellation rules out a determinant shortcut).
+sink.  The Plücker coordinate of J is the minimum of total vertical
+weight over the non-intersecting path families of J.
 
-The families depend only on (k, n), so `_family_table` enumerates them
-once per (k, n), subset by subset in `lex_rank` order, as tuples of flat
-grid indices; `pluecker_vector_of_grid` scales the grid to integers over
-one common denominator and builds the vector's rank-ordered values
-directly, each the minimum of integer sums over that subset's row of the
-table.  `tropical_pluecker` over the `PathFamily` objects of
-`enumerate_path_families` is the `Fraction` reference it is tested
-against.
+Every vector so obtained is positive tropical (Speyer–Williams), so each
+row of `pluecker._three_term_table`, pi_Sac + pi_Sbd = min(pi_Sab +
+pi_Scd, pi_Sad + pi_Sbc), fixes pi_Sac from the other five entries, and
+likewise pi_Sbd.  `_plan` finds, once per (k, n), the k(n-k)+1 subsets
+that have exactly one path family (the seeds, each a single sum over the
+grid) and an order of such relations that reaches every other subset.
+`pluecker_vector_of_grid` scales the grid to integers over one common
+denominator, sums the seeds and applies the steps in order.  The
+families themselves are enumerated only to find the seeds:
+`tropical_pluecker`, the minimum over the `PathFamily` objects of
+`enumerate_path_families`, is the `Fraction` reference the plan is
+tested against.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -27,7 +32,7 @@ from functools import lru_cache
 from .combinat import KSubset
 from .exact import InvariantError, as_fraction, scaled
 from .ncfan import TPoint
-from .pluecker import PlueckerVector, lex_rank
+from .pluecker import PlueckerVector, _three_term_table, lex_rank
 
 
 @dataclass(frozen=True)
@@ -92,8 +97,8 @@ class PathFamily:
 
 def _path_families(J: KSubset):
     """Yield every non-intersecting family from the active sources to the
-    sinks of J as its `paths` tuple, by recursive descent with interlacing
-    pruning."""
+    sinks of J as its `paths` tuple, by recursive descent that only enters
+    branches the lower paths can still complete."""
     k, n = J.k, J.n
     small = set(J.elems) & set(range(1, k + 1))
     sources = [r for r in range(1, k + 1) if r not in small]
@@ -103,6 +108,20 @@ def _path_families(J: KSubset):
         raise InvariantError(f"{J.elems}: {m} active sources but {len(sinks)} sinks")
     # topmost source pairs with the rightmost sink
     sink_of = {sources[i]: sinks[m - 1 - i] for i in range(m)}
+    # least[idx][level - source]: the smallest descent position at `level`
+    # that leaves room below for the paths idx+1, ..., m-1 at their own
+    # least positions.  A lower path descends through level l strictly left
+    # of the upper path's descent through level l-1, and the upper path
+    # reaches rail k strictly right of the lower path's sink.
+    least = [[1] * (k - r) for r in sources]
+    for idx in reversed(range(m - 1)):
+        lower, floor = sources[idx + 1], 1
+        for pos, level in enumerate(range(sources[idx], k)):
+            if lower <= level + 1 < k:
+                floor = max(floor, least[idx + 1][level + 1 - lower] + 1)
+            if level == k - 1:
+                floor = max(floor, sink_of[lower] + 1)
+            least[idx][pos] = floor
 
     def descend(idx: int, prev: tuple[int, ...] | None, prev_source: int | None,
                 chosen: list[tuple[int, tuple[int, ...]]]):
@@ -111,7 +130,6 @@ def _path_families(J: KSubset):
             return
         r = sources[idx]
         sink = sink_of[r]
-        next_sink = sink_of[sources[idx + 1]] if idx + 1 < m else None
         levels = list(range(r, k))
         if not levels:
             # bottom-rail source: interval [0, sink] on rail k, no descents
@@ -128,12 +146,10 @@ def _path_families(J: KSubset):
 
         def build(pos: int, t_acc: list[int]):
             level = levels[pos]
-            lo = t_acc[-1] if t_acc else 1
-            hi = min(caps(level), sink if level == k - 1 else n - k)
+            lo = max(t_acc[-1] if t_acc else 1, least[idx][pos])
+            hi = min(caps(level), sink)
             for t in range(lo, hi + 1):
                 if level == k - 1:
-                    if next_sink is not None and t <= next_sink:
-                        continue
                     chosen.append((r, tuple(t_acc + [t])))
                     yield from descend(idx + 1, tuple(t_acc + [t]), r, chosen)
                     chosen.pop()
@@ -170,35 +186,82 @@ def tropical_pluecker(J: KSubset, y: LadderPoint) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _family_table(k: int, n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Per k-subset of [n] in `lex_rank` order, its path families, each
-    as the flat grid indices (level - 1) * (n - k) + (position - 1) of its
-    vertical edges."""
+def _plan(k: int, n: int) -> tuple[tuple, tuple]:
+    """The evaluation plan of `pluecker_vector_of_grid` at (k, n).
+
+    Seeds: (rank, flat grid indices) of each subset with exactly one path
+    family, a flat index being (level - 1) * (n - k) + (position - 1).
+    Steps: (target, ab, cd, ad, bc, other) ranks, in evaluation order, of
+    the relation pi_target = min(pi_ab + pi_cd, pi_ad + pi_bc) - pi_other.
+    A worklist of ranks whose values are known releases each relation of
+    `_three_term_table` once five of its six entries are known."""
     width = n - k
-    table = []
-    for elems in lex_rank(k, n):
-        families = tuple(
-            tuple((source + i - 1) * width + t - 1
-                  for source, descents in paths for i, t in enumerate(descents))
-            for paths in _path_families(KSubset(n, elems))
-        )
+    ranks = lex_rank(k, n)
+    seeds = []
+    for rank, elems in enumerate(ranks):
+        families = list(itertools.islice(_path_families(KSubset(n, elems)), 2))
         if not families:
             raise InvariantError(f"{elems} admits no path family")
-        table.append(families)
-    return tuple(table)
+        if len(families) == 1:
+            seeds.append((rank, tuple((source + i - 1) * width + t - 1
+                                      for source, descents in families[0]
+                                      for i, t in enumerate(descents))))
+    if len(seeds) != k * (n - k) + 1:
+        raise InvariantError(
+            f"({k},{n}): {len(seeds)} subsets with one path family, "
+            f"not k(n-k)+1 = {k * (n - k) + 1}"
+        )
+    relations = [row[2:] for row in _three_term_table(k, n)]  # ac, bd, ab, cd, ad, bc
+    relations_of = [[] for _ in ranks]
+    for i, relation in enumerate(relations):
+        for rank in relation:
+            relations_of[rank].append(i)
+    # unknown[i]: entries of relation i not yet taken off the worklist
+    unknown = [6] * len(relations)
+    known = [False] * len(ranks)
+    worklist = deque(rank for rank, _ in seeds)
+    for rank in worklist:
+        known[rank] = True
+    steps = []
+    while worklist:
+        for i in relations_of[worklist.popleft()]:
+            unknown[i] -= 1
+            if unknown[i] != 1:
+                continue
+            # at most one entry is unknown; if it is ac or bd, it follows
+            ac, bd, ab, cd, ad, bc = relations[i]
+            for target, other in ((ac, bd), (bd, ac)):
+                if not known[target]:
+                    steps.append((target, ab, cd, ad, bc, other))
+                    known[target] = True
+                    worklist.append(target)
+    if len(seeds) + len(steps) != len(ranks):
+        raise InvariantError(
+            f"({k},{n}): the three-term plan reaches {len(seeds) + len(steps)} "
+            f"of {len(ranks)} subsets"
+        )
+    return tuple(seeds), tuple(steps)
 
 
 def pluecker_vector_of_grid(y: LadderPoint) -> PlueckerVector:
-    """All tropical Plücker coordinates of a grid point: each is the
-    minimum over its families of the family's summed weights, evaluated
-    over `_family_table` with the grid scaled to integers."""
+    """All tropical Plücker coordinates of a grid point, by `_plan` over
+    the grid scaled to integers: each seed is the sum of its one family's
+    weights, and each step fills one entry by its three-term relation."""
     k, n = y.k, y.n
+    seeds, steps = _plan(k, n)
     ws, scale = scaled(v for row in y.rows for v in row)
     at = ws.__getitem__
-    return PlueckerVector(k, n, [
-        Fraction(min(sum(map(at, family)) for family in families), scale)
-        for families in _family_table(k, n)
-    ])
+    vals = [0] * len(lex_rank(k, n))
+    for rank, edges in seeds:
+        vals[rank] = sum(map(at, edges))
+    for target, ab, cd, ad, bc, other in steps:
+        x = vals[ab] + vals[cd]
+        z = vals[ad] + vals[bc]
+        vals[target] = (x if x < z else z) - vals[other]
+    # entries repeat a few small values, so each distinct one becomes a
+    # Fraction once
+    fractions = {v: Fraction(v, scale) for v in set(vals)}
+    return PlueckerVector(k, n, map(fractions.__getitem__, vals))
 
 
 def rho(t: TPoint) -> PlueckerVector:

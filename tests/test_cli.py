@@ -1,14 +1,16 @@
 """CLI pipelines: schemas, exit codes, and deterministic output."""
 
+import hashlib
 import io
 import json
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from conftest import canon, run_optimized
-from tropnc import cli, exact, ladder, ncfan, planar, pluecker, troplin, weight
+from tropnc import cli, combinat, exact, ladder, ncfan, planar, pluecker, troplin, weight
 from tropnc.combinat import ksubset
 
 
@@ -181,6 +183,46 @@ def test_desk_scale_guard(capsys):
     code = cli.main(["duality", "--k", "6", "--n", "14"])
     err = capsys.readouterr().err
     assert code == 2 and "--force" in err
+
+
+@pytest.mark.parametrize("k,n,cones", [(2, 5, 5), (2, 6, 14), (3, 6, 42), (3, 7, 462),
+                                       (3, 8, 6006), (4, 8, 24024), (4, 9, 1662804),
+                                       (6, 12, 1671643033734960)])
+def test_maximal_cone_count_is_the_rectangle_tableau_count(k, n, cones):
+    assert cli._maximal_cone_count(k, n) == cones
+    if cones <= 462:
+        assert len(combinat.maximal_noncrossing_collections(k, n)) == cones
+
+
+def test_verify_refuses_past_the_maximal_cone_limit(capsys):
+    started = time.perf_counter()
+    code = cli.main(["verify", "--k", "4", "--n", "9"])
+    elapsed = time.perf_counter() - started
+    captured = capsys.readouterr()
+    assert code == 2 and elapsed < 0.5 and captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: verify lists all 1662804 maximal cones at (k,n)=(4,9)")
+    assert "--force" in line
+
+
+def test_verify_runs_at_the_maximal_cone_limit_and_force_lifts_it(capsys, monkeypatch):
+    # (3,6) has 42 maximal cones
+    monkeypatch.setattr(cli, "VERIFY_MAX_CONES", 42)
+    assert cli.main(["verify", "--k", "3", "--n", "6"]) == 0
+    monkeypatch.setattr(cli, "VERIFY_MAX_CONES", 41)
+    assert cli.main(["verify", "--k", "3", "--n", "6"]) == 2
+    assert cli.main(["verify", "--k", "3", "--n", "6", "--force"]) == 0
+    assert "error: verify lists all 42 maximal cones" in capsys.readouterr().err
+
+
+def test_verify_at_3_6_matches_the_benchmark_golden_digest(capsys):
+    # perfbench/golden.json holds the stdout digest of `verify --k 3 --n 6
+    # --seed i` as entry i of its cli_mix "verify" pool
+    golden = json.loads((Path(__file__).parents[1] / "perfbench" / "golden.json").read_text())
+    for seed in (0, 1):
+        code, out = run_cli(capsys, "verify", "--k", "3", "--n", "6", "--seed", str(seed))
+        assert {"exit": code, "stdout": hashlib.sha256(out.encode()).hexdigest()[:20]} \
+            == golden["cli_mix"]["verify"][seed]
 
 
 def test_output_file(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Path families in the ladder network and min-plus Plücker evaluation."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -75,8 +76,6 @@ def test_single_source_minor_count():
 def test_single_source_counts_match_stars_and_bars(k, n):
     # a single active source i with sink j admits one family per weakly
     # increasing descent tuple of length k - i in [1, j]
-    import math
-
     for i in range(1, k + 1):
         for j in range(1, n - k + 1):
             elems = [x for x in range(1, k + 1) if x != i] + [k + j]
@@ -185,13 +184,29 @@ def _seeded_grids(rng, k, n):
     ]
 
 
-@pytest.mark.parametrize("k,n", [(2, 5), (3, 6), (3, 7), (4, 8), (5, 9)])
+@pytest.mark.parametrize("k,n", [(2, 5), (3, 5), (3, 6), (3, 7), (4, 6), (4, 8),
+                                 (5, 7), (5, 9), (5, 10)])
 def test_grid_kernel_matches_fraction_reference(k, n):
     rng = rng_for(f"grid-kernel-{k}-{n}")
     for y in _seeded_grids(rng, k, n):
         pi = pluecker_vector_of_grid(y)
         for J in all_ksubsets(k, n):
             assert pi[J] == tropical_pluecker(J, y), (J.elems, y)
+
+
+@pytest.mark.parametrize("k,n", [(2, 4), (2, 5), (3, 6), (3, 7), (4, 7), (4, 8),
+                                 (5, 9), (5, 10), (4, 10), (6, 11), (6, 12)])
+def test_plan_reaches_every_subset_once(k, n):
+    seeds, steps = ladder._plan(k, n)
+    assert len(seeds) == k * (n - k) + 1
+    assert len(steps) == math.comb(n, k) - k * (n - k) - 1
+    known = {rank for rank, _ in seeds}
+    assert len(known) == len(seeds)
+    for target, *inputs in steps:
+        # each step reads only entries already known, and fills a new one
+        assert target not in known and known.issuperset(inputs)
+        known.add(target)
+    assert known == set(range(math.comb(n, k)))
 
 
 def _without_families_of(elems):
@@ -201,7 +216,7 @@ def _without_families_of(elems):
 
 def test_subset_without_families_raises(monkeypatch):
     monkeypatch.setattr(ladder, "_path_families", _without_families_of((2, 4, 6)))
-    ladder._family_table.cache_clear()
+    ladder._plan.cache_clear()
     with pytest.raises(InvariantError, match=r"^\(2, 4, 6\) admits no path family$"):
         rho(TPoint.zero(3, 6))
 
@@ -222,13 +237,50 @@ def test_subset_without_families_raises_under_optimize():
     assert result.stdout == "(2, 4, 6) admits no path family\n"
 
 
+def test_subset_with_two_families_among_the_seeds_raises(monkeypatch):
+    real = ladder._path_families
+
+    def doubled(J):
+        return itertools.chain(real(J), real(J)) if J.elems == (1, 2, 3) else real(J)
+
+    monkeypatch.setattr(ladder, "_path_families", doubled)
+    ladder._plan.cache_clear()
+    with pytest.raises(InvariantError,
+                       match=r"^\(3,6\): 9 subsets with one path family, not k\(n-k\)\+1 = 10$"):
+        rho(TPoint.zero(3, 6))
+
+
+def test_three_term_table_without_the_needed_rows_raises(monkeypatch):
+    # the seeds alone: 10 of the 20 subsets at (3,6)
+    monkeypatch.setattr(ladder, "_three_term_table", lambda k, n: ())
+    ladder._plan.cache_clear()
+    with pytest.raises(InvariantError,
+                       match=r"^\(3,6\): the three-term plan reaches 10 of 20 subsets$"):
+        rho(TPoint.zero(3, 6))
+
+
+def test_three_term_table_without_the_needed_rows_raises_under_optimize():
+    result = run_optimized(
+        "from tropnc import ladder",
+        "from tropnc.exact import InvariantError",
+        "from tropnc.ncfan import TPoint",
+        "ladder._three_term_table = lambda k, n: ()",
+        "try:",
+        "    ladder.rho(TPoint.zero(3, 6))",
+        "except InvariantError as exc:",
+        "    print(exc)",
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "(3,6): the three-term plan reaches 10 of 20 subsets\n"
+
+
 def test_production_path_never_calls_the_fraction_references(monkeypatch):
     def reference_called(*args, **kwargs):
         raise AssertionError("a Fraction reference was called")
 
     families = ladder.enumerate_path_families
     families.cache_clear()
-    ladder._family_table.cache_clear()
+    ladder._plan.cache_clear()
     monkeypatch.setattr(ladder, "tropical_pluecker", reference_called)
     monkeypatch.setattr(ladder, "enumerate_path_families", reference_called)
     monkeypatch.setattr(planar, "tropical_u", reference_called)
