@@ -6,9 +6,13 @@ collections, decorated ordered set partitions, and noncrossing set
 partitions.  All index arithmetic is cyclic with representatives in
 [1, n], never 0, and subsets are stored sorted ascending.
 
-The noncrossing predicate is implemented literally, window by window,
-with no shortcut formulas, so that it can serve as the oracle for
-everything built on top of it.
+The noncrossing predicate `noncrossing` is implemented literally,
+window by window, with no shortcut formulas, so that it can serve as the
+oracle for everything built on top of it.  The collections, the
+tableaux and the fan read noncrossing compatibility from
+`compatibility_rows` instead: one store per (k, n) of bitmask rows over
+`noncyclic_subsets`, each built on first use by the chord test `_crosses`,
+which the tests check against `noncrossing` on every pair up to n = 10.
 """
 
 from __future__ import annotations
@@ -155,15 +159,97 @@ def crossing(I: KSubset, J: KSubset) -> bool:
     return not noncrossing(I, J)
 
 
+# Work done since import, read as `ncfan.WALK_COUNTS`: walks run and flips
+# made by `ncfan.nc_decompose`, compatibility rows built and pair tests
+# made by `CompatibilityRows`.
+WALK_COUNTS = {"walks": 0, "flips": 0, "rows": 0, "pair_tests": 0}
+
+
+def _crosses(ie: tuple[int, ...], je: tuple[int, ...]) -> bool:
+    """`crossing` on sorted element tuples, by chords.
+
+    With equal interiors on a window a < b, e_I - e_J on the window is
+    e_{i_a} + e_{i_b} - e_{j_a} - e_{j_b}, which has four cyclic sign
+    changes exactly when the chords (i_a, i_b) and (j_a, j_b) interleave.
+    For each a the windows are scanned while the interior stays equal.
+    """
+    k = len(ie)
+    for a in range(k - 1):
+        x, y = ie[a], je[a]
+        for b in range(a + 1, k):
+            u, v = ie[b], je[b]
+            if x < y < u < v or y < x < v < u:
+                return True
+            if u != v:
+                break
+    return False
+
+
+class CompatibilityRows:
+    """The noncrossing compatibility graph on `noncyclic_subsets(k, n)`,
+    one row per node, built on first use.
+
+    Row j is an int whose bit i is set iff i != j and nodes i and j are
+    noncrossing.  Building row j reads bit j of every row already built
+    and tests only the other pairs, so each unordered pair is tested at
+    most once.
+    """
+
+    def __init__(self, k: int, n: int):
+        self.nodes = noncyclic_subsets(k, n)
+        self.index = {J: i for i, J in enumerate(self.nodes)}
+        self._rows: list[int | None] = [None] * len(self.nodes)
+
+    def __len__(self) -> int:
+        return len(self.nodes)
+
+    def __getitem__(self, j: int) -> int:
+        row = self._rows[j]
+        if row is None:
+            row = self._rows[j] = self._build(j)
+        return row
+
+    def _build(self, j: int) -> int:
+        je = self.nodes[j].elems
+        bit = 1 << j
+        row = tests = 0
+        for i, (node, other) in enumerate(zip(self.nodes, self._rows)):
+            if i == j:
+                continue
+            if other is None:
+                tests += 1
+                compatible = not _crosses(node.elems, je)
+            else:
+                compatible = other & bit
+            if compatible:
+                row |= 1 << i
+        WALK_COUNTS["rows"] += 1
+        WALK_COUNTS["pair_tests"] += tests
+        return row
+
+    def all_rows(self) -> list[int]:
+        """Every row, building the missing ones."""
+        return [self[j] for j in range(len(self.nodes))]
+
+    def compatible(self, i: int, j: int) -> bool:
+        """Whether distinct nodes i and j are noncrossing, read from row j
+        if it is built and from row i otherwise."""
+        row = self._rows[j]
+        return bool(row >> i & 1) if row is not None else bool(self[i] >> j & 1)
+
+
 @lru_cache(maxsize=None)
-def _compatibility(k: int, n: int) -> tuple[tuple[KSubset, ...], dict]:
-    nodes = noncyclic_subsets(k, n)
-    adj = {i: set() for i in range(len(nodes))}
-    for i, j in itertools.combinations(range(len(nodes)), 2):
-        if noncrossing(nodes[i], nodes[j]):
-            adj[i].add(j)
-            adj[j].add(i)
-    return nodes, adj
+def compatibility_rows(k: int, n: int) -> CompatibilityRows:
+    """The one compatibility row store of (k, n)."""
+    return CompatibilityRows(k, n)
+
+
+def _bits(mask: int):
+    """Positions of the set bits of `mask`, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def noncrossing_collections(k: int, n: int, size: int) -> list[tuple[KSubset, ...]]:
@@ -171,7 +257,8 @@ def noncrossing_collections(k: int, n: int, size: int) -> list[tuple[KSubset, ..
     k-subsets, in lexicographic order (deterministic backtracking)."""
     if size < 1:
         raise ValueError("size must be >= 1")
-    nodes, adj = _compatibility(k, n)
+    store = compatibility_rows(k, n)
+    nodes, rows = store.nodes, store.all_rows()
     out: list[tuple[KSubset, ...]] = []
 
     def extend(chosen: list[int], candidates: list[int]):
@@ -183,7 +270,8 @@ def noncrossing_collections(k: int, n: int, size: int) -> list[tuple[KSubset, ..
             if len(candidates) - pos < need:
                 break
             chosen.append(i)
-            extend(chosen, [j for j in candidates[pos + 1:] if j in adj[i]])
+            row = rows[i]
+            extend(chosen, [j for j in candidates[pos + 1:] if row >> j & 1])
             chosen.pop()
 
     extend([], list(range(len(nodes))))
@@ -194,24 +282,26 @@ def noncrossing_collections(k: int, n: int, size: int) -> list[tuple[KSubset, ..
 def maximal_noncrossing_collections(k: int, n: int) -> tuple[tuple[KSubset, ...], ...]:
     """All inclusion-maximal noncrossing collections, sorted lexicographically.
 
-    Maximality is by inclusion among noncyclic subsets; that every maximal
-    collection has (k-1)(n-k-1) elements is checked (InvariantError), not
-    assumed.
+    Bron-Kerbosch with pivoting over the bitmask rows of
+    `compatibility_rows`.  Maximality is by inclusion among noncyclic
+    subsets; that every maximal collection has (k-1)(n-k-1) elements is
+    checked (InvariantError), not assumed.
     """
-    nodes, adj = _compatibility(k, n)
+    store = compatibility_rows(k, n)
+    nodes, rows = store.nodes, store.all_rows()
     cliques: list[tuple[int, ...]] = []
 
-    def bron_kerbosch(r: list[int], p: set[int], x: set[int]):
+    def bron_kerbosch(r: list[int], p: int, x: int):
         if not p and not x:
             cliques.append(tuple(sorted(r)))
             return
-        pivot = max(p | x, key=lambda v: len(adj[v] & p))
-        for v in sorted(p - adj[pivot]):
-            bron_kerbosch(r + [v], p & adj[v], x & adj[v])
-            p.remove(v)
-            x.add(v)
+        pivot = max(_bits(p | x), key=lambda v: (rows[v] & p).bit_count())
+        for v in _bits(p & ~rows[pivot]):
+            bron_kerbosch(r + [v], p & rows[v], x & rows[v])
+            p &= ~(1 << v)
+            x |= 1 << v
 
-    bron_kerbosch([], set(range(len(nodes))), set())
+    bron_kerbosch([], (1 << len(nodes)) - 1, 0)
     expected = (k - 1) * (n - k - 1)
     for c in cliques:
         if len(c) != expected:
@@ -344,8 +434,13 @@ class NoncrossingTableau:
             if J in seen:
                 raise ValueError(f"duplicate entry {J.elems}")
             seen.add(J)
-        for (I, _), (J, _) in itertools.combinations(self.entries, 2):
-            if not noncrossing(I, J):
+        if len(self.entries) < 2:
+            return
+        store = compatibility_rows(self.k, self.n)
+        ids = [store.index[J] for J, _ in self.entries]
+        for (p, i), (q, j) in itertools.combinations(enumerate(ids), 2):
+            if not store.compatible(i, j):
+                I, J = self.entries[p][0], self.entries[q][0]
                 raise ValueError(f"entries {I.elems} and {J.elems} cross")
 
     def weight(self) -> Fraction:

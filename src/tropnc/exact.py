@@ -30,10 +30,11 @@ class InvariantError(RuntimeError):
 
 
 class SchemaError(ValueError):
-    """Input violates a JSON schema; carries a JSON-pointer-ish path."""
+    """Input violates a JSON schema; carries a JSON-pointer-ish path.  The
+    message names the pointer unless it is empty (the whole input)."""
 
     def __init__(self, pointer: str, message: str):
-        super().__init__(f"{message} (at {pointer})")
+        super().__init__(f"{message} (at {pointer})" if pointer else message)
         self.pointer = pointer
 
 

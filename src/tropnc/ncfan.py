@@ -12,6 +12,10 @@ coordinate of the point is negative it flips the most negative ray to its
 unique partner, updating the inverse by an exact rank-one step.  Only the
 cones on the path are visited, and a walk that comes back to a cone it
 has left raises `InvariantError`: the walk is the one production path.
+Compatibility is read from the bitmask rows of
+`combinat.compatibility_rows`, so a walk builds only the rows of the
+start cone and of the nodes it flips to, not the whole graph; the sparse
+ray of a node is likewise built on its first use.
 `audit_fan` scans every maximal cone: it checks unimodularity and the
 flip structure, and its `scan` is the brute-force decomposition kept as
 the test oracle and as the `verify` check, never as a fallback.
@@ -25,9 +29,11 @@ from functools import cached_property, lru_cache
 
 from . import exact, planar
 from .combinat import (
+    WALK_COUNTS,
+    CompatibilityRows,
     KSubset,
     NoncrossingTableau,
-    _compatibility,
+    compatibility_rows,
     maximal_noncrossing_collections,
     noncyclic_subsets,
     tableau,
@@ -46,10 +52,6 @@ from .pluecker import PlueckerVector
 class DecompositionError(InvariantError):
     """Raised when the cone scan fails; signals a fan completeness or
     uniqueness violation, i.e. a bug, not a data condition."""
-
-
-# Work done by `nc_decompose` since import: walks run and flips made.
-WALK_COUNTS = {"walks": 0, "flips": 0}
 
 
 def _canonical_rows(rows) -> tuple[tuple[Fraction, ...], ...]:
@@ -182,21 +184,28 @@ def _ray_supports(k: int, n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def psi(pi: PlueckerVector) -> TPoint:
-    """Projection along the planar basis: sum of u_J(pi) times the ray of J.
+    """Projection along the planar basis: sum of u_J(pi) times the ray of J."""
+    return _psi_scaled(pi.k, pi.n, *planar._scaled_expansion(pi))
+
+
+def _psi_scaled(k: int, n: int, us: list[int], scale: int) -> TPoint:
+    """`psi` from the scaled expansion (`planar._scaled_expansion`).
 
     Each scaled u_J is added over the support of J's ray in one flat
-    integer list, which becomes one canonical point at the end."""
-    k, n = pi.k, pi.n
+    integer list; each row is put in canonical form in integers and
+    divided by the scale at the end."""
     width = n - k
-    us, scale = planar._scaled_expansion(pi)
     acc = [0] * ((k - 1) * width)
     for u, support in zip(us, _ray_supports(k, n)):
         if u:
             for i in support:
                 acc[i] += u
-    return TPoint.of(k, n, [
-        [Fraction(v, scale) for v in acc[r:r + width]] for r in range(0, len(acc), width)
-    ])
+    rows = []
+    for r in range(0, len(acc), width):
+        row = acc[r:r + width]
+        low = min(row)
+        rows.append(tuple(Fraction(v - low, scale) for v in row))
+    return TPoint(k, n, tuple(rows))
 
 
 def lattice_coords(t: TPoint) -> tuple[Fraction, ...]:
@@ -217,6 +226,12 @@ def _ray_coords(J: KSubset) -> tuple[int, ...]:
     return tuple(int(v) for v in lattice_coords(t_vector(J)))
 
 
+@lru_cache(maxsize=None)
+def _sparse_ray(J: KSubset) -> tuple[tuple[int, int], ...]:
+    """The nonzero (coordinate, value) pairs of `_ray_coords(J)`."""
+    return tuple((c, v) for c, v in enumerate(_ray_coords(J)) if v)
+
+
 def _cone_matrix(coll) -> list[list[int]]:
     """The matrix whose columns are the lattice coordinates of the rays."""
     return [list(row) for row in zip(*(_ray_coords(J) for J in coll))]
@@ -230,50 +245,56 @@ def _integer_inverse(matrix) -> list[list[int]]:
     return [[int(v) for v in row] for row in inv]
 
 
-def _flip_partner(adj, coll, i: int) -> int:
-    """The unique node outside `coll` compatible with every ray but coll[i]."""
-    others = [adj[j] for p, j in enumerate(coll) if p != i]
-    common = set.intersection(*others) if others else set(adj)
-    common.discard(coll[i])
-    if len(common) != 1:
+def _flip_partner(rows: CompatibilityRows, coll, i: int) -> int:
+    """The unique node outside `coll` compatible with every ray but coll[i]:
+    the AND of the other rays' rows, without coll[i], must have one bit."""
+    common = (1 << len(rows)) - 1
+    for p, j in enumerate(coll):
+        if p != i:
+            common &= rows[j]
+    common &= ~(1 << coll[i])
+    count = common.bit_count()
+    if count != 1:
         raise InvariantError(
             f"facet of collection {coll} without ray {coll[i]} has "
-            f"{len(common)} flip partners, not 1"
+            f"{count} flip partners, not 1"
         )
-    return common.pop()
+    return common.bit_length() - 1
 
 
 @dataclass(frozen=True)
 class _WalkTables:
     nodes: tuple[KSubset, ...]
-    adj: dict[int, set[int]]
-    rays: tuple[tuple[tuple[int, int], ...], ...]  # per node: nonzero (coord, value)
+    rows: CompatibilityRows
     start: tuple[int, ...]
     start_inv: tuple[tuple[int, ...], ...]
 
 
 @lru_cache(maxsize=None)
 def _walk_tables(k: int, n: int) -> _WalkTables:
-    """Compatibility graph, sparse rays and the start cone for (k, n).
+    """The compatibility rows and the start cone of (k, n), with the start
+    cone's integer inverse ray matrix.
 
-    The start cone is built greedily in lexicographic order; the complex
-    is pure, so it must have (k-1)(n-k-1) rays.
+    The start cone is built greedily in lexicographic order: a node joins
+    when the rows of the nodes already chosen all have its bit, so only
+    the chosen nodes' rows are built.  The complex is pure, so the cone
+    must have (k-1)(n-k-1) rays.  The rows of the nodes a walk flips to,
+    and their sparse rays (`_sparse_ray`), are built when first needed.
     """
-    nodes, adj = _compatibility(k, n)
+    rows = compatibility_rows(k, n)
     start: list[int] = []
-    for i in range(len(nodes)):
-        if all(i in adj[j] for j in start):
+    allowed = (1 << len(rows)) - 1
+    for i in range(len(rows)):
+        if allowed >> i & 1:
             start.append(i)
+            allowed &= rows[i]
     if len(start) != (k - 1) * (n - k - 1):
         raise InvariantError(
             f"greedy noncrossing collection has {len(start)} rays, "
             f"not (k-1)(n-k-1) = {(k - 1) * (n - k - 1)}"
         )
-    rays = tuple(
-        tuple((c, v) for c, v in enumerate(_ray_coords(J)) if v) for J in nodes
-    )
-    inv = _integer_inverse(_cone_matrix(nodes[i] for i in start))
-    return _WalkTables(nodes, adj, rays, tuple(start), tuple(map(tuple, inv)))
+    inv = _integer_inverse(_cone_matrix(rows.nodes[i] for i in start))
+    return _WalkTables(rows.nodes, rows, tuple(start), tuple(map(tuple, inv)))
 
 
 def _choose_flip(mu) -> int | None:
@@ -302,8 +323,8 @@ def nc_decompose(t: TPoint) -> NoncrossingTableau:
     visited = {frozenset(coll)}
     WALK_COUNTS["walks"] += 1
     while (i := _choose_flip(mu)) is not None:
-        new = _flip_partner(tables.adj, coll, i)
-        c = [sum(row[j] * v for j, v in tables.rays[new]) for row in inv]
+        new = _flip_partner(tables.rows, coll, i)
+        c = [sum(row[j] * v for j, v in _sparse_ray(tables.nodes[new])) for row in inv]
         pivot = c[i]
         if pivot not in (1, -1):
             raise InvariantError(
@@ -372,8 +393,7 @@ def audit_fan(k: int, n: int) -> FanAudit:
     InvariantError otherwise.  Cached per (k, n), so that repeated scans
     audit once.
     """
-    nodes, adj = _compatibility(k, n)
-    index = {J: i for i, J in enumerate(nodes)}
+    rows = compatibility_rows(k, n)
     cones = []
     dets = {}
     for coll in maximal_noncrossing_collections(k, n):
@@ -382,10 +402,10 @@ def audit_fan(k: int, n: int) -> FanAudit:
         if abs(d) != 1:
             raise InvariantError(f"non-unimodular cone for collection {coll}: det={d}")
         cones.append((coll, matrix))
-        dets[tuple(index[J] for J in coll)] = d
+        dets[tuple(rows.index[J] for J in coll)] = d
     for ids, d in dets.items():
         for i in range(len(ids)):
-            new = _flip_partner(adj, ids, i)
+            new = _flip_partner(rows, ids, i)
             flipped = tuple(sorted(ids[:i] + ids[i + 1:] + (new,)))
             if flipped not in dets:
                 raise InvariantError(f"flip of {ids} at {i} is not a maximal collection")

@@ -17,10 +17,9 @@ from fractions import Fraction
 from . import ladder, ncfan, planar
 from .combinat import (
     KSubset,
+    compatibility_rows,
     cyc_interval,
     gap_interval,
-    noncrossing,
-    noncyclic_subsets,
     weakly_separated,
 )
 from .exact import InvariantError, format_fraction
@@ -101,10 +100,12 @@ class WeightReport:
 
 def weight_report(pi: PlueckerVector) -> WeightReport:
     """All three weights of a positive vector; nc goes through the fan
-    decomposition of the projected point."""
-    pk = pk_weight(pi)
+    decomposition of the projected point.  One scaled expansion serves
+    both the PK weight and the projection."""
+    us, scale = planar._scaled_expansion(pi)
+    pk = Fraction(sum(us), scale)
     br = bridge(pi)
-    nc = ncfan.nc_weight(ncfan.psi(pi))
+    nc = ncfan.nc_weight(ncfan._psi_scaled(pi.k, pi.n, us, scale))
     return WeightReport(pk, nc, br, pk == nc == br)
 
 
@@ -113,8 +114,9 @@ def weight_two_candidates(k: int, n: int) -> list[tuple[KSubset, KSubset, Plueck
     separated, with the parametrized vector of the ray-candidate sum
     attached.  Positivity is verified; no ray-extremality claim is made."""
     out = []
-    for I, J in itertools.combinations(noncyclic_subsets(k, n), 2):
-        if noncrossing(I, J) and not weakly_separated(I, J):
+    rows = compatibility_rows(k, n)
+    for (i, I), (j, J) in itertools.combinations(enumerate(rows.nodes), 2):
+        if rows[i] >> j & 1 and not weakly_separated(I, J):
             vec = ladder.rho(ncfan.t_vector(I) + ncfan.t_vector(J))
             cert = is_positive_tropical(vec)
             if not cert.ok:

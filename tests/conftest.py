@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import tropnc
 from tropnc import ladder, ncfan, planar
-from tropnc.combinat import maximal_noncrossing_collections
+from tropnc.combinat import maximal_noncrossing_collections, noncrossing, noncyclic_subsets
 from tropnc.ncfan import TPoint
 from tropnc.pluecker import PlueckerVector
 
@@ -72,6 +74,20 @@ def run_optimized(*code_lines) -> subprocess.CompletedProcess:
         [sys.executable, "-O", "-c", "\n".join(code_lines)],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+@lru_cache(maxsize=None)
+def literal_rows(k: int, n: int) -> tuple[int, ...]:
+    """The full compatibility graph by the literal `noncrossing` on every
+    pair, as bitmask rows over `noncyclic_subsets(k, n)` (the oracle of
+    `combinat.compatibility_rows`)."""
+    nodes = noncyclic_subsets(k, n)
+    rows = [0] * len(nodes)
+    for i, j in itertools.combinations(range(len(nodes)), 2):
+        if noncrossing(nodes[i], nodes[j]):
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    return tuple(rows)
 
 
 def canon(point) -> tuple[Fraction, ...]:

@@ -205,6 +205,27 @@ def test_verify_refuses_past_the_maximal_cone_limit(capsys):
     assert "--force" in line
 
 
+def test_errors_about_the_whole_input_name_no_pointer(tmp_path, capsys, monkeypatch):
+    # an empty JSON pointer adds no "(at )"; a nonempty one is still named
+    def refused(*argv) -> str:
+        code = cli.main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        return captured.err
+
+    assert refused("verify", "--k", "4", "--n", "9") == (
+        "error: verify lists all 1662804 maximal cones at (k,n)=(4,9), "
+        "more than 24024; pass --force\n")
+    assert refused("duality", "--k", "6", "--n", "14") == (
+        "error: (k,n)=(6,14) beyond the desk-scale default; pass --force\n")
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"nonsense")))
+    assert refused("rho", "--in", "-") == (
+        "error: invalid JSON: Expecting value: line 1 column 1 (char 0)\n")
+    path = write_json(tmp_path, "t.json", {"k": 3, "n": 6, "rows": [[0.5, 1, 0], [0, 1, 1]]})
+    assert refused("decompose", "--in", path) == (
+        "error: not a rational: 0.5; use an integer or a 'p/q' string (at /rows/0/0)\n")
+
+
 def test_verify_runs_at_the_maximal_cone_limit_and_force_lifts_it(capsys, monkeypatch):
     # (3,6) has 42 maximal cones
     monkeypatch.setattr(cli, "VERIFY_MAX_CONES", 42)

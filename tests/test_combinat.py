@@ -1,9 +1,12 @@
 """Predicates and enumerations on cyclic k-subsets."""
 
+import hashlib
 import itertools
+import math
 
 import pytest
 
+from conftest import literal_rows, rng_for
 from tropnc import combinat
 from tropnc.combinat import (
     DecoratedOSP,
@@ -185,7 +188,87 @@ def test_tableau_validation():
     assert t.weight() == 3
     with pytest.raises(ValueError):
         tableau(3, 6, [(ksubset(6, [1, 2, 3]), 1)])  # cyclic entry
-    with pytest.raises(ValueError):
-        tableau(3, 6, [(ksubset(6, [1, 3, 5]), 1), (ksubset(6, [2, 4, 6]), 1)])  # crossing
+    with pytest.raises(ValueError, match=r"^entries \(1, 3, 5\) and \(2, 4, 6\) cross$"):
+        tableau(3, 6, [(ksubset(6, [2, 4, 6]), 1), (ksubset(6, [1, 3, 5]), 1)])  # crossing
     with pytest.raises(ValueError):
         tableau(3, 6, [(ksubset(6, [1, 3, 5]), 0)])  # nonpositive multiplicity
+
+
+# ------------------------------------- compatibility rows against the literal graph
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_chord_test_matches_literal_noncrossing_on_every_pair(n):
+    for k in range(2, n - 1):
+        oracle = literal_rows(k, n)
+        for (i, I), (j, J) in itertools.combinations(enumerate(noncyclic_subsets(k, n)), 2):
+            crosses = not oracle[i] >> j & 1
+            assert combinat._crosses(I.elems, J.elems) == crosses, (I, J)
+            assert combinat._crosses(J.elems, I.elems) == crosses, (J, I)
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_lazy_rows_equal_the_literal_graph(n):
+    # Rows are requested in a seeded order, so that most are built from
+    # bits of rows already built; every pair is still tested exactly once.
+    rng = rng_for(f"lazy-rows-{n}")
+    for k in range(2, n - 1):
+        oracle = literal_rows(k, n)
+        store = combinat.CompatibilityRows(k, n)
+        size = len(store)
+        order = list(range(size))
+        rng.shuffle(order)
+        rows, tests = combinat.WALK_COUNTS["rows"], combinat.WALK_COUNTS["pair_tests"]
+        for j in order[: size // 2]:
+            assert store[j] == oracle[j]
+        for i, j in itertools.combinations(order, 2):
+            assert store.compatible(i, j) == bool(oracle[i] >> j & 1)
+        assert store.all_rows() == list(oracle)
+        assert combinat.WALK_COUNTS["rows"] - rows == size
+        assert combinat.WALK_COUNTS["pair_tests"] - tests == math.comb(size, 2)
+
+
+def test_maximal_collections_test_each_pair_at_most_once(monkeypatch):
+    store = combinat.CompatibilityRows(4, 8)
+    monkeypatch.setattr(combinat, "compatibility_rows", lambda k, n: store)
+    before = combinat.WALK_COUNTS["pair_tests"]
+    colls = maximal_noncrossing_collections.__wrapped__(4, 8)
+    assert combinat.WALK_COUNTS["pair_tests"] - before <= math.comb(len(store), 2)
+    assert len(colls) == 24024
+
+
+def _digest(colls) -> str:
+    text = ";".join(" ".join(J.label() for J in coll) for coll in colls)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+# (k, n) -> (count, digest of the labels in order) of the maximal collections
+MAXIMAL_DIGESTS = {
+    (2, 7): (42, "b322f21006b2b613"),
+    (3, 7): (462, "39bc62fda5aa9875"),
+    (4, 7): (462, "cc73532ccd1ac1e2"),
+    (3, 8): (6006, "665868012611e04f"),
+    (4, 8): (24024, "04fb38a75236802c"),
+}
+
+# size -> (count, digest) of noncrossing_collections(3, 7, size)
+COLLECTION_DIGESTS_3_7 = {
+    1: (28, "7791c7f579b37018"),
+    2: (238, "cfefd2b33706b402"),
+    3: (882, "48202c50101edca6"),
+    4: (1596, "6cfb79954bcd2838"),
+    5: (1386, "39f7bce6804441c9"),
+    6: (462, "39bc62fda5aa9875"),
+}
+
+
+@pytest.mark.parametrize("k,n", MAXIMAL_DIGESTS)
+def test_maximal_collections_are_pinned(k, n):
+    colls = maximal_noncrossing_collections(k, n)
+    assert (len(colls), _digest(colls)) == MAXIMAL_DIGESTS[k, n]
+
+
+def test_noncrossing_collections_are_pinned():
+    for size, expected in COLLECTION_DIGESTS_3_7.items():
+        colls = noncrossing_collections(3, 7, size)
+        assert (len(colls), _digest(colls)) == expected

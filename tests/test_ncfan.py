@@ -323,3 +323,73 @@ def test_audit_fan_rejects_non_unimodular_cone(monkeypatch):
     audit_fan.cache_clear()
     with pytest.raises(InvariantError, match="non-unimodular"):
         audit_fan(3, 6)
+
+
+# --------------------------------------------- compatibility rows in the walk
+
+# Builds the (3,7) rows, finds the first flip of a walk to a ray outside
+# the start cone, and clears the partner's bit in the row of another ray
+# of the start cone: one bit of one row.
+CLEAR_ONE_BIT = (
+    "from tropnc import exact, ncfan",
+    "tables = ncfan._walk_tables(3, 7)",
+    "rows = tables.rows",
+    "rows.all_rows()",
+    "ray = next(j for j in range(len(rows)) if j not in tables.start)",
+    "t = ncfan.t_vector(tables.nodes[ray])",
+    "target, _ = exact.scaled(ncfan.lattice_coords(t))",
+    "mu = [sum(a * b for a, b in zip(row, target)) for row in tables.start_inv]",
+    "i = ncfan._choose_flip(mu)",
+    "new = ncfan._flip_partner(rows, tables.start, i)",
+    "victim = tables.start[i - 1]",
+    "cleared = rows[victim] & ~(1 << new)",
+)
+
+
+def test_clearing_one_row_bit_breaks_the_walk(monkeypatch):
+    scope = {}
+    exec("\n".join(CLEAR_ONE_BIT), scope)
+    rows, t = scope["rows"], scope["t"]
+    assert nc_decompose(t).entries == ((scope["tables"].nodes[scope["ray"]], 1),)
+    patched = list(rows._rows)
+    patched[scope["victim"]] = scope["cleared"]
+    monkeypatch.setattr(rows, "_rows", patched)
+    with pytest.raises(InvariantError, match="has 0 flip partners, not 1$"):
+        nc_decompose(t)
+    # the check is an explicit raise, so it survives -O
+    result = run_optimized(
+        *CLEAR_ONE_BIT,
+        "rows._rows[victim] = cleared",
+        "ncfan.nc_decompose(t)",
+    )
+    assert result.returncode == 1
+    assert result.stderr.strip().splitlines()[-1].endswith("has 0 flip partners, not 1")
+
+
+def test_clearing_one_row_bit_breaks_the_audit(monkeypatch):
+    maximal_noncrossing_collections(3, 6)
+    rows = combinat.compatibility_rows(3, 6)
+    rows.all_rows()
+    neighbour = (rows[0] & -rows[0]).bit_length() - 1
+    patched = list(rows._rows)
+    patched[0] &= ~(1 << neighbour)
+    monkeypatch.setattr(rows, "_rows", patched)
+    with pytest.raises(InvariantError, match="flip partners, not 1$"):
+        audit_fan.__wrapped__(3, 6)
+
+
+def test_desk_scale_walk_builds_few_rows():
+    # The CI grid at (6,12): 912 noncyclic subsets, 415,416 pairs.
+    result = run_optimized(
+        "import random",
+        "from tropnc import ncfan",
+        "rng = random.Random(612)",
+        "t = ncfan.TPoint.of(6, 12, [[rng.randint(0, 4) for _ in range(6)] for _ in range(5)])",
+        "tab = ncfan.nc_decompose(t)",
+        "c = ncfan.WALK_COUNTS",
+        "print(c['walks'], c['flips'], c['rows'], c['pair_tests'], tab.weight(), len(tab.entries))",
+    )
+    assert result.returncode == 0, result.stderr
+    walks, flips, rows, pair_tests, weight, entries = map(int, result.stdout.split())
+    assert (walks, flips, weight, entries) == (1, 43, 13, 9)
+    assert rows <= 100 and pair_tests <= rows * 911

@@ -164,3 +164,18 @@ def test_weight_two_candidates_3_6():
 @pytest.mark.parametrize("n", [5, 6, 7])
 def test_weight_two_candidates_empty_for_k2(n):
     assert weight_two_candidates(2, n) == []
+
+
+def test_weight_report_expands_once_and_matches_its_parts(monkeypatch):
+    rng = rng_for("weight-report-one-expansion")
+    vectors = [rho(random_tpoint(rng, 4, 7)) for _ in range(5)] + [random_vector(rng, 3, 6)]
+    expected = [(pk_weight(pi), ncfan.nc_weight(ncfan.psi(pi)), bridge(pi)) for pi in vectors]
+    calls = []
+    expand = planar._scaled_expansion
+    monkeypatch.setattr(planar, "_scaled_expansion", lambda pi: calls.append(pi) or expand(pi))
+    for pi, (pk, nc, br) in zip(vectors, expected):
+        calls.clear()
+        rep = weight_report(pi)
+        assert calls == [pi]
+        assert (rep.pk_weight, rep.nc_weight, rep.bridge_value) == (pk, nc, br)
+        assert rep.agree == (pk == nc == br)
