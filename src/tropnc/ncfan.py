@@ -7,18 +7,15 @@ interval formula on the nose.
 
 Decomposition walks the flip graph of maximal noncrossing collections
 (a visibility walk, Devillers-Pion-Teillaud 2002).  It starts in a fixed
-cone, keeps that cone's integer inverse ray matrix, and while some cone
-coordinate of the point is negative it flips the most negative ray to its
-unique partner, updating the inverse by an exact rank-one step.  Only the
-cones on the path are visited, and a walk that comes back to a cone it
-has left raises `InvariantError`: the walk is the one production path.
-Compatibility is read from the bitmask rows of
-`combinat.compatibility_rows`, so a walk builds only the rows of the
-start cone and of the nodes it flips to, not the whole graph; the sparse
-ray of a node is likewise built on its first use.
-`audit_fan` scans every maximal cone: it checks unimodularity and the
-flip structure, and its `scan` is the brute-force decomposition kept as
-the test oracle and as the `verify` check, never as a fallback.
+cone with that cone's integer inverse ray matrix and, while some cone
+coordinate of the point is negative, flips the most negative ray to its
+unique partner by an exact rank-one step; a walk that comes back to a
+cone raises `InvariantError`.  Compatibility rows
+(`combinat.compatibility_rows`) and sparse rays are built on first use, so
+a walk builds only those of the cones on its path.  `audit_fan` checks
+the whole fan with the same steps, searching the flip graph from the
+start cone; its `scan`, the brute-force decomposition on every cone, is
+the walk's test oracle, never a fallback.
 """
 
 from __future__ import annotations
@@ -26,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import factorial, prod
 
 from . import exact, planar
 from .combinat import (
@@ -34,7 +32,6 @@ from .combinat import (
     KSubset,
     NoncrossingTableau,
     compatibility_rows,
-    maximal_noncrossing_collections,
     noncyclic_subsets,
     tableau,
 )
@@ -297,6 +294,26 @@ def _walk_tables(k: int, n: int) -> _WalkTables:
     return _WalkTables(rows.nodes, rows, tuple(start), tuple(map(tuple, inv)))
 
 
+def _pivot(pivot: int, old: KSubset, new: KSubset):
+    """Require pivot -1 to flip `old` to `new`: the pivot, new's coordinate on
+    old, is det(new cone) / det(old cone), negative iff new is across."""
+    if pivot != -1:
+        raise InvariantError(f"flip of {old.label()} to {new.label()} has pivot {pivot}, not -1")
+
+
+def _flip(inv, i: int, old: KSubset, new: KSubset) -> list[list[int]]:
+    """Inverse after ray i (`old`) becomes `new`: the exact rank-one step, once `_pivot` accepts
+    new's coordinate on i.  Trailing entries (the walk's mu) go alike; rows it leaves are shared."""
+    ray = _sparse_ray(new)
+    c = [sum([row[j] * v for j, v in ray]) for row in inv]
+    _pivot(c[i], old, new)
+    pivot_row = [-a for a in inv[i]]
+    return [
+        pivot_row if r == i else [a - cr * b for a, b in zip(row, pivot_row)] if cr else row
+        for r, (row, cr) in enumerate(zip(inv, c))
+    ]
+
+
 def _choose_flip(mu) -> int | None:
     """Position of the most negative coordinate (lowest on ties), if any."""
     low = min(mu)
@@ -307,35 +324,21 @@ def nc_decompose(t: TPoint) -> NoncrossingTableau:
     """Unique expression of t as a nonnegative combination of pairwise
     noncrossing rays, found by walking across flips from a fixed cone.
 
-    The walk keeps the current cone's inverse ray matrix in integers and
-    the point's cone coordinates mu, scaled by the common denominator of
-    t.  Flipping ray i to its partner v changes the inverse by the rank-one
-    step whose pivot is the old-basis coordinate of v on i; unimodularity
-    makes that pivot +-1.  A walk that revisits a cone raises
-    InvariantError naming the cone's collection.
+    The walk keeps the current cone's inverse ray matrix in integers, each
+    row extended by the point's cone coordinate mu (scaled by the common
+    denominator of t), and flips by `_flip`.  A walk that revisits a cone
+    raises InvariantError naming the cone's collection.
     """
     k, n = t.k, t.n
     tables = _walk_tables(k, n)
     target, scale = scaled(lattice_coords(t))
     coll = list(tables.start)
-    inv = [list(row) for row in tables.start_inv]
-    mu = [sum(a * b for a, b in zip(row, target)) for row in inv]
+    inv = [[*row, sum(a * b for a, b in zip(row, target))] for row in tables.start_inv]
     visited = {frozenset(coll)}
     WALK_COUNTS["walks"] += 1
-    while (i := _choose_flip(mu)) is not None:
+    while (i := _choose_flip([row[-1] for row in inv])) is not None:
         new = _flip_partner(tables.rows, coll, i)
-        c = [sum(row[j] * v for j, v in _sparse_ray(tables.nodes[new])) for row in inv]
-        pivot = c[i]
-        if pivot not in (1, -1):
-            raise InvariantError(
-                f"flip of {tables.nodes[coll[i]]} to {tables.nodes[new]} has pivot {pivot}"
-            )
-        inv[i] = pivot_row = [pivot * a for a in inv[i]]
-        mu[i] = pivot_mu = pivot * mu[i]
-        for r, cr in enumerate(c):
-            if cr and r != i:
-                inv[r] = [a - cr * b for a, b in zip(inv[r], pivot_row)]
-                mu[r] -= cr * pivot_mu
+        inv = _flip(inv, i, tables.nodes[coll[i]], tables.nodes[new])
         coll[i] = new
         WALK_COUNTS["flips"] += 1
         key = frozenset(coll)
@@ -346,24 +349,25 @@ def nc_decompose(t: TPoint) -> NoncrossingTableau:
             )
         visited.add(key)
     return tableau(k, n, (
-        (tables.nodes[J], Fraction(m, scale)) for J, m in zip(coll, mu) if m > 0
+        (tables.nodes[J], Fraction(row[-1], scale)) for J, row in zip(coll, inv) if row[-1] > 0
     ))
 
 
 @dataclass(frozen=True)
 class FanAudit:
-    """The maximal cones of an audited fan, with their ray matrices."""
+    """The maximal cones of an audited fan, in lexicographic order."""
 
     k: int
     n: int
-    cones: tuple[tuple[tuple[KSubset, ...], list[list[int]]], ...]
+    cones: tuple[tuple[KSubset, ...], ...]
 
     @cached_property
     def _inverses(self) -> tuple[list[list[int]], ...]:
-        return tuple(_integer_inverse(matrix) for _, matrix in self.cones)
+        return tuple(_integer_inverse(_cone_matrix(coll)) for coll in self.cones)
 
     def scan(self, t: TPoint) -> NoncrossingTableau:
-        """Decompose t by solving the system on every maximal cone.
+        """Decompose t by solving the system on every maximal cone, each
+        inverted on its own, independently of the flip step.
 
         Raises DecompositionError if no cone accepts or two cones accept
         with different positive supports (completeness/uniqueness).
@@ -372,7 +376,7 @@ class FanAudit:
             raise ValueError("mismatched (k, n)")
         target, scale = scaled(lattice_coords(t))
         found = set()
-        for (coll, _), inv in zip(self.cones, self._inverses):
+        for coll, inv in zip(self.cones, self._inverses):
             mu = [sum(a * b for a, b in zip(row, target)) for row in inv]
             if all(m >= 0 for m in mu):
                 found.add(tuple((J, Fraction(m, scale)) for J, m in zip(coll, mu) if m > 0))
@@ -383,39 +387,47 @@ class FanAudit:
         return tableau(self.k, self.n, found.pop())
 
 
+def _maximal_cone_count(k: int, n: int) -> int:
+    """The number of maximal noncrossing cones at (k, n): the standard
+    Young tableaux of a k x (n-k) rectangle, by the hook-length formula."""
+    return factorial(k * (n - k)) // prod(i + j + 1 for i in range(k) for j in range(n - k))
+
+
 @lru_cache(maxsize=None)
 def audit_fan(k: int, n: int) -> FanAudit:
-    """Check the whole fan at (k, n) by determinants alone.
+    """Check the whole fan at (k, n) by a search over its flip graph.
 
-    Every maximal cone must be unimodular, and every facet of every
-    maximal cone must have exactly one flip partner, which together with
-    the facet forms a maximal cone lying on the other side of it.  Raises
-    InvariantError otherwise.  Cached per (k, n), so that repeated scans
-    audit once.
+    From the walk's start cone (unimodular: its inverse is integral),
+    every facet of every cone reached must have one flip partner
+    (`_flip_partner`) with pivot -1 (`_pivot`), so every cone reached is
+    unimodular and every partner lies across its facet; a new cone's
+    inverse comes by the walk's rank-one step (`_flip`).  The search must
+    reach the hook-length count of cones.  Raises InvariantError otherwise.
+    Cached per (k, n), so that repeated scans audit once.
     """
-    rows = compatibility_rows(k, n)
-    cones = []
-    dets = {}
-    for coll in maximal_noncrossing_collections(k, n):
-        matrix = _cone_matrix(coll)
-        d = exact.det(matrix)
-        if abs(d) != 1:
-            raise InvariantError(f"non-unimodular cone for collection {coll}: det={d}")
-        cones.append((coll, matrix))
-        dets[tuple(rows.index[J] for J in coll)] = d
-    for ids, d in dets.items():
-        for i in range(len(ids)):
-            new = _flip_partner(rows, ids, i)
-            flipped = tuple(sorted(ids[:i] + ids[i + 1:] + (new,)))
-            if flipped not in dets:
-                raise InvariantError(f"flip of {ids} at {i} is not a maximal collection")
-            # Moving column `new` from position i to its sorted position
-            # takes |pos - i| adjacent swaps; across the facet the
-            # determinant with `new` in place i must change sign.
-            sign = -1 if (flipped.index(new) - i) % 2 else 1
-            if sign * dets[flipped] != -d:
-                raise InvariantError(f"cones {ids} and {flipped} lie on one side of their facet")
-    return FanAudit(k, n, tuple(cones))
+    tables = _walk_tables(k, n)
+    nodes = tables.nodes
+    start = sum(1 << j for j in tables.start)
+    cones = {start: tables.start}
+    todo = [(start, tables.start, tables.start_inv)]
+    while todo:
+        mask, coll, inv = todo.pop()
+        for i, old in enumerate(coll):
+            new = _flip_partner(tables.rows, coll, i)
+            flipped = mask ^ (1 << old) ^ (1 << new)
+            if flipped in cones:
+                pivot = sum([inv[i][j] * v for j, v in _sparse_ray(nodes[new])])
+                _pivot(pivot, nodes[old], nodes[new])
+            else:
+                cones[flipped] = coll[:i] + (new,) + coll[i + 1:]
+                todo.append((flipped, cones[flipped], _flip(inv, i, nodes[old], nodes[new])))
+    expected = _maximal_cone_count(k, n)
+    if len(cones) != expected:
+        raise InvariantError(f"flip search reached {len(cones)} maximal cones, "
+                             f"not the hook-length count {expected}")
+    return FanAudit(k, n, tuple(
+        tuple(nodes[j] for j in c) for c in sorted(tuple(sorted(c)) for c in cones.values())
+    ))
 
 
 def nc_weight(t: TPoint) -> Fraction:

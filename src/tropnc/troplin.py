@@ -361,8 +361,6 @@ def bounded_complex_vertices(
     k, n = pi_hat.k, pi_hat.n
     scale, table, terms, central = _roof_sum(pi_hat)
     wt = Fraction(k * sum(f for _, f in terms), scale)
-    if not terms:
-        return BoundedComplexReport((), wt, Fraction(0), True)
 
     # The shift that gives central - pi_hat zero gaps must leave it constant.
     y, rest = _gap_shift([c - v for c, (_, _, v) in zip(central, table)], 0, k, n)

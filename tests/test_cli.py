@@ -4,7 +4,6 @@ import hashlib
 import io
 import json
 import time
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -189,7 +188,7 @@ def test_desk_scale_guard(capsys):
                                        (3, 8, 6006), (4, 8, 24024), (4, 9, 1662804),
                                        (6, 12, 1671643033734960)])
 def test_maximal_cone_count_is_the_rectangle_tableau_count(k, n, cones):
-    assert cli._maximal_cone_count(k, n) == cones
+    assert ncfan._maximal_cone_count(k, n) == cones
     if cones <= 462:
         assert len(combinat.maximal_noncrossing_collections(k, n)) == cones
 
@@ -404,23 +403,34 @@ def test_input_commands_apply_the_guard(command, tmp_path, capsys):
     assert code == 0 and json.loads(out)
 
 
+# Doubles the sparse ray of the first node of the (3,6) start cone, so
+# every flip to it has pivot -2, as if its cones had determinant +-2.  The
+# seeded walks of `verify --k 3 --n 6` never flip to that node.
+DOUBLE_ONE_RAY = (
+    "from tropnc import ncfan",
+    "tables = ncfan._walk_tables(3, 6)",
+    "node = tables.nodes[tables.start[0]]",
+    "sparse_ray = ncfan._sparse_ray",
+    "doubled = lambda J: tuple((c, 2 * v) for c, v in sparse_ray(J)) if J == node else sparse_ray(J)",
+)
+
+
 def test_verify_reports_non_unimodular_fan(monkeypatch, capsys):
-    monkeypatch.setattr(exact, "det", lambda matrix: Fraction(2))
+    scope = {}
+    exec("\n".join(DOUBLE_ONE_RAY), scope)
+    monkeypatch.setattr(ncfan, "_sparse_ray", scope["doubled"])
     ncfan.audit_fan.cache_clear()
     code, out = run_cli(capsys, "verify", "--k", "3", "--n", "6")
-    checks = {c["name"]: c["ok"] for c in json.loads(out)["checks"]}
-    assert code == 1 and checks["fan_unimodular"] is False
-    assert all(ok for name, ok in checks.items() if name != "fan_unimodular")
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert code == 1 and checks["fan_unimodular"]["ok"] is False
+    assert checks["fan_unimodular"]["detail"] == "flip of 1,3,6 to 1,2,4 has pivot -2, not -1"
+    assert all(c["ok"] for name, c in checks.items() if name != "fan_unimodular")
 
 
 def test_verify_checks_survive_python_O():
     main = "import sys; from tropnc import cli; sys.exit(cli.main(['verify', '--k', '3', '--n', '6']))"
     ok = run_optimized(main)
     assert ok.returncode == 0 and json.loads(ok.stdout)["ok"]
-    broken = run_optimized(
-        "from fractions import Fraction; from tropnc import exact",
-        "exact.det = lambda matrix: Fraction(2)",
-        main,
-    )
+    broken = run_optimized(*DOUBLE_ONE_RAY, "ncfan._sparse_ray = doubled", main)
     checks = {c["name"]: c["ok"] for c in json.loads(broken.stdout)["checks"]}
     assert broken.returncode == 1 and checks["fan_unimodular"] is False

@@ -248,7 +248,7 @@ def differential_points(rng, audit):
     points.append((TPoint.zero(k, n), ()))
     points += [(t_vector(J), ((J, 1),)) for J in noncyclic_subsets(k, n)]
     for _ in range(15):
-        coll, _ = audit.cones[rng.randrange(len(audit.cones))]
+        coll = audit.cones[rng.randrange(len(audit.cones))]
         face = rng.sample(coll, rng.randint(1, len(coll) - 1))
         coeffs = [(J, Fraction(rng.randint(1, 9), rng.randint(1, 3))) for J in face]
         points.append((combine(k, n, coeffs), tuple(sorted(coeffs))))
@@ -267,15 +267,20 @@ def test_walk_matches_full_scan(k, n):
 
 
 def test_walk_never_enumerates_maximal_collections(monkeypatch):
-    def refuse(k, n):
-        raise AssertionError("the walk enumerated the maximal collections")
+    def refuse(*args):
+        raise AssertionError("an oracle ran in production")
 
     monkeypatch.setattr(combinat, "maximal_noncrossing_collections", refuse)
-    monkeypatch.setattr(ncfan, "maximal_noncrossing_collections", refuse)
     rng = rng_for("walk-no-enumeration")
     for _ in range(20):
         t = random_tpoint(rng, 4, 7)
         assert combine(4, 7, nc_decompose(t).entries) == t
+    # The walk built the start cone's inverse; the audit reuses it and
+    # computes no determinant and no other cone matrix.
+    monkeypatch.setattr(exact, "det", refuse)
+    monkeypatch.setattr(exact, "inverse", refuse)
+    monkeypatch.setattr(ncfan, "_cone_matrix", refuse)
+    assert len(audit_fan.__wrapped__(4, 7).cones) == 462
 
 
 def test_cycle_guard_raises(monkeypatch):
@@ -314,15 +319,44 @@ def test_walk_reaches_4_8():
 
 @pytest.mark.parametrize("k,n", [(2, 4), (2, 6), (3, 6), (3, 7), (4, 7)])
 def test_audit_fan_passes(k, n):
-    audit = audit_fan(k, n)
-    assert len(audit.cones) == len(maximal_noncrossing_collections(k, n))
+    # the flip search finds exactly Bron-Kerbosch's cones, in its order
+    assert audit_fan(k, n).cones == maximal_noncrossing_collections(k, n)
+
+
+def scaled_ray(node, factor):
+    """`_sparse_ray` with the ray of `node` times `factor`: every flip to it
+    has pivot -factor (-2: as if its cones had determinant +-2; +1: as if
+    it lay on the same side of the facet as the ray it replaces)."""
+    sparse_ray = ncfan._sparse_ray
+    return lambda J: tuple((c, factor * v) for c, v in sparse_ray(J)) if J == node else sparse_ray(J)
 
 
 def test_audit_fan_rejects_non_unimodular_cone(monkeypatch):
-    monkeypatch.setattr(exact, "det", lambda matrix: Fraction(2))
-    audit_fan.cache_clear()
-    with pytest.raises(InvariantError, match="non-unimodular"):
-        audit_fan(3, 6)
+    tables = ncfan._walk_tables(3, 6)
+    node = tables.nodes[tables.start[0]]
+    for factor in (2, -1):
+        monkeypatch.undo()
+        monkeypatch.setattr(ncfan, "_sparse_ray", scaled_ray(node, factor))
+        message = f"^flip of 1,3,6 to 1,2,4 has pivot {-factor}, not -1$"
+        with pytest.raises(InvariantError, match=message):
+            audit_fan.__wrapped__(3, 6)
+
+
+def test_walk_rejects_a_pivot_other_than_minus_one(monkeypatch):
+    # a walk to a ray outside the start cone must flip to it
+    tables = ncfan._walk_tables(3, 6)
+    for node in (tables.nodes[j] for j in range(len(tables.nodes)) if j not in tables.start):
+        for factor in (2, -1):
+            monkeypatch.setattr(ncfan, "_sparse_ray", scaled_ray(node, factor))
+            with pytest.raises(InvariantError, match=f"to {node.label()} has pivot {-factor}, not -1$"):
+                nc_decompose(t_vector(node))
+            monkeypatch.undo()
+
+
+def test_audit_fan_rejects_a_short_cone_count(monkeypatch):
+    monkeypatch.setattr(ncfan, "_maximal_cone_count", lambda k, n: 43)
+    with pytest.raises(InvariantError, match="reached 42 maximal cones, not the hook-length count 43"):
+        audit_fan.__wrapped__(3, 6)
 
 
 # --------------------------------------------- compatibility rows in the walk

@@ -32,7 +32,7 @@ from tropnc.combinat import (
 from tropnc.exact import InvariantError
 from tropnc.ladder import rho
 from tropnc.ncfan import TPoint, nc_decompose, t_vector
-from tropnc.pluecker import PlueckerVector, lineality_shift
+from tropnc.pluecker import PlueckerVector, lineality_shift, lineality_vector
 from tropnc.troplin import (
     Matroid,
     TimeBudgetExceeded,
@@ -217,8 +217,17 @@ def test_bounded_complex_3split_reference_values():
 
 
 def test_bounded_complex_empty_support():
+    # no planar coefficients: the bounded complex is the one lineality point
     rep = bounded_complex_vertices(PlueckerVector.zero(3, 6))
-    assert rep.vertices == () and rep.max_coordinate_spread == 0 and rep.within_dilate
+    assert rep.vertices == ((0,) * 6,)
+    assert rep.pk_weight == rep.max_coordinate_spread == 0 and rep.within_dilate
+    x = [3, Fraction(-1, 2), 5, 0, 7, 2]
+    pi = lineality_vector(3, 6, x)
+    rep = bounded_complex_vertices(pi)
+    assert rep.vertices == (canon(x),) and face_dimension_at(pi, x) == 0
+    assert rep.pk_weight == 0 and rep.max_coordinate_spread == Fraction(15, 2)
+    assert not rep.within_dilate
+    assert diameter_check(pi).vertices == ((0,) * 6,)
 
 
 def test_coefficients_that_do_not_expand_the_vector_raise(monkeypatch):
@@ -612,6 +621,20 @@ def test_shift_face_classifier_matches_fraction_reference(k, n):
         with pytest.raises(ValueError):
             bounded_complex_edges(pi, [[0] * n, [0] * (n - 1)])
     assert {0, 1, "outside", "unbounded"} <= seen
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "bounded_complex_edges lists vertex pairs whose midpoint lies on an "
+    "edge, so (1, 2), whose midpoint is inside edge (0, 3), is a phantom "
+    "edge; the pairs the vertex walk crosses are the true edges"))
+def test_every_reported_edge_lies_in_the_linear_space():
+    pi = rho(TPoint.of(3, 7, [[1, 1, 0, 1], [0, 0, 2, 2]]))
+    vertices = bounded_complex_vertices(pi).vertices
+    edges = bounded_complex_edges(pi, vertices)
+    assert (0, 3) in edges
+    for i, j in edges:
+        quarter = [a + (b - a) / 4 for a, b in zip(vertices[i], vertices[j])]
+        assert in_linear_space(pi, quarter), (i, j)
 
 
 def test_production_path_does_not_use_the_fraction_reference(monkeypatch):
