@@ -294,7 +294,7 @@ def _walk_tables(k: int, n: int) -> _WalkTables:
     return _WalkTables(rows.nodes, rows, tuple(start), tuple(map(tuple, inv)))
 
 
-def _pivot(pivot: int, old: KSubset, new: KSubset):
+def _check_pivot(pivot: int, old: KSubset, new: KSubset):
     """Require pivot -1 to flip `old` to `new`: the pivot, new's coordinate on
     old, is det(new cone) / det(old cone), negative iff new is across."""
     if pivot != -1:
@@ -302,11 +302,11 @@ def _pivot(pivot: int, old: KSubset, new: KSubset):
 
 
 def _flip(inv, i: int, old: KSubset, new: KSubset) -> list[list[int]]:
-    """Inverse after ray i (`old`) becomes `new`: the exact rank-one step, once `_pivot` accepts
-    new's coordinate on i.  Trailing entries (the walk's mu) go alike; rows it leaves are shared."""
+    """Inverse after ray i (`old`) becomes `new` (pivot checked by `_check_pivot`), by the
+    exact rank-one step; trailing entries (the walk's mu) go alike, rows it leaves are shared."""
     ray = _sparse_ray(new)
     c = [sum([row[j] * v for j, v in ray]) for row in inv]
-    _pivot(c[i], old, new)
+    _check_pivot(c[i], old, new)
     pivot_row = [-a for a in inv[i]]
     return [
         pivot_row if r == i else [a - cr * b for a, b in zip(row, pivot_row)] if cr else row
@@ -399,8 +399,8 @@ def audit_fan(k: int, n: int) -> FanAudit:
 
     From the walk's start cone (unimodular: its inverse is integral),
     every facet of every cone reached must have one flip partner
-    (`_flip_partner`) with pivot -1 (`_pivot`), so every cone reached is
-    unimodular and every partner lies across its facet; a new cone's
+    (`_flip_partner`) with pivot -1 (`_check_pivot`), so every cone reached
+    is unimodular and every partner lies across its facet; a new cone's
     inverse comes by the walk's rank-one step (`_flip`).  The search must
     reach the hook-length count of cones.  Raises InvariantError otherwise.
     Cached per (k, n), so that repeated scans audit once.
@@ -417,7 +417,7 @@ def audit_fan(k: int, n: int) -> FanAudit:
             flipped = mask ^ (1 << old) ^ (1 << new)
             if flipped in cones:
                 pivot = sum([inv[i][j] * v for j, v in _sparse_ray(nodes[new])])
-                _pivot(pivot, nodes[old], nodes[new])
+                _check_pivot(pivot, nodes[old], nodes[new])
             else:
                 cones[flipped] = coll[:i] + (new,) + coll[i + 1:]
                 todo.append((flipped, cones[flipped], _flip(inv, i, nodes[old], nodes[new])))
