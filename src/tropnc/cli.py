@@ -187,8 +187,8 @@ def _verify_checks(k: int, n: int, seed: int):
     samples = [random_tpoint() for _ in range(25)]
     try:
         ok = all(
-            weight.pk_weight(pi) == ncfan.nc_weight(t) == weight.bridge(pi)
-            for t, pi in ((t, ladder.rho(t)) for t in samples)
+            rep.agree and rep.nc_weight == ncfan.nc_weight(t)
+            for t, rep in ((t, weight.weight_report(ladder.rho(t))) for t in samples)
         )
         record("weight_equality", ok, "25 seeded samples")
     except InvariantError as exc:

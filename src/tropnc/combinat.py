@@ -244,6 +244,13 @@ def compatibility_rows(k: int, n: int) -> CompatibilityRows:
     return CompatibilityRows(k, n)
 
 
+def _check_noncrossing(store: CompatibilityRows, ids) -> None:
+    """Raise ValueError if two of the nodes `ids` cross (a tableau's check)."""
+    for i, j in itertools.combinations(ids, 2):
+        if not store.compatible(i, j):
+            raise ValueError(f"entries {store.nodes[i].elems} and {store.nodes[j].elems} cross")
+
+
 def _bits(mask: int):
     """Positions of the set bits of `mask`, ascending."""
     while mask:
@@ -434,14 +441,8 @@ class NoncrossingTableau:
             if J in seen:
                 raise ValueError(f"duplicate entry {J.elems}")
             seen.add(J)
-        if len(self.entries) < 2:
-            return
         store = compatibility_rows(self.k, self.n)
-        ids = [store.index[J] for J, _ in self.entries]
-        for (p, i), (q, j) in itertools.combinations(enumerate(ids), 2):
-            if not store.compatible(i, j):
-                I, J = self.entries[p][0], self.entries[q][0]
-                raise ValueError(f"entries {I.elems} and {J.elems} cross")
+        _check_noncrossing(store, [store.index[J] for J, _ in self.entries])
 
     def weight(self) -> Fraction:
         return sum((m for _, m in self.entries), Fraction(0))

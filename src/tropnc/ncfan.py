@@ -185,21 +185,24 @@ def psi(pi: PlueckerVector) -> TPoint:
     return _psi_scaled(pi.k, pi.n, *planar._scaled_expansion(pi))
 
 
-def _psi_scaled(k: int, n: int, us: list[int], scale: int) -> TPoint:
-    """`psi` from the scaled expansion (`planar._scaled_expansion`).
-
-    Each scaled u_J is added over the support of J's ray in one flat
-    integer list; each row is put in canonical form in integers and
-    divided by the scale at the end."""
+def _psi_rows(k: int, n: int, us: list[int]) -> list[list[int]]:
+    """scale * psi, its rows not yet in canonical form, from the scaled
+    expansion (`planar._scaled_expansion`): each scaled u_J is added over
+    the support of J's ray in one flat integer list."""
     width = n - k
     acc = [0] * ((k - 1) * width)
     for u, support in zip(us, _ray_supports(k, n)):
         if u:
             for i in support:
                 acc[i] += u
+    return [acc[r:r + width] for r in range(0, len(acc), width)]
+
+
+def _psi_scaled(k: int, n: int, us: list[int], scale: int) -> TPoint:
+    """`psi` from the scaled expansion: each row of `_psi_rows` is put in
+    canonical form in integers and divided by the scale at the end."""
     rows = []
-    for r in range(0, len(acc), width):
-        row = acc[r:r + width]
+    for row in _psi_rows(k, n, us):
         low = min(row)
         rows.append(tuple(Fraction(v - low, scale) for v in row))
     return TPoint(k, n, tuple(rows))
@@ -320,18 +323,15 @@ def _choose_flip(mu) -> int | None:
     return mu.index(low) if low < 0 else None
 
 
-def nc_decompose(t: TPoint) -> NoncrossingTableau:
-    """Unique expression of t as a nonnegative combination of pairwise
-    noncrossing rays, found by walking across flips from a fixed cone.
+def _walk(k: int, n: int, target: list[int]) -> tuple[list[int], list[int]]:
+    """The flip walk to `lattice_coords` times a positive scale, in ints:
+    the node ids of its last cone and the target's cone coordinates mu
+    there, all >= 0.  Each mu scales with the target, the walk does not.
 
-    The walk keeps the current cone's inverse ray matrix in integers, each
-    row extended by the point's cone coordinate mu (scaled by the common
-    denominator of t), and flips by `_flip`.  A walk that revisits a cone
-    raises InvariantError naming the cone's collection.
+    The current cone's integer inverse ray matrix, each row extended by mu,
+    changes by `_flip`; a revisited cone raises InvariantError naming it.
     """
-    k, n = t.k, t.n
     tables = _walk_tables(k, n)
-    target, scale = scaled(lattice_coords(t))
     coll = list(tables.start)
     inv = [[*row, sum(a * b for a, b in zip(row, target))] for row in tables.start_inv]
     visited = {frozenset(coll)}
@@ -348,8 +348,18 @@ def nc_decompose(t: TPoint) -> NoncrossingTableau:
                 f"{[tables.nodes[j].label() for j in coll]}"
             )
         visited.add(key)
-    return tableau(k, n, (
-        (tables.nodes[J], Fraction(row[-1], scale)) for J, row in zip(coll, inv) if row[-1] > 0
+    return coll, [row[-1] for row in inv]
+
+
+def nc_decompose(t: TPoint) -> NoncrossingTableau:
+    """Unique expression of t as a nonnegative combination of pairwise
+    noncrossing rays, by `_walk` to t's lattice coordinates over their
+    common denominator; entries in node-id order, which is lexicographic."""
+    target, scale = scaled(lattice_coords(t))
+    coll, mu = _walk(t.k, t.n, target)
+    nodes = _walk_tables(t.k, t.n).nodes
+    return NoncrossingTableau(t.k, t.n, tuple(
+        (nodes[j], Fraction(m, scale)) for j, m in sorted(zip(coll, mu)) if m > 0
     ))
 
 

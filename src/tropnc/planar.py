@@ -141,13 +141,17 @@ def _expansion_table(k: int, n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     )
 
 
+def _expand(k: int, n: int, vals: list[int]) -> list[int]:
+    """scale * u_J for every noncyclic J in `noncyclic_subsets` order, from
+    a vector's values scaled to integers (`exact.scaled`) in rank order."""
+    return [sum([sign * vals[r] for r, sign in terms]) for terms in _expansion_table(k, n)]
+
+
 def _scaled_expansion(pi: PlueckerVector) -> tuple[list[int], int]:
     """scale * u_J(pi) for every noncyclic J in `noncyclic_subsets` order,
     and the scale."""
     vals, scale = scaled(pi.values)
-    return [
-        sum([sign * vals[r] for r, sign in terms]) for terms in _expansion_table(pi.k, pi.n)
-    ], scale
+    return _expand(pi.k, pi.n, vals), scale
 
 
 def planar_expand(pi: PlueckerVector) -> dict[KSubset, Fraction]:

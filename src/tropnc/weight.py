@@ -3,9 +3,10 @@
 Two routes to the same number are kept deliberately separate: the sum of
 tropical cross-ratios over noncyclic subsets (the planar-kinematics
 weight) and the alternating cyclic/gap-interval sum (the bridge
-functional), plus the ladder-side closed form of the latter.  The
-noncrossing weight comes from the fan decomposition and is computed by
-an independent path entirely.
+functional, over a per-(k, n) table of rank pairs), plus the ladder-side
+closed form of the latter.  The noncrossing weight comes from the fan
+decomposition, an independent path.  `weight_report` reads all three
+from one scaling of a vector's values to integers.
 """
 
 from __future__ import annotations
@@ -13,18 +14,20 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import ladder, ncfan, planar
 from .combinat import (
     KSubset,
+    _check_noncrossing,
     compatibility_rows,
     cyc_interval,
     gap_interval,
     weakly_separated,
 )
-from .exact import InvariantError, format_fraction
+from .exact import InvariantError, format_fraction, scaled
 from .ladder import LadderPoint
-from .pluecker import PlueckerVector, is_positive_tropical
+from .pluecker import PlueckerVector, is_positive_tropical, lex_rank
 
 
 def pk_weight(pi: PlueckerVector) -> Fraction:
@@ -34,13 +37,17 @@ def pk_weight(pi: PlueckerVector) -> Fraction:
     return Fraction(sum(us), scale)
 
 
+@lru_cache(maxsize=None)
+def _bridge_ranks(k: int, n: int) -> tuple[tuple[int, int], ...]:
+    """Per j in range(n), the lexicographic ranks of `cyc_interval(j)` and
+    `gap_interval(j)`."""
+    rank = lex_rank(k, n)
+    return tuple((rank[cyc_interval(j, k, n)], rank[gap_interval(j, k, n)]) for j in range(n))
+
+
 def bridge(pi: PlueckerVector) -> Fraction:
     """Alternating sum over the cycle of (cyclic - gap) entries."""
-    k, n = pi.k, pi.n
-    return sum(
-        (pi[cyc_interval(j, k, n)] - pi[gap_interval(j, k, n)] for j in range(n)),
-        Fraction(0),
-    )
+    return Fraction(sum([pi.values[c] - pi.values[g] for c, g in _bridge_ranks(pi.k, pi.n)]))
 
 
 def p_factor_tropical(y: LadderPoint, i: int) -> Fraction:
@@ -99,13 +106,19 @@ class WeightReport:
 
 
 def weight_report(pi: PlueckerVector) -> WeightReport:
-    """All three weights of a positive vector; nc goes through the fan
-    decomposition of the projected point.  One scaled expansion serves
-    both the PK weight and the projection."""
-    us, scale = planar._scaled_expansion(pi)
+    """All three weights from one scaling of pi's values: pk by the planar
+    expansion, bridge by `_bridge_ranks`, nc by the flip walk to psi's
+    lattice point (its positive support checked as a tableau's would be).
+    Only the three results are `Fraction`s."""
+    k, n = pi.k, pi.n
+    vals, scale = scaled(pi.values)
+    us = planar._expand(k, n, vals)
+    target = [v - row[-1] for row in ncfan._psi_rows(k, n, us) for v in row[:-1]]
+    coll, mu = ncfan._walk(k, n, target)
+    _check_noncrossing(compatibility_rows(k, n), [j for j, m in zip(coll, mu) if m > 0])
     pk = Fraction(sum(us), scale)
-    br = bridge(pi)
-    nc = ncfan.nc_weight(ncfan._psi_scaled(pi.k, pi.n, us, scale))
+    nc = Fraction(sum([m for m in mu if m > 0]), scale)
+    br = Fraction(sum([vals[c] - vals[g] for c, g in _bridge_ranks(k, n)]), scale)
     return WeightReport(pk, nc, br, pk == nc == br)
 
 

@@ -15,7 +15,7 @@ from conftest import (
     run_optimized,
     vector_312,
 )
-from tropnc import combinat, exact, ncfan, planar
+from tropnc import combinat, exact, ladder, ncfan, planar, weight
 from tropnc.combinat import all_ksubsets, ksubset, maximal_noncrossing_collections, noncyclic_subsets
 from tropnc.exact import InvariantError, SchemaError
 from tropnc.ncfan import (
@@ -385,19 +385,25 @@ def test_clearing_one_row_bit_breaks_the_walk(monkeypatch):
     exec("\n".join(CLEAR_ONE_BIT), scope)
     rows, t = scope["rows"], scope["t"]
     assert nc_decompose(t).entries == ((scope["tables"].nodes[scope["ray"]], 1),)
+    pi = ladder.rho(t)
+    assert weight.weight_report(pi).nc_weight == 1
     patched = list(rows._rows)
     patched[scope["victim"]] = scope["cleared"]
     monkeypatch.setattr(rows, "_rows", patched)
     with pytest.raises(InvariantError, match="has 0 flip partners, not 1$"):
         nc_decompose(t)
-    # the check is an explicit raise, so it survives -O
-    result = run_optimized(
-        *CLEAR_ONE_BIT,
-        "rows._rows[victim] = cleared",
-        "ncfan.nc_decompose(t)",
-    )
-    assert result.returncode == 1
-    assert result.stderr.strip().splitlines()[-1].endswith("has 0 flip partners, not 1")
+    with pytest.raises(InvariantError, match="has 0 flip partners, not 1$"):
+        weight.weight_report(pi)
+    # the check is an explicit raise, so it survives -O, on both paths
+    for call in ("ncfan.nc_decompose(t)", "weight.weight_report(ladder.rho(t))"):
+        result = run_optimized(
+            *CLEAR_ONE_BIT,
+            "from tropnc import ladder, weight",
+            "rows._rows[victim] = cleared",
+            call,
+        )
+        assert result.returncode == 1, call
+        assert result.stderr.strip().splitlines()[-1].endswith("has 0 flip partners, not 1")
 
 
 def test_clearing_one_row_bit_breaks_the_audit(monkeypatch):

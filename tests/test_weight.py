@@ -5,16 +5,24 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_tpoint, random_vector, rng_for, vector_312
-from tropnc import ladder, ncfan, planar, weight
+from conftest import (
+    random_rational_tpoint,
+    random_tpoint,
+    random_vector,
+    rng_for,
+    vector_312,
+)
+from tropnc import combinat, ladder, ncfan, planar, weight
 from tropnc.combinat import (
+    cyc_interval,
+    gap_interval,
     ksubset,
     maximal_noncrossing_collections,
     noncrossing,
     noncyclic_subsets,
 )
 from tropnc.ladder import LadderPoint, grid_of, pluecker_vector_of_grid, rho
-from tropnc.ncfan import TPoint, t_vector
+from tropnc.ncfan import TPoint, audit_fan, nc_decompose, psi, t_vector
 from tropnc.pluecker import PlueckerVector, face_restrict_one, lineality_vector
 from tropnc.weight import (
     bridge,
@@ -167,15 +175,82 @@ def test_weight_two_candidates_empty_for_k2(n):
 
 
 def test_weight_report_expands_once_and_matches_its_parts(monkeypatch):
+    # pi.values are scaled once, in weight_report; the expansion, the
+    # projection and the walk read those integers and scale nothing again.
     rng = rng_for("weight-report-one-expansion")
     vectors = [rho(random_tpoint(rng, 4, 7)) for _ in range(5)] + [random_vector(rng, 3, 6)]
     expected = [(pk_weight(pi), ncfan.nc_weight(ncfan.psi(pi)), bridge(pi)) for pi in vectors]
     calls = []
-    expand = planar._scaled_expansion
-    monkeypatch.setattr(planar, "_scaled_expansion", lambda pi: calls.append(pi) or expand(pi))
+
+    def refuse(*args):
+        raise AssertionError("a second scaling ran")
+
+    scale_once = weight.scaled
+    monkeypatch.setattr(weight, "scaled", lambda values: calls.append(values) or scale_once(values))
+    monkeypatch.setattr(planar, "_scaled_expansion", refuse)
+    monkeypatch.setattr(planar, "scaled", refuse)
+    monkeypatch.setattr(ncfan, "scaled", refuse)
     for pi, (pk, nc, br) in zip(vectors, expected):
         calls.clear()
+        walks = ncfan.WALK_COUNTS["walks"]
         rep = weight_report(pi)
-        assert calls == [pi]
+        assert calls == [pi.values]
+        assert ncfan.WALK_COUNTS["walks"] - walks == 1
         assert (rep.pk_weight, rep.nc_weight, rep.bridge_value) == (pk, nc, br)
         assert rep.agree == (pk == nc == br)
+
+
+def test_weight_report_builds_no_tableau_and_no_fraction_point(monkeypatch):
+    rng = rng_for("weight-report-integer-path")
+    vectors = [rho(random_rational_tpoint(rng, k, n)) for k, n in [(3, 6), (3, 7), (4, 7)] * 3]
+    vectors += [random_vector(rng, 3, 7) for _ in range(3)]
+    expected = [weight_report(pi) for pi in vectors]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the weight path left scaled integers")
+
+    for module, name in [(combinat, "tableau"), (ncfan, "tableau"),
+                         (combinat, "NoncrossingTableau"), (ncfan, "NoncrossingTableau"),
+                         (ncfan, "lattice_coords"), (weight, "bridge")]:
+        monkeypatch.setattr(module, name, refuse)
+    assert [weight_report(pi) for pi in vectors] == expected
+
+
+def fraction_bridge(pi):
+    """The bridge functional by its `Fraction` formula over subset tuples."""
+    k, n = pi.k, pi.n
+    return sum(
+        (pi[cyc_interval(j, k, n)] - pi[gap_interval(j, k, n)] for j in range(n)), Fraction(0)
+    )
+
+
+@pytest.mark.parametrize("k,n", [(2, 5), (3, 6), (3, 7), (4, 7)])
+def test_weight_report_matches_fraction_references(k, n):
+    rng = rng_for(f"weight-report-references-{k}-{n}")
+    audit = audit_fan(k, n)
+    grids = [random_rational_tpoint(rng, k, n) for _ in range(4)]
+    grids += [random_tpoint(rng, k, n, lo=-4, hi=4) for _ in range(2)]
+    vectors = [rho(t) for t in grids]
+    vectors += [pi + lineality_vector(k, n, [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                                           for _ in range(n)]) for pi in vectors]
+    vectors += [random_vector(rng, k, n) for _ in range(4)]
+    for pi in vectors:
+        rep = weight_report(pi)
+        pk = sum((planar.tropical_u(J, pi) for J in noncyclic_subsets(k, n)), Fraction(0))
+        nc = audit.scan(psi(pi)).weight()
+        br = fraction_bridge(pi)
+        assert (rep.pk_weight, rep.nc_weight, rep.bridge_value, rep.agree) == (
+            pk, nc, br, pk == nc == br), pi
+        assert bridge(pi) == br
+    for t in grids + [psi(pi) for pi in vectors]:
+        assert nc_decompose(t) == audit.scan(t), t
+
+
+def test_weight_report_rejects_a_crossing_support(monkeypatch):
+    # The walk's positive support is checked pairwise, as a tableau's is.
+    rows = combinat.compatibility_rows(3, 6)
+    pi = rho(t_vector(rows.nodes[0]) + t_vector(rows.nodes[5]))
+    assert rows.compatible(0, 5) and weight_report(pi).nc_weight == 2
+    monkeypatch.setattr(rows, "compatible", lambda i, j: False)
+    with pytest.raises(ValueError, match="cross$"):
+        weight_report(pi)
