@@ -134,10 +134,10 @@ def _bounded_complex(pi: pluecker.PlueckerVector, balance: bool):
     cert = pluecker.is_positive_tropical(pi)
     if not cert.ok:
         return _failure(f"vector is not positive tropical: {cert.violation}")
-    if balance:
-        pi = troplin.balanced_representative(pi)
-    report = troplin.bounded_complex_vertices(pi, time_budget_s=BOUNDED_BUDGET_S)
-    edges = troplin.bounded_complex_edges(pi, report.vertices)
+    roof = troplin._balanced_roof_sum(pi) if balance else troplin._roof_sum(pi)
+    report = troplin._walk(pi.k, pi.n, roof, BOUNDED_BUDGET_S)
+    scale, table, _, _ = roof
+    edges = troplin._edges(pi.n, scale, table, report.vertices)
     code = 1 if balance and not report.within_dilate else 0
     return code, report.to_json_dict(edges=edges)
 

@@ -5,10 +5,13 @@ vertices, induces a matroid at every shift point w; looplessness puts w
 on the tropical linear space and coloop-freeness on its bounded part.
 The planar cross-ratios u_J(pi) of a vector are the coefficients of its
 central roof function, a sum of roofs.  Everything here reads its vector
-alone, in scaled integers: each roof has an integer row, k times its
-central vector in rank order (`_roof_row`, cached per subset), so the
-central representative is an integer sum of rows over one scale; one
-routine, `_gap_shift`, finds a lineality shift from the n cyclic-gap
+alone, in scaled integers: the coefficients come from `planar._expand`
+on the vector's scaled values, over the least scale that clears the
+values and k times each coefficient (a larger one could make a
+fractional breakpoint look whole); each roof has an integer row, k times
+its central vector in rank order (`_roof_row`, cached per subset), so
+the central representative is an integer sum of rows over that scale;
+one routine, `_gap_shift`, finds a lineality shift from the n cyclic-gap
 differences, both to balance (`balanced_representative`, every gap
 weight/n) and to carry the roof gradients back to the caller's vector.
 
@@ -18,15 +21,21 @@ function at the perturbed centre of the hypersimplex.  Every cell is a
 positroid polytope, whose facets are cut out by cyclic intervals S
 (Ardila–Rincón–Williams), so every edge at a vertex runs along some
 e_S and ends at an exact integer breakpoint; the bounded complex is
-connected (Speyer), so the walk reaches every vertex.  Subsets and
-intervals are bitmasks built per call.  `diameter_check` balances, then
-walks.
+connected (Speyer), so the walk reaches every vertex.  Subsets are
+bitmasks cached per (k, n) (`_subset_bits`), intervals bitmasks built per
+call.  `diameter_check`, like the CLI's `diameter`, expands the vector
+and sums its roof rows once: `_balanced_roof_sum` rescales that sum to
+the balanced representative, and the walk (`_walk`) starts from it.
 
 One classifier, `_face`, reads the argmin bases of a shift point as
 bitmasks and counts components on the fundamental graph of one basis;
 the walk feeds it values it updates along each edge, and `_shift_face`
-feeds it a point over `_scaled_table` for `bounded_complex_edges`,
-`face_dimension_at` and `in_bounded_part`.  `argmin_matroid`, `loops`,
+feeds it a point over `_scaled_table` for `face_dimension_at` and
+`in_bounded_part`.  `bounded_complex_edges` forms each point's value
+row and argmin set once; a pair's midpoint has the intersection of the
+two argmin sets as its own when they meet (the summed rows are at least
+the summed minima, with equality exactly on both argmin sets), and the
+argmin of the summed rows otherwise.  `argmin_matroid`, `loops`,
 `coloops`, `components_partition`, `in_linear_space` and
 `central_roof_value` are the `Fraction` reference the tests check
 against, and the tests keep the Minkowski sum of the roofs' sector
@@ -37,10 +46,12 @@ gradients as the walk's oracle.  Every invariant is an explicit raise of
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 from typing import Sequence
 
 from . import planar
@@ -51,6 +62,7 @@ from .combinat import (
     gap_interval,
     is_cyclic_interval,
     mod1,
+    noncyclic_subsets,
 )
 from .exact import InvariantError, Rational, as_fraction, format_fraction, scaled
 from .pluecker import PlueckerVector, is_positive_tropical, lex_rank
@@ -247,8 +259,9 @@ def central_roof_value(J: KSubset, x: Sequence[Rational]) -> Fraction:
 def _roof_row(J: KSubset) -> tuple[int, ...]:
     """k times the roof of J at every hypersimplex vertex e_I, in rank
     order: the integer -min_a W_a(I)."""
-    vectors = central_roof(J).W
-    return tuple(-min(sum(W[i - 1] for i in I) for W in vectors) for I in lex_rank(J.k, J.n))
+    bits = _subset_bits(J.k, J.n)
+    dots = [[sum(map(W.__getitem__, idx)) for idx, _ in bits] for W in central_roof(J).W]
+    return tuple(-v for v in map(min, *dots))  # a noncyclic J has two blocks or more
 
 
 def central_pluecker_vector(J: KSubset) -> PlueckerVector:
@@ -258,21 +271,26 @@ def central_pluecker_vector(J: KSubset) -> PlueckerVector:
 
 def _roof_sum(pi: PlueckerVector):
     """The central representative of pi in scaled integers: the scale,
-    which clears pi's values and k times each nonzero planar coefficient
-    u_J(pi); pi's `_scaled_table`; the (J, factor = scale * u_J / k)
-    pairs; and the sum of factor times roof row, in rank order."""
-    k = pi.k
-    support = [(J, c) for J, c in planar.planar_expand(pi).items() if c]
-    scale, table = _scaled_table(pi, [k * c.denominator for _, c in support])
+    the least that clears pi's values and k times each nonzero planar
+    coefficient u_J(pi) (a larger one could make a fractional breakpoint
+    look integral to `_breakpoint`); pi's table over it (`_table`); the
+    (J, factor = scale * u_J / k) pairs; and the sum of factor times roof
+    row, in rank order."""
+    k, n = pi.k, pi.n
+    vals, s = scaled(pi.values)
+    support = [(J, u) for J, u in zip(noncyclic_subsets(k, n), planar._expand(k, n, vals)) if u]
+    # u_J = u / s, whose denominator is s / gcd(u, s).
+    scale = math.lcm(s, *(k * (s // math.gcd(u, s)) for _, u in support))
     terms = []
-    central = [0] * len(table)
-    for J, c in support:
-        factor = Fraction(c * scale, k)
-        if factor.denominator != 1:
+    central = [0] * len(vals)
+    for J, u in support:
+        factor, rest = divmod(u * scale, s * k)
+        if rest:
+            factor = Fraction(u * scale, s * k)
             raise InvariantError(f"scale {scale} leaves roof factor {factor} fractional")
-        terms.append((J, factor.numerator))
-        central = [a + factor.numerator * r for a, r in zip(central, _roof_row(J))]
-    return scale, table, terms, central
+        terms.append((J, factor))
+        central = [a + factor * r for a, r in zip(central, _roof_row(J))]
+    return scale, _table(k, n, [v * (scale // s) for v in vals]), terms, central
 
 
 def central_representative(pi: PlueckerVector) -> PlueckerVector:
@@ -300,17 +318,49 @@ def _gap_shift(row, target, k: int, n: int):
     y = [0] * n
     for m in range(1, n):
         y[m] = y[m - 1] - delta[m]
-    return y, [v - sum(y[i - 1] for i in I) for I, v in zip(rank, row)]
+    return y, _values(_table(k, n, row), y)
+
+
+def _central_shift(central, table, k: int, n: int):
+    """The lineality shift y that makes central - (table's vector) zero on
+    every cyclic-gap difference; the difference must then be constant,
+    else the planar coefficients do not expand the vector."""
+    y, rest = _gap_shift([c - v for c, (_, _, v) in zip(central, table)], 0, k, n)
+    if len(set(rest)) != 1:
+        raise InvariantError("the planar coefficients do not expand the vector modulo lineality")
+    return y
+
+
+def _balanced_roof_sum(pi: PlueckerVector):
+    """`_roof_sum` of pi's balanced representative, read off pi's own: the
+    planar coefficients are the same, so only the scale changes, to the
+    least one for the balanced values and the coefficients."""
+    k, n = pi.k, pi.n
+    scale, table, terms, central = _roof_sum(pi)
+    # Over n * scale, so that the target weight / n is an integer.
+    big = n * scale
+    _, row = _gap_shift([n * v for v in central], k * sum(f for _, f in terms), k, n)
+    # The walk's own check is empty on a sum built from the balanced row,
+    # so the expansion is checked against pi here.
+    _central_shift(central, table, k, n)
+    # u_J = factor * k / scale; the balanced values are row / big.
+    least = math.lcm(
+        big // math.gcd(big, *row), *(k * (scale // math.gcd(k * f, scale)) for _, f in terms)
+    )
+    # Exact divisions: least clears both row / big and every least * u_J / k.
+    return (
+        least,
+        _table(k, n, [v * least // big for v in row]),
+        [(J, f * least // scale) for J, f in terms],
+        [c * least // scale for c in central],
+    )
 
 
 def balanced_representative(pi: PlueckerVector) -> PlueckerVector:
     """Lineality shift of the central representative making all n
     cyclic-gap differences equal to (total weight)/n."""
-    k, n = pi.k, pi.n
-    scale, _, terms, central = _roof_sum(pi)
-    # Over n * scale, so that the target weight / n is an integer.
-    _, row = _gap_shift([n * v for v in central], k * sum(f for _, f in terms), k, n)
-    return PlueckerVector(k, n, [Fraction(v, n * scale) for v in row])
+    scale, table, _, _ = _balanced_roof_sum(pi)
+    return PlueckerVector(pi.k, pi.n, [Fraction(v, scale) for _, _, v in table])
 
 
 @dataclass(frozen=True)
@@ -354,18 +404,24 @@ def bounded_complex_vertices(
     the start, and every entry is checked against it).  A vector that is
     not positive tropical is a ValueError: the walk would be incomplete.
     """
-    deadline = time.monotonic() + time_budget_s if time_budget_s is not None else None
-    cert = is_positive_tropical(pi_hat)
+    _require_positive(pi_hat)
+    return _walk(pi_hat.k, pi_hat.n, _roof_sum(pi_hat), time_budget_s)
+
+
+def _require_positive(pi: PlueckerVector):
+    cert = is_positive_tropical(pi)
     if not cert.ok:
         raise ValueError(f"vector is not positive tropical: {cert.violation}")
-    k, n = pi_hat.k, pi_hat.n
-    scale, table, terms, central = _roof_sum(pi_hat)
-    wt = Fraction(k * sum(f for _, f in terms), scale)
 
-    # The shift that gives central - pi_hat zero gaps must leave it constant.
-    y, rest = _gap_shift([c - v for c, (_, _, v) in zip(central, table)], 0, k, n)
-    if len(set(rest)) != 1:
-        raise InvariantError("the planar coefficients do not expand the vector modulo lineality")
+
+def _walk(k: int, n: int, roof, time_budget_s: float | None) -> BoundedComplexReport:
+    """The vertex walk of `bounded_complex_vertices` from a vector's
+    `_roof_sum` (scale, table, terms, central); the vector must be
+    positive."""
+    deadline = time.monotonic() + time_budget_s if time_budget_s is not None else None
+    scale, table, terms, central = roof
+    wt = Fraction(k * sum(f for _, f in terms), scale)
+    y = _central_shift(central, table, k, n)
 
     # Each roof's sector at the centre, ties broken by the perturbation
     # sum over j < n-1 of eps^(j+1) (e_j - e_(n-1)), eps small.
@@ -409,21 +465,33 @@ def bounded_complex_vertices(
     return BoundedComplexReport(tuple(vertices), wt, spread, spread <= wt)
 
 
+@lru_cache(maxsize=None)
+def _subset_bits(k: int, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Every k-subset of [n] in rank order as (0-based indices, bitmask)."""
+    return tuple((tuple(i - 1 for i in I), sum(1 << (i - 1) for i in I)) for I in lex_rank(k, n))
+
+
+def _table(k: int, n: int, ints) -> list[tuple[tuple[int, ...], int, int]]:
+    """(0-based indices, bitmask, entry) for scaled entries in rank order."""
+    return [(idx, m, v) for (idx, m), v in zip(_subset_bits(k, n), ints)]
+
+
 def _scaled_table(pi: PlueckerVector, denominators):
     """Put pi over one common denominator that also clears `denominators`:
-    the scale and a list of (0-based indices, bitmask, scaled entry) in
-    rank order."""
+    the scale and pi's `_table` over it."""
     ints, scale = scaled(pi.values, denominators)
-    return scale, [
-        (tuple(i - 1 for i in I), sum(1 << (i - 1) for i in I), v)
-        for I, v in zip(lex_rank(pi.k, pi.n), ints)
-    ]
+    return scale, _table(pi.k, pi.n, ints)
 
 
 def _values(table, w_scaled: Sequence[int]) -> list[int]:
     """pi_I - sum(w_i, i in I) for every entry of the table."""
     coordinate = w_scaled.__getitem__
     return [v - sum(map(coordinate, idx)) for idx, _, v in table]
+
+
+def _over(scale: int, w: Sequence[Fraction]) -> list[int]:
+    """The coordinates of w as integers over `scale`, which clears them."""
+    return [v.numerator * (scale // v.denominator) for v in w]
 
 
 def _argmin(masks, vals) -> set[int]:
@@ -532,7 +600,7 @@ def face_dimension_at(pi: PlueckerVector, w: Sequence[Rational]):
     if len(ws) != pi.n:
         raise ValueError(f"need {pi.n} coordinates, got {len(ws)}")
     scale, table = _scaled_table(pi, [v.denominator for v in ws])
-    return _shift_face(table, [int(v * scale) for v in ws])
+    return _shift_face(table, _over(scale, ws))
 
 
 def matroid_polytope_contains(M: Matroid, x: Sequence[Rational]) -> bool:
@@ -558,10 +626,13 @@ def subdifferential_at(pi_hat: PlueckerVector, x: Sequence[Rational]) -> list[tu
     if sum(xs) != pi_hat.k or any(not 0 < v < 1 for v in xs):
         raise ValueError("x must be strictly interior: 0 < x_i < 1, sum = k")
     report = bounded_complex_vertices(pi_hat)
+    scale, table = _scaled_table(pi_hat, [v.denominator for w in report.vertices for v in w])
     out = []
     for w in report.vertices:
-        M = argmin_matroid(pi_hat, w)
-        if matroid_polytope_contains(M, xs):
+        vals = _values(table, _over(scale, w))
+        best = min(vals)
+        bases = (tuple(i + 1 for i in idx) for (idx, _, _), v in zip(table, vals) if v == best)
+        if matroid_polytope_contains(Matroid(pi_hat.k, pi_hat.n, frozenset(bases)), xs):
             out.append(w)
     return out
 
@@ -569,18 +640,33 @@ def subdifferential_at(pi_hat: PlueckerVector, x: Sequence[Rational]) -> list[tu
 def bounded_complex_edges(
     pi_hat: PlueckerVector, vertices: Sequence[Sequence[Rational]]
 ) -> list[tuple[int, int]]:
-    """Vertex pairs whose exact midpoint lies on a one-dimensional face; the
-    scale clears twice every vertex denominator, so midpoints are integers."""
+    """Vertex pairs whose exact midpoint lies on a one-dimensional face.
+
+    Each point's value row pi_I - sum(w_i, i in I) and its argmin set are
+    formed once.  Twice the midpoint's row is the sum of the two rows,
+    which is at least the sum of their minima, with equality exactly where
+    both rows are least: so when the two argmin sets meet, the midpoint's
+    argmin set is their intersection, and only otherwise are the rows
+    added."""
     verts = [[as_fraction(v) for v in w] for w in vertices]
     if any(len(w) != pi_hat.n for w in verts):
         raise ValueError(f"every vertex needs {pi_hat.n} coordinates")
-    scale, table = _scaled_table(pi_hat, [2 * v.denominator for w in verts for v in w])
-    scaled = [[int(v * scale) for v in w] for w in verts]
-    return [
-        (i, j)
-        for (i, a), (j, b) in itertools.combinations(enumerate(scaled), 2)
-        if _shift_face(table, [(x + y) // 2 for x, y in zip(a, b)]) == 1
-    ]
+    scale, table = _scaled_table(pi_hat, [v.denominator for w in verts for v in w])
+    return _edges(pi_hat.n, scale, table, verts)
+
+
+def _edges(n: int, scale: int, table, points) -> list[tuple[int, int]]:
+    """`bounded_complex_edges` over a table whose scale clears every
+    point's denominators."""
+    masks = [m for _, m, _ in table]
+    rows = [_values(table, _over(scale, w)) for w in points]
+    tops = [_argmin(masks, row) for row in rows]
+    edges = []
+    for i, j in itertools.combinations(range(len(rows)), 2):
+        top = tops[i] & tops[j] or _argmin(masks, list(map(add, rows[i], rows[j])))
+        if _face(top, n) == 1:
+            edges.append((i, j))
+    return edges
 
 
 def diameter_check(
@@ -589,4 +675,5 @@ def diameter_check(
     """Balanced representative, vertex enumeration, and the dilate bound:
     every vertex spread must be at most the total weight.  Convexity of
     the dilated region makes the vertex check sufficient."""
-    return bounded_complex_vertices(balanced_representative(pi), time_budget_s=time_budget_s)
+    _require_positive(pi)
+    return _walk(pi.k, pi.n, _balanced_roof_sum(pi), time_budget_s)

@@ -332,8 +332,8 @@ INVARIANT_LAYERS = {
     "weight": (weight, "weight_report"),
     "psi": (ncfan, "psi"),
     "rho": (ladder, "rho"),
-    "bounded": (troplin, "bounded_complex_vertices"),
-    "diameter": (troplin, "balanced_representative"),
+    "bounded": (troplin, "_walk"),
+    "diameter": (troplin, "_balanced_roof_sum"),
 }
 
 

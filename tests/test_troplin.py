@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import math
 import time
 from fractions import Fraction
 from functools import reduce
@@ -20,7 +21,7 @@ from conftest import (
     run_optimized,
     vector_312,
 )
-from tropnc import combinat, ladder, planar, pluecker, troplin
+from tropnc import combinat, exact, ladder, planar, pluecker, troplin
 from tropnc.combinat import (
     cyc_interval,
     dosp,
@@ -232,28 +233,53 @@ def test_bounded_complex_empty_support():
 
 def test_coefficients_that_do_not_expand_the_vector_raise(monkeypatch):
     # A broken expansion: every planar coefficient doubled.
-    expand = planar.planar_expand
+    pi = central_pluecker_vector(J_2BLOCK)
+    expand = planar._expand
     monkeypatch.setattr(
-        planar, "planar_expand", lambda pi: {J: 2 * c for J, c in expand(pi).items()}
+        planar, "_expand", lambda k, n, vals: [2 * u for u in expand(k, n, vals)]
     )
-    with pytest.raises(InvariantError, match="do not expand"):
-        bounded_complex_vertices(central_pluecker_vector(J_2BLOCK))
+    for call in (bounded_complex_vertices, diameter_check):
+        with pytest.raises(InvariantError, match="do not expand"):
+            call(pi)
     # The same weight on another roof: the gap differences still sum
     # right, so the entrywise check is the one that trips.
-    monkeypatch.setattr(planar, "planar_expand", lambda pi: {J_3SPLIT: Fraction(1)})
-    with pytest.raises(InvariantError, match="do not expand"):
-        bounded_complex_vertices(central_pluecker_vector(J_2BLOCK))
+    _, scale = exact.scaled(pi.values)
+    monkeypatch.setattr(planar, "_expand", lambda k, n, vals: [
+        scale if J == J_3SPLIT else 0 for J in combinat.noncyclic_subsets(k, n)
+    ])
+    for call in (bounded_complex_vertices, diameter_check):
+        with pytest.raises(InvariantError, match="do not expand"):
+            call(pi)
     # the check is an explicit raise, so it survives -O
     result = run_optimized(
         "from tropnc import planar",
         "from tropnc.combinat import ksubset",
         "from tropnc.troplin import bounded_complex_vertices, central_pluecker_vector",
-        "expand = planar.planar_expand",
-        "planar.planar_expand = lambda pi: {J: 2 * c for J, c in expand(pi).items()}",
+        "expand = planar._expand",
+        "planar._expand = lambda k, n, vals: [2 * u for u in expand(k, n, vals)]",
         "bounded_complex_vertices(central_pluecker_vector(ksubset(6, [2, 3, 6])))",
     )
     assert result.returncode == 1
     assert "InvariantError: the planar coefficients do not expand" in result.stderr
+
+
+@pytest.mark.parametrize("k,n", [(3, 6), (3, 7)])
+def test_roof_sum_uses_the_least_scale(k, n):
+    # The least common denominator of the values and of k times each
+    # nonzero planar coefficient, from the Fraction expansion; the
+    # balanced roof sum is the roof sum of the balanced representative.
+    rng = rng_for(f"roof-scale-{k}-{n}")
+    for _ in range(6):
+        pi = rho(random_rational_tpoint(rng, k, n))
+        coeffs = [c for c in planar.planar_expand(pi).values() if c]
+        least = math.lcm(*(v.denominator for v in pi.values), *(k * c.denominator for c in coeffs))
+        scale, table, terms, central = troplin._roof_sum(pi)
+        assert scale == least
+        assert [Fraction(v, scale) for _, _, v in table] == list(pi.values)
+        assert sorted(Fraction(k * f, scale) for _, f in terms) == sorted(coeffs)
+        assert [Fraction(v, scale) for v in central] == list(central_representative(pi).values)
+        balanced = balanced_representative(pi)
+        assert troplin._balanced_roof_sum(pi) == troplin._roof_sum(balanced)
 
 
 def test_balancing_checks_the_gap_sum(monkeypatch):
@@ -433,6 +459,15 @@ def test_breakpoints_must_be_integers_and_exist():
         troplin._breakpoint([0, 0, 4], [1, 2, 3], 0, 1)
     with pytest.raises(InvariantError, match="unbounded edge"):
         troplin._breakpoint([0, 3], [1, 1], 0, 1)
+
+
+def test_breakpoint_rejects_a_half_integer_step():
+    # Steps 3/2 and 2 from the top face: the least, 3/2, is no integer.
+    with pytest.raises(InvariantError, match="breakpoint 3/2 of an edge is not a positive"):
+        troplin._breakpoint([0, 3, 4], [1, 3, 3], 0, 1)
+    # Over twice the scale the same edge reads as a whole step, so the
+    # walk's scale must be the least one.
+    assert troplin._breakpoint([0, 6, 8], [1, 3, 3], 0, 1) == 3
 
 
 def test_edge_intervals_match_a_count_per_basis():
@@ -623,6 +658,36 @@ def test_shift_face_classifier_matches_fraction_reference(k, n):
     assert {0, 1, "outside", "unbounded"} <= seen
 
 
+@pytest.mark.parametrize("k,n", [(3, 6), (3, 7), (4, 8)])
+def test_edges_from_value_rows_match_the_midpoint_reference(k, n, monkeypatch):
+    # The midpoint's argmin set is the two argmin sets' intersection when
+    # they meet, else the argmin of the summed rows: the second path is
+    # the one that calls `_argmin` beyond once per point.
+    rng = rng_for(f"edge-rows-{k}-{n}")
+    vectors = [rho(random_tpoint(rng, k, n, hi=2)), rho(random_rational_tpoint(rng, k, n))]
+    if (k, n) == (3, 7):
+        vectors.append(rho(TPoint.of(3, 7, [[1, 1, 0, 1], [0, 0, 2, 2]])))  # a phantom edge
+    argmin = troplin._argmin
+    calls = []
+    monkeypatch.setattr(troplin, "_argmin", lambda *args: calls.append(1) or argmin(*args))
+    met = apart = 0
+    for vec in vectors:
+        vertices = list(bounded_complex_vertices(vec).vertices)
+        loose = [
+            [x + Fraction(rng.randint(-2, 2), den) for x in rng.choice(vertices)]
+            for den in (2, 3, 5) for _ in range(2)
+        ]
+        for points in (vertices, vertices + loose):
+            calls.clear()
+            assert bounded_complex_edges(vec, points) == _reference_edges(vec, points)
+            bases = [argmin_matroid(vec, w).bases for w in points]
+            summed = sum(1 for a, b in itertools.combinations(bases, 2) if not a & b)
+            assert len(calls) == len(points) + summed
+            apart += summed
+            met += len(points) * (len(points) - 1) // 2 - summed
+    assert met and apart
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "bounded_complex_edges lists vertex pairs whose midpoint lies on an "
     "edge, so (1, 2), whose midpoint is inside edge (0, 3), is a phantom "
@@ -648,6 +713,7 @@ def test_production_path_does_not_use_the_fraction_reference(monkeypatch):
     assert len(bounded_complex_edges(balanced, rep.vertices)) >= len(rep.vertices) - 1
     assert face_dimension_at(balanced, rep.vertices[0]) == 0
     assert in_bounded_part(balanced, rep.vertices[0])
+    assert subdifferential_at(balanced, [Fraction(1, 2)] * 6)
 
 
 def test_bounded_complex_leaves_no_reference_cycles():
