@@ -98,14 +98,12 @@ def json_rows(obj, build):
         raise SchemaError("/rows", str(exc)) from None
 
 
-def scaled(values: Iterable[Rational], clear: Iterable[int] = ()) -> tuple[list[int], int]:
-    """Rationals as integers over one common denominator: (ints, scale).
-
-    `scale` is the least common multiple of the denominators, made also a
-    multiple of every integer in `clear`; each value is int / scale.
-    """
+def scaled(values: Iterable[Rational]) -> tuple[list[int], int]:
+    """Rationals as integers over one common denominator: (ints, scale),
+    `scale` the least common multiple of the denominators; each value is
+    int / scale."""
     values = list(values)
-    scale = math.lcm(*(v.denominator for v in values), *clear)
+    scale = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (scale // v.denominator) for v in values], scale
 
 

@@ -14,11 +14,12 @@ likewise pi_Sbd.  `_plan` finds, once per (k, n), the k(n-k)+1 subsets
 that have exactly one path family (the seeds, each a single sum over the
 grid) and an order of such relations that reaches every other subset.
 `pluecker_vector_of_grid` scales the grid to integers over one common
-denominator, sums the seeds and applies the steps in order.  The
-families themselves are enumerated only to find the seeds:
-`tropical_pluecker`, the minimum over the `PathFamily` objects of
-`enumerate_path_families`, is the `Fraction` reference the plan is
-tested against.
+denominator, sums the seeds, applies the steps in order and hands the
+integers and their scale to the vector as its scaled form, so no
+`Fraction` is built.  The families themselves are enumerated only to
+find the seeds: `tropical_pluecker`, the minimum over the `PathFamily`
+objects of `enumerate_path_families`, is the `Fraction` reference the
+plan is tested against.
 """
 
 from __future__ import annotations
@@ -258,10 +259,7 @@ def pluecker_vector_of_grid(y: LadderPoint) -> PlueckerVector:
         x = vals[ab] + vals[cd]
         z = vals[ad] + vals[bc]
         vals[target] = (x if x < z else z) - vals[other]
-    # entries repeat a few small values, so each distinct one becomes a
-    # Fraction once
-    fractions = {v: Fraction(v, scale) for v in set(vals)}
-    return PlueckerVector(k, n, map(fractions.__getitem__, vals))
+    return PlueckerVector._of_scaled(k, n, vals, scale)
 
 
 def rho(t: TPoint) -> PlueckerVector:

@@ -8,9 +8,10 @@ each subset, a signed exponent vector over its cubical array; the
 associated tropical functional is the dual linear form.
 
 `planar_expand` evaluates every cross-ratio at once in scaled integers:
-it scales a vector's rank-ordered values and sums them over a per-(k, n)
-table of each cubical array as (rank, sign) pairs; `tropical_u` is the
-`Fraction` reference it is tested against.  `planar_combination` sums
+it reads a vector's scaled form (`pi.scaled()`, rank-ordered integers
+over one scale) and sums it over a per-(k, n) table of each cubical
+array as two rank tuples, its +1 terms and its -1 terms; `tropical_u` is
+the `Fraction` reference it is tested against.  `planar_combination` sums
 basis vectors into one vector, value by value in rank order.
 """
 
@@ -32,7 +33,7 @@ from .combinat import (
     noncyclic_subsets,
     positroid_bases,
 )
-from .exact import InvariantError, as_fraction, scaled
+from .exact import InvariantError, as_fraction
 from .pluecker import PlueckerVector, lex_rank, linear_combination
 
 
@@ -131,26 +132,28 @@ def tropical_u(J: KSubset, pi: PlueckerVector) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _expansion_table(k: int, n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Per noncyclic J in `noncyclic_subsets` order, its cubical array as
-    (lexicographic rank, sign) pairs."""
+def _expansion_table(k: int, n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Per noncyclic J in `noncyclic_subsets` order, the lexicographic
+    ranks of its cubical array's +1 terms, then of its -1 terms."""
     rank = lex_rank(k, n)
     return tuple(
-        tuple((rank[M], sign) for M, sign in cubical_array(J).exponents.items())
+        tuple(tuple(rank[M] for M, s in cubical_array(J).exponents.items() if s == sign)
+              for sign in (1, -1))
         for J in noncyclic_subsets(k, n)
     )
 
 
-def _expand(k: int, n: int, vals: list[int]) -> list[int]:
+def _expand(k: int, n: int, vals) -> list[int]:
     """scale * u_J for every noncyclic J in `noncyclic_subsets` order, from
-    a vector's values scaled to integers (`exact.scaled`) in rank order."""
-    return [sum([sign * vals[r] for r, sign in terms]) for terms in _expansion_table(k, n)]
+    a vector's scaled form (`PlueckerVector.scaled`) in rank order."""
+    at = vals.__getitem__
+    return [sum(map(at, plus)) - sum(map(at, minus)) for plus, minus in _expansion_table(k, n)]
 
 
 def _scaled_expansion(pi: PlueckerVector) -> tuple[list[int], int]:
     """scale * u_J(pi) for every noncyclic J in `noncyclic_subsets` order,
-    and the scale."""
-    vals, scale = scaled(pi.values)
+    and the scale of pi's scaled form."""
+    vals, scale = pi.scaled()
     return _expand(pi.k, pi.n, vals), scale
 
 

@@ -1,11 +1,11 @@
 """Tropical Plücker vectors over exact rationals.
 
 A vector is C(n, k) rationals, one per k-subset I of [n] (one per vertex
-e_I of the hypersimplex), stored as one tuple of `Fraction`s in the
+e_I of the hypersimplex), held once as integers over their least common
+denominator (`pi.scaled()`, which the kernels index by rank) in the
 lexicographic rank order of `lex_rank(k, n)`, the single definition of
-that order.  Other modules read a vector only through `pi[I]`,
-`pi.items()` (pairs in rank order) or `pi.values`; the kernels scale
-`pi.values` to integers and index them by rank.  `from_json_dict` is the
+that order.  `pi[I]`, `pi.items()` (pairs in rank order) and `pi.values`
+read a tuple of `Fraction`s made on first read.  `from_json_dict` is the
 one place that checks that labels cover every subset.
 
 The module also covers lineality shifts, linear combinations, the
@@ -48,21 +48,55 @@ def lex_rank(k: int, n: int) -> dict[tuple[int, ...], int]:
     return {I: r for r, I in enumerate(itertools.combinations(range(1, n + 1), k))}
 
 
-class PlueckerVector:
-    """One exact rational per k-subset of [n], in `lex_rank(k, n)` order."""
+def _check_count(k: int, n: int, count: int):
+    if count != math.comb(n, k):
+        raise ValueError(
+            f"need one value per {k}-subset of [{n}], {math.comb(n, k)} in all; got {count}"
+        )
 
-    __slots__ = ("k", "n", "values")
+
+class PlueckerVector:
+    """One exact rational per k-subset of [n], in `lex_rank(k, n)` order,
+    held as `scaled()`; the `Fraction` view `values` is made on first read."""
+
+    __slots__ = ("k", "n", "_values", "_scaled")
 
     def __init__(self, k: int, n: int, values: Iterable[Rational]):
         values = tuple(v if type(v) is Fraction else as_fraction(v) for v in values)
-        if len(values) != math.comb(n, k):
-            raise ValueError(
-                f"need one value per {k}-subset of [{n}], "
-                f"{math.comb(n, k)} in all; got {len(values)}"
-            )
+        _check_count(k, n, len(values))
         self.k = k
         self.n = n
-        self.values = values
+        self._values = values
+        self._scaled = None
+
+    @classmethod
+    def _of_scaled(cls, k: int, n: int, ints: Iterable[int], scale: int) -> "PlueckerVector":
+        """The vector with entries int / scale, stored over the least scale."""
+        ints = list(ints)
+        _check_count(k, n, len(ints))
+        if scale <= 0:
+            raise ValueError(f"the scale must be positive, got {scale}")
+        common = math.gcd(scale, *ints)
+        if common > 1:
+            ints, scale = [v // common for v in ints], scale // common
+        pi = cls.__new__(cls)
+        pi.k, pi.n, pi._values, pi._scaled = k, n, None, (ints, scale)
+        return pi
+
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        """The entries as `Fraction`s in rank order, made on first read."""
+        if self._values is None:
+            ints, scale = self._scaled
+            self._values = tuple(Fraction(v, scale) for v in ints)
+        return self._values
+
+    def scaled(self) -> tuple[list[int], int]:
+        """`exact.scaled(self.values)`, (ints, scale) over the least scale,
+        formed once and shared: callers read the list and never change it."""
+        if self._scaled is None:
+            self._scaled = scaled(self._values)
+        return self._scaled
 
     @classmethod
     def zero(cls, k: int, n: int) -> "PlueckerVector":
@@ -83,7 +117,7 @@ class PlueckerVector:
         return (
             isinstance(other, PlueckerVector)
             and (self.k, self.n) == (other.k, other.n)
-            and self.values == other.values
+            and self.scaled() == other.scaled()
         )
 
     def __add__(self, other: "PlueckerVector") -> "PlueckerVector":
@@ -105,7 +139,7 @@ class PlueckerVector:
         return [I for I, v in self.items() if v != 0]
 
     def is_zero(self) -> bool:
-        return not any(self.values)
+        return not any(self.scaled()[0])
 
     def _check_shape(self, other: "PlueckerVector"):
         if (self.k, self.n) != (other.k, other.n):
@@ -181,19 +215,28 @@ def _three_term_table(k: int, n: int) -> tuple[tuple, ...]:
     return tuple(table)
 
 
+@lru_cache(maxsize=None)
+def _three_term_ranks(k: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """The ranks (ac, bd, ab, cd, ad, bc) of each `_three_term_table` row,
+    in scan order; they name their row (S is Sab ∩ Scd)."""
+    return tuple(row[2:] for row in _three_term_table(k, n))
+
+
 def is_positive_tropical(pi: PlueckerVector) -> PositivityCertificate:
     """Check pi_{Sac} + pi_{Sbd} = min(pi_{Sab} + pi_{Scd}, pi_{Sad} + pi_{Sbc})
     for every S in C([n], k-2) and a < b < c < d disjoint from S.
 
-    The values are read once as scaled integers; the scan runs over the
-    rank rows of `_three_term_table`."""
-    vals, scale = scaled(pi.values)
-    for S, quad, ac, bd, ab, cd, ad, bc in _three_term_table(pi.k, pi.n):
+    The scan reads the scaled form over the rows of `_three_term_ranks`;
+    only a failing row is looked up for its S and quadruple."""
+    vals, scale = pi.scaled()
+    rows = _three_term_ranks(pi.k, pi.n)
+    for ac, bd, ab, cd, ad, bc in rows:
         lhs = vals[ac] + vals[bd]
         r1 = vals[ab] + vals[cd]
         r2 = vals[ad] + vals[bc]
         rhs = r1 if r1 < r2 else r2
         if lhs != rhs:
+            S, quad = _three_term_table(pi.k, pi.n)[rows.index((ac, bd, ab, cd, ad, bc))][:2]
             return PositivityCertificate(
                 False, (S, quad, Fraction(lhs, scale), Fraction(rhs, scale))
             )
@@ -201,11 +244,12 @@ def is_positive_tropical(pi: PlueckerVector) -> PositivityCertificate:
 
 
 def equivalent_mod_lineality(a: PlueckerVector, b: PlueckerVector) -> bool:
-    """True iff every tropical cross-ratio agrees on a and b."""
+    """True iff every tropical cross-ratio agrees on a and b (cross-multiplied)."""
     a._check_shape(b)
     from . import planar
 
-    return planar.planar_expand(a) == planar.planar_expand(b)
+    (us, s), (vs, t) = planar._scaled_expansion(a), planar._scaled_expansion(b)
+    return [u * t for u in us] == [v * s for v in vs]
 
 
 # Dropping an element that every kept subset contains, or that none

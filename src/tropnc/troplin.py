@@ -6,10 +6,10 @@ on the tropical linear space and coloop-freeness on its bounded part.
 The planar cross-ratios u_J(pi) of a vector are the coefficients of its
 central roof function, a sum of roofs.  Everything here reads its vector
 alone, in scaled integers: the coefficients come from `planar._expand`
-on the vector's scaled values, over the least scale that clears the
-values and k times each coefficient (a larger one could make a
-fractional breakpoint look whole); each roof has an integer row, k times
-its central vector in rank order (`_roof_row`, cached per subset), so
+on the vector's scaled form (`pi.scaled()`), over the least scale that
+clears the values and k times each coefficient (a larger one could make
+a fractional breakpoint look whole); each roof has an integer row, k
+times its central vector in rank order (`_roof_row`, cached per subset), so
 the central representative is an integer sum of rows over that scale;
 one routine, `_gap_shift`, finds a lineality shift from the n cyclic-gap
 differences, both to balance (`balanced_representative`, every gap
@@ -22,10 +22,11 @@ positroid polytope, whose facets are cut out by cyclic intervals S
 (Ardila–Rincón–Williams), so every edge at a vertex runs along some
 e_S and ends at an exact integer breakpoint; the bounded complex is
 connected (Speyer), so the walk reaches every vertex.  Subsets are
-bitmasks cached per (k, n) (`_subset_bits`), intervals bitmasks built per
-call.  `diameter_check`, like the CLI's `diameter`, expands the vector
-and sums its roof rows once: `_balanced_roof_sum` rescales that sum to
-the balanced representative, and the walk (`_walk`) starts from it.
+bitmasks cached per (k, n) (`_subset_bits`), and so is each interval's
+row of counts |I ∩ S| (`_interval_counts`).  `diameter_check`, like the
+CLI's `diameter`, expands the vector and sums its roof rows once:
+`_balanced_roof_sum` rescales that sum to the balanced representative,
+and the walk (`_walk`) starts from it.
 
 One classifier, `_face`, reads the argmin bases of a shift point as
 bitmasks and counts components on the fundamental graph of one basis;
@@ -64,7 +65,7 @@ from .combinat import (
     mod1,
     noncyclic_subsets,
 )
-from .exact import InvariantError, Rational, as_fraction, format_fraction, scaled
+from .exact import InvariantError, Rational, as_fraction, format_fraction
 from .pluecker import PlueckerVector, is_positive_tropical, lex_rank
 
 
@@ -266,7 +267,7 @@ def _roof_row(J: KSubset) -> tuple[int, ...]:
 
 def central_pluecker_vector(J: KSubset) -> PlueckerVector:
     """The central vector with entries equal to roof values at e_I."""
-    return PlueckerVector(J.k, J.n, [Fraction(v, J.k) for v in _roof_row(J)])
+    return PlueckerVector._of_scaled(J.k, J.n, _roof_row(J), J.k)
 
 
 def _roof_sum(pi: PlueckerVector):
@@ -277,7 +278,7 @@ def _roof_sum(pi: PlueckerVector):
     (J, factor = scale * u_J / k) pairs; and the sum of factor times roof
     row, in rank order."""
     k, n = pi.k, pi.n
-    vals, s = scaled(pi.values)
+    vals, s = pi.scaled()
     support = [(J, u) for J, u in zip(noncyclic_subsets(k, n), planar._expand(k, n, vals)) if u]
     # u_J = u / s, whose denominator is s / gcd(u, s).
     scale = math.lcm(s, *(k * (s // math.gcd(u, s)) for _, u in support))
@@ -298,7 +299,7 @@ def central_representative(pi: PlueckerVector) -> PlueckerVector:
     modulo lineality, and piecewise-linear as a function on the
     hypersimplex (no affine offset)."""
     scale, _, _, central = _roof_sum(pi)
-    return PlueckerVector(pi.k, pi.n, [Fraction(v, scale) for v in central])
+    return PlueckerVector._of_scaled(pi.k, pi.n, central, scale)
 
 
 def _gap_shift(row, target, k: int, n: int):
@@ -360,7 +361,7 @@ def balanced_representative(pi: PlueckerVector) -> PlueckerVector:
     """Lineality shift of the central representative making all n
     cyclic-gap differences equal to (total weight)/n."""
     scale, table, _, _ = _balanced_roof_sum(pi)
-    return PlueckerVector(pi.k, pi.n, [Fraction(v, scale) for _, _, v in table])
+    return PlueckerVector._of_scaled(pi.k, pi.n, [v for _, _, v in table], scale)
 
 
 @dataclass(frozen=True)
@@ -446,7 +447,7 @@ def _walk(k: int, n: int, roof, time_budget_s: float | None) -> BoundedComplexRe
         w, vals = todo.pop()
         best = min(vals)
         for s, top in _edge_intervals(list(_argmin(masks, vals)), n):
-            counts = [(m & s).bit_count() for m in masks]
+            counts = _interval_counts(k, n, s)
             t = _breakpoint(vals, counts, best, (next(iter(top)) & s).bit_count())
             lead = t * (s & 1)  # w[0] is 0: keep the first coordinate 0
             nxt = tuple(x + t * (s >> i & 1) - lead for i, x in enumerate(w))
@@ -471,6 +472,12 @@ def _subset_bits(k: int, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     return tuple((tuple(i - 1 for i in I), sum(1 << (i - 1) for i in I)) for I in lex_rank(k, n))
 
 
+@lru_cache(maxsize=None)
+def _interval_counts(k: int, n: int, s: int) -> tuple[int, ...]:
+    """|I ∩ S| for every k-subset I in rank order, S given as a bitmask."""
+    return tuple((m & s).bit_count() for _, m in _subset_bits(k, n))
+
+
 def _table(k: int, n: int, ints) -> list[tuple[tuple[int, ...], int, int]]:
     """(0-based indices, bitmask, entry) for scaled entries in rank order."""
     return [(idx, m, v) for (idx, m), v in zip(_subset_bits(k, n), ints)]
@@ -479,8 +486,9 @@ def _table(k: int, n: int, ints) -> list[tuple[tuple[int, ...], int, int]]:
 def _scaled_table(pi: PlueckerVector, denominators):
     """Put pi over one common denominator that also clears `denominators`:
     the scale and pi's `_table` over it."""
-    ints, scale = scaled(pi.values, denominators)
-    return scale, _table(pi.k, pi.n, ints)
+    ints, s = pi.scaled()
+    scale = math.lcm(s, *denominators)
+    return scale, _table(pi.k, pi.n, [v * (scale // s) for v in ints])
 
 
 def _values(table, w_scaled: Sequence[int]) -> list[int]:

@@ -6,7 +6,7 @@ weight) and the alternating cyclic/gap-interval sum (the bridge
 functional, over a per-(k, n) table of rank pairs), plus the ladder-side
 closed form of the latter.  The noncrossing weight comes from the fan
 decomposition, an independent path.  `weight_report` reads all three
-from one scaling of a vector's values to integers.
+from the vector's scaled form (`pi.scaled()`, integers over one scale).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .combinat import (
     gap_interval,
     weakly_separated,
 )
-from .exact import InvariantError, format_fraction, scaled
+from .exact import InvariantError, format_fraction
 from .ladder import LadderPoint
 from .pluecker import PlueckerVector, is_positive_tropical, lex_rank
 
@@ -46,8 +46,10 @@ def _bridge_ranks(k: int, n: int) -> tuple[tuple[int, int], ...]:
 
 
 def bridge(pi: PlueckerVector) -> Fraction:
-    """Alternating sum over the cycle of (cyclic - gap) entries."""
-    return Fraction(sum([pi.values[c] - pi.values[g] for c, g in _bridge_ranks(pi.k, pi.n)]))
+    """Alternating sum over the cycle of (cyclic - gap) entries, read off
+    the scaled form."""
+    vals, scale = pi.scaled()
+    return Fraction(sum([vals[c] - vals[g] for c, g in _bridge_ranks(pi.k, pi.n)]), scale)
 
 
 def p_factor_tropical(y: LadderPoint, i: int) -> Fraction:
@@ -106,12 +108,12 @@ class WeightReport:
 
 
 def weight_report(pi: PlueckerVector) -> WeightReport:
-    """All three weights from one scaling of pi's values: pk by the planar
+    """All three weights from pi's scaled form: pk by the planar
     expansion, bridge by `_bridge_ranks`, nc by the flip walk to psi's
     lattice point (its positive support checked as a tableau's would be).
     Only the three results are `Fraction`s."""
     k, n = pi.k, pi.n
-    vals, scale = scaled(pi.values)
+    vals, scale = pi.scaled()
     us = planar._expand(k, n, vals)
     target = [v - row[-1] for row in ncfan._psi_rows(k, n, us) for v in row[:-1]]
     coll, mu = ncfan._walk(k, n, target)

@@ -291,5 +291,8 @@ def test_production_path_never_calls_the_fraction_references(monkeypatch):
         assert families.cache_info().currsize == 0
         assert is_positive_tropical(pi).ok
         assert psi(pi) == t
+        # the round trip reads the scaled form that rho handed over and
+        # never builds the Fraction view
+        assert pi._values is None
         assert len(planar.planar_expand(pi)) == len(noncyclic_subsets(k, n))
     assert weight_report(rho(random_tpoint(rng, 3, 7))).agree

@@ -1,14 +1,16 @@
 """Plücker vector storage, positivity certificates, and face restrictions."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
-from conftest import random_positive_vector, random_tpoint, random_vector, rng_for
-from tropnc import ladder, planar, pluecker
+from conftest import random_positive_vector, random_tpoint, random_vector, rng_for, run_optimized
+from tropnc import exact, ladder, planar, pluecker, troplin
 from tropnc.combinat import ksubset, noncyclic_subsets
 from tropnc.exact import SchemaError
+from tropnc.ncfan import TPoint
 from tropnc.planar import planar_basis_vector
 from tropnc.pluecker import (
     PlueckerVector,
@@ -93,6 +95,82 @@ def test_dense_vector_matches_dict_reference(k, n):
         assert pa != PlueckerVector.zero(k, n + 1) and pa != dict(a)
         with pytest.raises(ValueError):
             pa + PlueckerVector.zero(k, n + 1)
+
+
+def _fraction_grid(rng, k, n, den):
+    return TPoint.of(k, n, [[Fraction(rng.randint(-9, 9), den) for _ in range(n - k)]
+                            for _ in range(k - 1)])
+
+
+def test_scaled_form_is_the_least_common_denominator_form():
+    rng = rng_for("scaled-form")
+    vectors = [ladder.rho(t) for t in (
+        random_tpoint(rng, 3, 7),
+        random_tpoint(rng, 4, 8, lo=-7, hi=-1),
+        _fraction_grid(rng, 3, 7, 2),
+        _fraction_grid(rng, 4, 8, 3),
+    )]
+    common = PlueckerVector._of_scaled(2, 4, [6, -12, 18, 0, 30, 6], 24)
+    zero = PlueckerVector._of_scaled(2, 4, [0] * 6, 7)
+    assert common.scaled() == ([1, -2, 3, 0, 5, 1], 4)
+    assert zero.scaled() == ([0] * 6, 1) and zero == PlueckerVector.zero(2, 4)
+    a, b = vectors[2], random_vector(rng, 3, 7)
+    derived = [
+        common, zero,
+        pluecker.from_json_dict(pluecker.to_json_dict(vectors[3])),
+        a + b, a - b, -a, a.scale(Fraction(4, 3)), a.scale(0), common.scale(8),
+    ]
+    for pi in vectors:
+        derived += [troplin.central_representative(pi), troplin.balanced_representative(pi)]
+    for pi in vectors + derived:
+        ints, scale = pi.scaled()
+        assert (ints, scale) == exact.scaled(pi.values)
+        assert math.gcd(scale, *ints) == 1
+        assert pi.scaled() is pi.scaled()
+    assert {pi.scaled()[1] for pi in vectors} >= {1, 2, 3}
+
+
+def test_vectors_from_ints_and_from_fractions_are_equal():
+    rng = rng_for("ints-or-fractions")
+    for k, n in [(2, 5), (3, 7), (4, 8)]:
+        scale = rng.randint(1, 6)
+        ints = [rng.randint(-20, 20) for _ in range(math.comb(n, k))]
+        fractions = [Fraction(v, scale) for v in ints]
+        from_ints = PlueckerVector._of_scaled(k, n, ints, scale)
+        from_fractions = PlueckerVector(k, n, fractions)
+        assert from_ints == from_fractions and from_fractions == from_ints
+        assert from_ints.values == from_fractions.values == tuple(fractions)
+        assert PlueckerVector._of_scaled(k, n, [5 * v for v in ints], 5 * scale) == from_ints
+        assert PlueckerVector(k, n, ints) == PlueckerVector._of_scaled(k, n, ints, 1)
+        assert from_ints != from_fractions.scale(2)
+
+
+REFUSALS = [
+    ([0] * 5, 1, "need one value per 2-subset of [4], 6 in all; got 5"),
+    ([0] * 7, 1, "need one value per 2-subset of [4], 6 in all; got 7"),
+    ([0] * 6, 0, "the scale must be positive, got 0"),
+    ([1] * 6, -2, "the scale must be positive, got -2"),
+]
+
+
+def test_of_scaled_refuses_a_wrong_length_or_scale():
+    for ints, scale, message in REFUSALS:
+        with pytest.raises(ValueError) as exc:
+            PlueckerVector._of_scaled(2, 4, ints, scale)
+        assert str(exc.value) == message
+
+
+def test_of_scaled_refuses_a_wrong_length_or_scale_under_optimize():
+    result = run_optimized(
+        "from tropnc.pluecker import PlueckerVector",
+        f"for ints, scale, _ in {REFUSALS!r}:",
+        "    try:",
+        "        PlueckerVector._of_scaled(2, 4, ints, scale)",
+        "    except ValueError as exc:",
+        "        print(exc)",
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [message for _, _, message in REFUSALS]
 
 
 def test_json_round_trip():

@@ -12,7 +12,7 @@ from conftest import (
     rng_for,
     vector_312,
 )
-from tropnc import combinat, ladder, ncfan, planar, weight
+from tropnc import combinat, ladder, ncfan, planar, pluecker, weight
 from tropnc.combinat import (
     cyc_interval,
     gap_interval,
@@ -175,29 +175,37 @@ def test_weight_two_candidates_empty_for_k2(n):
 
 
 def test_weight_report_expands_once_and_matches_its_parts(monkeypatch):
-    # pi.values are scaled once, in weight_report; the expansion, the
-    # projection and the walk read those integers and scale nothing again.
+    # A vector is scaled at most once, by its own cache (the one caller of
+    # exact.scaled in pluecker): a vector built from Fractions on its first
+    # read, a rho vector never, since rho hands over integers and a scale.
+    # The expansion, the projection and the walk read those integers and
+    # scale nothing again.
     rng = rng_for("weight-report-one-expansion")
-    vectors = [rho(random_tpoint(rng, 4, 7)) for _ in range(5)] + [random_vector(rng, 3, 6)]
-    expected = [(pk_weight(pi), ncfan.nc_weight(ncfan.psi(pi)), bridge(pi)) for pi in vectors]
+    grids = [random_tpoint(rng, 4, 7) for _ in range(5)]
+    fraction_vectors = [random_vector(rng, 3, 6), random_vector(rng, 4, 7)]
+    cases = [(True, t) for t in grids] + [(False, pi) for pi in fraction_vectors]
+    reference = [rho(x) if from_grid else x for from_grid, x in cases]
+    expected = [(pk_weight(pi), ncfan.nc_weight(ncfan.psi(pi)), bridge(pi)) for pi in reference]
     calls = []
 
     def refuse(*args):
         raise AssertionError("a second scaling ran")
 
-    scale_once = weight.scaled
-    monkeypatch.setattr(weight, "scaled", lambda values: calls.append(values) or scale_once(values))
+    scale_once = pluecker.scaled
+    monkeypatch.setattr(pluecker, "scaled", lambda values: calls.append(values) or scale_once(values))
     monkeypatch.setattr(planar, "_scaled_expansion", refuse)
-    monkeypatch.setattr(planar, "scaled", refuse)
     monkeypatch.setattr(ncfan, "scaled", refuse)
-    for pi, (pk, nc, br) in zip(vectors, expected):
+    for (from_grid, x), (pk, nc, br) in zip(cases, expected):
         calls.clear()
+        pi = rho(x) if from_grid else PlueckerVector(x.k, x.n, x.values)
         walks = ncfan.WALK_COUNTS["walks"]
         rep = weight_report(pi)
-        assert calls == [pi.values]
+        assert calls == ([] if from_grid else [pi.values])
         assert ncfan.WALK_COUNTS["walks"] - walks == 1
         assert (rep.pk_weight, rep.nc_weight, rep.bridge_value) == (pk, nc, br)
         assert rep.agree == (pk == nc == br)
+        assert weight_report(pi) == rep
+        assert len(calls) == (0 if from_grid else 1)
 
 
 def test_weight_report_builds_no_tableau_and_no_fraction_point(monkeypatch):
