@@ -10,9 +10,10 @@ associated tropical functional is the dual linear form.
 `planar_expand` evaluates every cross-ratio at once in scaled integers:
 it reads a vector's scaled form (`pi.scaled()`, rank-ordered integers
 over one scale) and sums it over a per-(k, n) table of each cubical
-array as two rank tuples, its +1 terms and its -1 terms; `tropical_u` is
-the `Fraction` reference it is tested against.  `planar_combination` sums
-basis vectors into one vector, value by value in rank order.
+array as two getters of ranks (`operator.itemgetter`), its +1 terms and
+its -1 terms; `tropical_u` is the `Fraction` reference it is tested
+against.  `planar_combination` sums basis vectors into one vector, value
+by value in rank order.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 
 from .combinat import (
     KSubset,
@@ -132,22 +134,27 @@ def tropical_u(J: KSubset, pi: PlueckerVector) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _expansion_table(k: int, n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """Per noncyclic J in `noncyclic_subsets` order, the lexicographic
-    ranks of its cubical array's +1 terms, then of its -1 terms."""
+def _expansion_table(k: int, n: int) -> tuple[tuple[itemgetter, itemgetter], ...]:
+    """Per noncyclic J in `noncyclic_subsets` order, getters of the
+    lexicographic ranks of its cubical array's +1 terms, then of its -1
+    terms.  A getter of one rank returns a scalar, not a tuple; a noncyclic
+    J has two cyclic endpoints or more, so each sign has two terms or more,
+    and a sign with fewer is an InvariantError."""
     rank = lex_rank(k, n)
-    return tuple(
-        tuple(tuple(rank[M] for M, s in cubical_array(J).exponents.items() if s == sign)
-              for sign in (1, -1))
-        for J in noncyclic_subsets(k, n)
-    )
+    table = []
+    for J in noncyclic_subsets(k, n):
+        exponents = cubical_array(J).exponents
+        terms = [[rank[M] for M, s in exponents.items() if s == sign] for sign in (1, -1)]
+        if min(map(len, terms)) < 2:
+            raise InvariantError(f"cubical array of {J.elems} has a sign with fewer than two terms")
+        table.append(tuple(itemgetter(*ranks) for ranks in terms))
+    return tuple(table)
 
 
 def _expand(k: int, n: int, vals) -> list[int]:
     """scale * u_J for every noncyclic J in `noncyclic_subsets` order, from
     a vector's scaled form (`PlueckerVector.scaled`) in rank order."""
-    at = vals.__getitem__
-    return [sum(map(at, plus)) - sum(map(at, minus)) for plus, minus in _expansion_table(k, n)]
+    return [sum(plus(vals)) - sum(minus(vals)) for plus, minus in _expansion_table(k, n)]
 
 
 def _scaled_expansion(pi: PlueckerVector) -> tuple[list[int], int]:

@@ -28,6 +28,17 @@ CLI's `diameter`, expands the vector and sums its roof rows once:
 `_balanced_roof_sum` rescales that sum to the balanced representative,
 and the walk (`_walk`) starts from it.
 
+At a vertex the walk reads every interval rank from the Grassmann
+necklace of the argmin matroid (Oh, "Positroids and Schubert
+matroids"): the greedy basis g_a in the order a < a+1 < ... < a-1
+attains the rank of each prefix of that order, so r([a, a+size)) =
+|g_a ∩ [a, a+size)| for any matroid (`_greedy_bases`).  The top face of
+S = [a, b] is M|S ⊕ M/S, so `_edge_intervals` skips S on its ranks
+alone when b+1 or a-1 is a loop of M/S (adding it leaves the rank
+unchanged) or a or b is a coloop of M|S (removing it lowers the rank),
+and forms the top face only of the intervals left; a basis with more
+than r(S) elements in S there means the argmin set is no matroid.
+
 One classifier, `_face`, reads the argmin bases of a shift point as
 bitmasks and counts components on the fundamental graph of one basis;
 the walk feeds it values it updates along each edge, and `_shift_face`
@@ -51,8 +62,8 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from operator import add
+from functools import lru_cache, reduce
+from operator import add, and_, or_
 from typing import Sequence
 
 from . import planar
@@ -446,7 +457,7 @@ def _walk(k: int, n: int, roof, time_budget_s: float | None) -> BoundedComplexRe
     while todo:
         w, vals = todo.pop()
         best = min(vals)
-        for s, top in _edge_intervals(list(_argmin(masks, vals)), n):
+        for s, top in _edge_intervals(list(_argmin(masks, vals)), k, n):
             counts = _interval_counts(k, n, s)
             t = _breakpoint(vals, counts, best, (next(iter(top)) & s).bit_count())
             lead = t * (s & 1)  # w[0] is 0: keep the first coordinate 0
@@ -550,35 +561,66 @@ def _breakpoint(vals, counts, best: int, r: int) -> int:
     return t
 
 
-def _edge_intervals(bases: list[int], n: int):
+@lru_cache(maxsize=None)
+def _greedy_keys(k: int, n: int) -> tuple[dict[int, int], ...]:
+    """Per start a (0-based), each k-subset bitmask's bits rotated to begin
+    at a and reversed: in the order a < a+1 < ... < a-1, the basis with the
+    largest key is the greedy one.  The reversal of every n-bit mask comes
+    from a recurrence, one step per mask."""
+    rev = [0] * (1 << n)
+    for m in range(1, 1 << n):
+        rev[m] = rev[m >> 1] >> 1 | (m & 1) << (n - 1)
+    full = (1 << n) - 1
+    masks = [m for _, m in _subset_bits(k, n)]
+    return tuple({m: rev[(m >> a | m << (n - a)) & full] for m in masks} for a in range(n))
+
+
+@lru_cache(maxsize=None)
+def _spans(n: int) -> tuple[tuple[int, ...], ...]:
+    """spans[a][size]: the bitmask of the cyclic interval [a, a+size), for
+    every 0-based start a and every size from 0 to n."""
+    return tuple(
+        tuple(sum(1 << (a + i) % n for i in range(size)) for size in range(n + 1))
+        for a in range(n)
+    )
+
+
+def _greedy_bases(bases: list[int], k: int, n: int) -> list[int]:
+    """The Grassmann necklace of the matroid whose bases are the bitmasks
+    `bases`: per start a, the lexicographically first basis in the order
+    a < a+1 < ... < a-1, which the greedy algorithm picks."""
+    return [max(bases, key=key.__getitem__) for key in _greedy_keys(k, n)]
+
+
+def _edge_intervals(bases: list[int], k: int, n: int):
     """Each proper cyclic interval S (a bitmask) whose top face, the bases
     B with the most elements in S, has no loop and no coloop, with that
-    face.  The counts |B & S| of all bases at once are bit-sliced over
-    base positions and grow by one element of S at a time."""
-    member = [0] * n  # per element, the positions of the bases holding it
-    for j, m in enumerate(bases):
-        for i in range(n):
-            if m >> i & 1:
-                member[i] |= 1 << j
-    everyone = (1 << len(bases)) - 1
-    for start in range(n):
-        s, planes = 0, []  # planes[p]: bit p of every count
+    face.  The ranks of S, of S with a neighbour added and of S with an
+    end removed come from the greedy bases; S is skipped when they show
+    a loop or coloop of the top face M|S ⊕ M/S."""
+    spans = _spans(n)
+    greedy = _greedy_bases(bases, k, n)
+    ranks = [[(g & s).bit_count() for s in span] for g, span in zip(greedy, spans)]
+    full = (1 << n) - 1
+    for a in range(n):
+        here, after, before = ranks[a], ranks[(a + 1) % n], ranks[a - 1]
         for size in range(1, n):
-            x = (start + size - 1) % n
-            s |= 1 << x
-            carry = member[x]
-            for p, plane in enumerate(planes):
-                planes[p] = plane ^ carry
-                carry &= plane
-            if carry:
-                planes.append(carry)
-            top = everyone  # narrowed to the largest count, high bit first
-            for plane in reversed(planes):
-                if top & plane:
-                    top &= plane
-            # Every element in some top basis but not in all of them.
-            if all(member[i] & top not in (0, top) for i in range(n)):
-                yield s, {m for j, m in enumerate(bases) if top >> j & 1}
+            r = here[size]
+            if here[size + 1] == r or before[size + 1] == r:  # b+1 or a-1 a loop of M/S
+                continue
+            if after[size - 1] < r or here[size - 1] < r:  # a or b a coloop of M|S
+                continue
+            s = spans[a][size]
+            counts = [(m & s).bit_count() for m in bases]
+            if max(counts) > r:
+                S = [i + 1 for i in range(n) if s >> i & 1]
+                raise InvariantError(
+                    f"the argmin set is no matroid: a basis has more than the greedy rank {r} "
+                    f"in S = {S}"
+                )
+            top = {m for m, c in zip(bases, counts) if c == r}
+            if reduce(or_, top) == full and not reduce(and_, top):
+                yield s, top
 
 
 def _face(bases: set[int], n: int):

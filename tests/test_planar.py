@@ -8,6 +8,7 @@ import pytest
 from conftest import COEFFS_312, random_positive_vector, random_vector, rng_for, vector_312
 from tropnc import planar
 from tropnc.combinat import all_ksubsets, cyclic_intervals, ksubset, noncyclic_subsets
+from tropnc.exact import InvariantError
 from tropnc.planar import (
     corank_vector,
     cubical_array,
@@ -197,3 +198,19 @@ def test_planar_expand_matches_tropical_u(k, n):
         assert list(planar_expand(pi).items()) == expected
         fractional |= any(c.denominator > 1 for _, c in expected)
     assert fractional
+
+
+def test_expansion_table_needs_two_terms_of_each_sign(monkeypatch):
+    # A getter of one rank returns a scalar, not a tuple, so the table
+    # refuses a cubical array with a lone term of either sign.
+    array = cubical_array
+
+    def lone_plus_term(J):
+        exponents = array(J).exponents
+        first = next(M for M, s in exponents.items() if s == 1)
+        kept = {M: s for M, s in exponents.items() if s == -1 or M == first}
+        return planar.CrossRatioExponent(J, kept)
+
+    monkeypatch.setattr(planar, "cubical_array", lone_plus_term)
+    with pytest.raises(InvariantError, match=r"of \(1, 2, 4\) has a sign with fewer than two"):
+        planar._expansion_table.__wrapped__(3, 6)

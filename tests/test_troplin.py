@@ -470,16 +470,22 @@ def test_breakpoint_rejects_a_half_integer_step():
     assert troplin._breakpoint([0, 6, 8], [1, 3, 3], 0, 1) == 3
 
 
+def _argmin_bases(pi, w):
+    """The argmin bitmasks of pi at the shift point w, sorted."""
+    scale, table = troplin._scaled_table(pi, [Fraction(x).denominator for x in w])
+    masks = [m for _, m, _ in table]
+    return sorted(troplin._argmin(masks, troplin._values(table, troplin._over(scale, w))))
+
+
 def test_edge_intervals_match_a_count_per_basis():
     rng = rng_for("edge-intervals")
-    for k, n in [(3, 6), (3, 7), (4, 8)]:
-        pi = rho(random_tpoint(rng, k, n, hi=2))
-        scale, table = troplin._scaled_table(pi, [])
-        masks = [m for _, m, _ in table]
+    sizes = [(3, 6), (3, 7), (4, 8), (3, 9), (3, 10), (5, 10)]
+    for pi in [rho(random_tpoint(rng, k, n, hi=2)) for k, n in sizes] + [vector_312()]:
+        k, n = pi.k, pi.n
         vertices = bounded_complex_vertices(pi).vertices
-        # the vertices, and the origin, whose argmin bases are many more
-        for w in vertices + ((0,) * n,):
-            bases = sorted(troplin._argmin(masks, troplin._values(table, [x * scale for x in w])))
+        # the vertices, and the origin, no vertex, whose argmin sets are mostly larger
+        for w in vertices + ((Fraction(0),) * n,):
+            bases = _argmin_bases(pi, w)
             expected = []
             for a, size in itertools.product(range(n), range(1, n)):
                 s = sum(1 << ((a + i) % n) for i in range(size))
@@ -487,7 +493,36 @@ def test_edge_intervals_match_a_count_per_basis():
                 top = {m for m in bases if (m & s).bit_count() == r}
                 if reduce(or_, top) == (1 << n) - 1 and not reduce(and_, top):
                     expected.append((s, top))
-            assert list(troplin._edge_intervals(bases, n)) == expected
+            assert list(troplin._edge_intervals(bases, k, n)) == expected
+
+
+def test_greedy_bases_are_the_grassmann_necklace():
+    rng = rng_for("greedy-necklace")
+    checked = 0
+    for k, n in [(3, 6), (3, 7), (4, 7), (3, 8), (4, 8)]:
+        for t in (random_tpoint(rng, k, n, hi=3), random_rational_tpoint(rng, k, n)):
+            pi = rho(t)
+            for w in bounded_complex_vertices(pi).vertices:
+                necklace = grassmann_necklace(argmin_matroid(pi, w))
+                masks = [sum(1 << (i - 1) for i in B) for B in necklace]
+                assert troplin._greedy_bases(_argmin_bases(pi, w), k, n) == masks
+                checked += 1
+    assert checked >= 50
+
+
+def test_edge_intervals_reject_bases_that_are_no_matroid():
+    # {1, 2} and {3, 4} break basis exchange.  The greedy basis from 2 is
+    # {1, 2}, which reads rank 1 on S = {2, 3, 4}; {3, 4} has two there.
+    message = r"no matroid: a basis has more than the greedy rank 1 in S = \[2, 3, 4\]"
+    with pytest.raises(InvariantError, match=message):
+        list(troplin._edge_intervals([0b0011, 0b1100], 2, 4))
+    # an explicit raise, so it survives -O
+    result = run_optimized(
+        "from tropnc import troplin",
+        "list(troplin._edge_intervals([0b0011, 0b1100], 2, 4))",
+    )
+    assert result.returncode == 1
+    assert "InvariantError: the argmin set is no matroid" in result.stderr
 
 
 def test_walk_checks_where_it_starts_and_where_edges_end(monkeypatch):
