@@ -18,11 +18,10 @@ which the tests check against `noncrossing` on every pair up to n = 10.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import InvariantError, as_fraction
+from .exact import InvariantError, as_fraction, record
 
 
 def mod1(x: int, n: int) -> int:
@@ -30,7 +29,7 @@ def mod1(x: int, n: int) -> int:
     return (x - 1) % n + 1
 
 
-@dataclass(frozen=True, order=True)
+@record(order=True)
 class KSubset:
     """A sorted k-element subset of [n], with 2 <= k <= n-2 and n >= 4."""
 
@@ -318,7 +317,7 @@ def maximal_noncrossing_collections(k: int, n: int) -> tuple[tuple[KSubset, ...]
     return tuple(tuple(nodes[i] for i in c) for c in sorted(cliques))
 
 
-@dataclass(frozen=True)
+@record
 class DecoratedOSP:
     """Decorated ordered set partition (r_1..r_l, S_1..S_l) of [n].
 
@@ -419,7 +418,7 @@ def is_noncrossing_partition(blocks, n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@record
 class NoncrossingTableau:
     """Multiset of pairwise-noncrossing noncyclic k-subsets with positive
     rational multiplicities (integer multiplicities are the classical

@@ -8,17 +8,106 @@ are at most a few dozen rows), kept dependency-free on purpose: `det` and
 `inverse` share one pivot-and-eliminate loop.  The JSON loaders of every
 type (`pluecker`, `ncfan`) read their (k, n) header and their
 rationals through the checks here and raise `SchemaError`, with a JSON
-pointer to the fault, on any malformed input.
+pointer to the fault, on any malformed input.  `record` makes the
+package's frozen value classes (`KSubset`, `TPoint`, the reports, ...)
+without `dataclasses`, whose import and generated methods would be most
+of the command-line start-up.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 Rational = Union[int, Fraction]
+
+
+def _compare(key, op):
+    def method(self, other):
+        if other.__class__ is self.__class__:
+            return op(key(self), key(other))
+        return NotImplemented
+
+    return method
+
+
+def _bind(cls, names: tuple, args: tuple, kwargs: dict) -> list:
+    """The field values of a `record` call, in field order; missing ones
+    from the class-level defaults."""
+    if len(args) > len(names):
+        raise TypeError(f"{cls.__name__}() takes {len(names)} arguments, got {len(args)}")
+    values = dict(zip(names, args))
+    for name, value in kwargs.items():
+        if name not in names:
+            raise TypeError(f"{cls.__name__}() got an unexpected keyword argument {name!r}")
+        if name in values:
+            raise TypeError(f"{cls.__name__}() got multiple values for argument {name!r}")
+        values[name] = value
+    for name in names:
+        if name not in values:
+            if name not in cls.__dict__:
+                raise TypeError(f"{cls.__name__}() missing required argument {name!r}")
+            values[name] = cls.__dict__[name]
+    return [values[name] for name in names]
+
+
+def record(cls=None, *, order: bool = False):
+    """Class decorator for a frozen value class: its annotated names, in
+    order, are its fields, and a class attribute of the same name is that
+    field's default.
+
+    It installs `__init__` by position or keyword, which then runs the
+    class's own `__post_init__`; `==` and `hash` on the field values, only
+    against the same class; `repr` as `Name(field=value, ...)`; and with
+    `order`, `<`, `<=`, `>`, `>=` on the field values.  Assigning or
+    deleting any attribute raises AttributeError; `cached_property` still
+    works, since it writes the instance dict directly.  Equality, hash and
+    order read the fields through one `operator.attrgetter`, and every
+    method is a closure made here: no source is generated per class.
+    """
+    if cls is None:
+        return lambda cls: record(cls, order=order)
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    key = operator.attrgetter(*names)
+    post_init = getattr(cls, "__post_init__", None)
+    arity = len(names)
+    setter = object.__setattr__
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != arity:
+            args = _bind(cls, names, args, kwargs)
+        # Field by field, never through self.__dict__: reading that would
+        # make a dict per instance and slow every later attribute read.
+        for name, value in zip(names, args):
+            setter(self, name, value)
+        if post_init is not None:
+            post_init(self)
+
+    def __hash__(self):
+        return hash(key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    methods = {"__init__": __init__, "__eq__": _compare(key, operator.eq),
+               "__hash__": __hash__, "__repr__": __repr__,
+               "__setattr__": __setattr__, "__delattr__": __delattr__}
+    if order:
+        for op in ("lt", "le", "gt", "ge"):
+            methods[f"__{op}__"] = _compare(key, getattr(operator, op))
+    for name, method in methods.items():
+        setattr(cls, name, method)
+    return cls
 
 
 class InvariantError(RuntimeError):
@@ -39,7 +128,10 @@ class SchemaError(ValueError):
 
 
 def as_fraction(value) -> Fraction:
-    """Coerce an int, Fraction, or "p/q" string to Fraction; refuse floats."""
+    """Coerce an int, Fraction, or "p/q" string to Fraction; refuse floats.
+    A `Fraction` is returned as it is."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, bool):
         raise TypeError("booleans are not rationals")
     if isinstance(value, (int, Fraction)):

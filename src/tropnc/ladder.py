@@ -8,7 +8,7 @@ sink.  The Plücker coordinate of J is the minimum of total vertical
 weight over the non-intersecting path families of J.
 
 Every vector so obtained is positive tropical (Speyer–Williams), so each
-row of `pluecker._three_term_table`, pi_Sac + pi_Sbd = min(pi_Sab +
+row of `pluecker._three_term_ranks`, pi_Sac + pi_Sbd = min(pi_Sab +
 pi_Scd, pi_Sad + pi_Sbc), fixes pi_Sac from the other five entries, and
 likewise pi_Sbd.  `_plan` finds, once per (k, n), the k(n-k)+1 subsets
 that have exactly one path family (the seeds, each a single sum over the
@@ -26,17 +26,16 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .combinat import KSubset
-from .exact import InvariantError, as_fraction, scaled
+from .exact import InvariantError, as_fraction, record, scaled
 from .ncfan import TPoint
-from .pluecker import PlueckerVector, _three_term_table, lex_rank
+from .pluecker import PlueckerVector, _three_term_ranks, lex_rank
 
 
-@dataclass(frozen=True)
+@record
 class LadderPoint:
     """A (k-1) x (n-k) grid of vertical edge weights (no quotient)."""
 
@@ -75,7 +74,7 @@ def grid_of(t: TPoint) -> LadderPoint:
     return LadderPoint(t.k, t.n, t.rows)
 
 
-@dataclass(frozen=True)
+@record
 class PathFamily:
     """Non-intersecting family: per active source, its descent positions.
 
@@ -195,7 +194,7 @@ def _plan(k: int, n: int) -> tuple[tuple, tuple]:
     Steps: (target, ab, cd, ad, bc, other) ranks, in evaluation order, of
     the relation pi_target = min(pi_ab + pi_cd, pi_ad + pi_bc) - pi_other.
     A worklist of ranks whose values are known releases each relation of
-    `_three_term_table` once five of its six entries are known."""
+    `_three_term_ranks` once five of its six entries are known."""
     width = n - k
     ranks = lex_rank(k, n)
     seeds = []
@@ -212,7 +211,7 @@ def _plan(k: int, n: int) -> tuple[tuple, tuple]:
             f"({k},{n}): {len(seeds)} subsets with one path family, "
             f"not k(n-k)+1 = {k * (n - k) + 1}"
         )
-    relations = [row[2:] for row in _three_term_table(k, n)]  # ac, bd, ab, cd, ad, bc
+    relations = _three_term_ranks(k, n)  # ac, bd, ab, cd, ad, bc
     relations_of = [[] for _ in ranks]
     for i, relation in enumerate(relations):
         for rank in relation:

@@ -20,7 +20,6 @@ the walk's test oracle, never a fallback.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, prod
@@ -41,6 +40,7 @@ from .exact import (
     as_fraction,
     format_fraction,
     json_rows,
+    record,
     scaled,
 )
 from .pluecker import PlueckerVector
@@ -60,7 +60,7 @@ def _canonical_rows(rows) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@record
 class TPoint:
     """(k-1) rows of length (n-k), each modulo all-ones; stored canonically."""
 
@@ -106,7 +106,7 @@ class TPoint:
             raise ValueError("mismatched (k, n)")
 
 
-@dataclass(frozen=True)
+@record
 class TTildePoint:
     """k rows of length (n-k), no quotient."""
 
@@ -262,7 +262,7 @@ def _flip_partner(rows: CompatibilityRows, coll, i: int) -> int:
     return common.bit_length() - 1
 
 
-@dataclass(frozen=True)
+@record
 class _WalkTables:
     nodes: tuple[KSubset, ...]
     rows: CompatibilityRows
@@ -363,7 +363,7 @@ def nc_decompose(t: TPoint) -> NoncrossingTableau:
     ))
 
 
-@dataclass(frozen=True)
+@record
 class FanAudit:
     """The maximal cones of an audited fan, in lexicographic order."""
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
@@ -35,7 +34,7 @@ from .combinat import (
     noncyclic_subsets,
     positroid_bases,
 )
-from .exact import InvariantError, as_fraction
+from .exact import InvariantError, as_fraction, record
 from .pluecker import PlueckerVector, lex_rank, linear_combination
 
 
@@ -94,7 +93,7 @@ def corank_vector(J: KSubset) -> PlueckerVector:
     return PlueckerVector.from_function(k, J.n, corank)
 
 
-@dataclass(frozen=True)
+@record
 class CrossRatioExponent:
     """Signed exponent vector of a planar cross-ratio over its cubical array."""
 

@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .combinat import KSubset
+from .combinat import KSubset, cyc_interval, gap_interval
 from .exact import (
     Rational,
     SchemaError,
@@ -32,6 +32,7 @@ from .exact import (
     format_fraction,
     json_fraction,
     json_kn,
+    record,
     scaled,
 )
 
@@ -48,6 +49,15 @@ def lex_rank(k: int, n: int) -> dict[tuple[int, ...], int]:
     return {I: r for r, I in enumerate(itertools.combinations(range(1, n + 1), k))}
 
 
+@lru_cache(maxsize=None)
+def _gap_ranks(k: int, n: int) -> tuple[tuple[int, int], ...]:
+    """Per j in range(n), the ranks of the cyclic interval `cyc_interval(j)`
+    and of its gap interval `gap_interval(j)`: the cyclic-gap pairs that
+    the bridge weight and the balancing shift difference."""
+    rank = lex_rank(k, n)
+    return tuple((rank[cyc_interval(j, k, n)], rank[gap_interval(j, k, n)]) for j in range(n))
+
+
 def _check_count(k: int, n: int, count: int):
     if count != math.comb(n, k):
         raise ValueError(
@@ -62,7 +72,7 @@ class PlueckerVector:
     __slots__ = ("k", "n", "_values", "_scaled")
 
     def __init__(self, k: int, n: int, values: Iterable[Rational]):
-        values = tuple(v if type(v) is Fraction else as_fraction(v) for v in values)
+        values = tuple(map(as_fraction, values))
         _check_count(k, n, len(values))
         self.k = k
         self.n = n
@@ -181,7 +191,7 @@ def lineality_shift(pi: PlueckerVector, x: Sequence[Rational]) -> PlueckerVector
     return pi - lineality_vector(pi.k, pi.n, x)
 
 
-@dataclass(frozen=True)
+@record
 class PositivityCertificate:
     """Outcome of the three-term relation scan.
 
@@ -196,30 +206,34 @@ class PositivityCertificate:
         return self.ok
 
 
-
-@lru_cache(maxsize=None)
-def _three_term_table(k: int, n: int) -> tuple[tuple, ...]:
-    """One row per S in C([n], k-2) and a < b < c < d outside S, in scan
-    order: S, (a, b, c, d), and the ranks of Sac, Sbd, Sab, Scd, Sad, Sbc."""
-    rank = lex_rank(k, n)
-    ground = range(1, n + 1)
-    table = []
-    for S in itertools.combinations(ground, k - 2):
-        rest = [x for x in ground if x not in S]
-        # pair[i][j]: the rank of S + {rest[i], rest[j]}, looked up once per
-        # pair rather than six times per quadruple (None when i == j)
-        pair = [[rank.get(tuple(sorted(S + (x, y)))) for y in rest] for x in rest]
-        for a, b, c, d in itertools.combinations(range(len(rest)), 4):
-            table.append((S, (rest[a], rest[b], rest[c], rest[d]), pair[a][c], pair[b][d],
-                          pair[a][b], pair[c][d], pair[a][d], pair[b][c]))
-    return tuple(table)
-
-
 @lru_cache(maxsize=None)
 def _three_term_ranks(k: int, n: int) -> tuple[tuple[int, ...], ...]:
-    """The ranks (ac, bd, ab, cd, ad, bc) of each `_three_term_table` row,
-    in scan order; they name their row (S is Sab ∩ Scd)."""
-    return tuple(row[2:] for row in _three_term_table(k, n))
+    """One row per S in C([n], k-2) and a < b < c < d outside S, in scan
+    order: the ranks of Sac, Sbd, Sab, Scd, Sad, Sbc.  The ranks name
+    their row (`_three_term_row`)."""
+    rank = lex_rank(k, n)
+    ground = range(1, n + 1)
+    m = n - k + 2
+    # Per S, pair[i * m + j] is the rank of S + {rest[i], rest[j]}, i < j,
+    # looked up once per pair; each getter reads one quadruple's six.
+    getters = [
+        itemgetter(a * m + c, b * m + d, a * m + b, c * m + d, a * m + d, b * m + c)
+        for a, b, c, d in itertools.combinations(range(m), 4)
+    ]
+    rows = []
+    for S in itertools.combinations(ground, k - 2):
+        rest = [x for x in ground if x not in S]
+        pair = [rank[tuple(sorted(S + (x, y)))] if x < y else None for x in rest for y in rest]
+        rows.extend(get(pair) for get in getters)
+    return tuple(rows)
+
+
+def _three_term_row(k: int, n: int, ab: int, cd: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """S and (a, b, c, d) of the `_three_term_ranks` row whose Sab and Scd
+    have ranks ab and cd: S is Sab ∩ Scd, and a < b < c < d the rest."""
+    Sab, Scd = (next(itertools.islice(lex_rank(k, n), r, None)) for r in (ab, cd))
+    S = tuple(x for x in Sab if x in Scd)
+    return S, tuple(sorted(set(Sab).symmetric_difference(Scd)))
 
 
 def is_positive_tropical(pi: PlueckerVector) -> PositivityCertificate:
@@ -227,16 +241,15 @@ def is_positive_tropical(pi: PlueckerVector) -> PositivityCertificate:
     for every S in C([n], k-2) and a < b < c < d disjoint from S.
 
     The scan reads the scaled form over the rows of `_three_term_ranks`;
-    only a failing row is looked up for its S and quadruple."""
+    only a failing row is unranked for its S and quadruple."""
     vals, scale = pi.scaled()
-    rows = _three_term_ranks(pi.k, pi.n)
-    for ac, bd, ab, cd, ad, bc in rows:
+    for ac, bd, ab, cd, ad, bc in _three_term_ranks(pi.k, pi.n):
         lhs = vals[ac] + vals[bd]
         r1 = vals[ab] + vals[cd]
         r2 = vals[ad] + vals[bc]
         rhs = r1 if r1 < r2 else r2
         if lhs != rhs:
-            S, quad = _three_term_table(pi.k, pi.n)[rows.index((ac, bd, ab, cd, ad, bc))][:2]
+            S, quad = _three_term_row(pi.k, pi.n, ab, cd)
             return PositivityCertificate(
                 False, (S, quad, Fraction(lhs, scale), Fraction(rhs, scale))
             )

@@ -60,7 +60,6 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import add, and_, or_
@@ -69,22 +68,20 @@ from typing import Sequence
 from . import planar
 from .combinat import (
     KSubset,
-    cyc_interval,
     dosp,
-    gap_interval,
     is_cyclic_interval,
     mod1,
     noncyclic_subsets,
 )
-from .exact import InvariantError, Rational, as_fraction, format_fraction
-from .pluecker import PlueckerVector, is_positive_tropical, lex_rank
+from .exact import InvariantError, Rational, as_fraction, format_fraction, record
+from .pluecker import PlueckerVector, _gap_ranks, is_positive_tropical, lex_rank
 
 
 class TimeBudgetExceeded(RuntimeError):
     """Raised when the vertex walk overruns its optional wall-clock budget."""
 
 
-@dataclass(frozen=True)
+@record
 class Matroid:
     """Rank-k matroid on [n] given by its explicit basis list."""
 
@@ -222,7 +219,7 @@ def in_bounded_part(pi: PlueckerVector, w: Sequence[Rational]) -> bool:
     return isinstance(face_dimension_at(pi, w), int)
 
 
-@dataclass(frozen=True)
+@record
 class CentralRoof:
     """The cyclic family of weight vectors defining a central roof.
 
@@ -320,11 +317,9 @@ def _gap_shift(row, target, k: int, n: int):
     n differences fix y modulo all-ones once they sum to n * target; every
     caller passes a central representative and the weight its planar
     coefficients claim, so any other sum is an InvariantError."""
-    rank = lex_rank(k, n)
     delta = [0] * (n + 1)
-    for j in range(n):
-        d = row[rank[cyc_interval(j, k, n)]] - row[rank[gap_interval(j, k, n)]]
-        delta[mod1(j + k, n)] = d - target
+    for j, (c, g) in enumerate(_gap_ranks(k, n)):
+        delta[mod1(j + k, n)] = row[c] - row[g] - target
     if sum(delta) != 0:
         raise InvariantError("the planar coefficients do not expand the vector modulo lineality")
     y = [0] * n
@@ -375,7 +370,7 @@ def balanced_representative(pi: PlueckerVector) -> PlueckerVector:
     return PlueckerVector._of_scaled(pi.k, pi.n, [v for _, _, v in table], scale)
 
 
-@dataclass(frozen=True)
+@record
 class BoundedComplexReport:
     """Vertices of the bounded complex plus the dilate bookkeeping.
 
@@ -432,7 +427,7 @@ def _walk(k: int, n: int, roof, time_budget_s: float | None) -> BoundedComplexRe
     positive."""
     deadline = time.monotonic() + time_budget_s if time_budget_s is not None else None
     scale, table, terms, central = roof
-    wt = Fraction(k * sum(f for _, f in terms), scale)
+    total = k * sum(f for _, f in terms)  # the weight, over scale
     y = _central_shift(central, table, k, n)
 
     # Each roof's sector at the centre, ties broken by the perturbation
@@ -472,9 +467,12 @@ def _walk(k: int, n: int, roof, time_budget_s: float | None) -> BoundedComplexRe
                 S = [i + 1 for i in range(n) if s >> i & 1]
                 raise InvariantError(f"the edge along e_S, S = {S}, ends off a vertex")
 
-    vertices = sorted(tuple(Fraction(v, scale) for v in w) for w, f in faces.items() if f == 0)
-    spread = max(max(wv) - min(wv) for wv in vertices)
-    return BoundedComplexReport(tuple(vertices), wt, spread, spread <= wt)
+    # One positive scale: the integer tuples sort as the vertices do.
+    found = sorted(w for w, f in faces.items() if f == 0)
+    spread = max(max(w) - min(w) for w in found)
+    vertices = tuple(tuple(Fraction(v, scale) for v in w) for w in found)
+    return BoundedComplexReport(vertices, Fraction(total, scale), Fraction(spread, scale),
+                                spread <= total)
 
 
 @lru_cache(maxsize=None)

@@ -12,22 +12,18 @@ from the vector's scaled form (`pi.scaled()`, integers over one scale).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from . import ladder, ncfan, planar
 from .combinat import (
     KSubset,
     _check_noncrossing,
     compatibility_rows,
-    cyc_interval,
-    gap_interval,
     weakly_separated,
 )
-from .exact import InvariantError, format_fraction
+from .exact import InvariantError, format_fraction, record
 from .ladder import LadderPoint
-from .pluecker import PlueckerVector, is_positive_tropical, lex_rank
+from .pluecker import PlueckerVector, _gap_ranks, is_positive_tropical
 
 
 def pk_weight(pi: PlueckerVector) -> Fraction:
@@ -37,19 +33,11 @@ def pk_weight(pi: PlueckerVector) -> Fraction:
     return Fraction(sum(us), scale)
 
 
-@lru_cache(maxsize=None)
-def _bridge_ranks(k: int, n: int) -> tuple[tuple[int, int], ...]:
-    """Per j in range(n), the lexicographic ranks of `cyc_interval(j)` and
-    `gap_interval(j)`."""
-    rank = lex_rank(k, n)
-    return tuple((rank[cyc_interval(j, k, n)], rank[gap_interval(j, k, n)]) for j in range(n))
-
-
 def bridge(pi: PlueckerVector) -> Fraction:
     """Alternating sum over the cycle of (cyclic - gap) entries, read off
     the scaled form."""
     vals, scale = pi.scaled()
-    return Fraction(sum([vals[c] - vals[g] for c, g in _bridge_ranks(pi.k, pi.n)]), scale)
+    return Fraction(sum([vals[c] - vals[g] for c, g in _gap_ranks(pi.k, pi.n)]), scale)
 
 
 def p_factor_tropical(y: LadderPoint, i: int) -> Fraction:
@@ -89,7 +77,7 @@ def closed_form_tropical(y: LadderPoint) -> Fraction:
     return total
 
 
-@dataclass(frozen=True)
+@record
 class WeightReport:
     """The three weight computations and their agreement flag."""
 
@@ -109,7 +97,7 @@ class WeightReport:
 
 def weight_report(pi: PlueckerVector) -> WeightReport:
     """All three weights from pi's scaled form: pk by the planar
-    expansion, bridge by `_bridge_ranks`, nc by the flip walk to psi's
+    expansion, bridge by `pluecker._gap_ranks`, nc by the flip walk to psi's
     lattice point (its positive support checked as a tableau's would be).
     Only the three results are `Fraction`s."""
     k, n = pi.k, pi.n
@@ -120,7 +108,7 @@ def weight_report(pi: PlueckerVector) -> WeightReport:
     _check_noncrossing(compatibility_rows(k, n), [j for j, m in zip(coll, mu) if m > 0])
     pk = Fraction(sum(us), scale)
     nc = Fraction(sum([m for m in mu if m > 0]), scale)
-    br = Fraction(sum([vals[c] - vals[g] for c, g in _bridge_ranks(k, n)]), scale)
+    br = Fraction(sum([vals[c] - vals[g] for c, g in _gap_ranks(k, n)]), scale)
     return WeightReport(pk, nc, br, pk == nc == br)
 
 

@@ -252,7 +252,7 @@ def test_subset_with_two_families_among_the_seeds_raises(monkeypatch):
 
 def test_three_term_table_without_the_needed_rows_raises(monkeypatch):
     # the seeds alone: 10 of the 20 subsets at (3,6)
-    monkeypatch.setattr(ladder, "_three_term_table", lambda k, n: ())
+    monkeypatch.setattr(ladder, "_three_term_ranks", lambda k, n: ())
     ladder._plan.cache_clear()
     with pytest.raises(InvariantError,
                        match=r"^\(3,6\): the three-term plan reaches 10 of 20 subsets$"):
@@ -264,7 +264,7 @@ def test_three_term_table_without_the_needed_rows_raises_under_optimize():
         "from tropnc import ladder",
         "from tropnc.exact import InvariantError",
         "from tropnc.ncfan import TPoint",
-        "ladder._three_term_table = lambda k, n: ()",
+        "ladder._three_term_ranks = lambda k, n: ()",
         "try:",
         "    ladder.rho(TPoint.zero(3, 6))",
         "except InvariantError as exc:",
