@@ -24,9 +24,9 @@ import sys
 from fractions import Fraction
 
 from . import ladder, ncfan, planar, pluecker, troplin, weight
-from .combinat import noncyclic_subsets
+from .combinat import _maximal_cone_count, noncyclic_subsets
 from .exact import InvariantError, SchemaError, format_fraction
-from .ncfan import TPoint, _maximal_cone_count
+from .ncfan import TPoint
 
 # Wall-clock budget of the vertex walk behind `bounded` and `diameter`;
 # overrunning it is exit 1 with one error line.

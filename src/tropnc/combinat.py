@@ -13,6 +13,8 @@ tableaux and the fan read noncrossing compatibility from
 `compatibility_rows` instead: one store per (k, n) of bitmask rows over
 `noncyclic_subsets`, each built on first use by the chord test `_crosses`,
 which the tests check against `noncrossing` on every pair up to n = 10.
+One fixed-size search lists noncrossing collections; the maximal ones are
+those of size (k-1)(n-k-1), counted against the hook-length formula.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial, prod
 
 from .exact import InvariantError, as_fraction, record
 
@@ -250,14 +253,6 @@ def _check_noncrossing(store: CompatibilityRows, ids) -> None:
             raise ValueError(f"entries {store.nodes[i].elems} and {store.nodes[j].elems} cross")
 
 
-def _bits(mask: int):
-    """Positions of the set bits of `mask`, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def noncrossing_collections(k: int, n: int, size: int) -> list[tuple[KSubset, ...]]:
     """All collections of exactly `size` pairwise-noncrossing noncyclic
     k-subsets, in lexicographic order (deterministic backtracking)."""
@@ -284,37 +279,26 @@ def noncrossing_collections(k: int, n: int, size: int) -> list[tuple[KSubset, ..
     return out
 
 
+def _maximal_cone_count(k: int, n: int) -> int:
+    """The number of maximal noncrossing cones at (k, n): the standard
+    Young tableaux of a k x (n-k) rectangle, by the hook-length formula."""
+    return factorial(k * (n - k)) // prod(i + j + 1 for i in range(k) for j in range(n - k))
+
+
 @lru_cache(maxsize=None)
 def maximal_noncrossing_collections(k: int, n: int) -> tuple[tuple[KSubset, ...], ...]:
     """All inclusion-maximal noncrossing collections, sorted lexicographically.
 
-    Bron-Kerbosch with pivoting over the bitmask rows of
-    `compatibility_rows`.  Maximality is by inclusion among noncyclic
-    subsets; that every maximal collection has (k-1)(n-k-1) elements is
-    checked (InvariantError), not assumed.
+    The noncrossing complex is pure of dimension (k-1)(n-k-1) - 1
+    (Santos-Stump-Welker), so these are the collections of that size;
+    their number must be the hook-length count (InvariantError otherwise).
     """
-    store = compatibility_rows(k, n)
-    nodes, rows = store.nodes, store.all_rows()
-    cliques: list[tuple[int, ...]] = []
-
-    def bron_kerbosch(r: list[int], p: int, x: int):
-        if not p and not x:
-            cliques.append(tuple(sorted(r)))
-            return
-        pivot = max(_bits(p | x), key=lambda v: (rows[v] & p).bit_count())
-        for v in _bits(p & ~rows[pivot]):
-            bron_kerbosch(r + [v], p & rows[v], x & rows[v])
-            p &= ~(1 << v)
-            x |= 1 << v
-
-    bron_kerbosch([], (1 << len(nodes)) - 1, 0)
-    expected = (k - 1) * (n - k - 1)
-    for c in cliques:
-        if len(c) != expected:
-            raise InvariantError(
-                f"maximal noncrossing collection of unexpected size {len(c)} != {expected}"
-            )
-    return tuple(tuple(nodes[i] for i in c) for c in sorted(cliques))
+    colls = tuple(noncrossing_collections(k, n, (k - 1) * (n - k - 1)))
+    expected = _maximal_cone_count(k, n)
+    if len(colls) != expected:
+        raise InvariantError(f"({k},{n}): {len(colls)} maximal noncrossing collections, "
+                             f"not the hook-length count {expected}")
+    return colls
 
 
 @record
@@ -381,24 +365,28 @@ def dosp(J: KSubset) -> DecoratedOSP:
     return DecoratedOSP(n, blocks, decorations)
 
 
-def positroid_bases(partition: DecoratedOSP) -> frozenset[tuple[int, ...]]:
-    """Bases of the positroid cut out by the chain conditions
-    |B ∩ (S_1 ∪ ... ∪ S_a)| >= r_1 + ... + r_a for a < l."""
-    n = partition.n
-    k = sum(partition.decorations)
-    prefixes = []
+def _prefix_chain(partition: DecoratedOSP) -> list[tuple[frozenset[int], int]]:
+    """The pairs (S_1 ∪ ... ∪ S_a, r_1 + ... + r_a) for a < l: the chain of
+    prefixes whose lower bounds cut out the positroid of `partition`."""
+    chain = []
     acc: set[int] = set()
     need = 0
     for block, r in zip(partition.blocks[:-1], partition.decorations[:-1]):
         acc |= set(block)
         need += r
-        prefixes.append((frozenset(acc), need))
-    bases = []
-    for cand in itertools.combinations(range(1, n + 1), k):
-        cset = set(cand)
-        if all(len(cset & pref) >= need for pref, need in prefixes):
-            bases.append(cand)
-    return frozenset(bases)
+        chain.append((frozenset(acc), need))
+    return chain
+
+
+def positroid_bases(partition: DecoratedOSP) -> frozenset[tuple[int, ...]]:
+    """Bases of the positroid cut out by the chain conditions
+    |B ∩ (S_1 ∪ ... ∪ S_a)| >= r_1 + ... + r_a for a < l."""
+    chain = _prefix_chain(partition)
+    k = sum(partition.decorations)
+    return frozenset(
+        cand for cand in itertools.combinations(range(1, partition.n + 1), k)
+        if all(len(prefix.intersection(cand)) >= need for prefix, need in chain)
+    )
 
 
 def is_noncrossing_partition(blocks, n: int) -> bool:

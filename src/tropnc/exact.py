@@ -19,10 +19,10 @@ from __future__ import annotations
 import math
 import operator
 import re
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
 
-Rational = Union[int, Fraction]
+Rational = int | Fraction
 
 
 def _compare(key, op):

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import factorial, prod
 
 from . import exact, planar
 from .combinat import (
@@ -30,6 +29,7 @@ from .combinat import (
     CompatibilityRows,
     KSubset,
     NoncrossingTableau,
+    _maximal_cone_count,
     compatibility_rows,
     noncyclic_subsets,
     tableau,
@@ -395,12 +395,6 @@ class FanAudit:
         if len(found) > 1:
             raise DecompositionError(f"multiple distinct decompositions for {t!r}")
         return tableau(self.k, self.n, found.pop())
-
-
-def _maximal_cone_count(k: int, n: int) -> int:
-    """The number of maximal noncrossing cones at (k, n): the standard
-    Young tableaux of a k x (n-k) rectangle, by the hook-length formula."""
-    return factorial(k * (n - k)) // prod(i + j + 1 for i in range(k) for j in range(n - k))
 
 
 @lru_cache(maxsize=None)

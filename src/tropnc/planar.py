@@ -1,11 +1,12 @@
 """Planar basis vectors and planar cross-ratios.
 
 Two independent constructions of the basis vector attached to a k-subset
-are kept side by side on purpose: one from directed distances on the
-hypersimplex edge graph, one as the corank function of a positroid.
-Each is the oracle for the other.  The cross-ratio side produces, for
-each subset, a signed exponent vector over its cubical array; the
-associated tropical functional is the dual linear form.
+are kept side by side on purpose, both in closed form: one from directed
+distances on the hypersimplex edge graph, counted per cyclic shift
+(`_distance`), one as the corank function of a positroid, read from its
+prefix chain.  Each is the oracle for the other.  The cross-ratio side
+produces, for each subset, a signed exponent vector over its cubical
+array; the associated tropical functional is the dual linear form.
 
 `planar_expand` evaluates every cross-ratio at once in scaled integers:
 it reads a vector's scaled form (`pi.scaled()`, rank-ordered integers
@@ -19,78 +20,62 @@ by value in rank order.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from fractions import Fraction
 from functools import lru_cache
-from operator import itemgetter
+from operator import itemgetter, lt
 
 from .combinat import (
     KSubset,
+    _prefix_chain,
     cyclic_endpoints,
     dosp,
     is_cyclic_interval,
     ksubset,
     mod1,
     noncyclic_subsets,
-    positroid_bases,
 )
 from .exact import InvariantError, as_fraction, record
 from .pluecker import PlueckerVector, lex_rank, linear_combination
 
 
-@lru_cache(maxsize=None)
-def _distance_map(n: int, src: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    """BFS distances from src over moves replacing j by j-1 (mod n).
+def _distance(src: tuple[int, ...], dst: tuple[int, ...], n: int) -> int:
+    """Minimal number of moves replacing j by j-1 (mod n) from src to dst.
 
-    A move subtracts one cyclic step from a single element: the vertex
-    e_I travels to e_I + e_{j-1} - e_j whenever j-1 is free.  The graph
-    on C(n, k) vertices is strongly connected, so the map is total.
+    The moves match src to dst by a cyclic shift r of dst, each j_a
+    travelling (j_a - i_{a+r}) mod n steps, so the distance is
+    sum(src) - sum(dst) + n * min over r of #{a : j_a < i_{a+r}}.
     """
-    dist = {src: 0}
-    queue = deque([src])
-    while queue:
-        cur = queue.popleft()
-        base = dist[cur]
-        members = set(cur)
-        for j in cur:
-            prev = mod1(j - 1, n)
-            if prev in members:
-                continue
-            nxt = tuple(sorted(members - {j} | {prev}))
-            if nxt not in dist:
-                dist[nxt] = base + 1
-                queue.append(nxt)
-    return dist
+    k = len(src)
+    return sum(src) - sum(dst) + n * min([sum(map(lt, src, dst[r:] + dst[:r])) for r in range(k)])
 
 
 def directed_distance(src: KSubset, dst: KSubset) -> int:
     """Minimal number of single-element cyclic decrements from src to dst."""
     if (src.k, src.n) != (dst.k, dst.n):
         raise ValueError("mismatched (k, n)")
-    return _distance_map(src.n, src.elems)[dst.elems]
+    return _distance(src.elems, dst.elems, src.n)
 
 
 @lru_cache(maxsize=None)
 def planar_basis_vector(J: KSubset) -> PlueckerVector:
     """Basis vector with entries d(e_J, e_I) / n over all k-subsets I."""
-    dist = _distance_map(J.n, J.elems)
-    return PlueckerVector.from_function(J.k, J.n, lambda I: Fraction(dist[I], J.n))
+    k, n = J.k, J.n
+    return PlueckerVector._of_scaled(k, n, [_distance(J.elems, I, n) for I in lex_rank(k, n)], n)
 
 
 @lru_cache(maxsize=None)
 def corank_vector(J: KSubset) -> PlueckerVector:
     """Corank function of the positroid attached to J's decorated ordered
-    set partition: corank(I) = k - max over bases B of |I ∩ B|."""
+    set partition.  The positroid is cut out by the lower bounds
+    |B ∩ P_a| >= R_a on its prefix chain (`combinat._prefix_chain`), so
+    corank(I) = max(0, max over a of R_a - |I ∩ P_a|)."""
     if is_cyclic_interval(J):
         raise ValueError(f"corank vector needs a noncyclic subset, got {J.elems}")
-    bases = positroid_bases(dosp(J))
-    k = J.k
-
-    def corank(I: tuple[int, ...]) -> int:
-        iset = set(I)
-        return k - max(len(iset & set(B)) for B in bases)
-
-    return PlueckerVector.from_function(k, J.n, corank)
+    chain = _prefix_chain(dosp(J))
+    return PlueckerVector._of_scaled(J.k, J.n, [
+        max(0, *[need - len(prefix.intersection(I)) for prefix, need in chain])
+        for I in lex_rank(J.k, J.n)
+    ], 1)
 
 
 @record

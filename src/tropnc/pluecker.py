@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
-from typing import Iterable, Sequence
 
 from .combinat import KSubset, cyc_interval, gap_interval
 from .exact import (

@@ -60,10 +60,10 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import add, and_, or_
-from typing import Sequence
 
 from . import planar
 from .combinat import (

@@ -1,12 +1,15 @@
 """Predicates and enumerations on cyclic k-subsets."""
 
+import functools
 import hashlib
 import itertools
 import math
+import operator
+import re
 
 import pytest
 
-from conftest import literal_rows, rng_for
+from conftest import literal_rows, rng_for, run_optimized
 from tropnc import combinat
 from tropnc.combinat import (
     DecoratedOSP,
@@ -22,6 +25,7 @@ from tropnc.combinat import (
     tableau,
     weakly_separated,
 )
+from tropnc.exact import InvariantError
 
 
 def test_ksubset_validation():
@@ -126,6 +130,43 @@ def test_maximal_collections_have_fixed_size():
     for k, n in [(2, 5), (2, 6), (3, 6), (3, 7)]:
         for coll in maximal_noncrossing_collections(k, n):
             assert len(coll) == (k - 1) * (n - k - 1)
+
+
+@pytest.mark.parametrize("k,n", [(2, 6), (3, 6), (3, 7), (4, 7)])
+def test_noncrossing_complex_is_pure(k, n):
+    # Every smaller collection extends, and none is larger: so the
+    # inclusion-maximal collections are exactly those of size (k-1)(n-k-1).
+    top = (k - 1) * (n - k - 1)
+    store = combinat.compatibility_rows(k, n)
+    for size in range(1, top):
+        for coll in noncrossing_collections(k, n, size):
+            ids = [store.index[J] for J in coll]
+            common = functools.reduce(operator.and_, (store[i] for i in ids))
+            assert common & ~sum(1 << i for i in ids), coll
+    assert noncrossing_collections(k, n, top + 1) == []
+
+
+SHORT_COUNT = "(3,6): 42 maximal noncrossing collections, not the hook-length count 43"
+
+
+def test_maximal_collections_refuse_a_count_other_than_hook_length(monkeypatch):
+    monkeypatch.setattr(combinat, "_maximal_cone_count", lambda k, n: 43)
+    with pytest.raises(InvariantError, match=f"^{re.escape(SHORT_COUNT)}$"):
+        maximal_noncrossing_collections.__wrapped__(3, 6)
+
+
+def test_maximal_collections_refuse_a_count_other_than_hook_length_under_optimize():
+    result = run_optimized(
+        "from tropnc import combinat",
+        "from tropnc.exact import InvariantError",
+        "combinat._maximal_cone_count = lambda k, n: 43",
+        "try:",
+        "    combinat.maximal_noncrossing_collections(3, 6)",
+        "except InvariantError as exc:",
+        "    print(exc)",
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == SHORT_COUNT + "\n"
 
 
 def test_dosp_examples():

@@ -319,7 +319,7 @@ def test_walk_reaches_4_8():
 
 @pytest.mark.parametrize("k,n", [(2, 4), (2, 6), (3, 6), (3, 7), (4, 7)])
 def test_audit_fan_passes(k, n):
-    # the flip search finds exactly Bron-Kerbosch's cones, in its order
+    # the flip search finds exactly the fixed-size search's cones, in its order
     assert audit_fan(k, n).cones == maximal_noncrossing_collections(k, n)
 
 

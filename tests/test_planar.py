@@ -1,13 +1,22 @@
 """Planar basis vectors, coranks, cubical arrays, and cross-ratio duality."""
 
 import itertools
+from collections import deque
 from fractions import Fraction
 
 import pytest
 
 from conftest import COEFFS_312, random_positive_vector, random_vector, rng_for, vector_312
-from tropnc import planar
-from tropnc.combinat import all_ksubsets, cyclic_intervals, ksubset, noncyclic_subsets
+from tropnc import combinat, planar
+from tropnc.combinat import (
+    all_ksubsets,
+    cyclic_intervals,
+    dosp,
+    ksubset,
+    mod1,
+    noncyclic_subsets,
+    positroid_bases,
+)
 from tropnc.exact import InvariantError
 from tropnc.planar import (
     corank_vector,
@@ -18,7 +27,72 @@ from tropnc.planar import (
     planar_expand,
     tropical_u,
 )
-from tropnc.pluecker import equivalent_mod_lineality, lineality_basis, lineality_vector
+from tropnc.pluecker import (
+    PlueckerVector,
+    equivalent_mod_lineality,
+    lineality_basis,
+    lineality_vector,
+)
+
+
+def bfs_distances(n: int, src: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """BFS distances from src over moves replacing j by j-1 (mod n): the
+    oracle of the closed form behind `directed_distance`.
+
+    A move subtracts one cyclic step from a single element: the vertex
+    e_I travels to e_I + e_{j-1} - e_j whenever j-1 is free.  The graph
+    on C(n, k) vertices is strongly connected, so the map is total.
+    """
+    dist = {src: 0}
+    queue = deque([src])
+    while queue:
+        cur = queue.popleft()
+        members = set(cur)
+        for j in cur:
+            prev = mod1(j - 1, n)
+            if prev not in members:
+                nxt = tuple(sorted(members - {j} | {prev}))
+                if nxt not in dist:
+                    dist[nxt] = dist[cur] + 1
+                    queue.append(nxt)
+    return dist
+
+
+def shapes(n_max: int):
+    return [(k, n) for n in range(4, n_max + 1) for k in range(2, n - 1)]
+
+
+@pytest.mark.parametrize("k,n", shapes(8))
+def test_distance_and_basis_equal_the_bfs(k, n):
+    # cyclic J included: their basis vectors span the lineality space
+    subsets = all_ksubsets(k, n)
+    for J in subsets:
+        dist = bfs_distances(n, J.elems)
+        assert len(dist) == len(subsets)
+        assert [directed_distance(J, I) for I in subsets] == [dist[I.elems] for I in subsets]
+        expected = PlueckerVector.from_function(k, n, lambda I: Fraction(dist[I], n))
+        assert planar_basis_vector(J) == expected
+
+
+@pytest.mark.parametrize("k,n", shapes(8))
+def test_corank_equals_the_positroid_bases_scan(k, n):
+    for J in noncyclic_subsets(k, n):
+        bases = positroid_bases(dosp(J))
+        expected = PlueckerVector.from_function(
+            k, n, lambda I: k - max(len(set(I) & set(B)) for B in bases)
+        )
+        assert corank_vector(J) == expected
+
+
+def test_corank_never_scans_the_positroid_bases(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the corank path scanned the positroid bases")
+
+    # planar reads the prefix chain alone; the scan lives in combinat
+    assert not hasattr(planar, "positroid_bases")
+    monkeypatch.setattr(combinat, "positroid_bases", refuse)
+    for J in noncyclic_subsets(4, 8):
+        assert corank_vector.__wrapped__(J) == corank_vector(J)
 
 
 def test_directed_distance_2_4():

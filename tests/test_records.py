@@ -199,3 +199,14 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     added = json.loads(done.stdout)
     assert "tropnc.cli" in added and "tropnc.exact" in added
     assert "dataclasses" not in added and "inspect" not in added
+
+
+def test_cli_import_loads_no_typing():
+    # annotations come from collections.abc and `int | Fraction`; -S keeps
+    # site's own imports out of the count
+    env = dict(os.environ, PYTHONPATH=str(Path(tropnc.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-S", "-c",
+                           "import sys, tropnc.cli; print('typing' in sys.modules)"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
