@@ -378,17 +378,6 @@ def _prefix_chain(partition: DecoratedOSP) -> list[tuple[frozenset[int], int]]:
     return chain
 
 
-def positroid_bases(partition: DecoratedOSP) -> frozenset[tuple[int, ...]]:
-    """Bases of the positroid cut out by the chain conditions
-    |B ∩ (S_1 ∪ ... ∪ S_a)| >= r_1 + ... + r_a for a < l."""
-    chain = _prefix_chain(partition)
-    k = sum(partition.decorations)
-    return frozenset(
-        cand for cand in itertools.combinations(range(1, partition.n + 1), k)
-        if all(len(prefix.intersection(cand)) >= need for prefix, need in chain)
-    )
-
-
 def is_noncrossing_partition(blocks, n: int) -> bool:
     """Standard noncrossing test for a set partition of [n]: no quadruple
     a < b < c < d with a, c in one block and b, d in another."""

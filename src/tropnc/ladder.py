@@ -7,19 +7,31 @@ large elements of J; the topmost active source exits at the rightmost
 sink.  The Plücker coordinate of J is the minimum of total vertical
 weight over the non-intersecting path families of J.
 
-Every vector so obtained is positive tropical (Speyer–Williams), so each
-row of `pluecker._three_term_ranks`, pi_Sac + pi_Sbd = min(pi_Sab +
+Every vector so obtained is positive tropical (Speyer-Williams, "The
+tropical totally positive Grassmannian", J. Algebraic Combin. 2005), so
+each row of `pluecker._three_term_ranks`, pi_Sac + pi_Sbd = min(pi_Sab +
 pi_Scd, pi_Sad + pi_Sbc), fixes pi_Sac from the other five entries, and
-likewise pi_Sbd.  `_plan` finds, once per (k, n), the k(n-k)+1 subsets
-that have exactly one path family (the seeds, each a single sum over the
-grid) and an order of such relations that reaches every other subset.
+likewise pi_Sbd.  `_plan` takes, once per (k, n), the k(n-k)+1 rectangle
+subsets [1, i] ∪ [j+1, j+k-i] as seeds (a cluster: Scott, "Grassmannians
+and cluster algebras", Proc. LMS 2006), checks that each has exactly one
+path family (so its value is a single sum over the grid), and finds an
+order of such relations that reaches every other subset.
 `pluecker_vector_of_grid` scales the grid to integers over one common
 denominator, sums the seeds, applies the steps in order and hands the
 integers and their scale to the vector as its scaled form, so no
-`Fraction` is built.  The families themselves are enumerated only to
-find the seeds: `tropical_pluecker`, the minimum over the `PathFamily`
+`Fraction` is built.  The families themselves are enumerated only for
+the seeds: `tropical_pluecker`, the minimum over the `PathFamily`
 objects of `enumerate_path_families`, is the `Fraction` reference the
 plan is tested against.
+
+The steps also decide positivity (`pluecker.is_positive_tropical`): a
+vector that satisfies them is the plan's output from its seed values.
+`_plan` checks that the seed incidence [family edges | subset indicator],
+the linear map from (grid, lineality shift) to seed values, has full
+rank k(n-k)+1, so those seed values are also those of some rho vector
+shifted by a lineality element, which is positive and satisfies every
+step, and so equals the vector.  The rank is taken over GF(2) on bitmask
+rows: a nonzero minor mod 2 is an odd, so nonzero, integer minor.
 """
 
 from __future__ import annotations
@@ -185,31 +197,67 @@ def tropical_pluecker(J: KSubset, y: LadderPoint) -> Fraction:
     return best
 
 
+def _rectangles(k: int, n: int) -> list[tuple[int, ...]]:
+    """The k(n-k)+1 rectangle subsets [1, i] ∪ [j+1, j+k-i] in lexicographic
+    order: [1, k] once, and each i < k with i < j <= n-k+i (i = k, and each
+    j = i, gives [1, k] again)."""
+    out = [tuple(range(1, k + 1))]
+    for i in range(k):
+        out.extend(tuple(range(1, i + 1)) + tuple(range(j + 1, j + k - i + 1))
+                   for j in range(i + 1, n - k + i + 1))
+    return sorted(out)
+
+
+def _gf2_rank(rows: list[int]) -> int:
+    """The rank over GF(2) of bitmask rows, by elimination on leading bits."""
+    pivots: dict[int, int] = {}
+    for row in rows:
+        while row:
+            top = row.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = row
+                break
+            row ^= pivots[top]
+    return len(pivots)
+
+
 @lru_cache(maxsize=None)
 def _plan(k: int, n: int) -> tuple[tuple, tuple]:
     """The evaluation plan of `pluecker_vector_of_grid` at (k, n).
 
-    Seeds: (rank, flat grid indices) of each subset with exactly one path
-    family, a flat index being (level - 1) * (n - k) + (position - 1).
-    Steps: (target, ab, cd, ad, bc, other) ranks, in evaluation order, of
-    the relation pi_target = min(pi_ab + pi_cd, pi_ad + pi_bc) - pi_other.
-    A worklist of ranks whose values are known releases each relation of
-    `_three_term_ranks` once five of its six entries are known."""
+    Seeds: (rank, flat grid indices) of each rectangle subset, whose one
+    path family is checked, a flat index being (level - 1) * (n - k) +
+    (position - 1); the seed incidence must have full rank (see the module
+    docstring).  Steps: (target, ab, cd, ad, bc, other) ranks, in
+    evaluation order, of the relation pi_target = min(pi_ab + pi_cd,
+    pi_ad + pi_bc) - pi_other.  A worklist of ranks whose values are known
+    releases each relation of `_three_term_ranks` once five of its six
+    entries are known."""
     width = n - k
+    cells = (k - 1) * width
     ranks = lex_rank(k, n)
-    seeds = []
-    for rank, elems in enumerate(ranks):
+    seeds, incidence = [], []
+    for elems in _rectangles(k, n):
         families = list(itertools.islice(_path_families(KSubset(n, elems)), 2))
         if not families:
             raise InvariantError(f"{elems} admits no path family")
         if len(families) == 1:
-            seeds.append((rank, tuple((source + i - 1) * width + t - 1
-                                      for source, descents in families[0]
-                                      for i, t in enumerate(descents))))
+            edges = tuple((source + i - 1) * width + t - 1
+                          for source, descents in families[0]
+                          for i, t in enumerate(descents))
+            seeds.append((ranks[elems], edges))
+            incidence.append(sum(1 << e for e in edges)
+                             | sum(1 << (cells + x - 1) for x in elems))
     if len(seeds) != k * (n - k) + 1:
         raise InvariantError(
             f"({k},{n}): {len(seeds)} subsets with one path family, "
             f"not k(n-k)+1 = {k * (n - k) + 1}"
+        )
+    found = _gf2_rank(incidence)
+    if found != len(seeds):
+        raise InvariantError(
+            f"({k},{n}): the seed incidence has rank {found} over GF(2), "
+            f"not k(n-k)+1 = {len(seeds)}"
         )
     relations = _three_term_ranks(k, n)  # ac, bd, ab, cd, ad, bc
     relations_of = [[] for _ in ranks]

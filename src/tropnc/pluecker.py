@@ -9,10 +9,26 @@ read a tuple of `Fraction`s made on first read.  `from_json_dict` is the
 one place that checks that labels cover every subset.
 
 The module also covers lineality shifts, linear combinations, the
-three-term positivity certificate (a scan over a per-(k, n) table of the
-six ranks each relation compares), equivalence modulo the lineality
+three-term positivity certificate, equivalence modulo the lineality
 space, and the two families of face restriction maps (to the facets
 x_l = 1 and x_l = 0 of the hypersimplex).
+
+The certificate decides positivity on the C(n, k) - k(n-k) - 1
+three-term relations that `ladder._plan(k, n)` applies as its steps:
+1. a vector that satisfies them is the plan's output from its own values
+   on the k(n-k)+1 seeds, the rectangle subsets, which form a cluster
+   (Scott, "Grassmannians and cluster algebras", Proc. LMS 2006), since
+   each step fixes its target from entries already known;
+2. the plan checks, once per (k, n), that the linear map from (grid,
+   lineality shift) to seed values has full rank, so some
+   min-over-path-families vector q, shifted by a lineality element, has
+   the same seed values;
+3. q is positive (Speyer-Williams, "The tropical totally positive
+   Grassmannian", J. Algebraic Combin. 2005), so it satisfies every step
+   and is the plan's output from the same seed values: the vector is q.
+Only a vector that fails a step is scanned over every relation (a
+per-(k, n) table of the six ranks each compares), to name the
+lexicographically first violation.
 """
 
 from __future__ import annotations
@@ -26,6 +42,7 @@ from operator import itemgetter
 
 from .combinat import KSubset, cyc_interval, gap_interval
 from .exact import (
+    InvariantError,
     Rational,
     SchemaError,
     as_fraction,
@@ -240,8 +257,29 @@ def is_positive_tropical(pi: PlueckerVector) -> PositivityCertificate:
     """Check pi_{Sac} + pi_{Sbd} = min(pi_{Sab} + pi_{Scd}, pi_{Sad} + pi_{Sbc})
     for every S in C([n], k-2) and a < b < c < d disjoint from S.
 
-    The scan reads the scaled form over the rows of `_three_term_ranks`;
-    only a failing row is unranked for its S and quadruple."""
+    With no such relation (k <= 1 or k >= n - 1) the vector is positive
+    and no plan is built.  Otherwise only the steps of `ladder._plan(k, n)`
+    are checked (see the module docstring for why they decide it); when
+    one fails, `_first_violation` names the first failing relation."""
+    k, n = pi.k, pi.n
+    if k <= 1 or k >= n - 1:
+        return PositivityCertificate(True)
+    from . import ladder
+
+    vals = pi.scaled()[0]
+    for target, ab, cd, ad, bc, other in ladder._plan(k, n)[1]:
+        x = vals[ab] + vals[cd]
+        z = vals[ad] + vals[bc]
+        if vals[target] + vals[other] != (x if x < z else z):
+            return _first_violation(pi)
+    return PositivityCertificate(True)
+
+
+def _first_violation(pi: PlueckerVector) -> PositivityCertificate:
+    """The failing certificate of the scan over every row of
+    `_three_term_ranks`, in scan order; only the failing row is unranked
+    for its S and quadruple.  Called once a plan step fails, so a scan
+    that finds no violation is an `InvariantError`."""
     vals, scale = pi.scaled()
     for ac, bd, ab, cd, ad, bc in _three_term_ranks(pi.k, pi.n):
         lhs = vals[ac] + vals[bd]
@@ -253,7 +291,10 @@ def is_positive_tropical(pi: PlueckerVector) -> PositivityCertificate:
             return PositivityCertificate(
                 False, (S, quad, Fraction(lhs, scale), Fraction(rhs, scale))
             )
-    return PositivityCertificate(True)
+    raise InvariantError(
+        f"({pi.k},{pi.n}): a step of the three-term plan fails, "
+        "but no three-term relation does"
+    )
 
 
 def equivalent_mod_lineality(a: PlueckerVector, b: PlueckerVector) -> bool:

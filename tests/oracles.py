@@ -1,0 +1,53 @@
+"""Brute-force references that production code replaced with closed forms.
+
+Each function here is the scan a faster path in `src/tropnc` is tested
+against; none of them runs in the package.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from tropnc import ladder
+from tropnc.combinat import DecoratedOSP, KSubset, _prefix_chain
+from tropnc.pluecker import lex_rank
+
+
+def positroid_bases(partition: DecoratedOSP) -> frozenset[tuple[int, ...]]:
+    """Bases of the positroid cut out by the chain conditions
+    |B ∩ (S_1 ∪ ... ∪ S_a)| >= r_1 + ... + r_a for a < l (the oracle of
+    `planar.corank_vector`)."""
+    chain = _prefix_chain(partition)
+    k = sum(partition.decorations)
+    return frozenset(
+        cand for cand in itertools.combinations(range(1, partition.n + 1), k)
+        if all(len(prefix.intersection(cand)) >= need for prefix, need in chain)
+    )
+
+
+def one_family_subsets(k: int, n: int) -> list[tuple[int, ...]]:
+    """Every k-subset of [n] with exactly one path family, found by
+    enumerating up to two families of each (the oracle of
+    `ladder._rectangles`)."""
+    return [
+        elems for elems in lex_rank(k, n)
+        if len(list(itertools.islice(ladder._path_families(KSubset(n, elems)), 2))) == 1
+    ]
+
+
+def three_term_reference(pi):
+    """The three-term scan written out over Fraction entries: the first
+    violation in scan order as (S, (a, b, c, d), lhs, rhs), else None (the
+    oracle of `pluecker.is_positive_tropical`)."""
+    ground = range(1, pi.n + 1)
+    for S in itertools.combinations(ground, pi.k - 2):
+        rest = [x for x in ground if x not in S]
+        for a, b, c, d in itertools.combinations(rest, 4):
+            def at(*pair):
+                return pi[S + pair]
+
+            lhs = at(a, c) + at(b, d)
+            rhs = min(at(a, b) + at(c, d), at(a, d) + at(b, c))
+            if lhs != rhs:
+                return S, (a, b, c, d), lhs, rhs
+    return None

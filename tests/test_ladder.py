@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_tpoint, rng_for, run_optimized
+from oracles import one_family_subsets, three_term_reference
 from tropnc import ladder, ncfan, planar
 from tropnc.combinat import (
     all_ksubsets,
@@ -209,15 +210,69 @@ def test_plan_reaches_every_subset_once(k, n):
     assert known == set(range(math.comb(n, k)))
 
 
+@pytest.mark.parametrize("k,n", [(k, n) for n in range(4, 11) for k in range(2, n - 1)]
+                         + [(3, 12), (6, 12)])
+def test_rectangles_are_the_subsets_with_one_family(k, n):
+    assert ladder._rectangles(k, n) == one_family_subsets(k, n)
+    assert len(ladder._rectangles(k, n)) == k * (n - k) + 1
+
+
+@pytest.mark.parametrize("k,n", [(2, 5), (3, 5), (3, 6), (3, 7), (4, 6), (4, 8),
+                                 (5, 7), (5, 9), (5, 10), (6, 12)])
+def test_plan_fills_any_seed_values_to_a_positive_vector(k, n):
+    # seed values from no grid: the rank check promises a grid and a
+    # lineality shift that reach them, so the filled vector is positive
+    rng = rng_for(f"seed-values-{k}-{n}")
+    seeds, steps = ladder._plan(k, n)
+    for _ in range(2 if n == 12 else 12):
+        vals = [0] * math.comb(n, k)
+        for rank, _ in seeds:
+            vals[rank] = rng.randint(-20, 20)
+        for target, ab, cd, ad, bc, other in steps:
+            vals[target] = min(vals[ab] + vals[cd], vals[ad] + vals[bc]) - vals[other]
+        pi = PlueckerVector(k, n, vals)
+        assert three_term_reference(pi) is None
+        assert is_positive_tropical(pi).ok
+
+
+# Every subset given one empty family: the seed rows are bare subset
+# indicators, which span at most n = 6 of the k(n-k)+1 = 10 dimensions.
+LOW_RANK = "(3,6): the seed incidence has rank 6 over GF(2), not k(n-k)+1 = 10"
+
+
+def test_seed_incidence_without_full_rank_raises(monkeypatch):
+    monkeypatch.setattr(ladder, "_path_families", lambda J: iter([()]))
+    ladder._plan.cache_clear()
+    with pytest.raises(InvariantError) as exc:
+        rho(TPoint.zero(3, 6))
+    assert str(exc.value) == LOW_RANK
+
+
+def test_seed_incidence_without_full_rank_raises_under_optimize():
+    result = run_optimized(
+        "from tropnc import ladder",
+        "from tropnc.exact import InvariantError",
+        "from tropnc.pluecker import is_positive_tropical, lineality_vector",
+        "ladder._path_families = lambda J: iter([()])",
+        "try:",
+        "    is_positive_tropical(lineality_vector(3, 6, [1, 0, 0, 0, 0, 0]))",
+        "except InvariantError as exc:",
+        "    print(exc)",
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == LOW_RANK + "\n"
+
+
 def _without_families_of(elems):
     real = ladder._path_families
     return lambda J: iter(()) if J.elems == elems else real(J)
 
 
 def test_subset_without_families_raises(monkeypatch):
-    monkeypatch.setattr(ladder, "_path_families", _without_families_of((2, 4, 6)))
+    # (1, 4, 5) = [1, 1] ∪ [4, 5] is a seed; only seeds are enumerated
+    monkeypatch.setattr(ladder, "_path_families", _without_families_of((1, 4, 5)))
     ladder._plan.cache_clear()
-    with pytest.raises(InvariantError, match=r"^\(2, 4, 6\) admits no path family$"):
+    with pytest.raises(InvariantError, match=r"^\(1, 4, 5\) admits no path family$"):
         rho(TPoint.zero(3, 6))
 
 
@@ -227,14 +282,14 @@ def test_subset_without_families_raises_under_optimize():
         "from tropnc.exact import InvariantError",
         "from tropnc.ncfan import TPoint",
         "real = ladder._path_families",
-        "ladder._path_families = lambda J: iter(()) if J.elems == (2, 4, 6) else real(J)",
+        "ladder._path_families = lambda J: iter(()) if J.elems == (1, 4, 5) else real(J)",
         "try:",
         "    ladder.rho(TPoint.zero(3, 6))",
         "except InvariantError as exc:",
         "    print(exc)",
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "(2, 4, 6) admits no path family\n"
+    assert result.stdout == "(1, 4, 5) admits no path family\n"
 
 
 def test_subset_with_two_families_among_the_seeds_raises(monkeypatch):

@@ -6,14 +6,23 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_positive_vector, random_tpoint, random_vector, rng_for, run_optimized
+from conftest import (
+    random_positive_vector,
+    random_rational_tpoint,
+    random_tpoint,
+    random_vector,
+    rng_for,
+    run_optimized,
+)
+from oracles import three_term_reference
 from tropnc import exact, ladder, planar, pluecker, troplin
-from tropnc.combinat import ksubset, noncyclic_subsets
-from tropnc.exact import SchemaError
+from tropnc.combinat import ksubset, noncyclic_subsets, weakly_separated
+from tropnc.exact import InvariantError, SchemaError
 from tropnc.ncfan import TPoint
 from tropnc.planar import planar_basis_vector
 from tropnc.pluecker import (
     PlueckerVector,
+    PositivityCertificate,
     equivalent_mod_lineality,
     face_restrict_one,
     face_restrict_zero,
@@ -349,43 +358,113 @@ def test_lineality_basis_vectors_span_check():
     assert v[(1, 2)] == 1 and v[(3, 4)] == 0
 
 
-def _three_term_reference(pi):
-    """The three-term scan written out over Fraction entries: the first
-    violation in scan order as (S, (a, b, c, d), lhs, rhs), else None."""
-    ground = range(1, pi.n + 1)
-    for S in itertools.combinations(ground, pi.k - 2):
-        rest = [x for x in ground if x not in S]
-        for a, b, c, d in itertools.combinations(rest, 4):
-            def at(*pair):
-                return pi[S + pair]
-
-            lhs = at(a, c) + at(b, d)
-            rhs = min(at(a, b) + at(c, d), at(a, d) + at(b, c))
-            if lhs != rhs:
-                return S, (a, b, c, d), lhs, rhs
-    return None
+def _bumped(rng, base):
+    """base with one entry, chosen by rng, moved by a nonzero rational."""
+    I = rng.choice([J for J, _ in base.items()])
+    bump = Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 3))
+    return PlueckerVector.from_function(
+        base.k, base.n, lambda J: base[J] + bump if J == I else base[J])
 
 
-@pytest.mark.parametrize("k,n", [(2, 5), (3, 6), (3, 7), (4, 8)])
+def _basis_pairs(rng, k, n, each):
+    """Sums of two planar basis vectors: `each` weakly separated pairs, whose
+    sum is positive, and `each` pairs that are not."""
+    subsets = noncyclic_subsets(k, n)
+    found = {True: [], False: []}
+    while min(map(len, found.values())) < each:
+        I, J = rng.sample(subsets, 2)
+        pairs = found[weakly_separated(I, J)]
+        if len(pairs) < each:
+            pairs.append(planar_basis_vector(I) + planar_basis_vector(J))
+    return found[True] + found[False]
+
+
+@pytest.mark.parametrize("k,n", [(2, 5), (3, 6), (3, 7), (4, 8), (5, 9)])
 def test_positivity_scan_matches_three_term_reference(k, n):
+    # the plan's steps decide ok; a failing step hands over to the scan,
+    # which must name the reference's first violation
     rng = rng_for(f"three-term-{k}-{n}")
     vectors = []
-    for _ in range(3):
-        pi = ladder.rho(random_tpoint(rng, k, n, lo=-3, hi=5))
+    for rational in (False, False, False, True, True):
+        t = random_rational_tpoint(rng, k, n) if rational else random_tpoint(rng, k, n, -3, 5)
+        pi = ladder.rho(t)
         x = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
         shifted = lineality_shift(pi, x)
-        vectors += [pi, shifted]
-        for base in (pi, shifted):
-            I = rng.choice([J for J, _ in base.items()])
-            bump = Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 3))
-            vectors.append(PlueckerVector.from_function(
-                k, n, lambda J: base[J] + bump if J == I else base[J]))
+        vectors += [pi, shifted, _bumped(rng, pi), _bumped(rng, shifted)]
+    vectors += _basis_pairs(rng, k, n, 2)
     vectors.append(random_vector(rng, k, n))
     violations = 0
     for pi in vectors:
         cert = is_positive_tropical(pi)
-        expected = _three_term_reference(pi)
+        expected = three_term_reference(pi)
         assert cert.ok == (expected is None)
         assert cert.violation == expected
         violations += expected is not None
     assert 0 < violations < len(vectors)
+
+
+def _refuse(*args):
+    raise AssertionError("refused")
+
+
+@pytest.mark.parametrize("k,n", [(0, 3), (1, 4), (1, 7), (3, 4), (6, 7), (5, 5)])
+def test_positivity_without_three_term_relations_builds_no_plan(monkeypatch, k, n):
+    # a relation needs S of size k - 2 and four elements outside it, so none
+    # exists for k <= 1 or k >= n - 1 (k = 1 is dual to k = n - 1)
+    monkeypatch.setattr(ladder, "_plan", _refuse)
+    monkeypatch.setattr(pluecker, "_three_term_ranks", _refuse)
+    pi = random_vector(rng_for(f"no-relations-{k}-{n}"), k, n)
+    assert is_positive_tropical(pi) == PositivityCertificate(True)
+
+
+@pytest.mark.parametrize("k,n", [(2, 4), (2, 6), (4, 6), (5, 7)])
+def test_positivity_at_the_first_shapes_with_relations(k, n):
+    # k = 2 and k = n - 2, where the plan is built and decides
+    rng = rng_for(f"first-relations-{k}-{n}")
+    vectors = [random_positive_vector(rng, k, n) for _ in range(3)]
+    vectors += [random_vector(rng, k, n) for _ in range(3)]
+    for pi in vectors:
+        expected = three_term_reference(pi)
+        assert is_positive_tropical(pi) == PositivityCertificate(expected is None, expected)
+    assert not all(is_positive_tropical(pi) for pi in vectors)
+
+
+def test_positive_vectors_never_read_the_three_term_table(monkeypatch):
+    rng = rng_for("plan-rows-only")
+    positive = []
+    for k, n in [(2, 5), (3, 7), (4, 8), (5, 9), (5, 10)]:
+        pi = random_positive_vector(rng, k, n)  # rho builds the plan
+        x = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
+        positive += [pi, lineality_shift(pi, x)]
+    monkeypatch.setattr(pluecker, "_three_term_ranks", _refuse)
+    assert all(is_positive_tropical(pi) == PositivityCertificate(True) for pi in positive)
+    # the scan behind a failing step does read it, so the patch is in its path
+    with pytest.raises(AssertionError, match="^refused$"):
+        is_positive_tropical(random_vector(rng, 4, 8))
+
+
+# (19, 0, 0, 0, 0, 0) is no three-term relation: the lineality vector of
+# (1, 0, 0, 0, 0, 0) fails it (0 + 1 != min(1 + 1, 1 + 1)) but is positive.
+NO_WITNESS = "(3,6): a step of the three-term plan fails, but no three-term relation does"
+
+
+def test_a_failing_step_without_a_violation_raises(monkeypatch):
+    monkeypatch.setattr(ladder, "_plan", lambda k, n: ((), ((19, 0, 0, 0, 0, 0),)))
+    with pytest.raises(InvariantError) as exc:
+        is_positive_tropical(lineality_vector(3, 6, [1, 0, 0, 0, 0, 0]))
+    assert str(exc.value) == NO_WITNESS
+
+
+def test_a_failing_step_without_a_violation_raises_under_optimize():
+    result = run_optimized(
+        "from tropnc import ladder",
+        "from tropnc.exact import InvariantError",
+        "from tropnc.pluecker import is_positive_tropical, lineality_vector",
+        "ladder._plan = lambda k, n: ((), ((19, 0, 0, 0, 0, 0),))",
+        "try:",
+        "    is_positive_tropical(lineality_vector(3, 6, [1, 0, 0, 0, 0, 0]))",
+        "except InvariantError as exc:",
+        "    print(exc)",
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == NO_WITNESS + "\n"

@@ -21,6 +21,7 @@ from conftest import (
     run_optimized,
     vector_312,
 )
+from oracles import positroid_bases
 from tropnc import combinat, exact, ladder, planar, pluecker, troplin
 from tropnc.combinat import (
     cyc_interval,
@@ -99,7 +100,7 @@ def test_components_partition():
 
 
 def test_positroid_of_dosp_is_loopless_coloopless():
-    bases = combinat.positroid_bases(dosp(ksubset(9, [2, 5, 8])))
+    bases = positroid_bases(dosp(ksubset(9, [2, 5, 8])))
     M = Matroid(3, 9, bases)
     assert loops(M) == () and coloops(M) == ()
 
@@ -113,7 +114,7 @@ def test_grassmann_necklace_uniform():
 
 
 def test_grassmann_necklace_loopless_coloopless_entries():
-    M = Matroid(3, 6, combinat.positroid_bases(dosp(ksubset(6, [2, 5, 6]))))
+    M = Matroid(3, 6, positroid_bases(dosp(ksubset(6, [2, 5, 6]))))
     neck = grassmann_necklace(M)
     assert all(entry in M.bases for entry in neck)
     # loopless + coloopless: the shifted minimum at k+1 picks up k+1, drops k
