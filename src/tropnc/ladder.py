@@ -9,13 +9,26 @@ weight over the non-intersecting path families of J.
 
 Every vector so obtained is positive tropical (Speyer-Williams, "The
 tropical totally positive Grassmannian", J. Algebraic Combin. 2005), so
-each row of `pluecker._three_term_ranks`, pi_Sac + pi_Sbd = min(pi_Sab +
-pi_Scd, pi_Sad + pi_Sbc), fixes pi_Sac from the other five entries, and
-likewise pi_Sbd.  `_plan` takes, once per (k, n), the k(n-k)+1 rectangle
-subsets [1, i] ∪ [j+1, j+k-i] as seeds (a cluster: Scott, "Grassmannians
-and cluster algebras", Proc. LMS 2006), checks that each has exactly one
-path family (so its value is a single sum over the grid), and finds an
-order of such relations that reaches every other subset.
+each three-term relation pi_Sac + pi_Sbd = min(pi_Sab + pi_Scd, pi_Sad +
+pi_Sbc), for S a (k-2)-subset and a < b < c < d outside it, fixes pi_Sbd
+from the other five entries.  `_plan` builds, once per (k, n), one such
+step per subset from the subset alone.  For a k-subset I let [1, i] be
+its longest prefix and R = I minus [1, i]; the holes of I are the numbers
+in R's span that R misses (none when R is empty).
+- The hole-free subsets are the k(n-k)+1 rectangles [1, i] ∪ [j+1,
+  j+k-i], a cluster (Scott, "Grassmannians and cluster algebras", Proc.
+  LMS 2006).  They are the seeds: each is checked to have exactly one
+  path family, so its value is a single sum over the grid.
+- Any other I has p = min R < q = max R and a hole c between them (the
+  largest), and a = i + 1 < p is not in I.  With S = I minus {p, q} and
+  b = p, d = q, the step fills pi_I = pi_Sbd from Sab, Scd, Sad, Sbc and
+  Sac.
+- The steps run by (holes, lexicographic rank), and each input comes
+  earlier.  Sab and Sad put a = i + 1 where I has p > i + 1, so they are
+  lexicographically smaller, and their rest lies in R's span, so they
+  have no more holes.  Sbc, Scd and Sac fill the hole c without widening
+  R's span, so they have fewer holes.  `_plan` still checks each step's
+  inputs and raises `InvariantError` on one not yet known.
 `pluecker_vector_of_grid` scales the grid to integers over one common
 denominator, sums the seeds, applies the steps in order and hands the
 integers and their scale to the vector as its scaled form, so no
@@ -37,14 +50,13 @@ rows: a nonzero minor mod 2 is an odd, so nonzero, integer minor.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from fractions import Fraction
 from functools import lru_cache
 
 from .combinat import KSubset
 from .exact import InvariantError, as_fraction, record, scaled
 from .ncfan import TPoint
-from .pluecker import PlueckerVector, _three_term_ranks, lex_rank
+from .pluecker import PlueckerVector, lex_rank
 
 
 @record
@@ -197,15 +209,20 @@ def tropical_pluecker(J: KSubset, y: LadderPoint) -> Fraction:
     return best
 
 
-def _rectangles(k: int, n: int) -> list[tuple[int, ...]]:
-    """The k(n-k)+1 rectangle subsets [1, i] ∪ [j+1, j+k-i] in lexicographic
-    order: [1, k] once, and each i < k with i < j <= n-k+i (i = k, and each
-    j = i, gives [1, k] again)."""
-    out = [tuple(range(1, k + 1))]
-    for i in range(k):
-        out.extend(tuple(range(1, i + 1)) + tuple(range(j + 1, j + k - i + 1))
-                   for j in range(i + 1, n - k + i + 1))
-    return sorted(out)
+def _prefix(elems: tuple[int, ...]) -> int:
+    """The length i of the longest prefix [1, i] of a sorted subset."""
+    i = 0
+    while i < len(elems) and elems[i] == i + 1:
+        i += 1
+    return i
+
+
+def _holes(elems: tuple[int, ...]) -> int:
+    """The holes of a sorted subset: the numbers in the span of R, the
+    subset minus its longest prefix [1, i], that R misses (0 when R is
+    empty)."""
+    i = _prefix(elems)
+    return elems[-1] - elems[i] + 1 - (len(elems) - i) if i < len(elems) else 0
 
 
 def _gf2_rank(rows: list[int]) -> int:
@@ -225,19 +242,19 @@ def _gf2_rank(rows: list[int]) -> int:
 def _plan(k: int, n: int) -> tuple[tuple, tuple]:
     """The evaluation plan of `pluecker_vector_of_grid` at (k, n).
 
-    Seeds: (rank, flat grid indices) of each rectangle subset, whose one
+    Seeds: (rank, flat grid indices) of each hole-free subset, whose one
     path family is checked, a flat index being (level - 1) * (n - k) +
-    (position - 1); the seed incidence must have full rank (see the module
-    docstring).  Steps: (target, ab, cd, ad, bc, other) ranks, in
-    evaluation order, of the relation pi_target = min(pi_ab + pi_cd,
-    pi_ad + pi_bc) - pi_other.  A worklist of ranks whose values are known
-    releases each relation of `_three_term_ranks` once five of its six
-    entries are known."""
+    (position - 1); the seed incidence must have full rank.  Steps:
+    (target, ab, cd, ad, bc, other) ranks, in evaluation order, of the
+    relation pi_target = min(pi_ab + pi_cd, pi_ad + pi_bc) - pi_other, one
+    per subset with holes (see the module docstring for both)."""
     width = n - k
     cells = (k - 1) * width
     ranks = lex_rank(k, n)
     seeds, incidence = [], []
-    for elems in _rectangles(k, n):
+    for elems in ranks:
+        if _holes(elems):
+            continue
         families = list(itertools.islice(_path_families(KSubset(n, elems)), 2))
         if not families:
             raise InvariantError(f"{elems} admits no path family")
@@ -259,35 +276,26 @@ def _plan(k: int, n: int) -> tuple[tuple, tuple]:
             f"({k},{n}): the seed incidence has rank {found} over GF(2), "
             f"not k(n-k)+1 = {len(seeds)}"
         )
-    relations = _three_term_ranks(k, n)  # ac, bd, ab, cd, ad, bc
-    relations_of = [[] for _ in ranks]
-    for i, relation in enumerate(relations):
-        for rank in relation:
-            relations_of[rank].append(i)
-    # unknown[i]: entries of relation i not yet taken off the worklist
-    unknown = [6] * len(relations)
     known = [False] * len(ranks)
-    worklist = deque(rank for rank, _ in seeds)
-    for rank in worklist:
+    for rank, _ in seeds:
         known[rank] = True
     steps = []
-    while worklist:
-        for i in relations_of[worklist.popleft()]:
-            unknown[i] -= 1
-            if unknown[i] != 1:
-                continue
-            # at most one entry is unknown; if it is ac or bd, it follows
-            ac, bd, ab, cd, ad, bc = relations[i]
-            for target, other in ((ac, bd), (bd, ac)):
-                if not known[target]:
-                    steps.append((target, ab, cd, ad, bc, other))
-                    known[target] = True
-                    worklist.append(target)
-    if len(seeds) + len(steps) != len(ranks):
-        raise InvariantError(
-            f"({k},{n}): the three-term plan reaches {len(seeds) + len(steps)} "
-            f"of {len(ranks)} subsets"
-        )
+    # sorted is stable, so subsets with as many holes stay in rank order
+    for elems in sorted(filter(_holes, ranks), key=_holes):
+        i = _prefix(elems)
+        b, d = elems[i], elems[-1]
+        c = d - 1
+        while c in elems:
+            c -= 1
+        S = elems[:i] + elems[i + 1:-1]
+        step = tuple(ranks[tuple(sorted(S + pair))] for pair in (
+            (b, d), (i + 1, b), (c, d), (i + 1, d), (b, c), (i + 1, c)))
+        if not all(known[rank] for rank in step[1:]):
+            raise InvariantError(
+                f"({k},{n}): the three-term step for {elems} reads a subset not yet known"
+            )
+        known[step[0]] = True
+        steps.append(step)
     return tuple(seeds), tuple(steps)
 
 

@@ -26,9 +26,9 @@ three-term relations that `ladder._plan(k, n)` applies as its steps:
 3. q is positive (Speyer-Williams, "The tropical totally positive
    Grassmannian", J. Algebraic Combin. 2005), so it satisfies every step
    and is the plan's output from the same seed values: the vector is q.
-Only a vector that fails a step is scanned over every relation (a
-per-(k, n) table of the six ranks each compares), to name the
-lexicographically first violation.
+Only a vector that fails a step is scanned over every relation, in
+order of S and then of its quadruple, to name the lexicographically
+first violation; no table of the relations is built.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ import math
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from operator import itemgetter
 
 from .combinat import KSubset, cyc_interval, gap_interval
 from .exact import (
@@ -222,35 +221,11 @@ class PositivityCertificate:
     def __bool__(self) -> bool:
         return self.ok
 
-
-@lru_cache(maxsize=None)
-def _three_term_ranks(k: int, n: int) -> tuple[tuple[int, ...], ...]:
-    """One row per S in C([n], k-2) and a < b < c < d outside S, in scan
-    order: the ranks of Sac, Sbd, Sab, Scd, Sad, Sbc.  The ranks name
-    their row (`_three_term_row`)."""
-    rank = lex_rank(k, n)
-    ground = range(1, n + 1)
-    m = n - k + 2
-    # Per S, pair[i * m + j] is the rank of S + {rest[i], rest[j]}, i < j,
-    # looked up once per pair; each getter reads one quadruple's six.
-    getters = [
-        itemgetter(a * m + c, b * m + d, a * m + b, c * m + d, a * m + d, b * m + c)
-        for a, b, c, d in itertools.combinations(range(m), 4)
-    ]
-    rows = []
-    for S in itertools.combinations(ground, k - 2):
-        rest = [x for x in ground if x not in S]
-        pair = [rank[tuple(sorted(S + (x, y)))] if x < y else None for x in rest for y in rest]
-        rows.extend(get(pair) for get in getters)
-    return tuple(rows)
-
-
-def _three_term_row(k: int, n: int, ab: int, cd: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """S and (a, b, c, d) of the `_three_term_ranks` row whose Sab and Scd
-    have ranks ab and cd: S is Sab ∩ Scd, and a < b < c < d the rest."""
-    Sab, Scd = (next(itertools.islice(lex_rank(k, n), r, None)) for r in (ab, cd))
-    S = tuple(x for x in Sab if x in Scd)
-    return S, tuple(sorted(set(Sab).symmetric_difference(Scd)))
+    def describe(self) -> str:
+        """The violation as one line, its two sides as "p/q" rationals."""
+        S, quad, lhs, rhs = self.violation
+        return (f"S = {S}, (a, b, c, d) = {quad}: pi_Sac + pi_Sbd = {format_fraction(lhs)} "
+                f"but min(pi_Sab + pi_Scd, pi_Sad + pi_Sbc) = {format_fraction(rhs)}")
 
 
 def is_positive_tropical(pi: PlueckerVector) -> PositivityCertificate:
@@ -271,30 +246,37 @@ def is_positive_tropical(pi: PlueckerVector) -> PositivityCertificate:
         x = vals[ab] + vals[cd]
         z = vals[ad] + vals[bc]
         if vals[target] + vals[other] != (x if x < z else z):
-            return _first_violation(pi)
+            violation = _first_violation(pi)
+            if violation is None:
+                raise InvariantError(
+                    f"({k},{n}): a step of the three-term plan fails, "
+                    "but no three-term relation does"
+                )
+            return PositivityCertificate(False, violation)
     return PositivityCertificate(True)
 
 
-def _first_violation(pi: PlueckerVector) -> PositivityCertificate:
-    """The failing certificate of the scan over every row of
-    `_three_term_ranks`, in scan order; only the failing row is unranked
-    for its S and quadruple.  Called once a plan step fails, so a scan
-    that finds no violation is an `InvariantError`."""
+def _first_violation(pi: PlueckerVector) -> tuple | None:
+    """The first failing three-term relation in scan order, S in
+    lexicographic order and then a < b < c < d outside S, as (S, (a, b, c,
+    d), lhs, rhs), or None when every relation holds.  Each S reads the
+    entries of its C(n - k + 2, 2) subsets S + {x, y} once."""
+    k, n = pi.k, pi.n
     vals, scale = pi.scaled()
-    for ac, bd, ab, cd, ad, bc in _three_term_ranks(pi.k, pi.n):
-        lhs = vals[ac] + vals[bd]
-        r1 = vals[ab] + vals[cd]
-        r2 = vals[ad] + vals[bc]
-        rhs = r1 if r1 < r2 else r2
-        if lhs != rhs:
-            S, quad = _three_term_row(pi.k, pi.n, ab, cd)
-            return PositivityCertificate(
-                False, (S, quad, Fraction(lhs, scale), Fraction(rhs, scale))
-            )
-    raise InvariantError(
-        f"({pi.k},{pi.n}): a step of the three-term plan fails, "
-        "but no three-term relation does"
-    )
+    rank = lex_rank(k, n)
+    ground = range(1, n + 1)
+    for S in itertools.combinations(ground, k - 2):
+        rest = [x for x in ground if x not in S]
+        at = {pair: vals[rank[tuple(sorted(S + pair))]]
+              for pair in itertools.combinations(rest, 2)}
+        for a, b, c, d in itertools.combinations(rest, 4):
+            lhs = at[a, c] + at[b, d]
+            r1 = at[a, b] + at[c, d]
+            r2 = at[a, d] + at[b, c]
+            rhs = r1 if r1 < r2 else r2
+            if lhs != rhs:
+                return S, (a, b, c, d), Fraction(lhs, scale), Fraction(rhs, scale)
+    return None
 
 
 def equivalent_mod_lineality(a: PlueckerVector, b: PlueckerVector) -> bool:

@@ -418,7 +418,7 @@ def bounded_complex_vertices(
 def _require_positive(pi: PlueckerVector):
     cert = is_positive_tropical(pi)
     if not cert.ok:
-        raise ValueError(f"vector is not positive tropical: {cert.violation}")
+        raise ValueError(f"vector is not positive tropical: {cert.describe()}")
 
 
 def _walk(k: int, n: int, roof, time_budget_s: float | None) -> BoundedComplexReport:

@@ -27,8 +27,8 @@ def positroid_bases(partition: DecoratedOSP) -> frozenset[tuple[int, ...]]:
 
 def one_family_subsets(k: int, n: int) -> list[tuple[int, ...]]:
     """Every k-subset of [n] with exactly one path family, found by
-    enumerating up to two families of each (the oracle of
-    `ladder._rectangles`)."""
+    enumerating up to two families of each (the oracle of the hole-free
+    seeds of `ladder._plan`)."""
     return [
         elems for elems in lex_rank(k, n)
         if len(list(itertools.islice(ladder._path_families(KSubset(n, elems)), 2))) == 1

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -176,6 +177,49 @@ def test_mathematical_failure_exit_code(tmp_path, capsys):
     code = cli.main(["bounded", "--in", path])
     err = capsys.readouterr().err
     assert code == 1 and "not positive tropical" in err
+
+
+NOT_POSITIVE = (
+    "error: vector is not positive tropical: S = (5,), (a, b, c, d) = (1, 3, 4, 6): "
+    "pi_Sac + pi_Sbd = 3 but min(pi_Sab + pi_Scd, pi_Sad + pi_Sbc) = 9/2\n"
+)
+
+
+@pytest.mark.parametrize("command", ["bounded", "diameter"])
+def test_not_positive_error_prints_p_over_q(tmp_path, capsys, command):
+    h124 = planar.planar_basis_vector(ksubset(6, [1, 2, 4]))
+    h356 = planar.planar_basis_vector(ksubset(6, [3, 5, 6]))
+    pi = (h124 + h356).scale(Fraction(3, 2))
+    path = write_json(tmp_path, "pi.json", pluecker.to_json_dict(pi))
+    assert cli.main([command, "--in", path]) == 1
+    err = capsys.readouterr().err
+    assert err == NOT_POSITIVE and "Fraction(" not in err
+    with pytest.raises(ValueError) as exc:
+        troplin.bounded_complex_vertices(pi)
+    assert "error: " + str(exc.value) + "\n" == NOT_POSITIVE
+
+
+def _verify_check(name: str) -> dict:
+    return next(c for c in cli._verify_checks(3, 6, 0) if c["name"] == name)
+
+
+def test_parametrized_positivity_fails_on_a_vector_that_is_not_positive(monkeypatch):
+    h124 = planar.planar_basis_vector(ksubset(6, [1, 2, 4]))
+    h356 = planar.planar_basis_vector(ksubset(6, [3, 5, 6]))
+    monkeypatch.setattr(ladder, "rho", lambda t: h124 + h356)
+    assert _verify_check("parametrized_positivity") == {
+        "name": "parametrized_positivity", "ok": False, "detail": "10 seeded samples"}
+
+
+def test_parametrized_positivity_runs_the_full_scan(monkeypatch):
+    # A plan without steps leaves every non-seed entry 0.  The certificate
+    # replays no step and passes such a vector; the full scan does not.
+    real = ladder._plan
+    monkeypatch.setattr(ladder, "_plan", lambda k, n: (real(k, n)[0], ()))
+    stripped = ladder.rho(ncfan.TPoint.of(3, 6, [[1, 0, 2], [0, 3, 1]]))
+    assert pluecker.is_positive_tropical(stripped).ok
+    assert pluecker._first_violation(stripped) is not None
+    assert _verify_check("parametrized_positivity")["ok"] is False
 
 
 def test_desk_scale_guard(capsys):

@@ -26,7 +26,12 @@ from tropnc.ladder import (
 )
 from tropnc.exact import InvariantError
 from tropnc.ncfan import TPoint, psi, t_vector
-from tropnc.pluecker import equivalent_mod_lineality, is_positive_tropical, PlueckerVector
+from tropnc.pluecker import (
+    PlueckerVector,
+    equivalent_mod_lineality,
+    is_positive_tropical,
+    lex_rank,
+)
 from tropnc.weight import weight_report
 
 
@@ -195,8 +200,7 @@ def test_grid_kernel_matches_fraction_reference(k, n):
             assert pi[J] == tropical_pluecker(J, y), (J.elems, y)
 
 
-@pytest.mark.parametrize("k,n", [(2, 4), (2, 5), (3, 6), (3, 7), (4, 7), (4, 8),
-                                 (5, 9), (5, 10), (4, 10), (6, 11), (6, 12)])
+@pytest.mark.parametrize("k,n", [(k, n) for n in range(4, 13) for k in range(2, n - 1)])
 def test_plan_reaches_every_subset_once(k, n):
     seeds, steps = ladder._plan(k, n)
     assert len(seeds) == k * (n - k) + 1
@@ -213,8 +217,12 @@ def test_plan_reaches_every_subset_once(k, n):
 @pytest.mark.parametrize("k,n", [(k, n) for n in range(4, 11) for k in range(2, n - 1)]
                          + [(3, 12), (6, 12)])
 def test_rectangles_are_the_subsets_with_one_family(k, n):
-    assert ladder._rectangles(k, n) == one_family_subsets(k, n)
-    assert len(ladder._rectangles(k, n)) == k * (n - k) + 1
+    # the rectangles are the hole-free subsets, and they are the seeds
+    hole_free = [elems for elems in lex_rank(k, n) if not ladder._holes(elems)]
+    assert hole_free == one_family_subsets(k, n)
+    assert len(hole_free) == k * (n - k) + 1
+    seeds, _ = ladder._plan(k, n)
+    assert [rank for rank, _ in seeds] == [lex_rank(k, n)[elems] for elems in hole_free]
 
 
 @pytest.mark.parametrize("k,n", [(2, 5), (3, 5), (3, 6), (3, 7), (4, 6), (4, 8),
@@ -305,28 +313,33 @@ def test_subset_with_two_families_among_the_seeds_raises(monkeypatch):
         rho(TPoint.zero(3, 6))
 
 
-def test_three_term_table_without_the_needed_rows_raises(monkeypatch):
-    # the seeds alone: 10 of the 20 subsets at (3,6)
-    monkeypatch.setattr(ladder, "_three_term_ranks", lambda k, n: ())
+# Holes counted down: (1, 3, 6), with two, comes first, and its step
+# reads (1, 3, 5), with one, before that has a value.
+UNKNOWN_INPUT = "(3,6): the three-term step for (1, 3, 6) reads a subset not yet known"
+
+
+def test_a_step_reading_an_unknown_subset_raises(monkeypatch):
+    monkeypatch.setattr(ladder, "_holes", lambda elems, real=ladder._holes: -real(elems))
     ladder._plan.cache_clear()
-    with pytest.raises(InvariantError,
-                       match=r"^\(3,6\): the three-term plan reaches 10 of 20 subsets$"):
+    with pytest.raises(InvariantError) as exc:
         rho(TPoint.zero(3, 6))
+    assert str(exc.value) == UNKNOWN_INPUT
 
 
-def test_three_term_table_without_the_needed_rows_raises_under_optimize():
+def test_a_step_reading_an_unknown_subset_raises_under_optimize():
     result = run_optimized(
         "from tropnc import ladder",
         "from tropnc.exact import InvariantError",
         "from tropnc.ncfan import TPoint",
-        "ladder._three_term_ranks = lambda k, n: ()",
+        "real = ladder._holes",
+        "ladder._holes = lambda elems: -real(elems)",
         "try:",
         "    ladder.rho(TPoint.zero(3, 6))",
         "except InvariantError as exc:",
         "    print(exc)",
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "(3,6): the three-term plan reaches 10 of 20 subsets\n"
+    assert result.stdout == UNKNOWN_INPUT + "\n"
 
 
 def test_production_path_never_calls_the_fraction_references(monkeypatch):

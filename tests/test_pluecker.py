@@ -412,7 +412,7 @@ def test_positivity_without_three_term_relations_builds_no_plan(monkeypatch, k, 
     # a relation needs S of size k - 2 and four elements outside it, so none
     # exists for k <= 1 or k >= n - 1 (k = 1 is dual to k = n - 1)
     monkeypatch.setattr(ladder, "_plan", _refuse)
-    monkeypatch.setattr(pluecker, "_three_term_ranks", _refuse)
+    monkeypatch.setattr(pluecker, "_first_violation", _refuse)
     pi = random_vector(rng_for(f"no-relations-{k}-{n}"), k, n)
     assert is_positive_tropical(pi) == PositivityCertificate(True)
 
@@ -429,16 +429,16 @@ def test_positivity_at_the_first_shapes_with_relations(k, n):
     assert not all(is_positive_tropical(pi) for pi in vectors)
 
 
-def test_positive_vectors_never_read_the_three_term_table(monkeypatch):
+def test_positive_vectors_never_reach_the_full_scan(monkeypatch):
     rng = rng_for("plan-rows-only")
     positive = []
     for k, n in [(2, 5), (3, 7), (4, 8), (5, 9), (5, 10)]:
         pi = random_positive_vector(rng, k, n)  # rho builds the plan
         x = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
         positive += [pi, lineality_shift(pi, x)]
-    monkeypatch.setattr(pluecker, "_three_term_ranks", _refuse)
+    monkeypatch.setattr(pluecker, "_first_violation", _refuse)
     assert all(is_positive_tropical(pi) == PositivityCertificate(True) for pi in positive)
-    # the scan behind a failing step does read it, so the patch is in its path
+    # a failing step does run the scan, so the patch is in its path
     with pytest.raises(AssertionError, match="^refused$"):
         is_positive_tropical(random_vector(rng, 4, 8))
 

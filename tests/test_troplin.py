@@ -608,8 +608,9 @@ def test_vertices_need_a_positive_vector():
     interior = [Fraction(1, 2)] * 6
     for call in (bounded_complex_vertices, diameter_check,
                  lambda v: subdifferential_at(v, interior)):
-        with pytest.raises(ValueError, match="not positive tropical"):
+        with pytest.raises(ValueError, match="not positive tropical") as exc:
             call(pi)
+        assert "Fraction(" not in str(exc.value)
 
 
 def test_reference_functions_check_the_coordinate_count():
