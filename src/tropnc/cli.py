@@ -136,8 +136,8 @@ def _bounded_complex(pi: pluecker.PlueckerVector, balance: bool):
         return _failure(f"vector is not positive tropical: {cert.describe()}")
     roof = troplin._balanced_roof_sum(pi) if balance else troplin._roof_sum(pi)
     report = troplin._walk(pi.k, pi.n, roof, BOUNDED_BUDGET_S)
-    scale, table, _, _ = roof
-    edges = troplin._edges(pi.n, scale, table, report.vertices)
+    scale, row, _, _ = roof
+    edges = troplin._edges(pi.k, pi.n, scale, row, report.vertices)
     code = 1 if balance and not report.within_dilate else 0
     return code, report.to_json_dict(edges=edges)
 

@@ -28,7 +28,9 @@ three-term relations that `ladder._plan(k, n)` applies as its steps:
    and is the plan's output from the same seed values: the vector is q.
 Only a vector that fails a step is scanned over every relation, in
 order of S and then of its quadruple, to name the lexicographically
-first violation; no table of the relations is built.
+first violation; no table of the relations is built.  The scan reads the
+rank of each S + {x, y} in closed form (`_pair_ranks`) and checks one
+quadruple pattern across every S at once, as fields of one integer.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ import math
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
+from operator import sub
 
 from .combinat import KSubset, cyc_interval, gap_interval
 from .exact import (
@@ -256,27 +259,101 @@ def is_positive_tropical(pi: PlueckerVector) -> PositivityCertificate:
     return PositivityCertificate(True)
 
 
+def _pair_ranks(S: tuple[int, ...], k: int, n: int):
+    """(base, first, second) such that the rank of S + {x, y}, x and y
+    the i-th and j-th elements outside S with i < j, is base - first[i] -
+    second[j]: closed forms, with no subset built.  The k-subsets after
+    c_1 < ... < c_k in rank order that first differ at position i number
+    C(n - c_i, k - i + 1), so the rank is C(n, k) - 1 minus their sum.  An
+    element of S moves up one position per element of {x, y} below it.
+    `base` takes every term of S as if both were below it; second[j] holds
+    y's own term and moves the elements of S below y down one position,
+    first[i] holds x's and moves those below x down one more."""
+    comb = math.comb
+    cumulative = [(0, 0, 0)]  # per prefix of S, its terms with 0, 1 or 2 of x, y below
+    for j, s in enumerate(S, 1):
+        c0, c1, c2 = cumulative[-1]
+        cumulative.append((c0 + comb(n - s, k - j + 1), c1 + comb(n - s, k - j),
+                           c2 + comb(n - s, k - j - 1)))
+    first, second = [], []
+    below = 0
+    for e in range(1, n + 1):
+        if below < len(S) and S[below] == e:
+            below += 1
+            continue
+        c0, c1, c2 = cumulative[below]
+        first.append(comb(n - e, k - below) + c0 - c1)
+        second.append(comb(n - e, k - below - 1) + c1 - c2)
+    return comb(n, k) - 1 - cumulative[-1][2], first, second
+
+
+@lru_cache(maxsize=None)
+def _quadruple_pairs(m: int) -> tuple[tuple[int, ...], ...]:
+    """Per a < b < c < d in range(m), in order, the ranks of ac, bd, ab,
+    cd, ad and bc among the pairs of range(m)."""
+    rank = {pair: r for r, pair in enumerate(itertools.combinations(range(m), 2))}
+    return tuple(tuple(rank[pair] for pair in ((a, c), (b, d), (a, b), (c, d), (a, d), (b, c)))
+                 for a, b, c, d in itertools.combinations(range(m), 4))
+
+
 def _first_violation(pi: PlueckerVector) -> tuple | None:
     """The first failing three-term relation in scan order, S in
     lexicographic order and then a < b < c < d outside S, as (S, (a, b, c,
-    d), lhs, rhs), or None when every relation holds.  Each S reads the
-    entries of its C(n - k + 2, 2) subsets S + {x, y} once."""
+    d), lhs, rhs), or None when every relation holds.
+
+    Every relation is checked, one quadruple pattern at a time across all
+    S at once.  The entries of S + {x, y}, for x and y at fixed positions
+    among the elements outside S, form one integer with a field of
+    `width` bits per S (entry minus the least entry, so fields are
+    nonnegative).  With half = 2^(width-1), the fields of d1 = ab + cd -
+    ac - bd + half and d2 = ad + bc - ac - bd + half lie in (0, 2^width),
+    so integer sums and differences act field by field.  A relation holds
+    exactly when both fields are at least half and one of them equals
+    half; the lowest failing field names the first S."""
     k, n = pi.k, pi.n
+    quadruples = _quadruple_pairs(n - k + 2)
+    if not quadruples:
+        return None
     vals, scale = pi.scaled()
-    rank = lex_rank(k, n)
-    ground = range(1, n + 1)
-    for S in itertools.combinations(ground, k - 2):
-        rest = [x for x in ground if x not in S]
-        at = {pair: vals[rank[tuple(sorted(S + pair))]]
-              for pair in itertools.combinations(rest, 2)}
-        for a, b, c, d in itertools.combinations(rest, 4):
-            lhs = at[a, c] + at[b, d]
-            r1 = at[a, b] + at[c, d]
-            r2 = at[a, d] + at[b, c]
-            rhs = r1 if r1 < r2 else r2
-            if lhs != rhs:
-                return S, (a, b, c, d), Fraction(lhs, scale), Fraction(rhs, scale)
-    return None
+    subsets = list(itertools.combinations(range(1, n + 1), k - 2))
+    # per S, then per position outside S, transposed to one tuple over all S
+    base, first, second = zip(*(_pair_ranks(S, k, n) for S in subsets))
+    first, second = list(zip(*first)), list(zip(*second))
+    least = min(vals)
+    size = ((max(vals) - least) * 2).bit_length() + 9 >> 3  # bytes per field, top bit spare
+    width = 8 * size
+    ones = int.from_bytes((b"\x01" + bytes(size - 1)) * len(subsets), "little")
+    half = ones << (width - 1)
+    low = half - ones
+    encoded = [(v - least).to_bytes(size, "little") for v in vals]
+    columns = []
+    for i, j in itertools.combinations(range(n - k + 2), 2):
+        ranks = map(sub, map(sub, base, first[i]), second[j])
+        columns.append(int.from_bytes(b"".join(map(encoded.__getitem__, ranks)), "little"))
+    found = None
+    for q, (ac, bd, ab, cd, ad, bc) in enumerate(quadruples):
+        lhs = columns[ac] + columns[bd] - half
+        d1 = columns[ab] + columns[cd] - lhs
+        d2 = columns[ad] + columns[bc] - lhs
+        e1, e2 = d1 ^ half, d2 ^ half  # zero fields where the side equals ac + bd
+        # (e & low) + low | e has a field's top bit set exactly when the field is nonzero
+        fails = half & ~(d1 & d2) | half & ((e1 & low) + low | e1) & ((e2 & low) + low | e2)
+        if fails:
+            at = ((fails & -fails).bit_length() - 1) // width
+            if found is None or at < found[0]:
+                found = at, q
+    if found is None:
+        return None
+    at, q = found
+    S = subsets[at]
+    a, b, c, d = quad = next(itertools.islice(
+        itertools.combinations([x for x in range(1, n + 1) if x not in S], 4), q, None))
+
+    def entry(x: int, y: int) -> Fraction:
+        return pi[S + (x, y)]
+
+    return (S, quad, entry(a, c) + entry(b, d),
+            min(entry(a, b) + entry(c, d), entry(a, d) + entry(b, c)))
 
 
 def equivalent_mod_lineality(a: PlueckerVector, b: PlueckerVector) -> bool:

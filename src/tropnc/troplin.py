@@ -14,6 +14,10 @@ the central representative is an integer sum of rows over that scale;
 one routine, `_gap_shift`, finds a lineality shift from the n cyclic-gap
 differences, both to balance (`balanced_representative`, every gap
 weight/n) and to carry the roof gradients back to the caller's vector.
+A vector is a plain row of integers in rank order; every subset sum,
+sum(w_i, i in I) for all k-subsets I at once, comes from one kernel,
+`_subset_sums`: `itertools.combinations(w, k)` yields the subsets in rank
+order, so the sums are `map(sum, ...)` over it (`_values`, `_roof_row`).
 
 `bounded_complex_vertices` walks the bounded complex of a positive
 vector vertex to vertex.  It starts at the gradient of the central roof
@@ -21,10 +25,14 @@ function at the perturbed centre of the hypersimplex.  Every cell is a
 positroid polytope, whose facets are cut out by cyclic intervals S
 (Ardila–Rincón–Williams), so every edge at a vertex runs along some
 e_S and ends at an exact integer breakpoint; the bounded complex is
-connected (Speyer), so the walk reaches every vertex.  Subsets are
-bitmasks cached per (k, n) (`_subset_bits`), and so is each interval's
-row of counts |I ∩ S| (`_interval_counts`).  `diameter_check`, like the
-CLI's `diameter`, expands the vector and sums its roof rows once:
+connected (Speyer), so the walk reaches every vertex.  It crosses each
+edge once: a step from w along e_S that ends at a vertex not yet left
+marks the interval [n] - S as crossed there (-e_S is e_([n] - S) modulo
+all-ones, and the step back would end at w), and each vertex keeps the
+value row and argmin set of the step that found it.  Subsets are bitmasks
+cached per (k, n) (`_masks`), and so is each interval's row of counts
+|I ∩ S| (`_interval_counts`).  `diameter_check`, like the CLI's
+`diameter`, expands the vector and sums its roof rows once:
 `_balanced_roof_sum` rescales that sum to the balanced representative,
 and the walk (`_walk`) starts from it.
 
@@ -32,22 +40,26 @@ At a vertex the walk reads every interval rank from the Grassmann
 necklace of the argmin matroid (Oh, "Positroids and Schubert
 matroids"): the greedy basis g_a in the order a < a+1 < ... < a-1
 attains the rank of each prefix of that order, so r([a, a+size)) =
-|g_a ∩ [a, a+size)| for any matroid (`_greedy_bases`).  The top face of
+|g_a ∩ [a, a+size)| for any matroid (`_greedy_bases`); these prefix
+ranks come from a memo per start and greedy basis, filled as bases
+appear (`_prefix_ranks`; no table is built ahead).  The top face of
 S = [a, b] is M|S ⊕ M/S, so `_edge_intervals` skips S on its ranks
 alone when b+1 or a-1 is a loop of M/S (adding it leaves the rank
 unchanged) or a or b is a coloop of M|S (removing it lowers the rank),
-and forms the top face only of the intervals left; a basis with more
-than r(S) elements in S there means the argmin set is no matroid.
+and forms the top face only of the intervals left, and of those not
+yet crossed; a basis with more than r(S) elements in S there means the
+argmin set is no matroid.
 
 One classifier, `_face`, reads the argmin bases of a shift point as
-bitmasks and counts components on the fundamental graph of one basis;
-the walk feeds it values it updates along each edge, and `_shift_face`
-feeds it a point over `_scaled_table` for `face_dimension_at` and
-`in_bounded_part`.  `bounded_complex_edges` forms each point's value
-row and argmin set once; a pair's midpoint has the intersection of the
-two argmin sets as its own when they meet (the summed rows are at least
-the summed minima, with equality exactly on both argmin sets), and the
-argmin of the summed rows otherwise.  `argmin_matroid`, `loops`,
+bitmasks and counts components on the fundamental graph of one basis,
+merging bitmask classes (`_components`); the walk feeds it values it
+updates along each edge, and `_shift_face` feeds it a point over
+`_scaled_row` for `face_dimension_at` and `in_bounded_part`.
+`bounded_complex_edges` forms each point's value row and argmin set
+once; a pair's midpoint has the intersection of the two argmin sets as
+its own when they meet (the summed rows are at least the summed minima,
+with equality exactly on both argmin sets), and the argmin of the
+summed rows otherwise.  `argmin_matroid`, `loops`,
 `coloops`, `components_partition`, `in_linear_space` and
 `central_roof_value` are the `Fraction` reference the tests check
 against, and the tests keep the Minkowski sum of the roofs' sector
@@ -63,7 +75,7 @@ import time
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache, reduce
-from operator import add, and_, or_
+from operator import add, and_, or_, sub
 
 from . import planar
 from .combinat import (
@@ -268,8 +280,7 @@ def central_roof_value(J: KSubset, x: Sequence[Rational]) -> Fraction:
 def _roof_row(J: KSubset) -> tuple[int, ...]:
     """k times the roof of J at every hypersimplex vertex e_I, in rank
     order: the integer -min_a W_a(I)."""
-    bits = _subset_bits(J.k, J.n)
-    dots = [[sum(map(W.__getitem__, idx)) for idx, _ in bits] for W in central_roof(J).W]
+    dots = [_subset_sums(W, J.k) for W in central_roof(J).W]
     return tuple(-v for v in map(min, *dots))  # a noncyclic J has two blocks or more
 
 
@@ -284,7 +295,7 @@ def _roof_sum(pi: PlueckerVector):
     coefficient u_J(pi) (a larger one could make a fractional breakpoint
     look integral to `_breakpoint`); pi's table over it (`_table`); the
     (J, factor = scale * u_J / k) pairs; and the sum of factor times roof
-    row, in rank order."""
+    row, in rank order.  pi's values and the sum are rows over the scale."""
     k, n = pi.k, pi.n
     vals, s = pi.scaled()
     support = [(J, u) for J, u in zip(noncyclic_subsets(k, n), planar._expand(k, n, vals)) if u]
@@ -299,7 +310,7 @@ def _roof_sum(pi: PlueckerVector):
             raise InvariantError(f"scale {scale} leaves roof factor {factor} fractional")
         terms.append((J, factor))
         central = [a + factor * r for a, r in zip(central, _roof_row(J))]
-    return scale, _table(k, n, [v * (scale // s) for v in vals]), terms, central
+    return scale, [v * (scale // s) for v in vals], terms, central
 
 
 def central_representative(pi: PlueckerVector) -> PlueckerVector:
@@ -325,14 +336,14 @@ def _gap_shift(row, target, k: int, n: int):
     y = [0] * n
     for m in range(1, n):
         y[m] = y[m - 1] - delta[m]
-    return y, _values(_table(k, n, row), y)
+    return y, _values(row, y, k)
 
 
-def _central_shift(central, table, k: int, n: int):
-    """The lineality shift y that makes central - (table's vector) zero on
-    every cyclic-gap difference; the difference must then be constant,
-    else the planar coefficients do not expand the vector."""
-    y, rest = _gap_shift([c - v for c, (_, _, v) in zip(central, table)], 0, k, n)
+def _central_shift(central, row, k: int, n: int):
+    """The lineality shift y that makes central - row zero on every
+    cyclic-gap difference; the difference must then be constant, else the
+    planar coefficients do not expand the vector."""
+    y, rest = _gap_shift(list(map(sub, central, row)), 0, k, n)
     if len(set(rest)) != 1:
         raise InvariantError("the planar coefficients do not expand the vector modulo lineality")
     return y
@@ -343,13 +354,13 @@ def _balanced_roof_sum(pi: PlueckerVector):
     planar coefficients are the same, so only the scale changes, to the
     least one for the balanced values and the coefficients."""
     k, n = pi.k, pi.n
-    scale, table, terms, central = _roof_sum(pi)
+    scale, vals, terms, central = _roof_sum(pi)
     # Over n * scale, so that the target weight / n is an integer.
     big = n * scale
     _, row = _gap_shift([n * v for v in central], k * sum(f for _, f in terms), k, n)
     # The walk's own check is empty on a sum built from the balanced row,
     # so the expansion is checked against pi here.
-    _central_shift(central, table, k, n)
+    _central_shift(central, vals, k, n)
     # u_J = factor * k / scale; the balanced values are row / big.
     least = math.lcm(
         big // math.gcd(big, *row), *(k * (scale // math.gcd(k * f, scale)) for _, f in terms)
@@ -357,7 +368,7 @@ def _balanced_roof_sum(pi: PlueckerVector):
     # Exact divisions: least clears both row / big and every least * u_J / k.
     return (
         least,
-        _table(k, n, [v * least // big for v in row]),
+        [v * least // big for v in row],
         [(J, f * least // scale) for J, f in terms],
         [c * least // scale for c in central],
     )
@@ -366,8 +377,8 @@ def _balanced_roof_sum(pi: PlueckerVector):
 def balanced_representative(pi: PlueckerVector) -> PlueckerVector:
     """Lineality shift of the central representative making all n
     cyclic-gap differences equal to (total weight)/n."""
-    scale, table, _, _ = _balanced_roof_sum(pi)
-    return PlueckerVector._of_scaled(pi.k, pi.n, [v for _, _, v in table], scale)
+    scale, row, _, _ = _balanced_roof_sum(pi)
+    return PlueckerVector._of_scaled(pi.k, pi.n, row, scale)
 
 
 @record
@@ -423,12 +434,18 @@ def _require_positive(pi: PlueckerVector):
 
 def _walk(k: int, n: int, roof, time_budget_s: float | None) -> BoundedComplexReport:
     """The vertex walk of `bounded_complex_vertices` from a vector's
-    `_roof_sum` (scale, table, terms, central); the vector must be
-    positive."""
+    `_roof_sum` (scale, row, terms, central); the vector must be
+    positive.
+
+    Each edge is crossed once: a step from w along e_S that ends at a
+    vertex not yet left records the interval [n] - S as crossed there,
+    since -e_S is e_([n] - S) modulo all-ones and the step back along it
+    ends at w.  Every vertex carries the value row and argmin set of the
+    step that found it."""
     deadline = time.monotonic() + time_budget_s if time_budget_s is not None else None
-    scale, table, terms, central = roof
+    scale, row, terms, central = roof
     total = k * sum(f for _, f in terms)  # the weight, over scale
-    y = _central_shift(central, table, k, n)
+    y = _central_shift(central, row, k, n)
 
     # Each roof's sector at the centre, ties broken by the perturbation
     # sum over j < n-1 of eps^(j+1) (e_j - e_(n-1)), eps small.
@@ -441,18 +458,21 @@ def _walk(k: int, n: int, roof, time_budget_s: float | None) -> BoundedComplexRe
         if deadline is not None and time.monotonic() > deadline:
             raise TimeBudgetExceeded(f"vertex walk over its {time_budget_s} s budget")
 
-    masks = [m for _, m, _ in table]
+    masks = _masks(k, n)
+    full = (1 << n) - 1
     w = tuple(v - start[0] for v in start)
-    vals = _values(table, w)
+    vals = _values(row, w, k)
+    bases = _argmin(masks, vals)
     over_budget()
-    if _face(_argmin(masks, vals), n) != 0:
+    if _face(bases, n) != 0:
         raise InvariantError("the perturbed centre's roof gradient is not a vertex")
     faces = {w: 0}
-    todo = [(w, vals)]
+    crossed = {w: set()}  # per vertex not yet left, the intervals already crossed to it
+    todo = [(w, vals, bases)]
     while todo:
-        w, vals = todo.pop()
+        w, vals, bases = todo.pop()
         best = min(vals)
-        for s, top in _edge_intervals(list(_argmin(masks, vals)), k, n):
+        for s, top in _edge_intervals(list(bases), k, n, crossed.pop(w)):
             counts = _interval_counts(k, n, s)
             t = _breakpoint(vals, counts, best, (next(iter(top)) & s).bit_count())
             lead = t * (s & 1)  # w[0] is 0: keep the first coordinate 0
@@ -460,12 +480,16 @@ def _walk(k: int, n: int, roof, time_budget_s: float | None) -> BoundedComplexRe
             if nxt not in faces:
                 over_budget()
                 nvals = [v - t * c + k * lead for v, c in zip(vals, counts)]
-                faces[nxt] = _face(_argmin(masks, nvals), n)
+                nbases = _argmin(masks, nvals)
+                faces[nxt] = _face(nbases, n)
                 if faces[nxt] == 0:
-                    todo.append((nxt, nvals))
+                    crossed[nxt] = set()
+                    todo.append((nxt, nvals, nbases))
             if faces[nxt] != 0 and _components(top, n) == 2:
                 S = [i + 1 for i in range(n) if s >> i & 1]
                 raise InvariantError(f"the edge along e_S, S = {S}, ends off a vertex")
+            if nxt in crossed:
+                crossed[nxt].add(full ^ s)
 
     # One positive scale: the integer tuples sort as the vertices do.
     found = sorted(w for w, f in faces.items() if f == 0)
@@ -476,34 +500,34 @@ def _walk(k: int, n: int, roof, time_budget_s: float | None) -> BoundedComplexRe
 
 
 @lru_cache(maxsize=None)
-def _subset_bits(k: int, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Every k-subset of [n] in rank order as (0-based indices, bitmask)."""
-    return tuple((tuple(i - 1 for i in I), sum(1 << (i - 1) for i in I)) for I in lex_rank(k, n))
+def _masks(k: int, n: int) -> tuple[int, ...]:
+    """Every k-subset of [n] in rank order as a bitmask."""
+    return tuple(sum(1 << (i - 1) for i in I) for I in lex_rank(k, n))
 
 
 @lru_cache(maxsize=None)
 def _interval_counts(k: int, n: int, s: int) -> tuple[int, ...]:
     """|I ∩ S| for every k-subset I in rank order, S given as a bitmask."""
-    return tuple((m & s).bit_count() for _, m in _subset_bits(k, n))
+    return tuple((m & s).bit_count() for m in _masks(k, n))
 
 
-def _table(k: int, n: int, ints) -> list[tuple[tuple[int, ...], int, int]]:
-    """(0-based indices, bitmask, entry) for scaled entries in rank order."""
-    return [(idx, m, v) for (idx, m), v in zip(_subset_bits(k, n), ints)]
-
-
-def _scaled_table(pi: PlueckerVector, denominators):
+def _scaled_row(pi: PlueckerVector, denominators):
     """Put pi over one common denominator that also clears `denominators`:
-    the scale and pi's `_table` over it."""
+    the scale and pi's values over it, in rank order."""
     ints, s = pi.scaled()
     scale = math.lcm(s, *denominators)
-    return scale, _table(pi.k, pi.n, [v * (scale // s) for v in ints])
+    return scale, [v * (scale // s) for v in ints]
 
 
-def _values(table, w_scaled: Sequence[int]) -> list[int]:
-    """pi_I - sum(w_i, i in I) for every entry of the table."""
-    coordinate = w_scaled.__getitem__
-    return [v - sum(map(coordinate, idx)) for idx, _, v in table]
+def _subset_sums(w: Sequence[int], k: int):
+    """sum(w_i, i in I) for every k-subset I, in rank order: the order in
+    which `itertools.combinations` yields the subsets of positions."""
+    return map(sum, itertools.combinations(w, k))
+
+
+def _values(row, w_scaled: Sequence[int], k: int) -> list[int]:
+    """pi_I - sum(w_i, i in I) for every entry of the row, in rank order."""
+    return list(map(sub, row, _subset_sums(w_scaled, k)))
 
 
 def _over(scale: int, w: Sequence[Fraction]) -> list[int]:
@@ -521,28 +545,29 @@ def _components(bases: set[int], n: int) -> int:
     """Number of connected components of the matroid on n elements whose
     bases are the bitmasks `bases`.  They are those of the fundamental
     graph of one basis B: x outside B and y in B are joined when
-    B - y + x is a basis, k(n-k) lookups in all."""
+    B - y + x is a basis, k(n-k) lookups in all.  Each x gives the class
+    of x and its neighbours as a bitmask, merged into the disjoint classes
+    it meets; an element in no class is a component of its own."""
     B = next(iter(bases))
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    inside = [y for y in range(n) if B >> y & 1]
-    count = n
+    inside = [1 << y for y in range(n) if B >> y & 1]
+    classes = []
     for x in range(n):
-        if B >> x & 1:
+        bit = 1 << x
+        if B & bit:
             continue
+        merged = bit
         for y in inside:
-            if B ^ (1 << x | 1 << y) in bases:
-                rx, ry = find(x), find(y)
-                if rx != ry:
-                    parent[rx] = ry
-                    count -= 1
-    return count
+            if B ^ bit ^ y in bases:
+                merged |= y
+        apart = []
+        for c in classes:
+            if c & merged:
+                merged |= c
+            else:
+                apart.append(c)
+        apart.append(merged)
+        classes = apart
+    return len(classes) + (n - reduce(or_, classes, 0).bit_count())
 
 
 def _breakpoint(vals, counts, best: int, r: int) -> int:
@@ -569,7 +594,7 @@ def _greedy_keys(k: int, n: int) -> tuple[dict[int, int], ...]:
     for m in range(1, 1 << n):
         rev[m] = rev[m >> 1] >> 1 | (m & 1) << (n - 1)
     full = (1 << n) - 1
-    masks = [m for _, m in _subset_bits(k, n)]
+    masks = _masks(k, n)
     return tuple({m: rev[(m >> a | m << (n - a)) & full] for m in masks} for a in range(n))
 
 
@@ -590,15 +615,22 @@ def _greedy_bases(bases: list[int], k: int, n: int) -> list[int]:
     return [max(bases, key=key.__getitem__) for key in _greedy_keys(k, n)]
 
 
-def _edge_intervals(bases: list[int], k: int, n: int):
+@lru_cache(maxsize=None)
+def _prefix_ranks(n: int, a: int, g: int) -> tuple[int, ...]:
+    """|g ∩ [a, a+size)| for every size from 0 to n, g a bitmask and a a
+    0-based start; kept per greedy basis as the walk meets it."""
+    return tuple((g & s).bit_count() for s in _spans(n)[a])
+
+
+def _edge_intervals(bases: list[int], k: int, n: int, crossed):
     """Each proper cyclic interval S (a bitmask) whose top face, the bases
     B with the most elements in S, has no loop and no coloop, with that
-    face.  The ranks of S, of S with a neighbour added and of S with an
-    end removed come from the greedy bases; S is skipped when they show
-    a loop or coloop of the top face M|S ⊕ M/S."""
+    face, leaving out the intervals in `crossed`.  The ranks of S, of S
+    with a neighbour added and of S with an end removed come from the
+    greedy bases; S is skipped when they show a loop or coloop of the top
+    face M|S ⊕ M/S."""
     spans = _spans(n)
-    greedy = _greedy_bases(bases, k, n)
-    ranks = [[(g & s).bit_count() for s in span] for g, span in zip(greedy, spans)]
+    ranks = [_prefix_ranks(n, a, g) for a, g in enumerate(_greedy_bases(bases, k, n))]
     full = (1 << n) - 1
     for a in range(n):
         here, after, before = ranks[a], ranks[(a + 1) % n], ranks[a - 1]
@@ -609,6 +641,8 @@ def _edge_intervals(bases: list[int], k: int, n: int):
             if after[size - 1] < r or here[size - 1] < r:  # a or b a coloop of M|S
                 continue
             s = spans[a][size]
+            if s in crossed:
+                continue
             counts = [(m & s).bit_count() for m in bases]
             if max(counts) > r:
                 S = [i + 1 for i in range(n) if s >> i & 1]
@@ -636,9 +670,10 @@ def _face(bases: set[int], n: int):
     return _components(bases, n) - 1
 
 
-def _shift_face(table, w_scaled: Sequence[int]):
-    """The face through a shift point, both scaled as by `_scaled_table`."""
-    return _face(_argmin([m for _, m, _ in table], _values(table, w_scaled)), len(w_scaled))
+def _shift_face(k: int, row, w_scaled: Sequence[int]):
+    """The face through a shift point, both scaled as by `_scaled_row`."""
+    n = len(w_scaled)
+    return _face(_argmin(_masks(k, n), _values(row, w_scaled, k)), n)
 
 
 def face_dimension_at(pi: PlueckerVector, w: Sequence[Rational]):
@@ -647,8 +682,8 @@ def face_dimension_at(pi: PlueckerVector, w: Sequence[Rational]):
     ws = [as_fraction(v) for v in w]
     if len(ws) != pi.n:
         raise ValueError(f"need {pi.n} coordinates, got {len(ws)}")
-    scale, table = _scaled_table(pi, [v.denominator for v in ws])
-    return _shift_face(table, _over(scale, ws))
+    scale, row = _scaled_row(pi, [v.denominator for v in ws])
+    return _shift_face(pi.k, row, _over(scale, ws))
 
 
 def matroid_polytope_contains(M: Matroid, x: Sequence[Rational]) -> bool:
@@ -674,13 +709,14 @@ def subdifferential_at(pi_hat: PlueckerVector, x: Sequence[Rational]) -> list[tu
     if sum(xs) != pi_hat.k or any(not 0 < v < 1 for v in xs):
         raise ValueError("x must be strictly interior: 0 < x_i < 1, sum = k")
     report = bounded_complex_vertices(pi_hat)
-    scale, table = _scaled_table(pi_hat, [v.denominator for w in report.vertices for v in w])
+    k, n = pi_hat.k, pi_hat.n
+    scale, row = _scaled_row(pi_hat, [v.denominator for w in report.vertices for v in w])
     out = []
     for w in report.vertices:
-        vals = _values(table, _over(scale, w))
+        vals = _values(row, _over(scale, w), k)
         best = min(vals)
-        bases = (tuple(i + 1 for i in idx) for (idx, _, _), v in zip(table, vals) if v == best)
-        if matroid_polytope_contains(Matroid(pi_hat.k, pi_hat.n, frozenset(bases)), xs):
+        bases = (I for I, v in zip(lex_rank(k, n), vals) if v == best)
+        if matroid_polytope_contains(Matroid(k, n, frozenset(bases)), xs):
             out.append(w)
     return out
 
@@ -699,15 +735,15 @@ def bounded_complex_edges(
     verts = [[as_fraction(v) for v in w] for w in vertices]
     if any(len(w) != pi_hat.n for w in verts):
         raise ValueError(f"every vertex needs {pi_hat.n} coordinates")
-    scale, table = _scaled_table(pi_hat, [v.denominator for w in verts for v in w])
-    return _edges(pi_hat.n, scale, table, verts)
+    scale, row = _scaled_row(pi_hat, [v.denominator for w in verts for v in w])
+    return _edges(pi_hat.k, pi_hat.n, scale, row, verts)
 
 
-def _edges(n: int, scale: int, table, points) -> list[tuple[int, int]]:
-    """`bounded_complex_edges` over a table whose scale clears every
-    point's denominators."""
-    masks = [m for _, m, _ in table]
-    rows = [_values(table, _over(scale, w)) for w in points]
+def _edges(k: int, n: int, scale: int, row, points) -> list[tuple[int, int]]:
+    """`bounded_complex_edges` over a row of values whose scale clears
+    every point's denominators."""
+    masks = _masks(k, n)
+    rows = [_values(row, _over(scale, w), k) for w in points]
     tops = [_argmin(masks, row) for row in rows]
     edges = []
     for i, j in itertools.combinations(range(len(rows)), 2):

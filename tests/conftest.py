@@ -116,3 +116,10 @@ TABLEAU_312 = ((1, 9, 10), (2, 5, 7), (3, 4, 12), (6, 8, 11))
 
 def vector_312() -> PlueckerVector:
     return planar.planar_combination(3, 12, COEFFS_312)
+
+
+def ci_grid_612() -> TPoint:
+    """The (6, 12) grid of the CI desk-scale steps: `random.Random(612)`,
+    entries 0 to 4."""
+    rng = random.Random(612)
+    return TPoint.of(6, 12, [[rng.randint(0, 4) for _ in range(6)] for _ in range(5)])

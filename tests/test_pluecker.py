@@ -403,6 +403,35 @@ def test_positivity_scan_matches_three_term_reference(k, n):
     assert 0 < violations < len(vectors)
 
 
+@pytest.mark.parametrize("k,n", [(2, 4), (2, 7), (3, 6), (4, 8), (5, 10), (6, 12)])
+def test_pair_ranks_are_the_lexicographic_ranks(k, n):
+    rank = pluecker.lex_rank(k, n)
+    for S in itertools.combinations(range(1, n + 1), k - 2):
+        rest = [x for x in range(1, n + 1) if x not in S]
+        base, first, second = pluecker._pair_ranks(S, k, n)
+        for (i, x), (j, y) in itertools.combinations(enumerate(rest), 2):
+            assert base - first[i] - second[j] == rank[tuple(sorted(S + (x, y)))]
+
+
+@pytest.mark.parametrize("k,n", [(3, 6), (3, 7), (4, 7), (4, 8), (3, 9), (5, 9), (5, 10)])
+def test_full_scan_names_the_reference_violation(k, n):
+    # Seeded vectors that are not positive: one entry of a positive one
+    # moved (large and negative entries too, so that fields need many
+    # bits), and arbitrary rational ones; the scan runs on each directly.
+    rng = rng_for(f"full-scan-{k}-{n}")
+    vectors = [random_vector(rng, k, n) for _ in range(2)]
+    for _ in range(4):
+        pi = random_positive_vector(rng, k, n)
+        vectors += [_bumped(rng, pi), _bumped(rng, pi.scale(-10 ** 12))]
+    found = 0
+    for pi in vectors:
+        expected = three_term_reference(pi)
+        assert pluecker._first_violation(pi) == expected
+        found += expected is not None
+    assert found >= len(vectors) - 2
+    assert pluecker._first_violation(random_positive_vector(rng, k, n)) is None
+
+
 def _refuse(*args):
     raise AssertionError("refused")
 

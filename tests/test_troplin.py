@@ -13,6 +13,7 @@ import pytest
 
 from conftest import (
     canon,
+    ci_grid_612,
     random_rational_tpoint,
     random_tableau_point,
     random_tpoint,
@@ -274,9 +275,9 @@ def test_roof_sum_uses_the_least_scale(k, n):
         pi = rho(random_rational_tpoint(rng, k, n))
         coeffs = [c for c in planar.planar_expand(pi).values() if c]
         least = math.lcm(*(v.denominator for v in pi.values), *(k * c.denominator for c in coeffs))
-        scale, table, terms, central = troplin._roof_sum(pi)
+        scale, row, terms, central = troplin._roof_sum(pi)
         assert scale == least
-        assert [Fraction(v, scale) for _, _, v in table] == list(pi.values)
+        assert [Fraction(v, scale) for v in row] == list(pi.values)
         assert sorted(Fraction(k * f, scale) for _, f in terms) == sorted(coeffs)
         assert [Fraction(v, scale) for v in central] == list(central_representative(pi).values)
         balanced = balanced_representative(pi)
@@ -392,13 +393,13 @@ def _minkowski_vertices(pi_hat):
     pi_hat's own cyclic-gap differences, each classified in scaled
     integers.  Returns the canonical vertices."""
     k, n = pi_hat.k, pi_hat.n
-    scale, table, terms, central = troplin._roof_sum(pi_hat)
-    y, _ = troplin._gap_shift([c - v for c, (_, _, v) in zip(central, table)], 0, k, n)
+    scale, row, terms, central = troplin._roof_sum(pi_hat)
+    y, _ = troplin._gap_shift([c - v for c, v in zip(central, row)], 0, k, n)
     level = {tuple(-v for v in y)}
     for J, factor in terms:
         sectors = [[-factor * (x - W[0]) for x in W] for W in central_roof(J).W]
         level = {tuple(a + x for a, x in zip(acc, W)) for acc in level for W in sectors}
-    vertices = [w for w in level if troplin._shift_face(table, w) == 0]
+    vertices = [w for w in level if troplin._shift_face(k, row, w) == 0]
     return {tuple(Fraction(v, scale) for v in w) for w in vertices}
 
 
@@ -473,9 +474,9 @@ def test_breakpoint_rejects_a_half_integer_step():
 
 def _argmin_bases(pi, w):
     """The argmin bitmasks of pi at the shift point w, sorted."""
-    scale, table = troplin._scaled_table(pi, [Fraction(x).denominator for x in w])
-    masks = [m for _, m, _ in table]
-    return sorted(troplin._argmin(masks, troplin._values(table, troplin._over(scale, w))))
+    scale, row = troplin._scaled_row(pi, [Fraction(x).denominator for x in w])
+    values = troplin._values(row, troplin._over(scale, w), pi.k)
+    return sorted(troplin._argmin(troplin._masks(pi.k, pi.n), values))
 
 
 def test_edge_intervals_match_a_count_per_basis():
@@ -494,7 +495,7 @@ def test_edge_intervals_match_a_count_per_basis():
                 top = {m for m in bases if (m & s).bit_count() == r}
                 if reduce(or_, top) == (1 << n) - 1 and not reduce(and_, top):
                     expected.append((s, top))
-            assert list(troplin._edge_intervals(bases, k, n)) == expected
+            assert list(troplin._edge_intervals(bases, k, n, set())) == expected
 
 
 def test_greedy_bases_are_the_grassmann_necklace():
@@ -516,11 +517,11 @@ def test_edge_intervals_reject_bases_that_are_no_matroid():
     # {1, 2}, which reads rank 1 on S = {2, 3, 4}; {3, 4} has two there.
     message = r"no matroid: a basis has more than the greedy rank 1 in S = \[2, 3, 4\]"
     with pytest.raises(InvariantError, match=message):
-        list(troplin._edge_intervals([0b0011, 0b1100], 2, 4))
+        list(troplin._edge_intervals([0b0011, 0b1100], 2, 4, set()))
     # an explicit raise, so it survives -O
     result = run_optimized(
         "from tropnc import troplin",
-        "list(troplin._edge_intervals([0b0011, 0b1100], 2, 4))",
+        "list(troplin._edge_intervals([0b0011, 0b1100], 2, 4, set()))",
     )
     assert result.returncode == 1
     assert "InvariantError: the argmin set is no matroid" in result.stderr
@@ -544,13 +545,46 @@ def test_walk_checks_where_it_starts_and_where_edges_end(monkeypatch):
         bounded_complex_vertices(pi)
 
 
+def _stepped_pairs(monkeypatch, pi, walk):
+    """Every step of `walk(pi)` as the unordered pair of its two ends, each
+    end its value row modulo a constant (modulo all-ones in w)."""
+    step = troplin._breakpoint
+    steps = []
+
+    def recorded(vals, counts, best, r):
+        t = step(vals, counts, best, r)
+        ends = (vals, [v - t * c for v, c in zip(vals, counts)])
+        steps.append(frozenset(tuple(v - row[0] for v in row) for row in ends))
+        return t
+
+    monkeypatch.setattr(troplin, "_breakpoint", recorded)
+    report = walk(pi)
+    monkeypatch.undo()
+    return report, steps
+
+
+@pytest.mark.parametrize("name,calls", [("3,12", 20), ("6,12", 143)])
+def test_walk_crosses_each_edge_once(monkeypatch, name, calls):
+    # Every step back along an edge to the vertex it came from is left
+    # out: 143 steps at (6,12) for 87 edges, where crossing every edge
+    # from both ends took 236, and at (3,12) one step per edge.
+    pi = vector_312() if name == "3,12" else rho(ci_grid_612())
+    balanced = balanced_representative(pi)
+    for walk, vec in ((bounded_complex_vertices, pi), (diameter_check, balanced)):
+        report, steps = _stepped_pairs(monkeypatch, pi, walk)
+        assert len(steps) == calls
+        assert len(set(steps)) == len(steps)
+        edges = bounded_complex_edges(vec, report.vertices)
+        assert (len(report.vertices), len(edges)) == {"3,12": (11, 20), "6,12": (43, 87)}[name]
+
+
 def test_fundamental_graph_counts_the_components():
     # Argmin matroids at vertices, edge midpoints and face barycentres:
     # 1, 2 and 3 or more components, against the pairwise reference.
     rng = rng_for("fundamental-graph")
     seen = set()
-    for k, n in [(3, 6), (3, 7), (4, 8)]:
-        for _ in range(3):
+    for k, n, count in [(3, 6, 3), (3, 7, 3), (4, 8, 3), (5, 10, 1)]:
+        for _ in range(count):
             pi = rho(random_tpoint(rng, k, n, hi=2))
             vertices = bounded_complex_vertices(pi).vertices
             points = list(vertices) + [
@@ -565,6 +599,43 @@ def test_fundamental_graph_counts_the_components():
                 assert troplin._components(masks, n) == count
                 seen.add(min(count, 3))
     assert seen == {1, 2, 3}
+
+
+def test_combinations_yield_subsets_in_rank_order():
+    # The subset-sum kernel reads sums off `itertools.combinations` of the
+    # coordinates themselves, so it needs their subsets in rank order.
+    for n in range(4, 13):
+        labels = [f"x{i}" for i in range(1, n + 1)]
+        for k in range(2, n - 1):
+            rank = pluecker.lex_rank(k, n)
+            assert list(rank.values()) == list(range(math.comb(n, k)))
+            by_rank = [tuple(labels[i - 1] for i in I) for I in rank]
+            assert list(itertools.combinations(labels, k)) == by_rank
+            assert troplin._masks(k, n) == tuple(sum(1 << (i - 1) for i in I) for I in rank)
+
+
+KERNEL_SIZES = [(2, 5), (3, 6), (3, 8), (4, 8), (4, 9), (5, 10), (6, 12)]
+
+
+@pytest.mark.parametrize("k,n", KERNEL_SIZES)
+def test_value_rows_are_the_per_subset_sums(k, n):
+    rng = rng_for(f"value-kernel-{k}-{n}")
+    for _ in range(3):
+        row = [rng.randint(-50, 50) for _ in range(math.comb(n, k))]
+        w = [rng.randint(-30, 30) for _ in range(n)]
+        expected = [v - sum(w[i - 1] for i in I) for v, I in zip(row, pluecker.lex_rank(k, n))]
+        assert troplin._values(row, w, k) == expected
+        assert troplin._values(row, tuple(w), k) == expected
+
+
+@pytest.mark.parametrize("k,n", KERNEL_SIZES)
+def test_roof_rows_are_the_per_subset_sums(k, n):
+    rng = rng_for(f"roof-kernel-{k}-{n}")
+    subsets = combinat.noncyclic_subsets(k, n)
+    for J in rng.sample(subsets, min(6, len(subsets))):
+        expected = [-min(sum(W[i - 1] for i in I) for W in central_roof(J).W)
+                    for I in pluecker.lex_rank(k, n)]
+        assert troplin._roof_row(J) == tuple(expected)
 
 
 @pytest.mark.parametrize("k,n", [(3, 6), (3, 7), (4, 8)])
