@@ -4,8 +4,10 @@ Everything in this package computes with `fractions.Fraction`, or with
 integers over one common denominator (`scaled`) in its hot loops; floats
 are rejected at the boundary so no rounding can leak in.  The linear algebra
 here is plain Gaussian elimination on small matrices (fan decompositions
-are at most a few dozen rows), kept dependency-free on purpose: `det` and
-`inverse` share one pivot-and-eliminate loop.  The JSON loaders of every
+are at most a few dozen rows), kept dependency-free on purpose: `inverse`
+is the one elimination routine, applied to the fan's cone matrices, whose
+columns are the rays of `ncfan._ray` in the coordinates of
+`ncfan._lattice`.  The JSON loaders of every
 type (`pluecker`, `ncfan`) read their (k, n) header and their
 rationals through the checks here and raise `SchemaError`, with a JSON
 pointer to the fault, on any malformed input.  `record` makes the
@@ -204,41 +206,22 @@ def format_fraction(value: Rational) -> str:
     return str(Fraction(value))
 
 
-def _eliminate(rows: list[list[Fraction]], jordan: bool) -> Fraction:
-    """Row-reduce the leading square block of `rows` in place, with
-    partial pivoting, and return its determinant (0 when singular, at
-    which point the reduction stops).  `jordan` also clears each pivot
-    column above the pivot, leaving the block diagonal."""
-    size = len(rows)
-    result = Fraction(1)
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if rows[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            result = -result
-        lead = rows[col][col]
-        result *= lead
-        for r in range(0 if jordan else col + 1, size):
-            if r != col and rows[r][col] != 0:
-                factor = rows[r][col] / lead
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
-    return result
-
-
-def det(matrix: Sequence[Sequence[Rational]]) -> Fraction:
-    """Determinant of a square matrix, by fraction-exact elimination."""
-    return _eliminate([[as_fraction(v) for v in row] for row in matrix], jordan=False)
-
-
 def inverse(matrix: Sequence[Sequence[Rational]]) -> list[list[Fraction]] | None:
-    """Exact inverse of a square matrix; None when singular."""
+    """Exact inverse of a square matrix, by Gauss-Jordan elimination with
+    partial pivoting on [matrix | identity]; None when singular."""
     size = len(matrix)
     aug = [
         [as_fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(size)]
         for i, row in enumerate(matrix)
     ]
-    if _eliminate(aug, jordan=True) == 0:
-        return None
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if aug[r][col] != 0), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        lead = aug[col][col]
+        for r in range(size):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col] / lead
+                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
     return [[a / row[i] for a in row[size:]] for i, row in enumerate(aug)]

@@ -2,8 +2,11 @@
 
 Points of the target space are (k-1) rows of (n-k) rationals, each row
 taken modulo the all-ones vector; the canonical representative subtracts
-the row minimum, which makes every ray vector a 0/1 array matching the
-interval formula on the nose.
+the row minimum.  `_ray` is the one source of fan rays: J's canonical ray
+as 0/1 integer rows, straight from the interval formula, which `t_vector`,
+`psi`'s supports, the walk and the audit all read.  `_lattice` is the one
+lattice routine: each row minus its last entry, for a ray, a point or
+`psi`'s scaled rows alike.
 
 Decomposition walks the flip graph of maximal noncrossing collections
 (a visibility walk, Devillers-Pion-Teillaud 2002).  It starts in a fixed
@@ -55,7 +58,7 @@ def _canonical_rows(rows) -> tuple[tuple[Fraction, ...], ...]:
     out = []
     for row in rows:
         vals = tuple(as_fraction(v) for v in row)
-        m = min(vals)
+        m = min(vals, default=0)
         out.append(tuple(v - m for v in vals))
     return tuple(out)
 
@@ -119,21 +122,33 @@ class TTildePoint:
             raise ValueError(f"rows must be k x (n-k) for (k,n)=({self.k},{self.n})")
 
 
-def t_vector(J: KSubset) -> TPoint:
-    """Ray vector of J: row i carries ones on [j_i - (i-1), j_{i+1} - (i+1)],
-    clamped to [1, n-k]."""
-    k, n = J.k, J.n
-    width = n - k
-    rows = []
+def _ray(J: KSubset) -> tuple[tuple[int, ...], ...]:
+    """The canonical ray of J as 0/1 int rows: row i is 1 on
+    [j_i - i + 1, j_{i+1} - i - 1] cut to [1, n - k]; a full row, like an
+    empty one, is 0 modulo all-ones."""
+    width = J.n - J.k
     elems = J.elems
-    for i in range(1, k):
-        lo = elems[i - 1] - (i - 1)
-        hi = elems[i] - (i + 1)
-        row = [0] * width
-        for s in range(max(lo, 1), min(hi, width) + 1):
-            row[s - 1] += 1
-        rows.append(row)
-    return TPoint.of(k, n, rows)
+    rows = []
+    for i in range(1, J.k):
+        lo, hi = elems[i - 1] - i + 1, elems[i] - i - 1
+        row = tuple(int(lo <= s <= hi) for s in range(1, width + 1))
+        rows.append((0,) * width if all(row) else row)
+    return tuple(rows)
+
+
+def _lattice(rows) -> tuple:
+    """Quotient coordinates of rows: each row minus its last entry, the
+    last entry dropped, concatenated.
+
+    These identify each row copy of the quotient lattice with Z^(n-k-1),
+    so unimodularity can be read off integer determinants.
+    """
+    return tuple(v - row[-1] for row in rows for v in row[:-1])
+
+
+def t_vector(J: KSubset) -> TPoint:
+    """Ray vector of J (`_ray`) as a `TPoint`."""
+    return TPoint(J.k, J.n, tuple(tuple(map(Fraction, row)) for row in _ray(J)))
 
 
 def t_tilde_vector(J: KSubset) -> TTildePoint:
@@ -171,13 +186,11 @@ def phi(point: TTildePoint) -> TPoint:
 def _ray_supports(k: int, n: int) -> tuple[tuple[int, ...], ...]:
     """Per noncyclic J in `noncyclic_subsets` order, the flat indices
     (row - 1) * (n - k) + (column - 1) where the 0/1 ray of J is 1."""
-    out = []
-    for J in noncyclic_subsets(k, n):
-        flat = [v for row in t_vector(J).rows for v in row]
-        if any(v not in (0, 1) for v in flat):
-            raise InvariantError(f"ray of {J.elems} is not a 0/1 array")
-        out.append(tuple(i for i, v in enumerate(flat) if v))
-    return tuple(out)
+    width = n - k
+    return tuple(
+        tuple(r * width + c for r, row in enumerate(_ray(J)) for c, v in enumerate(row) if v)
+        for J in noncyclic_subsets(k, n)
+    )
 
 
 def psi(pi: PlueckerVector) -> TPoint:
@@ -209,32 +222,19 @@ def _psi_scaled(k: int, n: int, us: list[int], scale: int) -> TPoint:
 
 
 def lattice_coords(t: TPoint) -> tuple[Fraction, ...]:
-    """Quotient coordinates: per-row differences against the last entry.
-
-    These identify each row copy of the quotient lattice with Z^(n-k-1),
-    so unimodularity can be read off integer determinants.
-    """
-    out = []
-    for row in t.rows:
-        last = row[-1]
-        out.extend(v - last for v in row[:-1])
-    return tuple(out)
-
-
-def _ray_coords(J: KSubset) -> tuple[int, ...]:
-    """Lattice coordinates of the ray of J; rays are 0/1, so these are ints."""
-    return tuple(int(v) for v in lattice_coords(t_vector(J)))
+    """Quotient coordinates of t (`_lattice` of its rows)."""
+    return _lattice(t.rows)
 
 
 @lru_cache(maxsize=None)
 def _sparse_ray(J: KSubset) -> tuple[tuple[int, int], ...]:
-    """The nonzero (coordinate, value) pairs of `_ray_coords(J)`."""
-    return tuple((c, v) for c, v in enumerate(_ray_coords(J)) if v)
+    """The nonzero (coordinate, value) pairs of the lattice coordinates of J's ray."""
+    return tuple((c, v) for c, v in enumerate(_lattice(_ray(J))) if v)
 
 
 def _cone_matrix(coll) -> list[list[int]]:
     """The matrix whose columns are the lattice coordinates of the rays."""
-    return [list(row) for row in zip(*(_ray_coords(J) for J in coll))]
+    return [list(row) for row in zip(*(_lattice(_ray(J)) for J in coll))]
 
 
 def _integer_inverse(matrix) -> list[list[int]]:

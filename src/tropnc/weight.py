@@ -103,8 +103,7 @@ def weight_report(pi: PlueckerVector) -> WeightReport:
     k, n = pi.k, pi.n
     vals, scale = pi.scaled()
     us = planar._expand(k, n, vals)
-    target = [v - row[-1] for row in ncfan._psi_rows(k, n, us) for v in row[:-1]]
-    coll, mu = ncfan._walk(k, n, target)
+    coll, mu = ncfan._walk(k, n, ncfan._lattice(ncfan._psi_rows(k, n, us)))
     _check_noncrossing(compatibility_rows(k, n), [j for j, m in zip(coll, mu) if m > 0])
     pk = Fraction(sum(us), scale)
     nc = Fraction(sum([m for m in mu if m > 0]), scale)

@@ -18,6 +18,11 @@ from tropnc.ncfan import TPoint
 from tropnc.pluecker import PlueckerVector
 
 
+# Every shape 2 <= k <= n - 2 with n <= 10, and the desk-scale (6, 12): the
+# shapes on which the fan rays are checked against written-out intervals.
+RAY_SHAPES = [(k, n) for n in range(4, 11) for k in range(2, n - 1)] + [(6, 12)]
+
+
 def rng_for(name: str) -> random.Random:
     """Deterministic per-test generator."""
     return random.Random(f"tropnc:{name}")

@@ -7,6 +7,7 @@ against; none of them runs in the package.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 from tropnc import ladder
 from tropnc.combinat import DecoratedOSP, KSubset, _prefix_chain
@@ -51,3 +52,22 @@ def three_term_reference(pi):
             if lhs != rhs:
                 return S, (a, b, c, d), lhs, rhs
     return None
+
+
+def det(matrix) -> Fraction:
+    """Determinant of a square matrix by Fraction-exact Gaussian elimination
+    (the tests' check of cone unimodularity; production never forms one)."""
+    rows = [[Fraction(v) for v in row] for row in matrix]
+    result = Fraction(1)
+    for col in range(len(rows)):
+        pivot = next((r for r in range(col, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            result = -result
+        result *= rows[col][col]
+        for r in range(col + 1, len(rows)):
+            factor = rows[r][col] / rows[col][col]
+            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    return result

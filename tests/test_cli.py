@@ -429,6 +429,16 @@ def test_decompose_and_weight_desk_scale_guard(tmp_path, capsys):
     assert code == 2 and "/k" in err
 
 
+@pytest.mark.parametrize("command", ["rho", "decompose"])
+def test_rows_with_no_columns_meet_the_kn_guard(command, tmp_path, capsys):
+    # n - k = 0: the empty rows load, and the (k, n) guard names the fault
+    path = write_json(tmp_path, "t.json", {"k": 4, "n": 4, "rows": [[], [], []]})
+    code = cli.main([command, "--in", path])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: need 2 <= k <= n-2, got k=4, n=4 (at /k)\n"
+
+
 @pytest.mark.parametrize("command", ["psi", "rho", "bounded", "diameter"])
 def test_input_commands_apply_the_guard(command, tmp_path, capsys):
     def payload(k, n):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_tpoint, rng_for, run_optimized
+from conftest import RAY_SHAPES, random_tpoint, rng_for, run_optimized
 from oracles import one_family_subsets, three_term_reference
 from tropnc import ladder, ncfan, planar
 from tropnc.combinat import (
@@ -25,7 +25,7 @@ from tropnc.ladder import (
     tropical_pluecker,
 )
 from tropnc.exact import InvariantError
-from tropnc.ncfan import TPoint, psi, t_vector
+from tropnc.ncfan import TPoint, audit_fan, psi, t_vector
 from tropnc.pluecker import (
     PlueckerVector,
     equivalent_mod_lineality,
@@ -128,14 +128,16 @@ def test_subset_containing_one_ignores_row_one():
 
 
 def test_t_vector_support_intervals():
-    for J in noncyclic_subsets(3, 7):
-        t = t_vector(J)
-        for level in (1, 2):
-            lo = J.elems[level - 1] - (level - 1)
-            hi = J.elems[level] - (level + 1)
-            want = set(range(max(lo, 1), min(hi, 4) + 1))
-            got = {s + 1 for s, v in enumerate(t.rows[level - 1]) if v != 0}
-            assert want == got
+    for k, n in RAY_SHAPES:
+        for J in noncyclic_subsets(k, n):
+            t = t_vector(J)
+            for level in range(1, k):
+                lo = J.elems[level - 1] - (level - 1)
+                hi = J.elems[level] - (level + 1)
+                want = set(range(max(lo, 1), min(hi, n - k) + 1))
+                got = {s + 1 for s, v in enumerate(t.rows[level - 1]) if v != 0}
+                assert want == got, (J, level)
+                assert all(t.rows[level - 1][s - 1] == 1 for s in got), (J, level)
 
 
 def test_diagonal_duality_values():
@@ -349,12 +351,20 @@ def test_production_path_never_calls_the_fraction_references(monkeypatch):
     families = ladder.enumerate_path_families
     families.cache_clear()
     ladder._plan.cache_clear()
+    for cached in (ncfan._ray_supports, ncfan._sparse_ray, ncfan._walk_tables):
+        cached.cache_clear()
+    rng = rng_for("production-path")
+    shapes = [(3, 7), (4, 8)]
+    points = [random_tpoint(rng, k, n) for k, n in shapes]
+    weighed = random_tpoint(rng, 3, 7)
     monkeypatch.setattr(ladder, "tropical_pluecker", reference_called)
     monkeypatch.setattr(ladder, "enumerate_path_families", reference_called)
     monkeypatch.setattr(planar, "tropical_u", reference_called)
-    rng = rng_for("production-path")
-    for k, n in [(3, 7), (4, 8)]:
-        t = random_tpoint(rng, k, n)
+    # the rays come from `ncfan._ray` as ints, never from a Fraction point
+    # put in canonical form
+    monkeypatch.setattr(ncfan, "_canonical_rows", reference_called)
+    tableaux = []
+    for (k, n), t in zip(shapes, points):
         pi = rho(t)
         assert families.cache_info().currsize == 0
         assert is_positive_tropical(pi).ok
@@ -363,4 +373,12 @@ def test_production_path_never_calls_the_fraction_references(monkeypatch):
         # never builds the Fraction view
         assert pi._values is None
         assert len(planar.planar_expand(pi)) == len(noncyclic_subsets(k, n))
-    assert weight_report(rho(random_tpoint(rng, 3, 7))).agree
+        tableaux.append(ncfan.nc_decompose(t))
+    assert weight_report(rho(weighed)).agree
+    assert len(audit_fan.__wrapped__(4, 7).cones) == 462
+    monkeypatch.undo()
+    for t, tab in zip(points, tableaux):
+        rebuilt = TPoint.zero(t.k, t.n)
+        for J, m in tab.entries:
+            rebuilt = rebuilt + t_vector(J).scale(m)
+        assert rebuilt == t

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    RAY_SHAPES,
     TABLEAU_312,
     canon,
     random_rational_tpoint,
@@ -15,6 +16,7 @@ from conftest import (
     run_optimized,
     vector_312,
 )
+from oracles import det
 from tropnc import combinat, exact, ladder, ncfan, planar, weight
 from tropnc.combinat import all_ksubsets, ksubset, maximal_noncrossing_collections, noncyclic_subsets
 from tropnc.exact import InvariantError, SchemaError
@@ -64,10 +66,37 @@ def test_t_tilde_values_3_5():
     )
 
 
-@pytest.mark.parametrize("k,n", [(3, 5), (3, 6), (2, 6)])
+@pytest.mark.parametrize("k,n", RAY_SHAPES)
 def test_phi_sends_t_tilde_to_t(k, n):
     for J in all_ksubsets(k, n):
         assert phi(t_tilde_vector(J)) == t_vector(J)
+
+
+def written_out_ray(J):
+    """J's ray by the `Fraction` route: row i is ones on
+    [max(j_i - i + 1, 1), min(j_{i+1} - i - 1, n - k)], written out and put
+    in canonical form by `TPoint.of`."""
+    width = J.n - J.k
+    rows = []
+    for i in range(1, J.k):
+        lo, hi = max(J.elems[i - 1] - i + 1, 1), min(J.elems[i] - i - 1, width)
+        rows.append([int(lo <= s <= hi) for s in range(1, width + 1)])
+    return TPoint.of(J.k, J.n, rows)
+
+
+@pytest.mark.parametrize("k,n", RAY_SHAPES)
+def test_integer_rays_match_the_fraction_route(k, n):
+    for J in all_ksubsets(k, n):
+        assert t_vector(J) == written_out_ray(J), J
+    supports = ncfan._ray_supports(k, n)
+    nodes = noncyclic_subsets(k, n)
+    assert len(supports) == len(nodes)
+    for J, support in zip(nodes, supports):
+        t = written_out_ray(J)
+        flat = [v for row in t.rows for v in row]
+        assert support == tuple(i for i, v in enumerate(flat) if v), J
+        assert all(flat[i] == 1 for i in support), J
+        assert ncfan._sparse_ray(J) == tuple((c, v) for c, v in enumerate(lattice_coords(t)) if v), J
 
 
 @pytest.mark.parametrize("k,n", [(3, 6), (2, 6), (4, 7)])
@@ -165,7 +194,7 @@ def test_unimodularity_of_maximal_cones(k, n):
     for coll in maximal_noncrossing_collections(k, n):
         cols = [lattice_coords(t_vector(J)) for J in coll]
         matrix = [[cols[j][i] for j in range(len(cols))] for i in range(len(cols[0]))]
-        assert abs(exact.det(matrix)) == 1
+        assert abs(det(matrix)) == 1
 
 
 def test_d1_projection():
@@ -276,8 +305,7 @@ def test_walk_never_enumerates_maximal_collections(monkeypatch):
         t = random_tpoint(rng, 4, 7)
         assert combine(4, 7, nc_decompose(t).entries) == t
     # The walk built the start cone's inverse; the audit reuses it and
-    # computes no determinant and no other cone matrix.
-    monkeypatch.setattr(exact, "det", refuse)
+    # inverts no other cone matrix.
     monkeypatch.setattr(exact, "inverse", refuse)
     monkeypatch.setattr(ncfan, "_cone_matrix", refuse)
     assert len(audit_fan.__wrapped__(4, 7).cones) == 462
