@@ -10,9 +10,11 @@ The noncrossing predicate `noncrossing` is implemented literally,
 window by window, with no shortcut formulas, so that it can serve as the
 oracle for everything built on top of it.  The collections, the
 tableaux and the fan read noncrossing compatibility from
-`compatibility_rows` instead: one store per (k, n) of bitmask rows over
-`noncyclic_subsets`, each built on first use by the chord test `_crosses`,
-which the tests check against `noncrossing` on every pair up to n = 10.
+`compatibility_rows` instead: one cached tuple per (k, n) of bitmask rows
+over `noncyclic_subsets`, all built in one pass that applies the chord
+rule to every node at once on per-position bitmasks.  The tests check the
+rows against `noncrossing` on every pair up to n = 10, and CI on every
+pair at (6, 12).
 One fixed-size search lists noncrossing collections; the maximal ones are
 those of size (k-1)(n-k-1), counted against the hook-length formula.
 """
@@ -20,6 +22,7 @@ those of size (k-1)(n-k-1), counted against the hook-length formula.
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
@@ -161,96 +164,56 @@ def crossing(I: KSubset, J: KSubset) -> bool:
     return not noncrossing(I, J)
 
 
-# Work done since import, read as `ncfan.WALK_COUNTS`: walks run and flips
-# made by `ncfan.nc_decompose`, compatibility rows built and pair tests
-# made by `CompatibilityRows`.
-WALK_COUNTS = {"walks": 0, "flips": 0, "rows": 0, "pair_tests": 0}
-
-
-def _crosses(ie: tuple[int, ...], je: tuple[int, ...]) -> bool:
-    """`crossing` on sorted element tuples, by chords.
+@lru_cache(maxsize=None)
+def compatibility_rows(k: int, n: int) -> tuple[int, ...]:
+    """The noncrossing compatibility graph on `noncyclic_subsets(k, n)`:
+    bit i of row j is set iff i != j and nodes i and j are noncrossing.
 
     With equal interiors on a window a < b, e_I - e_J on the window is
     e_{i_a} + e_{i_b} - e_{j_a} - e_{j_b}, which has four cyclic sign
     changes exactly when the chords (i_a, i_b) and (j_a, j_b) interleave.
-    For each a the windows are scanned while the interior stays equal.
+    That chord rule is applied to every node at once, on bitmasks over the
+    nodes: `at[p][v]` holds the nodes whose p-th element is v, `below[p][v]`
+    those whose p-th element is less than v, and `agree` those that match
+    row j's node strictly inside the window.
     """
-    k = len(ie)
-    for a in range(k - 1):
-        x, y = ie[a], je[a]
-        for b in range(a + 1, k):
-            u, v = ie[b], je[b]
-            if x < y < u < v or y < x < v < u:
-                return True
-            if u != v:
-                break
-    return False
-
-
-class CompatibilityRows:
-    """The noncrossing compatibility graph on `noncyclic_subsets(k, n)`,
-    one row per node, built on first use.
-
-    Row j is an int whose bit i is set iff i != j and nodes i and j are
-    noncrossing.  Building row j reads bit j of every row already built
-    and tests only the other pairs, so each unordered pair is tested at
-    most once.
-    """
-
-    def __init__(self, k: int, n: int):
-        self.nodes = noncyclic_subsets(k, n)
-        self.index = {J: i for i, J in enumerate(self.nodes)}
-        self._rows: list[int | None] = [None] * len(self.nodes)
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-    def __getitem__(self, j: int) -> int:
-        row = self._rows[j]
-        if row is None:
-            row = self._rows[j] = self._build(j)
-        return row
-
-    def _build(self, j: int) -> int:
-        je = self.nodes[j].elems
-        bit = 1 << j
-        row = tests = 0
-        for i, (node, other) in enumerate(zip(self.nodes, self._rows)):
-            if i == j:
-                continue
-            if other is None:
-                tests += 1
-                compatible = not _crosses(node.elems, je)
-            else:
-                compatible = other & bit
-            if compatible:
-                row |= 1 << i
-        WALK_COUNTS["rows"] += 1
-        WALK_COUNTS["pair_tests"] += tests
-        return row
-
-    def all_rows(self) -> list[int]:
-        """Every row, building the missing ones."""
-        return [self[j] for j in range(len(self.nodes))]
-
-    def compatible(self, i: int, j: int) -> bool:
-        """Whether distinct nodes i and j are noncrossing, read from row j
-        if it is built and from row i otherwise."""
-        row = self._rows[j]
-        return bool(row >> i & 1) if row is not None else bool(self[i] >> j & 1)
+    nodes = noncyclic_subsets(k, n)
+    at = [[0] * (n + 1) for _ in range(k)]
+    for i, J in enumerate(nodes):
+        for p, v in enumerate(J.elems):
+            at[p][v] |= 1 << i
+    below = [list(itertools.accumulate(masks, operator.or_, initial=0)) for masks in at]
+    full = (1 << len(nodes)) - 1
+    rows = []
+    for j, J in enumerate(nodes):
+        je = J.elems
+        cross = 0
+        for a in range(k - 1):
+            x, lo = je[a], below[a]
+            agree = full
+            for b in range(a + 1, k):
+                y, hi = je[b], below[b]
+                # i_a < x < i_b < y, or x < i_a < y < i_b
+                cross |= agree & (lo[x] & hi[y] & ~hi[x + 1] | lo[y] & ~lo[x + 1] & ~hi[y + 1])
+                agree &= at[b][y]
+                if not agree:
+                    break
+        rows.append(full & ~cross & ~(1 << j))
+    return tuple(rows)
 
 
 @lru_cache(maxsize=None)
-def compatibility_rows(k: int, n: int) -> CompatibilityRows:
-    """The one compatibility row store of (k, n)."""
-    return CompatibilityRows(k, n)
+def _node_ids(k: int, n: int) -> dict[KSubset, int]:
+    """Each noncyclic k-subset's place in `noncyclic_subsets(k, n)`."""
+    return {J: i for i, J in enumerate(noncyclic_subsets(k, n))}
 
 
-def _check_noncrossing(store: CompatibilityRows, ids) -> None:
+def _check_noncrossing(k: int, n: int, ids) -> None:
     """Raise ValueError if two of the nodes `ids` cross (a tableau's check)."""
+    rows, nodes = compatibility_rows(k, n), noncyclic_subsets(k, n)
     for i, j in itertools.combinations(ids, 2):
-        if not store.compatible(i, j):
-            raise ValueError(f"entries {store.nodes[i].elems} and {store.nodes[j].elems} cross")
+        if not rows[j] >> i & 1:
+            raise ValueError(f"entries {nodes[i].elems} and {nodes[j].elems} cross")
 
 
 def noncrossing_collections(k: int, n: int, size: int) -> list[tuple[KSubset, ...]]:
@@ -258,8 +221,7 @@ def noncrossing_collections(k: int, n: int, size: int) -> list[tuple[KSubset, ..
     k-subsets, in lexicographic order (deterministic backtracking)."""
     if size < 1:
         raise ValueError("size must be >= 1")
-    store = compatibility_rows(k, n)
-    nodes, rows = store.nodes, store.all_rows()
+    nodes, rows = noncyclic_subsets(k, n), compatibility_rows(k, n)
     out: list[tuple[KSubset, ...]] = []
 
     def extend(chosen: list[int], candidates: list[int]):
@@ -417,8 +379,8 @@ class NoncrossingTableau:
             if J in seen:
                 raise ValueError(f"duplicate entry {J.elems}")
             seen.add(J)
-        store = compatibility_rows(self.k, self.n)
-        _check_noncrossing(store, [store.index[J] for J, _ in self.entries])
+        ids = _node_ids(self.k, self.n)
+        _check_noncrossing(self.k, self.n, [ids[J] for J, _ in self.entries])
 
     def weight(self) -> Fraction:
         return sum((m for _, m in self.entries), Fraction(0))

@@ -13,29 +13,27 @@ Decomposition walks the flip graph of maximal noncrossing collections
 cone with that cone's integer inverse ray matrix and, while some cone
 coordinate of the point is negative, flips the most negative ray to its
 unique partner by an exact rank-one step; a walk that comes back to a
-cone raises `InvariantError`.  Compatibility rows
-(`combinat.compatibility_rows`) and sparse rays are built on first use, so
-a walk builds only those of the cones on its path.  `audit_fan` checks
-the whole fan with the same steps, searching the flip graph from the
-start cone; its `scan`, the brute-force decomposition on every cone, is
-the walk's test oracle, never a fallback.
+cone raises `InvariantError`.  Flip partners are read off the
+compatibility rows (`combinat.compatibility_rows`, all built in one pass
+per (k, n)); sparse rays are built on first use, so a walk builds only
+those of the cones on its path.  `audit_fan` checks the whole fan with the
+same steps, searching the flip graph from the start cone, and returns its
+maximal cones.  The brute-force decomposition on every cone is the walk's
+test oracle, kept with the tests, never a fallback.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from . import exact, planar
 from .combinat import (
-    WALK_COUNTS,
-    CompatibilityRows,
     KSubset,
     NoncrossingTableau,
     _maximal_cone_count,
     compatibility_rows,
     noncyclic_subsets,
-    tableau,
 )
 from .exact import (
     InvariantError,
@@ -49,9 +47,9 @@ from .exact import (
 from .pluecker import PlueckerVector
 
 
-class DecompositionError(InvariantError):
-    """Raised when the cone scan fails; signals a fan completeness or
-    uniqueness violation, i.e. a bug, not a data condition."""
+# Work done since import by `nc_decompose` and `weight_report`: walks run
+# and flips made.
+WALK_COUNTS = {"walks": 0, "flips": 0}
 
 
 def _canonical_rows(rows) -> tuple[tuple[Fraction, ...], ...]:
@@ -245,7 +243,7 @@ def _integer_inverse(matrix) -> list[list[int]]:
     return [[int(v) for v in row] for row in inv]
 
 
-def _flip_partner(rows: CompatibilityRows, coll, i: int) -> int:
+def _flip_partner(rows: tuple[int, ...], coll, i: int) -> int:
     """The unique node outside `coll` compatible with every ray but coll[i]:
     the AND of the other rays' rows, without coll[i], must have one bit."""
     common = (1 << len(rows)) - 1
@@ -265,23 +263,23 @@ def _flip_partner(rows: CompatibilityRows, coll, i: int) -> int:
 @record
 class _WalkTables:
     nodes: tuple[KSubset, ...]
-    rows: CompatibilityRows
+    rows: tuple[int, ...]
     start: tuple[int, ...]
     start_inv: tuple[tuple[int, ...], ...]
 
 
 @lru_cache(maxsize=None)
 def _walk_tables(k: int, n: int) -> _WalkTables:
-    """The compatibility rows and the start cone of (k, n), with the start
-    cone's integer inverse ray matrix.
+    """The nodes, compatibility rows and start cone of (k, n), with the
+    start cone's integer inverse ray matrix.
 
     The start cone is built greedily in lexicographic order: a node joins
-    when the rows of the nodes already chosen all have its bit, so only
-    the chosen nodes' rows are built.  The complex is pure, so the cone
-    must have (k-1)(n-k-1) rays.  The rows of the nodes a walk flips to,
-    and their sparse rays (`_sparse_ray`), are built when first needed.
+    when the rows of the nodes already chosen all have its bit.  The
+    complex is pure, so the cone must have (k-1)(n-k-1) rays.  The sparse
+    rays (`_sparse_ray`) of the nodes a walk flips to are built when first
+    needed.
     """
-    rows = compatibility_rows(k, n)
+    nodes, rows = noncyclic_subsets(k, n), compatibility_rows(k, n)
     start: list[int] = []
     allowed = (1 << len(rows)) - 1
     for i in range(len(rows)):
@@ -293,8 +291,8 @@ def _walk_tables(k: int, n: int) -> _WalkTables:
             f"greedy noncrossing collection has {len(start)} rays, "
             f"not (k-1)(n-k-1) = {(k - 1) * (n - k - 1)}"
         )
-    inv = _integer_inverse(_cone_matrix(rows.nodes[i] for i in start))
-    return _WalkTables(rows.nodes, rows, tuple(start), tuple(map(tuple, inv)))
+    inv = _integer_inverse(_cone_matrix(nodes[i] for i in start))
+    return _WalkTables(nodes, rows, tuple(start), tuple(map(tuple, inv)))
 
 
 def _check_pivot(pivot: int, old: KSubset, new: KSubset):
@@ -363,43 +361,10 @@ def nc_decompose(t: TPoint) -> NoncrossingTableau:
     ))
 
 
-@record
-class FanAudit:
-    """The maximal cones of an audited fan, in lexicographic order."""
-
-    k: int
-    n: int
-    cones: tuple[tuple[KSubset, ...], ...]
-
-    @cached_property
-    def _inverses(self) -> tuple[list[list[int]], ...]:
-        return tuple(_integer_inverse(_cone_matrix(coll)) for coll in self.cones)
-
-    def scan(self, t: TPoint) -> NoncrossingTableau:
-        """Decompose t by solving the system on every maximal cone, each
-        inverted on its own, independently of the flip step.
-
-        Raises DecompositionError if no cone accepts or two cones accept
-        with different positive supports (completeness/uniqueness).
-        """
-        if (t.k, t.n) != (self.k, self.n):
-            raise ValueError("mismatched (k, n)")
-        target, scale = scaled(lattice_coords(t))
-        found = set()
-        for coll, inv in zip(self.cones, self._inverses):
-            mu = [sum(a * b for a, b in zip(row, target)) for row in inv]
-            if all(m >= 0 for m in mu):
-                found.add(tuple((J, Fraction(m, scale)) for J, m in zip(coll, mu) if m > 0))
-        if not found:
-            raise DecompositionError(f"no cone contains the point {t!r}")
-        if len(found) > 1:
-            raise DecompositionError(f"multiple distinct decompositions for {t!r}")
-        return tableau(self.k, self.n, found.pop())
-
-
 @lru_cache(maxsize=None)
-def audit_fan(k: int, n: int) -> FanAudit:
-    """Check the whole fan at (k, n) by a search over its flip graph.
+def audit_fan(k: int, n: int) -> tuple[tuple[KSubset, ...], ...]:
+    """Check the whole fan at (k, n) by a search over its flip graph, and
+    return its maximal cones in lexicographic order.
 
     From the walk's start cone (unimodular: its inverse is integral),
     every facet of every cone reached must have one flip partner
@@ -407,7 +372,7 @@ def audit_fan(k: int, n: int) -> FanAudit:
     is unimodular and every partner lies across its facet; a new cone's
     inverse comes by the walk's rank-one step (`_flip`).  The search must
     reach the hook-length count of cones.  Raises InvariantError otherwise.
-    Cached per (k, n), so that repeated scans audit once.
+    Cached per (k, n), so that each shape is audited once.
     """
     tables = _walk_tables(k, n)
     nodes = tables.nodes
@@ -429,9 +394,9 @@ def audit_fan(k: int, n: int) -> FanAudit:
     if len(cones) != expected:
         raise InvariantError(f"flip search reached {len(cones)} maximal cones, "
                              f"not the hook-length count {expected}")
-    return FanAudit(k, n, tuple(
+    return tuple(
         tuple(nodes[j] for j in c) for c in sorted(tuple(sorted(c)) for c in cones.values())
-    ))
+    )
 
 
 def nc_weight(t: TPoint) -> Fraction:

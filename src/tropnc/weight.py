@@ -19,6 +19,7 @@ from .combinat import (
     KSubset,
     _check_noncrossing,
     compatibility_rows,
+    noncyclic_subsets,
     weakly_separated,
 )
 from .exact import InvariantError, format_fraction, record
@@ -104,7 +105,7 @@ def weight_report(pi: PlueckerVector) -> WeightReport:
     vals, scale = pi.scaled()
     us = planar._expand(k, n, vals)
     coll, mu = ncfan._walk(k, n, ncfan._lattice(ncfan._psi_rows(k, n, us)))
-    _check_noncrossing(compatibility_rows(k, n), [j for j, m in zip(coll, mu) if m > 0])
+    _check_noncrossing(k, n, [j for j, m in zip(coll, mu) if m > 0])
     pk = Fraction(sum(us), scale)
     nc = Fraction(sum([m for m in mu if m > 0]), scale)
     br = Fraction(sum([vals[c] - vals[g] for c, g in _gap_ranks(k, n)]), scale)
@@ -117,7 +118,7 @@ def weight_two_candidates(k: int, n: int) -> list[tuple[KSubset, KSubset, Plueck
     attached.  Positivity is verified; no ray-extremality claim is made."""
     out = []
     rows = compatibility_rows(k, n)
-    for (i, I), (j, J) in itertools.combinations(enumerate(rows.nodes), 2):
+    for (i, I), (j, J) in itertools.combinations(enumerate(noncyclic_subsets(k, n)), 2):
         if rows[i] >> j & 1 and not weakly_separated(I, J):
             vec = ladder.rho(ncfan.t_vector(I) + ncfan.t_vector(J))
             cert = is_positive_tropical(vec)

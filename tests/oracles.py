@@ -8,9 +8,11 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 
-from tropnc import ladder
-from tropnc.combinat import DecoratedOSP, KSubset, _prefix_chain
+from tropnc import ladder, ncfan
+from tropnc.combinat import DecoratedOSP, KSubset, _prefix_chain, tableau
+from tropnc.exact import InvariantError, scaled
 from tropnc.pluecker import lex_rank
 
 
@@ -71,3 +73,36 @@ def det(matrix) -> Fraction:
             factor = rows[r][col] / rows[col][col]
             rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
     return result
+
+
+class DecompositionError(InvariantError):
+    """Raised when the cone scan fails; signals a fan completeness or
+    uniqueness violation, i.e. a bug, not a data condition."""
+
+
+@lru_cache(maxsize=None)
+def _inverses(k: int, n: int) -> tuple[list[list[int]], ...]:
+    """The integer inverse ray matrix of every maximal cone of `ncfan.audit_fan`,
+    each inverted on its own."""
+    return tuple(ncfan._integer_inverse(ncfan._cone_matrix(coll))
+                 for coll in ncfan.audit_fan(k, n))
+
+
+def scan(t):
+    """Decompose t by solving the system on every maximal cone, independently
+    of the flip step (the oracle of `ncfan.nc_decompose`).
+
+    Raises DecompositionError if no cone accepts or two cones accept with
+    different positive supports (completeness/uniqueness).
+    """
+    target, scale = scaled(ncfan.lattice_coords(t))
+    found = set()
+    for coll, inv in zip(ncfan.audit_fan(t.k, t.n), _inverses(t.k, t.n)):
+        mu = [sum(a * b for a, b in zip(row, target)) for row in inv]
+        if all(m >= 0 for m in mu):
+            found.add(tuple((J, Fraction(m, scale)) for J, m in zip(coll, mu) if m > 0))
+    if not found:
+        raise DecompositionError(f"no cone contains the point {t!r}")
+    if len(found) > 1:
+        raise DecompositionError(f"multiple distinct decompositions for {t!r}")
+    return tableau(t.k, t.n, found.pop())

@@ -375,7 +375,7 @@ def test_production_path_never_calls_the_fraction_references(monkeypatch):
         assert len(planar.planar_expand(pi)) == len(noncyclic_subsets(k, n))
         tableaux.append(ncfan.nc_decompose(t))
     assert weight_report(rho(weighed)).agree
-    assert len(audit_fan.__wrapped__(4, 7).cones) == 462
+    assert len(audit_fan.__wrapped__(4, 7)) == 462
     monkeypatch.undo()
     for t, tab in zip(points, tableaux):
         rebuilt = TPoint.zero(t.k, t.n)

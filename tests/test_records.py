@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -26,7 +27,8 @@ from tropnc.combinat import (
     tableau,
 )
 from tropnc.ladder import LadderPoint, PathFamily
-from tropnc.ncfan import FanAudit, TPoint, TTildePoint
+from tropnc.exact import record
+from tropnc.ncfan import TPoint, TTildePoint
 from tropnc.planar import CrossRatioExponent
 from tropnc.pluecker import PositivityCertificate
 from tropnc.troplin import BoundedComplexReport, CentralRoof, Matroid
@@ -47,7 +49,6 @@ def _examples():
         TPoint.of(3, 6, [[1, 2, 3], [0, half, 4]]),
         TTildePoint(3, 6, ((Fraction(1),) * 3,) * 3),
         ncfan._walk_tables(3, 6),
-        ncfan.audit_fan(2, 5),
         planar.cubical_array(J),
         PositivityCertificate(False, ((1,), (2, 3, 4, 5), Fraction(1), Fraction(0))),
         troplin.uniform_matroid(2, 4),
@@ -59,7 +60,7 @@ def _examples():
 
 EXAMPLES = _examples()
 RECORD_CLASSES = (KSubset, DecoratedOSP, NoncrossingTableau, LadderPoint, PathFamily, TPoint,
-                  TTildePoint, ncfan._WalkTables, FanAudit, CrossRatioExponent,
+                  TTildePoint, ncfan._WalkTables, CrossRatioExponent,
                   PositivityCertificate, Matroid, CentralRoof, BoundedComplexReport,
                   WeightReport)
 
@@ -177,14 +178,22 @@ def test_post_init_refusals_raise_value_error(build):
         build()
 
 
-def test_fan_audit_inverses_are_cached():
-    audit = ncfan.audit_fan(3, 6)
-    fresh = FanAudit(audit.k, audit.n, audit.cones)
-    assert "_inverses" not in vars(fresh)
-    first = fresh._inverses
-    assert fresh._inverses is first and vars(fresh)["_inverses"] is first
-    assert len(first) == len(audit.cones)
-    assert fresh == audit
+def test_cached_property_works_on_a_record():
+    @record
+    class Cones:
+        cones: tuple
+
+        @cached_property
+        def sizes(self) -> list[int]:
+            return [len(c) for c in self.cones]
+
+    cones = ((1, 3), (2, 4, 6))
+    fresh = Cones(cones)
+    assert "sizes" not in vars(fresh)
+    first = fresh.sizes
+    assert fresh.sizes is first and vars(fresh)["sizes"] is first
+    assert first == [2, 3]
+    assert fresh == Cones(cones)
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():

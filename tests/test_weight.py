@@ -10,8 +10,10 @@ from conftest import (
     random_tpoint,
     random_vector,
     rng_for,
+    run_optimized,
     vector_312,
 )
+from oracles import scan
 from tropnc import combinat, ladder, ncfan, planar, pluecker, weight
 from tropnc.combinat import (
     cyc_interval,
@@ -22,7 +24,7 @@ from tropnc.combinat import (
     noncyclic_subsets,
 )
 from tropnc.ladder import LadderPoint, grid_of, pluecker_vector_of_grid, rho
-from tropnc.ncfan import TPoint, audit_fan, nc_decompose, psi, t_vector
+from tropnc.ncfan import TPoint, nc_decompose, psi, t_vector
 from tropnc.pluecker import PlueckerVector, face_restrict_one, lineality_vector
 from tropnc.weight import (
     bridge,
@@ -217,7 +219,7 @@ def test_weight_report_builds_no_tableau_and_no_fraction_point(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the weight path left scaled integers")
 
-    for module, name in [(combinat, "tableau"), (ncfan, "tableau"),
+    for module, name in [(combinat, "tableau"),
                          (combinat, "NoncrossingTableau"), (ncfan, "NoncrossingTableau"),
                          (ncfan, "lattice_coords"), (weight, "bridge")]:
         monkeypatch.setattr(module, name, refuse)
@@ -235,7 +237,6 @@ def fraction_bridge(pi):
 @pytest.mark.parametrize("k,n", [(2, 5), (3, 6), (3, 7), (4, 7)])
 def test_weight_report_matches_fraction_references(k, n):
     rng = rng_for(f"weight-report-references-{k}-{n}")
-    audit = audit_fan(k, n)
     grids = [random_rational_tpoint(rng, k, n) for _ in range(4)]
     grids += [random_tpoint(rng, k, n, lo=-4, hi=4) for _ in range(2)]
     vectors = [rho(t) for t in grids]
@@ -245,20 +246,46 @@ def test_weight_report_matches_fraction_references(k, n):
     for pi in vectors:
         rep = weight_report(pi)
         pk = sum((planar.tropical_u(J, pi) for J in noncyclic_subsets(k, n)), Fraction(0))
-        nc = audit.scan(psi(pi)).weight()
+        nc = scan(psi(pi)).weight()
         br = fraction_bridge(pi)
         assert (rep.pk_weight, rep.nc_weight, rep.bridge_value, rep.agree) == (
             pk, nc, br, pk == nc == br), pi
         assert bridge(pi) == br
     for t in grids + [psi(pi) for pi in vectors]:
-        assert nc_decompose(t) == audit.scan(t), t
+        assert nc_decompose(t) == scan(t), t
+
+
+# The (3,6) nodes 1,2,4 and 1,4,5 are noncrossing; the weight two point
+# on their rays, with both bits cleared in the rows that the check reads.
+CLEAR_ONE_PAIR = (
+    "from tropnc import combinat, ladder, ncfan",
+    "rows, nodes = combinat.compatibility_rows(3, 6), combinat.noncyclic_subsets(3, 6)",
+    "pi = ladder.rho(ncfan.t_vector(nodes[0]) + ncfan.t_vector(nodes[5]))",
+    "cleared = list(rows)",
+    "cleared[0] &= ~(1 << 5)",
+    "cleared[5] &= ~1",
+    "cleared = tuple(cleared)",
+)
 
 
 def test_weight_report_rejects_a_crossing_support(monkeypatch):
     # The walk's positive support is checked pairwise, as a tableau's is.
-    rows = combinat.compatibility_rows(3, 6)
-    pi = rho(t_vector(rows.nodes[0]) + t_vector(rows.nodes[5]))
-    assert rows.compatible(0, 5) and weight_report(pi).nc_weight == 2
-    monkeypatch.setattr(rows, "compatible", lambda i, j: False)
-    with pytest.raises(ValueError, match="cross$"):
+    scope = {}
+    exec("\n".join(CLEAR_ONE_PAIR), scope)
+    rows, pi = scope["rows"], scope["pi"]
+    assert rows[5] & 1 and weight_report(pi).nc_weight == 2
+    monkeypatch.setattr(combinat, "compatibility_rows", lambda k, n: scope["cleared"])
+    message = r"^entries \(1, 2, 4\) and \(1, 4, 5\) cross$"
+    with pytest.raises(ValueError, match=message):
         weight_report(pi)
+    # the check is an explicit raise, so it survives -O
+    result = run_optimized(
+        *CLEAR_ONE_PAIR,
+        "from tropnc import weight",
+        "weight.weight_report(pi)",
+        "combinat.compatibility_rows = lambda k, n: cleared",
+        "weight.weight_report(pi)",
+    )
+    assert result.returncode == 1
+    assert result.stderr.strip().splitlines()[-1] == (
+        "ValueError: entries (1, 2, 4) and (1, 4, 5) cross")
