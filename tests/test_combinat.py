@@ -8,7 +8,7 @@ import re
 
 import pytest
 
-from conftest import literal_rows, run_optimized
+from conftest import literal_rows, rng_for, run_optimized
 from oracles import positroid_bases
 from tropnc import combinat
 from tropnc.combinat import (
@@ -240,10 +240,32 @@ def test_tableau_validation():
 
 @pytest.mark.parametrize("n", range(4, 11))
 def test_chord_test_matches_literal_noncrossing_on_every_pair(n):
-    # the bit-sliced chord rule equals the literal predicate on every pair
+    # the bit-sliced chord rule equals the literal predicate on every pair,
+    # read from both rows of the pair
     for k in range(2, n - 1):
         rows = combinat.compatibility_rows(k, n)
-        assert type(rows) is tuple and rows == literal_rows(k, n), (k, n)
+        for (i, I), (j, J) in itertools.combinations(enumerate(noncyclic_subsets(k, n)), 2):
+            assert bool(rows[i] >> j & 1) == noncrossing(I, J), (I, J)
+            assert bool(rows[j] >> i & 1) == noncrossing(J, I), (J, I)
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_lazy_rows_equal_the_literal_graph(n):
+    # The rows are built on the first request for a shape and cached: rows
+    # read in a seeded order equal the literal graph's, no bit is set beyond
+    # the last node, and a later request returns the same tuple.
+    rng = rng_for(f"lazy-rows-{n}")
+    for k in range(2, n - 1):
+        oracle = literal_rows(k, n)
+        rows = combinat.compatibility_rows(k, n)
+        assert type(rows) is tuple and len(rows) == len(noncyclic_subsets(k, n))
+        order = list(range(len(rows)))
+        rng.shuffle(order)
+        for j in order:
+            assert rows[j] == oracle[j], (k, n, j)
+            assert rows[j] >> len(rows) == 0, (k, n, j)
+        assert rows == oracle
+        assert combinat.compatibility_rows(k, n) is rows
 
 
 def _digest(colls) -> str:
