@@ -17,8 +17,11 @@ its longest prefix and R = I minus [1, i]; the holes of I are the numbers
 in R's span that R misses (none when R is empty).
 - The hole-free subsets are the k(n-k)+1 rectangles [1, i] ∪ [j+1,
   j+k-i], a cluster (Scott, "Grassmannians and cluster algebras", Proc.
-  LMS 2006).  They are the seeds: each is checked to have exactly one
-  path family, so its value is a single sum over the grid.
+  LMS 2006), and the seeds.  Read with rail k as row 1, a rectangle's
+  sources and sinks are a row and a column interval, one of them starting
+  at 1: an initial minor, with one path family (Fomin-Zelevinsky, "Total
+  positivity: tests and parametrizations", Math. Intelligencer 2000),
+  which `_rectangle_family` writes down.
 - Any other I has p = min R < q = max R and a hole c between them (the
   largest), and a = i + 1 < p is not in I.  With S = I minus {p, q} and
   b = p, d = q, the step fills pi_I = pi_Sbd from Sab, Scd, Sad, Sbc and
@@ -32,10 +35,10 @@ in R's span that R misses (none when R is empty).
 `pluecker_vector_of_grid` scales the grid to integers over one common
 denominator, sums the seeds, applies the steps in order and hands the
 integers and their scale to the vector as its scaled form, so no
-`Fraction` is built.  The families themselves are enumerated only for
-the seeds: `tropical_pluecker`, the minimum over the `PathFamily`
-objects of `enumerate_path_families`, is the `Fraction` reference the
-plan is tested against.
+`Fraction` is built.  No family is enumerated on that path:
+`tropical_pluecker`, the minimum over the `PathFamily` objects of
+`enumerate_path_families`, is the `Fraction` reference the plan and the
+closed form are tested against.
 
 The steps also decide positivity (`pluecker.is_positive_tropical`): a
 vector that satisfies them is the plan's output from its seed values.
@@ -49,7 +52,6 @@ rows: a nonzero minor mod 2 is an odd, so nonzero, integer minor.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import lru_cache
 
@@ -110,10 +112,8 @@ class PathFamily:
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         """All traversed vertical edges as (level, position) pairs."""
-        out = []
-        for source, descents in self.paths:
-            out.extend((source + i, t) for i, t in enumerate(descents))
-        return tuple(out)
+        return tuple((source + i, t) for source, descents in self.paths
+                     for i, t in enumerate(descents))
 
     def degree(self) -> int:
         return sum(len(d) for _, d in self.paths)
@@ -199,14 +199,11 @@ def tropical_pluecker(J: KSubset, y: LadderPoint) -> Fraction:
     `Fraction` reference of `pluecker_vector_of_grid`)."""
     if (J.k, J.n) != (y.k, y.n):
         raise ValueError("mismatched (k, n)")
-    best = None
-    for family in enumerate_path_families(J):
-        total = sum((y.weight(l, t) for l, t in family.edges()), Fraction(0))
-        if best is None or total < best:
-            best = total
-    if best is None:
+    totals = [sum((y.weight(l, t) for l, t in family.edges()), Fraction(0))
+              for family in enumerate_path_families(J)]
+    if not totals:
         raise InvariantError(f"{J.elems} admits no path family")
-    return best
+    return min(totals)
 
 
 def _prefix(elems: tuple[int, ...]) -> int:
@@ -223,6 +220,16 @@ def _holes(elems: tuple[int, ...]) -> int:
     empty)."""
     i = _prefix(elems)
     return elems[-1] - elems[i] + 1 - (len(elems) - i) if i < len(elems) else 0
+
+
+def _rectangle_family(elems: tuple[int, ...], k: int, n: int) -> tuple[int, ...]:
+    """The flat edges of the rectangle [1, i] ∪ [j+1, j+k-i]'s one path
+    family, by source and then level: each source r <= k-1 outside it
+    descends through levels r, ..., k-1, all at column j - r + 1."""
+    i = _prefix(elems)
+    j = elems[-1] - k + i
+    return tuple((level - 1) * (n - k) + j - r
+                 for r in range(i + 1, k) if r not in elems for level in range(r, k))
 
 
 def _gf2_rank(rows: list[int]) -> int:
@@ -242,33 +249,21 @@ def _gf2_rank(rows: list[int]) -> int:
 def _plan(k: int, n: int) -> tuple[tuple, tuple]:
     """The evaluation plan of `pluecker_vector_of_grid` at (k, n).
 
-    Seeds: (rank, flat grid indices) of each hole-free subset, whose one
-    path family is checked, a flat index being (level - 1) * (n - k) +
-    (position - 1); the seed incidence must have full rank.  Steps:
+    Seeds: (rank, flat grid indices) of each hole-free subset's one path
+    family (`_rectangle_family`), a flat index being (level - 1) * (n - k)
+    + (position - 1); the seed incidence must have full rank.  Steps:
     (target, ab, cd, ad, bc, other) ranks, in evaluation order, of the
     relation pi_target = min(pi_ab + pi_cd, pi_ad + pi_bc) - pi_other, one
     per subset with holes (see the module docstring for both)."""
-    width = n - k
-    cells = (k - 1) * width
+    cells = (k - 1) * (n - k)
     ranks = lex_rank(k, n)
-    seeds, incidence = [], []
-    for elems in ranks:
-        if _holes(elems):
-            continue
-        families = list(itertools.islice(_path_families(KSubset(n, elems)), 2))
-        if not families:
-            raise InvariantError(f"{elems} admits no path family")
-        if len(families) == 1:
-            edges = tuple((source + i - 1) * width + t - 1
-                          for source, descents in families[0]
-                          for i, t in enumerate(descents))
-            seeds.append((ranks[elems], edges))
-            incidence.append(sum(1 << e for e in edges)
-                             | sum(1 << (cells + x - 1) for x in elems))
+    rectangles = [elems for elems in ranks if not _holes(elems)]
+    seeds = [(ranks[elems], _rectangle_family(elems, k, n)) for elems in rectangles]
+    incidence = [sum(1 << e for e in edges) | sum(1 << (cells + x - 1) for x in elems)
+                 for elems, (_, edges) in zip(rectangles, seeds)]
     if len(seeds) != k * (n - k) + 1:
         raise InvariantError(
-            f"({k},{n}): {len(seeds)} subsets with one path family, "
-            f"not k(n-k)+1 = {k * (n - k) + 1}"
+            f"({k},{n}): {len(seeds)} hole-free subsets, not k(n-k)+1 = {k * (n - k) + 1}"
         )
     found = _gf2_rank(incidence)
     if found != len(seeds):

@@ -22,16 +22,17 @@ order, so the sums are `map(sum, ...)` over it (`_values`, `_roof_row`).
 `bounded_complex_vertices` walks the bounded complex of a positive
 vector vertex to vertex.  It starts at the gradient of the central roof
 function at the perturbed centre of the hypersimplex.  Every cell is a
-positroid polytope, whose facets are cut out by cyclic intervals S
-(Ardila–Rincón–Williams), so every edge at a vertex runs along some
-e_S and ends at an exact integer breakpoint; the bounded complex is
-connected (Speyer), so the walk reaches every vertex.  It crosses each
-edge once: a step from w along e_S that ends at a vertex not yet left
-marks the interval [n] - S as crossed there (-e_S is e_([n] - S) modulo
-all-ones, and the step back would end at w), and each vertex keeps the
-value row and argmin set of the step that found it.  Subsets are bitmasks
-cached per (k, n) (`_masks`), and so is each interval's row of counts
-|I ∩ S| (`_interval_counts`).  `diameter_check`, like the CLI's
+positroid polytope, cut out in the hypersimplex by x(S) <= r(S) over
+the cyclic intervals S (Ardila–Rincón–Williams, "Positroids and
+non-crossing partitions", Trans. AMS 2016), so every edge at a vertex
+runs along some e_S and ends at an exact integer breakpoint; the
+bounded complex is connected (Speyer), so the walk reaches every vertex.
+It crosses each edge once: a step from w along e_S that ends at a vertex
+not yet left marks the interval [n] - S as crossed there (-e_S is
+e_([n] - S) modulo all-ones, and the step back would end at w), and each
+vertex keeps the value row and argmin set of the step that found it.
+Subsets are bitmasks cached per (k, n) (`_masks`), and so is each
+interval's row of counts |I ∩ S| (`_interval_counts`).  `diameter_check`, like the CLI's
 `diameter`, expands the vector and sums its roof rows once:
 `_balanced_roof_sum` rescales that sum to the balanced representative,
 and the walk (`_walk`) starts from it.
@@ -48,7 +49,8 @@ alone when b+1 or a-1 is a loop of M/S (adding it leaves the rank
 unchanged) or a or b is a coloop of M|S (removing it lowers the rank),
 and forms the top face only of the intervals left, and of those not
 yet crossed; a basis with more than r(S) elements in S there means the
-argmin set is no matroid.
+argmin set is no matroid.  `subdifferential_at` tests a point on the
+inequalities x(S) <= r(S) at the same ranks.
 
 One classifier, `_face`, reads the argmin bases of a shift point as
 bitmasks and counts components on the fundamental graph of one basis,
@@ -59,9 +61,9 @@ updates along each edge, and `_shift_face` feeds it a point over
 once; a pair's midpoint has the intersection of the two argmin sets as
 its own when they meet (the summed rows are at least the summed minima,
 with equality exactly on both argmin sets), and the argmin of the
-summed rows otherwise.  `argmin_matroid`, `loops`,
-`coloops`, `components_partition`, `in_linear_space` and
-`central_roof_value` are the `Fraction` reference the tests check
+summed rows otherwise.  `Matroid`, `argmin_matroid`, `loops`, `coloops`,
+`components_partition`, `in_linear_space`, `matroid_polytope_contains`
+and `central_roof_value` are the `Fraction` references the tests check
 against, and the tests keep the Minkowski sum of the roofs' sector
 gradients as the walk's oracle.  Every invariant is an explicit raise of
 `InvariantError`, so the checks survive `python -O`.
@@ -75,7 +77,7 @@ import time
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache, reduce
-from operator import add, and_, or_, sub
+from operator import add, and_, le, or_, sub
 
 from . import planar
 from .combinat import (
@@ -694,29 +696,29 @@ def matroid_polytope_contains(M: Matroid, x: Sequence[Rational]) -> bool:
         raise ValueError(f"need {M.n} coordinates")
     if any(v < 0 for v in xs) or sum(xs) != M.k:
         return False
-    ground = range(1, M.n + 1)
-    for size in range(1, M.n):
-        for A in itertools.combinations(ground, size):
-            if sum(xs[i - 1] for i in A) > M.rank(A):
-                return False
-    return True
+    return all(sum(xs[i - 1] for i in A) <= M.rank(A)
+               for size in range(1, M.n) for A in itertools.combinations(range(1, M.n + 1), size))
 
 
 def subdifferential_at(pi_hat: PlueckerVector, x: Sequence[Rational]) -> list[tuple[Fraction, ...]]:
     """All bounded-complex vertices whose shift matroid polytope contains
-    the strictly interior point x of the hypersimplex."""
+    the strictly interior point x of the hypersimplex: x(S) <= r(S) on
+    every cyclic interval S, r read off the argmin set's greedy bases."""
     xs = [as_fraction(v) for v in x]
-    if sum(xs) != pi_hat.k or any(not 0 < v < 1 for v in xs):
+    k, n = pi_hat.k, pi_hat.n
+    if len(xs) != n:
+        raise ValueError(f"need {n} coordinates, got {len(xs)}")
+    if sum(xs) != k or any(not 0 < v < 1 for v in xs):
         raise ValueError("x must be strictly interior: 0 < x_i < 1, sum = k")
     report = bounded_complex_vertices(pi_hat)
-    k, n = pi_hat.k, pi_hat.n
     scale, row = _scaled_row(pi_hat, [v.denominator for w in report.vertices for v in w])
+    # x([a, a+size)) for every 0-based start a and size, in the order of `_prefix_ranks`
+    sums = [s for a in range(n) for s in itertools.accumulate(xs[a:] + xs[:a], initial=0)]
     out = []
     for w in report.vertices:
-        vals = _values(row, _over(scale, w), k)
-        best = min(vals)
-        bases = (I for I, v in zip(lex_rank(k, n), vals) if v == best)
-        if matroid_polytope_contains(Matroid(k, n, frozenset(bases)), xs):
+        bases = _argmin(_masks(k, n), _values(row, _over(scale, w), k))
+        ranks = (_prefix_ranks(n, a, g) for a, g in enumerate(_greedy_bases(list(bases), k, n)))
+        if all(map(le, sums, itertools.chain.from_iterable(ranks))):
             out.append(w)
     return out
 

@@ -24,7 +24,7 @@ from .combinat import (
 )
 from .exact import InvariantError, format_fraction, record
 from .ladder import LadderPoint
-from .pluecker import PlueckerVector, _gap_ranks, is_positive_tropical
+from .pluecker import PlueckerVector, PositivityCertificate, _first_violation, _gap_ranks
 
 
 def pk_weight(pi: PlueckerVector) -> Fraction:
@@ -121,10 +121,10 @@ def weight_two_candidates(k: int, n: int) -> list[tuple[KSubset, KSubset, Plueck
     for (i, I), (j, J) in itertools.combinations(enumerate(noncyclic_subsets(k, n)), 2):
         if rows[i] >> j & 1 and not weakly_separated(I, J):
             vec = ladder.rho(ncfan.t_vector(I) + ncfan.t_vector(J))
-            cert = is_positive_tropical(vec)
-            if not cert.ok:
-                raise InvariantError(
-                    f"candidate {I.elems},{J.elems} failed positivity: {cert.violation}"
-                )
+            # the full scan: the certificate only replays the steps rho applied
+            violation = _first_violation(vec)
+            if violation is not None:
+                raise InvariantError(f"candidate {I.elems},{J.elems} failed positivity: "
+                                     f"{PositivityCertificate(False, violation).describe()}")
             out.append((I, J, vec))
     return out

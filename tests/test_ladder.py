@@ -1,14 +1,17 @@
 """Path families in the ladder network and min-plus Plücker evaluation."""
 
 import itertools
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from conftest import RAY_SHAPES, random_tpoint, rng_for, run_optimized
 from oracles import one_family_subsets, three_term_reference
-from tropnc import ladder, ncfan, planar
+import tropnc
+from tropnc import ladder, ncfan, planar, troplin
 from tropnc.combinat import (
     all_ksubsets,
     cyclic_endpoints,
@@ -18,6 +21,7 @@ from tropnc.combinat import (
 )
 from tropnc.ladder import (
     LadderPoint,
+    PathFamily,
     enumerate_path_families,
     grid_of,
     pluecker_vector_of_grid,
@@ -216,15 +220,39 @@ def test_plan_reaches_every_subset_once(k, n):
     assert known == set(range(math.comb(n, k)))
 
 
-@pytest.mark.parametrize("k,n", [(k, n) for n in range(4, 11) for k in range(2, n - 1)]
-                         + [(3, 12), (6, 12)])
+SHAPES_TO_12 = [(k, n) for n in range(4, 13) for k in range(2, n - 1)]
+
+
+@pytest.mark.parametrize("k,n", SHAPES_TO_12)
 def test_rectangles_are_the_subsets_with_one_family(k, n):
-    # the rectangles are the hole-free subsets, and they are the seeds
+    # the rectangles are the hole-free subsets, and they are the seeds,
+    # each with the closed-form edges of its one enumerated family
     hole_free = [elems for elems in lex_rank(k, n) if not ladder._holes(elems)]
     assert hole_free == one_family_subsets(k, n)
     assert len(hole_free) == k * (n - k) + 1
     seeds, _ = ladder._plan(k, n)
     assert [rank for rank, _ in seeds] == [lex_rank(k, n)[elems] for elems in hole_free]
+    for elems, (_, edges) in zip(hole_free, seeds):
+        (family,) = ladder._path_families(ksubset(n, elems))
+        flat = tuple((level - 1) * (n - k) + t - 1 for level, t in PathFamily(family).edges())
+        assert edges == flat, elems
+
+
+@pytest.mark.parametrize("k,n", SHAPES_TO_12)
+def test_rectangles_are_the_initial_minors(k, n):
+    # Read with rail k as row 1, the active sources of J are rows and its
+    # sinks columns.  The initial minors (row and column sets intervals,
+    # one containing 1, or both empty) are exactly the rectangles.
+    def interval(xs):
+        return xs == list(range(xs[0], xs[0] + len(xs)))
+
+    def initial(elems):
+        rows = sorted(k + 1 - r for r in range(1, k + 1) if r not in elems)
+        cols = [x - k for x in elems if x > k]
+        return not rows or (interval(rows) and interval(cols) and 1 in (rows[0], cols[0]))
+
+    assert ([elems for elems in lex_rank(k, n) if initial(elems)]
+            == [elems for elems in lex_rank(k, n) if not ladder._holes(elems)])
 
 
 @pytest.mark.parametrize("k,n", [(2, 5), (3, 5), (3, 6), (3, 7), (4, 6), (4, 8),
@@ -245,13 +273,13 @@ def test_plan_fills_any_seed_values_to_a_positive_vector(k, n):
         assert is_positive_tropical(pi).ok
 
 
-# Every subset given one empty family: the seed rows are bare subset
+# Every seed given an empty family: the seed rows are bare subset
 # indicators, which span at most n = 6 of the k(n-k)+1 = 10 dimensions.
 LOW_RANK = "(3,6): the seed incidence has rank 6 over GF(2), not k(n-k)+1 = 10"
 
 
 def test_seed_incidence_without_full_rank_raises(monkeypatch):
-    monkeypatch.setattr(ladder, "_path_families", lambda J: iter([()]))
+    monkeypatch.setattr(ladder, "_rectangle_family", lambda elems, k, n: ())
     ladder._plan.cache_clear()
     with pytest.raises(InvariantError) as exc:
         rho(TPoint.zero(3, 6))
@@ -263,7 +291,7 @@ def test_seed_incidence_without_full_rank_raises_under_optimize():
         "from tropnc import ladder",
         "from tropnc.exact import InvariantError",
         "from tropnc.pluecker import is_positive_tropical, lineality_vector",
-        "ladder._path_families = lambda J: iter([()])",
+        "ladder._rectangle_family = lambda elems, k, n: ()",
         "try:",
         "    is_positive_tropical(lineality_vector(3, 6, [1, 0, 0, 0, 0, 0]))",
         "except InvariantError as exc:",
@@ -273,45 +301,13 @@ def test_seed_incidence_without_full_rank_raises_under_optimize():
     assert result.stdout == LOW_RANK + "\n"
 
 
-def _without_families_of(elems):
-    real = ladder._path_families
-    return lambda J: iter(()) if J.elems == elems else real(J)
-
-
-def test_subset_without_families_raises(monkeypatch):
-    # (1, 4, 5) = [1, 1] ∪ [4, 5] is a seed; only seeds are enumerated
-    monkeypatch.setattr(ladder, "_path_families", _without_families_of((1, 4, 5)))
-    ladder._plan.cache_clear()
-    with pytest.raises(InvariantError, match=r"^\(1, 4, 5\) admits no path family$"):
-        rho(TPoint.zero(3, 6))
-
-
-def test_subset_without_families_raises_under_optimize():
-    result = run_optimized(
-        "from tropnc import ladder",
-        "from tropnc.exact import InvariantError",
-        "from tropnc.ncfan import TPoint",
-        "real = ladder._path_families",
-        "ladder._path_families = lambda J: iter(()) if J.elems == (1, 4, 5) else real(J)",
-        "try:",
-        "    ladder.rho(TPoint.zero(3, 6))",
-        "except InvariantError as exc:",
-        "    print(exc)",
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == "(1, 4, 5) admits no path family\n"
-
-
 def test_subset_with_two_families_among_the_seeds_raises(monkeypatch):
-    real = ladder._path_families
-
-    def doubled(J):
-        return itertools.chain(real(J), real(J)) if J.elems == (1, 2, 3) else real(J)
-
-    monkeypatch.setattr(ladder, "_path_families", doubled)
+    # (1, 2, 3) counted as a subset with holes leaves 9 seeds
+    monkeypatch.setattr(ladder, "_holes",
+                        lambda elems, real=ladder._holes: elems == (1, 2, 3) or real(elems))
     ladder._plan.cache_clear()
     with pytest.raises(InvariantError,
-                       match=r"^\(3,6\): 9 subsets with one path family, not k\(n-k\)\+1 = 10$"):
+                       match=r"^\(3,6\): 9 hole-free subsets, not k\(n-k\)\+1 = 10$"):
         rho(TPoint.zero(3, 6))
 
 
@@ -359,6 +355,11 @@ def test_production_path_never_calls_the_fraction_references(monkeypatch):
     weighed = random_tpoint(rng, 3, 7)
     monkeypatch.setattr(ladder, "tropical_pluecker", reference_called)
     monkeypatch.setattr(ladder, "enumerate_path_families", reference_called)
+    # the plan's seeds come in closed form, not from a family search
+    monkeypatch.setattr(ladder, "_path_families", reference_called)
+    # subdifferential_at reads interval ranks, not the 2^n rank inequalities
+    monkeypatch.setattr(troplin, "Matroid", reference_called)
+    monkeypatch.setattr(troplin, "matroid_polytope_contains", reference_called)
     monkeypatch.setattr(planar, "tropical_u", reference_called)
     # the rays come from `ncfan._ray` as ints, never from a Fraction point
     # put in canonical form
@@ -375,6 +376,7 @@ def test_production_path_never_calls_the_fraction_references(monkeypatch):
         assert len(planar.planar_expand(pi)) == len(noncyclic_subsets(k, n))
         tableaux.append(ncfan.nc_decompose(t))
     assert weight_report(rho(weighed)).agree
+    assert troplin.subdifferential_at(rho(weighed), [Fraction(3, 7)] * 7)
     assert len(audit_fan.__wrapped__(4, 7)) == 462
     monkeypatch.undo()
     for t, tab in zip(points, tableaux):
@@ -382,3 +384,48 @@ def test_production_path_never_calls_the_fraction_references(monkeypatch):
         for J, m in tab.entries:
             rebuilt = rebuilt + t_vector(J).scale(m)
         assert rebuilt == t
+
+
+# The references kept in the package as documented API (README,
+# "Reference implementations"): (module, name) pairs.
+REFERENCES = (
+    ("ladder", "enumerate_path_families"), ("ladder", "PathFamily"),
+    ("ladder", "tropical_pluecker"), ("planar", "tropical_u"),
+    ("troplin", "argmin_matroid"), ("troplin", "Matroid"),
+    ("troplin", "matroid_polytope_contains"), ("troplin", "is_connected"),
+    ("troplin", "grassmann_necklace"), ("troplin", "in_linear_space"),
+)
+
+
+def test_references_are_documented_api_that_no_command_calls(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Reference implementations\n")[1].split("\n#")[0]
+    for module, name in REFERENCES:
+        assert callable(getattr(getattr(tropnc, module), name))
+        assert f"`{module}.{name}`" in section
+    # A fresh process, so that no first-use table was built before the
+    # refusals: every command, then the library's bounded-complex queries.
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"k": 3, "n": 7, "rows": [[2, 0, 1, 1], [1, 3, 0, 2]]}))
+    vector = tmp_path / "vector.json"
+    result = run_optimized(
+        "from fractions import Fraction",
+        "from tropnc import cli, ladder, planar, pluecker, troplin",
+        "def refuse(*args, **kwargs):",
+        "    raise RuntimeError('a reference ran on a production path')",
+        f"for module, name in {REFERENCES!r}:",
+        "    setattr(globals()[module], name, refuse)",
+        f"grid, vector, out = {str(grid)!r}, {str(vector)!r}, {str(tmp_path / 'out.json')!r}",
+        "codes = [cli.main(['rho', '--in', grid, '--out', vector]),",
+        "         cli.main(['decompose', '--in', grid, '--out', out])]",
+        "for command in ('weight', 'psi', 'bounded', 'diameter'):",
+        "    codes.append(cli.main([command, '--in', vector, '--out', out]))",
+        "for command in ('duality', 'verify'):",
+        "    codes.append(cli.main([command, '--k', '3', '--n', '7', '--out', out]))",
+        "pi = pluecker.from_json_dict(cli._read_json(vector))",
+        "w = troplin.bounded_complex_vertices(pi).vertices[0]",
+        "print(codes, troplin.face_dimension_at(pi, w), troplin.in_bounded_part(pi, w),",
+        "      len(troplin.subdifferential_at(pi, [Fraction(3, 7)] * 7)) > 0)",
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[0, 0, 0, 0, 0, 0, 0, 0] 0 True True\n"

@@ -689,8 +689,9 @@ def test_reference_functions_check_the_coordinate_count():
         central_roof_value(J_2BLOCK, [1, 2])
     pi = central_pluecker_vector(J_2BLOCK)
     for w in ([0] * 7, [0] * 3):
-        with pytest.raises(ValueError, match=f"need 6 coordinates, got {len(w)}"):
-            in_linear_space(pi, w)
+        for call in (in_linear_space, subdifferential_at):
+            with pytest.raises(ValueError, match=f"need 6 coordinates, got {len(w)}"):
+                call(pi, w)
 
 
 def test_face_dimensions():
@@ -854,6 +855,38 @@ def test_subdifferential_queries():
     assert len(subdifferential_at(eta3, [Fraction(1, 2)] * 6)) == 3
     with pytest.raises(ValueError):
         subdifferential_at(eta, [Fraction(1)] * 3 + [Fraction(0)] * 3)
+
+
+def _reference_subdifferential(pi, x):
+    """The vertices whose argmin matroid's polytope contains x, by the 2^n
+    rank inequalities of the explicit basis list."""
+    return [w for w in bounded_complex_vertices(pi).vertices
+            if matroid_polytope_contains(argmin_matroid(pi, w), x)]
+
+
+@pytest.mark.parametrize("k,n,vectors,extra", [(3, 6, 4, 2), (3, 7, 3, 2), (4, 8, 2, 2),
+                                               (5, 10, 1, 0)])
+def test_subdifferential_matches_the_matroid_reference(k, n, vectors, extra):
+    # The centre lies on faces shared by several cells (20 of 57 vertices
+    # at (5,10)); `extra` seeded interior points, and points at and near
+    # the base barycentres of `extra` sampled vertices, come on top.
+    rng = rng_for(f"subdifferential-{k}-{n}")
+    centre = [Fraction(k, n)] * n
+    for _ in range(vectors):
+        pi = rho(random_tpoint(rng, k, n))
+        vertices = bounded_complex_vertices(pi).vertices
+        points = [centre]
+        while len(points) < 1 + extra:
+            raw = [rng.randint(1, 9) for _ in range(n)]
+            x = [Fraction(k * r, sum(raw)) for r in raw]
+            if max(x) < 1:
+                points.append(x)
+        for w in rng.sample(vertices, min(extra, len(vertices))):
+            bases = argmin_matroid(pi, w).bases
+            bary = [Fraction(sum(i in B for B in bases), len(bases)) for i in range(1, n + 1)]
+            points += [bary, [(5 * b + c) / 6 for b, c in zip(bary, centre)]]
+        for x in points:
+            assert subdifferential_at(pi, x) == _reference_subdifferential(pi, x), x
 
 
 def test_matroid_polytope_membership():

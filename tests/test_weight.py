@@ -23,6 +23,7 @@ from tropnc.combinat import (
     noncrossing,
     noncyclic_subsets,
 )
+from tropnc.exact import InvariantError
 from tropnc.ladder import LadderPoint, grid_of, pluecker_vector_of_grid, rho
 from tropnc.ncfan import TPoint, nc_decompose, psi, t_vector
 from tropnc.pluecker import PlueckerVector, face_restrict_one, lineality_vector
@@ -169,6 +170,21 @@ def test_weight_two_candidates_3_6():
     assert pairs == {((1, 2, 4), (3, 5, 6)), ((1, 4, 5), (2, 3, 6))}
     for _, _, vec in cands:
         assert pk_weight(vec) == 2
+
+
+def test_weight_two_candidates_run_the_full_scan(monkeypatch):
+    # A plan without steps leaves every non-seed entry 0.  The certificate
+    # replays no step and passes such a vector; the full scan names the
+    # first candidate pair and its first violation.
+    real = ladder._plan
+    monkeypatch.setattr(ladder, "_plan", lambda k, n: (real(k, n)[0], ()))
+    stripped = rho(t_vector(ksubset(6, [1, 2, 4])) + t_vector(ksubset(6, [3, 5, 6])))
+    assert pluecker.is_positive_tropical(stripped).ok
+    with pytest.raises(InvariantError) as exc:
+        weight_two_candidates(3, 6)
+    assert str(exc.value) == (
+        "candidate (1, 2, 4),(3, 5, 6) failed positivity: S = (3,), (a, b, c, d) = "
+        "(1, 2, 4, 6): pi_Sac + pi_Sbd = 1 but min(pi_Sab + pi_Scd, pi_Sad + pi_Sbc) = 0")
 
 
 @pytest.mark.parametrize("n", [5, 6, 7])
