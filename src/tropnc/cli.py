@@ -134,10 +134,7 @@ def _bounded_complex(pi: pluecker.PlueckerVector, balance: bool):
     cert = pluecker.is_positive_tropical(pi)
     if not cert.ok:
         return _failure(f"vector is not positive tropical: {cert.describe()}")
-    roof = troplin._balanced_roof_sum(pi) if balance else troplin._roof_sum(pi)
-    report = troplin._walk(pi.k, pi.n, roof, BOUNDED_BUDGET_S)
-    scale, row, _, _ = roof
-    edges = troplin._edges(pi.k, pi.n, scale, row, report.vertices)
+    report, edges = troplin._complex_with_edges(pi, balance, BOUNDED_BUDGET_S)
     code = 1 if balance and not report.within_dilate else 0
     return code, report.to_json_dict(edges=edges)
 

@@ -32,10 +32,11 @@ not yet left marks the interval [n] - S as crossed there (-e_S is
 e_([n] - S) modulo all-ones, and the step back would end at w), and each
 vertex keeps the value row and argmin set of the step that found it.
 Subsets are bitmasks cached per (k, n) (`_masks`), and so is each
-interval's row of counts |I ∩ S| (`_interval_counts`).  `diameter_check`, like the CLI's
-`diameter`, expands the vector and sums its roof rows once:
-`_balanced_roof_sum` rescales that sum to the balanced representative,
-and the walk (`_walk`) starts from it.
+interval's row of counts |I ∩ S| (`_interval_counts`).  Every query
+makes one walk (`_walk`) over the vector's own roof sum; a lineality
+shift only translates a tropical linear space (Speyer, "Tropical linear
+spaces", SIAM J. Discrete Math. 2008), so for `diameter_check` `_complex`
+moves the walk's vertices by one vector to the balanced representative's.
 
 At a vertex the walk reads every interval rank from the Grassmann
 necklace of the argmin matroid (Oh, "Positroids and Schubert
@@ -351,36 +352,15 @@ def _central_shift(central, row, k: int, n: int):
     return y
 
 
-def _balanced_roof_sum(pi: PlueckerVector):
-    """`_roof_sum` of pi's balanced representative, read off pi's own: the
-    planar coefficients are the same, so only the scale changes, to the
-    least one for the balanced values and the coefficients."""
-    k, n = pi.k, pi.n
-    scale, vals, terms, central = _roof_sum(pi)
-    # Over n * scale, so that the target weight / n is an integer.
-    big = n * scale
-    _, row = _gap_shift([n * v for v in central], k * sum(f for _, f in terms), k, n)
-    # The walk's own check is empty on a sum built from the balanced row,
-    # so the expansion is checked against pi here.
-    _central_shift(central, vals, k, n)
-    # u_J = factor * k / scale; the balanced values are row / big.
-    least = math.lcm(
-        big // math.gcd(big, *row), *(k * (scale // math.gcd(k * f, scale)) for _, f in terms)
-    )
-    # Exact divisions: least clears both row / big and every least * u_J / k.
-    return (
-        least,
-        [v * least // big for v in row],
-        [(J, f * least // scale) for J, f in terms],
-        [c * least // scale for c in central],
-    )
-
-
 def balanced_representative(pi: PlueckerVector) -> PlueckerVector:
     """Lineality shift of the central representative making all n
     cyclic-gap differences equal to (total weight)/n."""
-    scale, row, _, _ = _balanced_roof_sum(pi)
-    return PlueckerVector._of_scaled(pi.k, pi.n, row, scale)
+    k, n = pi.k, pi.n
+    scale, row, terms, central = _roof_sum(pi)
+    _central_shift(central, row, k, n)
+    # Over n * scale, so that the target weight / n is an integer.
+    _, balanced = _gap_shift([n * c for c in central], k * sum(f for _, f in terms), k, n)
+    return PlueckerVector._of_scaled(k, n, balanced, n * scale)
 
 
 @record
@@ -425,7 +405,7 @@ def bounded_complex_vertices(
     not positive tropical is a ValueError: the walk would be incomplete.
     """
     _require_positive(pi_hat)
-    return _walk(pi_hat.k, pi_hat.n, _roof_sum(pi_hat), time_budget_s)
+    return _complex(pi_hat, False, time_budget_s)[0]
 
 
 def _require_positive(pi: PlueckerVector):
@@ -434,10 +414,41 @@ def _require_positive(pi: PlueckerVector):
         raise ValueError(f"vector is not positive tropical: {cert.describe()}")
 
 
-def _walk(k: int, n: int, roof, time_budget_s: float | None) -> BoundedComplexReport:
-    """The vertex walk of `bounded_complex_vertices` from a vector's
-    `_roof_sum` (scale, row, terms, central); the vector must be
-    positive.
+def _complex(pi: PlueckerVector, balance: bool, time_budget_s: float | None):
+    """The report of the bounded complex of the positive vector pi, or of
+    its balanced representative when `balance`, with pi's row over the
+    roof scale and the walk's sorted integer vertices w over it.  Balanced,
+    w moves to n*w + (n*y - yb) over n times the scale, y the central and yb
+    the balancing shift; w, y and yb have first coordinate 0, so it stays 0."""
+    k, n = pi.k, pi.n
+    scale, row, terms, central = _roof_sum(pi)
+    total = k * sum(f for _, f in terms)  # the weight, over scale
+    y = _central_shift(central, row, k, n)
+    times, move = 1, [0] * n
+    if balance:
+        yb, _ = _gap_shift([n * c for c in central], total, k, n)
+        times, move = n, [n * a - b for a, b in zip(y, yb)]
+    points = _walk(k, n, row, terms, y, time_budget_s)
+    found = [tuple(times * v + d for v, d in zip(w, move)) for w in points]
+    scale, total = times * scale, times * total
+    spread = max(max(w) - min(w) for w in found)
+    vertices = tuple(tuple(Fraction(v, scale) for v in w) for w in found)
+    report = BoundedComplexReport(vertices, Fraction(total, scale), Fraction(spread, scale),
+                                  spread <= total)
+    return report, row, points
+
+
+def _complex_with_edges(pi: PlueckerVector, balance: bool, time_budget_s: float | None):
+    """`_complex`'s report and its edges; balancing adds a constant to each
+    value row of n*pi, so the argmin sets and edges are pi's."""
+    report, row, points = _complex(pi, balance, time_budget_s)
+    return report, _edges(pi.k, pi.n, row, points)
+
+
+def _walk(k: int, n: int, row, terms, y, time_budget_s: float | None) -> list[tuple[int, ...]]:
+    """The vertices of the bounded complex of a positive vector, sorted and
+    as integers over the roof scale, walked from its `_roof_sum` row and
+    (J, factor) terms and the central shift y (`_central_shift`).
 
     Each edge is crossed once: a step from w along e_S that ends at a
     vertex not yet left records the interval [n] - S as crossed there,
@@ -445,9 +456,6 @@ def _walk(k: int, n: int, roof, time_budget_s: float | None) -> BoundedComplexRe
     ends at w.  Every vertex carries the value row and argmin set of the
     step that found it."""
     deadline = time.monotonic() + time_budget_s if time_budget_s is not None else None
-    scale, row, terms, central = roof
-    total = k * sum(f for _, f in terms)  # the weight, over scale
-    y = _central_shift(central, row, k, n)
 
     # Each roof's sector at the centre, ties broken by the perturbation
     # sum over j < n-1 of eps^(j+1) (e_j - e_(n-1)), eps small.
@@ -494,11 +502,7 @@ def _walk(k: int, n: int, roof, time_budget_s: float | None) -> BoundedComplexRe
                 crossed[nxt].add(full ^ s)
 
     # One positive scale: the integer tuples sort as the vertices do.
-    found = sorted(w for w, f in faces.items() if f == 0)
-    spread = max(max(w) - min(w) for w in found)
-    vertices = tuple(tuple(Fraction(v, scale) for v in w) for w in found)
-    return BoundedComplexReport(vertices, Fraction(total, scale), Fraction(spread, scale),
-                                spread <= total)
+    return sorted(w for w, f in faces.items() if f == 0)
 
 
 @lru_cache(maxsize=None)
@@ -513,12 +517,13 @@ def _interval_counts(k: int, n: int, s: int) -> tuple[int, ...]:
     return tuple((m & s).bit_count() for m in _masks(k, n))
 
 
-def _scaled_row(pi: PlueckerVector, denominators):
-    """Put pi over one common denominator that also clears `denominators`:
-    the scale and pi's values over it, in rank order."""
+def _scaled_row(pi: PlueckerVector, points):
+    """pi's values and the coordinates of the `Fraction` points as integers
+    over one common scale: pi's row in rank order and the integer points."""
     ints, s = pi.scaled()
-    scale = math.lcm(s, *denominators)
-    return scale, [v * (scale // s) for v in ints]
+    scale = math.lcm(s, *(v.denominator for w in points for v in w))
+    points = [[v.numerator * (scale // v.denominator) for v in w] for w in points]
+    return [v * (scale // s) for v in ints], points
 
 
 def _subset_sums(w: Sequence[int], k: int):
@@ -530,11 +535,6 @@ def _subset_sums(w: Sequence[int], k: int):
 def _values(row, w_scaled: Sequence[int], k: int) -> list[int]:
     """pi_I - sum(w_i, i in I) for every entry of the row, in rank order."""
     return list(map(sub, row, _subset_sums(w_scaled, k)))
-
-
-def _over(scale: int, w: Sequence[Fraction]) -> list[int]:
-    """The coordinates of w as integers over `scale`, which clears them."""
-    return [v.numerator * (scale // v.denominator) for v in w]
 
 
 def _argmin(masks, vals) -> set[int]:
@@ -684,8 +684,8 @@ def face_dimension_at(pi: PlueckerVector, w: Sequence[Rational]):
     ws = [as_fraction(v) for v in w]
     if len(ws) != pi.n:
         raise ValueError(f"need {pi.n} coordinates, got {len(ws)}")
-    scale, row = _scaled_row(pi, [v.denominator for v in ws])
-    return _shift_face(pi.k, row, _over(scale, ws))
+    row, (point,) = _scaled_row(pi, [ws])
+    return _shift_face(pi.k, row, point)
 
 
 def matroid_polytope_contains(M: Matroid, x: Sequence[Rational]) -> bool:
@@ -710,13 +710,13 @@ def subdifferential_at(pi_hat: PlueckerVector, x: Sequence[Rational]) -> list[tu
         raise ValueError(f"need {n} coordinates, got {len(xs)}")
     if sum(xs) != k or any(not 0 < v < 1 for v in xs):
         raise ValueError("x must be strictly interior: 0 < x_i < 1, sum = k")
-    report = bounded_complex_vertices(pi_hat)
-    scale, row = _scaled_row(pi_hat, [v.denominator for w in report.vertices for v in w])
+    _require_positive(pi_hat)
+    report, row, points = _complex(pi_hat, False, None)
     # x([a, a+size)) for every 0-based start a and size, in the order of `_prefix_ranks`
     sums = [s for a in range(n) for s in itertools.accumulate(xs[a:] + xs[:a], initial=0)]
     out = []
-    for w in report.vertices:
-        bases = _argmin(_masks(k, n), _values(row, _over(scale, w), k))
+    for w, p in zip(report.vertices, points):
+        bases = _argmin(_masks(k, n), _values(row, p, k))
         ranks = (_prefix_ranks(n, a, g) for a, g in enumerate(_greedy_bases(list(bases), k, n)))
         if all(map(le, sums, itertools.chain.from_iterable(ranks))):
             out.append(w)
@@ -737,15 +737,13 @@ def bounded_complex_edges(
     verts = [[as_fraction(v) for v in w] for w in vertices]
     if any(len(w) != pi_hat.n for w in verts):
         raise ValueError(f"every vertex needs {pi_hat.n} coordinates")
-    scale, row = _scaled_row(pi_hat, [v.denominator for w in verts for v in w])
-    return _edges(pi_hat.k, pi_hat.n, scale, row, verts)
+    return _edges(pi_hat.k, pi_hat.n, *_scaled_row(pi_hat, verts))
 
 
-def _edges(k: int, n: int, scale: int, row, points) -> list[tuple[int, int]]:
-    """`bounded_complex_edges` over a row of values whose scale clears
-    every point's denominators."""
+def _edges(k: int, n: int, row, points) -> list[tuple[int, int]]:
+    """`bounded_complex_edges` over a value row and integer points on one scale."""
     masks = _masks(k, n)
-    rows = [_values(row, _over(scale, w), k) for w in points]
+    rows = [_values(row, w, k) for w in points]
     tops = [_argmin(masks, row) for row in rows]
     edges = []
     for i, j in itertools.combinations(range(len(rows)), 2):
@@ -762,4 +760,4 @@ def diameter_check(
     every vertex spread must be at most the total weight.  Convexity of
     the dilated region makes the vertex check sufficient."""
     _require_positive(pi)
-    return _walk(pi.k, pi.n, _balanced_roof_sum(pi), time_budget_s)
+    return _complex(pi, True, time_budget_s)[0]

@@ -98,7 +98,7 @@ class WeightReport:
 
 def weight_report(pi: PlueckerVector) -> WeightReport:
     """All three weights from pi's scaled form: pk by the planar
-    expansion, bridge by `pluecker._gap_ranks`, nc by the flip walk to psi's
+    expansion, bridge by `bridge`, nc by the flip walk to psi's
     lattice point (its positive support checked as a tableau's would be).
     Only the three results are `Fraction`s."""
     k, n = pi.k, pi.n
@@ -108,7 +108,7 @@ def weight_report(pi: PlueckerVector) -> WeightReport:
     _check_noncrossing(k, n, [j for j, m in zip(coll, mu) if m > 0])
     pk = Fraction(sum(us), scale)
     nc = Fraction(sum([m for m in mu if m > 0]), scale)
-    br = Fraction(sum([vals[c] - vals[g] for c, g in _gap_ranks(k, n)]), scale)
+    br = bridge(pi)
     return WeightReport(pk, nc, br, pk == nc == br)
 
 

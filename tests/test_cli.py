@@ -130,6 +130,19 @@ def test_diameter_command(tmp_path, capsys):
     assert payload["within_dilate"] is True
 
 
+def test_bounded_and_diameter_print_the_same_edges(tmp_path, capsys):
+    # The balanced complex is the central one translated, so the vertex
+    # order and the edges between them do not move.
+    rows = [["2", "0", "1/2", "1"], ["1", "3", "0", "5/3"]]
+    pi = ladder.rho(ncfan.from_json_dict({"k": 3, "n": 7, "rows": rows}))
+    path = write_json(tmp_path, "pi.json", pluecker.to_json_dict(pi))
+    bounded, diameter = (json.loads(run_cli(capsys, command, "--in", path)[1])
+                         for command in ("bounded", "diameter"))
+    assert len(bounded["edges"]) >= len(bounded["vertices"]) > 2
+    assert bounded["edges"] == diameter["edges"]
+    assert bounded["vertices"] != diameter["vertices"]
+
+
 def test_verify_suite(tmp_path, capsys):
     code, out = run_cli(capsys, "verify", "--k", "2", "--n", "5", "--seed", "3")
     assert code == 0
@@ -377,7 +390,7 @@ INVARIANT_LAYERS = {
     "psi": (ncfan, "psi"),
     "rho": (ladder, "rho"),
     "bounded": (troplin, "_walk"),
-    "diameter": (troplin, "_balanced_roof_sum"),
+    "diameter": (troplin, "_complex"),
 }
 
 

@@ -269,7 +269,7 @@ def test_coefficients_that_do_not_expand_the_vector_raise(monkeypatch):
 def test_roof_sum_uses_the_least_scale(k, n):
     # The least common denominator of the values and of k times each
     # nonzero planar coefficient, from the Fraction expansion; the
-    # balanced roof sum is the roof sum of the balanced representative.
+    # translated walk is the walk of the balanced representative.
     rng = rng_for(f"roof-scale-{k}-{n}")
     for _ in range(6):
         pi = rho(random_rational_tpoint(rng, k, n))
@@ -280,8 +280,33 @@ def test_roof_sum_uses_the_least_scale(k, n):
         assert [Fraction(v, scale) for v in row] == list(pi.values)
         assert sorted(Fraction(k * f, scale) for _, f in terms) == sorted(coeffs)
         assert [Fraction(v, scale) for v in central] == list(central_representative(pi).values)
-        balanced = balanced_representative(pi)
-        assert troplin._balanced_roof_sum(pi) == troplin._roof_sum(balanced)
+        assert diameter_check(pi) == bounded_complex_vertices(balanced_representative(pi))
+
+
+def _check_translated_walk(pi):
+    """diameter_check walks pi once and translates its vertices; a walk of
+    the balanced vector itself is the reference, and the two complexes
+    have the same edges in the same order."""
+    balanced = balanced_representative(pi)
+    report = diameter_check(pi)
+    assert report == bounded_complex_vertices(balanced)
+    central = bounded_complex_vertices(pi).vertices
+    assert bounded_complex_edges(balanced, report.vertices) == bounded_complex_edges(pi, central)
+
+
+@pytest.mark.parametrize("k,n", [(3, 6), (3, 7), (4, 8), (3, 9), (4, 9), (5, 10)])
+def test_diameter_translates_the_central_walk(k, n):
+    rng = rng_for(f"translated-walk-{k}-{n}")
+    for _ in range(2):
+        _check_translated_walk(rho(random_tpoint(rng, k, n)))
+        _check_translated_walk(rho(random_rational_tpoint(rng, k, n)))
+
+
+def test_diameter_translates_the_central_walk_at_3_12_zero_and_2_4():
+    rng = rng_for("translated-walk-2-4")
+    for pi in (vector_312(), PlueckerVector.zero(3, 6), PlueckerVector.zero(2, 4),
+               rho(random_tpoint(rng, 2, 4)), rho(random_rational_tpoint(rng, 2, 4))):
+        _check_translated_walk(pi)
 
 
 def test_balancing_checks_the_gap_sum(monkeypatch):
@@ -474,8 +499,8 @@ def test_breakpoint_rejects_a_half_integer_step():
 
 def _argmin_bases(pi, w):
     """The argmin bitmasks of pi at the shift point w, sorted."""
-    scale, row = troplin._scaled_row(pi, [Fraction(x).denominator for x in w])
-    values = troplin._values(row, troplin._over(scale, w), pi.k)
+    row, (point,) = troplin._scaled_row(pi, [[Fraction(x) for x in w]])
+    values = troplin._values(row, point, pi.k)
     return sorted(troplin._argmin(troplin._masks(pi.k, pi.n), values))
 
 

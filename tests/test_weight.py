@@ -14,7 +14,7 @@ from conftest import (
     vector_312,
 )
 from oracles import scan
-from tropnc import combinat, ladder, ncfan, planar, pluecker, weight
+from tropnc import combinat, ladder, ncfan, planar, pluecker
 from tropnc.combinat import (
     cyc_interval,
     gap_interval,
@@ -237,8 +237,10 @@ def test_weight_report_builds_no_tableau_and_no_fraction_point(monkeypatch):
 
     for module, name in [(combinat, "tableau"),
                          (combinat, "NoncrossingTableau"), (ncfan, "NoncrossingTableau"),
-                         (ncfan, "lattice_coords"), (weight, "bridge")]:
+                         (ncfan, "lattice_coords"), (PlueckerVector, "__getitem__")]:
         monkeypatch.setattr(module, name, refuse)
+    # `bridge`, which weight_report calls, reads pi's scaled form, not its Fraction values
+    monkeypatch.setattr(PlueckerVector, "values", property(refuse))
     assert [weight_report(pi) for pi in vectors] == expected
 
 
