@@ -86,9 +86,10 @@ def _check_count(k: int, n: int, count: int):
 
 class PlueckerVector:
     """One exact rational per k-subset of [n], in `lex_rank(k, n)` order,
-    held as `scaled()`; the `Fraction` view `values` is made on first read."""
+    held as `scaled()`; the `Fraction` view `values` is made on first read,
+    and `troplin._roof_sum` keeps the vector's roof sum in `_roof`."""
 
-    __slots__ = ("k", "n", "_values", "_scaled")
+    __slots__ = ("k", "n", "_values", "_scaled", "_roof")
 
     def __init__(self, k: int, n: int, values: Iterable[Rational]):
         values = tuple(map(as_fraction, values))
@@ -96,7 +97,7 @@ class PlueckerVector:
         self.k = k
         self.n = n
         self._values = values
-        self._scaled = None
+        self._scaled = self._roof = None
 
     @classmethod
     def _of_scaled(cls, k: int, n: int, ints: Iterable[int], scale: int) -> "PlueckerVector":
@@ -109,7 +110,7 @@ class PlueckerVector:
         if common > 1:
             ints, scale = [v // common for v in ints], scale // common
         pi = cls.__new__(cls)
-        pi.k, pi.n, pi._values, pi._scaled = k, n, None, (ints, scale)
+        pi.k, pi.n, pi._values, pi._scaled, pi._roof = k, n, None, (ints, scale), None
         return pi
 
     @property

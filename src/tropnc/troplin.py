@@ -29,38 +29,44 @@ runs along some e_S and ends at an exact integer breakpoint; the
 bounded complex is connected (Speyer), so the walk reaches every vertex.
 It crosses each edge once: a step from w along e_S that ends at a vertex
 not yet left marks the interval [n] - S as crossed there (-e_S is
-e_([n] - S) modulo all-ones, and the step back would end at w), and each
-vertex keeps the value row and argmin set of the step that found it.
-Subsets are bitmasks cached per (k, n) (`_masks`), and so is each
-interval's row of counts |I ∩ S| (`_interval_counts`).  Every query
-makes one walk (`_walk`) over the vector's own roof sum; a lineality
-shift only translates a tropical linear space (Speyer, "Tropical linear
-spaces", SIAM J. Discrete Math. 2008), so for `diameter_check` `_complex`
-moves the walk's vertices by one vector to the balanced representative's.
+e_([n] - S) modulo all-ones, and the step back would end at w).  Each
+query makes one walk (`_walk`) over the vector's own roof sum, formed
+once; a lineality shift only translates a tropical linear space (Speyer,
+"Tropical linear spaces", SIAM J. Discrete Math. 2008), so for
+`diameter_check` `_complex` moves the walk's vertices by one vector.
+
+Every argmin set is a rank set: one int over the C(n,k) subset ranks,
+bit i for the subset of rank i.  Cached per (k, n) are the subset
+bitmasks (`_masks`), their ranks and per element e the rank set elem[e]
+of the subsets holding e (`_rank_sets`); per interval S, the counts
+|I ∩ S| (`_interval_counts`), grouped by count c into ranks, their rank
+set sets[c] and above[c], that of all larger counts (`_interval_groups`).
+Only the start is scanned: along e_S a subset off the top face with at
+most r(S) elements in S ends above it, so the far end's argmin set is
+`top | hits`, the hits reaching the breakpoint (`_breakpoint`).
 
 At a vertex the walk reads every interval rank from the Grassmann
 necklace of the argmin matroid (Oh, "Positroids and Schubert
 matroids"): the greedy basis g_a in the order a < a+1 < ... < a-1
 attains the rank of each prefix of that order, so r([a, a+size)) =
-|g_a ∩ [a, a+size)| for any matroid (`_greedy_bases`); these prefix
-ranks come from a memo per start and greedy basis, filled as bases
-appear (`_prefix_ranks`; no table is built ahead).  The top face of
-S = [a, b] is M|S ⊕ M/S, so `_edge_intervals` skips S on its ranks
-alone when b+1 or a-1 is a loop of M/S (adding it leaves the rank
-unchanged) or a or b is a coloop of M|S (removing it lowers the rank),
-and forms the top face only of the intervals left, and of those not
-yet crossed; a basis with more than r(S) elements in S there means the
-argmin set is no matroid.  `subdifferential_at` tests a point on the
-inequalities x(S) <= r(S) at the same ranks.
+|g_a ∩ [a, a+size)| for any matroid.  The greedy is a chain of ANDs
+(`_greedy`): with C the rank set of the bases holding the elements
+taken, x is taken when C & elem[x] is not empty, and C shrinks to it.
+The top face of S = [a, b] is M|S ⊕ M/S, so `_edge_intervals` skips S
+on its ranks alone when b+1 or a-1 is a loop of M/S (adding it leaves
+the rank unchanged) or a or b is a coloop of M|S (removing it lowers
+the rank), and forms the top face A & sets[r] only of the intervals
+left, and of those not yet crossed; A & above[r] not empty means the
+argmin set A is no matroid.  `subdifferential_at` tests a point on the
+inequalities x(S) <= r(S) at the ranks of the sets the walk returns.
 
-One classifier, `_face`, reads the argmin bases of a shift point as
-bitmasks and counts components on the fundamental graph of one basis,
-merging bitmask classes (`_components`); the walk feeds it values it
-updates along each edge, and `_shift_face` feeds it a point over
-`_scaled_row` for `face_dimension_at` and `in_bounded_part`.
+One classifier, `_face`, reads an argmin rank set A: e is a loop when
+A & elem[e] is empty and a coloop when it is A; it counts components on
+the fundamental graph of one basis B, reading bit rank[B - y + x] of A
+(`_components`), and also serves `face_dimension_at` (`_shift_face`).
 `bounded_complex_edges` forms each point's value row and argmin set
-once; a pair's midpoint has the intersection of the two argmin sets as
-its own when they meet (the summed rows are at least the summed minima,
+once; a pair's midpoint has the AND of the two argmin sets as its own
+when it is not empty (the summed rows are at least the summed minima,
 with equality exactly on both argmin sets), and the argmin of the
 summed rows otherwise.  `Matroid`, `argmin_matroid`, `loops`, `coloops`,
 `components_partition`, `in_linear_space`, `matroid_polytope_contains`
@@ -77,8 +83,8 @@ import math
 import time
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import lru_cache, reduce
-from operator import add, and_, le, or_, sub
+from functools import cached_property, lru_cache, reduce
+from operator import add, le, mul, or_, sub
 
 from . import planar
 from .combinat import (
@@ -111,9 +117,14 @@ class Matroid:
             if len(B) != self.k or not all(1 <= x <= self.n for x in B):
                 raise ValueError(f"bad basis {B}")
 
+    @cached_property
+    def _bitmasks(self) -> tuple[int, ...]:
+        """Each basis as a bitmask, bit x - 1 for element x, built once."""
+        return tuple(sum(1 << (x - 1) for x in B) for B in self.bases)
+
     def rank(self, subset) -> int:
-        sset = set(subset)
-        return max(len(sset & set(B)) for B in self.bases)
+        m = reduce(or_, (1 << (x - 1) for x in subset), 0)
+        return max(map(int.bit_count, map(m.__and__, self._bitmasks)))
 
 
 def uniform_matroid(k: int, n: int) -> Matroid:
@@ -296,9 +307,12 @@ def _roof_sum(pi: PlueckerVector):
     """The central representative of pi in scaled integers: the scale,
     the least that clears pi's values and k times each nonzero planar
     coefficient u_J(pi) (a larger one could make a fractional breakpoint
-    look integral to `_breakpoint`); pi's table over it (`_table`); the
+    look integral to `_breakpoint`); pi's values over it; the
     (J, factor = scale * u_J / k) pairs; and the sum of factor times roof
-    row, in rank order.  pi's values and the sum are rows over the scale."""
+    row, in rank order.  pi's values and the sum are rows over the scale.
+    Kept in pi's `_roof` slot; callers never change the lists."""
+    if pi._roof is not None:
+        return pi._roof
     k, n = pi.k, pi.n
     vals, s = pi.scaled()
     support = [(J, u) for J, u in zip(noncyclic_subsets(k, n), planar._expand(k, n, vals)) if u]
@@ -312,8 +326,9 @@ def _roof_sum(pi: PlueckerVector):
             factor = Fraction(u * scale, s * k)
             raise InvariantError(f"scale {scale} leaves roof factor {factor} fractional")
         terms.append((J, factor))
-        central = [a + factor * r for a, r in zip(central, _roof_row(J))]
-    return scale, [v * (scale // s) for v in vals], terms, central
+        central = list(map(add, central, map(mul, _roof_row(J), itertools.repeat(factor))))
+    pi._roof = scale, [v * (scale // s) for v in vals], terms, central
+    return pi._roof
 
 
 def central_representative(pi: PlueckerVector) -> PlueckerVector:
@@ -416,10 +431,10 @@ def _require_positive(pi: PlueckerVector):
 
 def _complex(pi: PlueckerVector, balance: bool, time_budget_s: float | None):
     """The report of the bounded complex of the positive vector pi, or of
-    its balanced representative when `balance`, with pi's row over the
-    roof scale and the walk's sorted integer vertices w over it.  Balanced,
-    w moves to n*w + (n*y - yb) over n times the scale, y the central and yb
-    the balancing shift; w, y and yb have first coordinate 0, so it stays 0."""
+    its balanced representative when `balance`, pi's row over the roof
+    scale, and the walk's sorted integer vertices w and argmin rank sets.
+    Balanced, w moves to n*w + (n*y - yb) over n times the scale, y the
+    central and yb the balancing shift; all have first coordinate 0."""
     k, n = pi.k, pi.n
     scale, row, terms, central = _roof_sum(pi)
     total = k * sum(f for _, f in terms)  # the weight, over scale
@@ -428,33 +443,33 @@ def _complex(pi: PlueckerVector, balance: bool, time_budget_s: float | None):
     if balance:
         yb, _ = _gap_shift([n * c for c in central], total, k, n)
         times, move = n, [n * a - b for a, b in zip(y, yb)]
-    points = _walk(k, n, row, terms, y, time_budget_s)
+    points, sets = zip(*_walk(k, n, row, terms, y, time_budget_s))
     found = [tuple(times * v + d for v, d in zip(w, move)) for w in points]
     scale, total = times * scale, times * total
     spread = max(max(w) - min(w) for w in found)
     vertices = tuple(tuple(Fraction(v, scale) for v in w) for w in found)
     report = BoundedComplexReport(vertices, Fraction(total, scale), Fraction(spread, scale),
                                   spread <= total)
-    return report, row, points
+    return report, row, points, sets
 
 
 def _complex_with_edges(pi: PlueckerVector, balance: bool, time_budget_s: float | None):
     """`_complex`'s report and its edges; balancing adds a constant to each
     value row of n*pi, so the argmin sets and edges are pi's."""
-    report, row, points = _complex(pi, balance, time_budget_s)
+    report, row, points, _ = _complex(pi, balance, time_budget_s)
     return report, _edges(pi.k, pi.n, row, points)
 
 
-def _walk(k: int, n: int, row, terms, y, time_budget_s: float | None) -> list[tuple[int, ...]]:
-    """The vertices of the bounded complex of a positive vector, sorted and
-    as integers over the roof scale, walked from its `_roof_sum` row and
-    (J, factor) terms and the central shift y (`_central_shift`).
+def _walk(k: int, n: int, row, terms, y, time_budget_s: float | None):
+    """The (vertex, argmin rank set) pairs of the bounded complex of a
+    positive vector, sorted, each vertex as integers over the roof scale,
+    walked from its `_roof_sum` row and (J, factor) terms and the central
+    shift y (`_central_shift`).
 
     Each edge is crossed once: a step from w along e_S that ends at a
     vertex not yet left records the interval [n] - S as crossed there,
     since -e_S is e_([n] - S) modulo all-ones and the step back along it
-    ends at w.  Every vertex carries the value row and argmin set of the
-    step that found it."""
+    ends at w.  A far end's argmin set is `top | hits`."""
     deadline = time.monotonic() + time_budget_s if time_budget_s is not None else None
 
     # Each roof's sector at the centre, ties broken by the perturbation
@@ -468,41 +483,41 @@ def _walk(k: int, n: int, row, terms, y, time_budget_s: float | None) -> list[tu
         if deadline is not None and time.monotonic() > deadline:
             raise TimeBudgetExceeded(f"vertex walk over its {time_budget_s} s budget")
 
-    masks = _masks(k, n)
     full = (1 << n) - 1
     w = tuple(v - start[0] for v in start)
     vals = _values(row, w, k)
-    bases = _argmin(masks, vals)
+    A = _argmin(vals)
     over_budget()
-    if _face(bases, n) != 0:
+    if _face(A, k, n) != 0:
         raise InvariantError("the perturbed centre's roof gradient is not a vertex")
     faces = {w: 0}
+    sets = {w: A}  # the vertices' argmin rank sets
     crossed = {w: set()}  # per vertex not yet left, the intervals already crossed to it
-    todo = [(w, vals, bases)]
+    todo = [(w, vals, A)]
     while todo:
-        w, vals, bases = todo.pop()
+        w, vals, A = todo.pop()
         best = min(vals)
-        for s, top in _edge_intervals(list(bases), k, n, crossed.pop(w)):
-            counts = _interval_counts(k, n, s)
-            t = _breakpoint(vals, counts, best, (next(iter(top)) & s).bit_count())
+        for s, r, top in _edge_intervals(A, k, n, crossed.pop(w)):
+            t, hits = _breakpoint(vals, _interval_groups(k, n, s)[0], best, r)
             lead = t * (s & 1)  # w[0] is 0: keep the first coordinate 0
             nxt = tuple(x + t * (s >> i & 1) - lead for i, x in enumerate(w))
             if nxt not in faces:
                 over_budget()
-                nvals = [v - t * c + k * lead for v, c in zip(vals, counts)]
-                nbases = _argmin(masks, nvals)
-                faces[nxt] = _face(nbases, n)
+                far = top | hits
+                faces[nxt] = _face(far, k, n)
                 if faces[nxt] == 0:
+                    nvals = [v - t * c + k * lead for v, c in zip(vals, _interval_counts(k, n, s))]
+                    sets[nxt] = far
                     crossed[nxt] = set()
-                    todo.append((nxt, nvals, nbases))
-            if faces[nxt] != 0 and _components(top, n) == 2:
+                    todo.append((nxt, nvals, far))
+            if faces[nxt] != 0 and _components(top, k, n) == 2:
                 S = [i + 1 for i in range(n) if s >> i & 1]
                 raise InvariantError(f"the edge along e_S, S = {S}, ends off a vertex")
             if nxt in crossed:
                 crossed[nxt].add(full ^ s)
 
     # One positive scale: the integer tuples sort as the vertices do.
-    return sorted(w for w, f in faces.items() if f == 0)
+    return sorted(sets.items())
 
 
 @lru_cache(maxsize=None)
@@ -512,9 +527,29 @@ def _masks(k: int, n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _interval_counts(k: int, n: int, s: int) -> tuple[int, ...]:
-    """|I ∩ S| for every k-subset I in rank order, S given as a bitmask."""
-    return tuple((m & s).bit_count() for m in _masks(k, n))
+def _rank_sets(k: int, n: int) -> tuple[dict[int, int], tuple[int, ...]]:
+    """The rank of each k-subset bitmask, and per element e (0-based) the
+    rank set of the subsets that contain e."""
+    masks = _masks(k, n)
+    elem = tuple(sum(1 << i for i, m in enumerate(masks) if m >> e & 1) for e in range(n))
+    return {m: i for i, m in enumerate(masks)}, elem
+
+
+@lru_cache(maxsize=None)
+def _interval_counts(k: int, n: int, s: int) -> bytes:
+    """|I ∩ S| for every k-subset I in rank order, as bytes; S a bitmask."""
+    return bytes((m & s).bit_count() for m in _masks(k, n))
+
+
+@lru_cache(maxsize=None)
+def _interval_groups(k: int, n: int, s: int):
+    """`_interval_counts` grouped by count c: per c, the ranks with that
+    count, their rank set, and the rank set of all counts above c."""
+    counts = _interval_counts(k, n, s)
+    ranks = tuple(tuple(i for i, c in enumerate(counts) if c == g) for g in range(max(counts) + 1))
+    sets = tuple(sum(1 << i for i in g) for g in ranks)
+    above = tuple(reduce(or_, sets[c + 1:], 0) for c in range(len(sets)))
+    return ranks, sets, above
 
 
 def _scaled_row(pi: PlueckerVector, points):
@@ -537,20 +572,25 @@ def _values(row, w_scaled: Sequence[int], k: int) -> list[int]:
     return list(map(sub, row, _subset_sums(w_scaled, k)))
 
 
-def _argmin(masks, vals) -> set[int]:
-    """The bitmasks of the subsets that attain the least value."""
+def _argmin(vals: list[int]) -> int:
+    """The rank set of the subsets that attain the least value."""
     best = min(vals)
-    return {m for m, v in zip(masks, vals) if v == best}
+    i, A = -1, 0
+    for _ in range(vals.count(best)):
+        i = vals.index(best, i + 1)
+        A |= 1 << i
+    return A
 
 
-def _components(bases: set[int], n: int) -> int:
+def _components(A: int, k: int, n: int) -> int:
     """Number of connected components of the matroid on n elements whose
-    bases are the bitmasks `bases`.  They are those of the fundamental
-    graph of one basis B: x outside B and y in B are joined when
-    B - y + x is a basis, k(n-k) lookups in all.  Each x gives the class
-    of x and its neighbours as a bitmask, merged into the disjoint classes
-    it meets; an element in no class is a component of its own."""
-    B = next(iter(bases))
+    bases are the rank set A.  They are those of the fundamental graph of
+    one basis B: x outside B and y in B are joined when B - y + x is a
+    basis, k(n-k) bit reads of A in all.  Each x gives the class of x and
+    its neighbours as a bitmask, merged into the disjoint classes it
+    meets; an element in no class is a component of its own."""
+    rank = _rank_sets(k, n)[0]
+    B = _masks(k, n)[(A & -A).bit_length() - 1]
     inside = [1 << y for y in range(n) if B >> y & 1]
     classes = []
     for x in range(n):
@@ -559,7 +599,7 @@ def _components(bases: set[int], n: int) -> int:
             continue
         merged = bit
         for y in inside:
-            if B ^ bit ^ y in bases:
+            if A >> rank[B ^ bit ^ y] & 1:
                 merged |= y
         apart = []
         for c in classes:
@@ -572,32 +612,22 @@ def _components(bases: set[int], n: int) -> int:
     return len(classes) + (n - reduce(or_, classes, 0).bit_count())
 
 
-def _breakpoint(vals, counts, best: int, r: int) -> int:
-    """The least t > 0 at which a subset I with counts[I] = |I & S| > r
-    reaches the top face's value along w + t e_S: the vertex at the far
-    end of the edge.  It must exist and be a positive integer."""
-    steps = [(v - best, c - r) for v, c in zip(vals, counts) if c > r]
+def _breakpoint(vals, ranks, best: int, r: int) -> tuple[int, int]:
+    """The least t > 0 at which a subset I with c = |I & S| > r reaches
+    the top face's value along w + t e_S, the far end of the edge, and the
+    rank set of the subsets that reach it there (the hits); `ranks[c]`
+    holds the ranks with count c, whose least value gives c's step.  t
+    must exist and be a positive integer."""
+    steps = {c: min(map(vals.__getitem__, g)) - best for c, g in enumerate(ranks) if c > r and g}
     if not steps:
         raise InvariantError("a face with no loop and no coloop has an unbounded edge")
-    t = min(num // den for num, den in steps)
-    if t <= 0 or all(num != t * den for num, den in steps):
-        least = min(Fraction(num, den) for num, den in steps)
+    t = min(num // (c - r) for c, num in steps.items())
+    if t <= 0 or all(num != t * (c - r) for c, num in steps.items()):
+        least = min(Fraction(num, c - r) for c, num in steps.items())
         raise InvariantError(f"the breakpoint {least} of an edge is not a positive integer")
-    return t
-
-
-@lru_cache(maxsize=None)
-def _greedy_keys(k: int, n: int) -> tuple[dict[int, int], ...]:
-    """Per start a (0-based), each k-subset bitmask's bits rotated to begin
-    at a and reversed: in the order a < a+1 < ... < a-1, the basis with the
-    largest key is the greedy one.  The reversal of every n-bit mask comes
-    from a recurrence, one step per mask."""
-    rev = [0] * (1 << n)
-    for m in range(1, 1 << n):
-        rev[m] = rev[m >> 1] >> 1 | (m & 1) << (n - 1)
-    full = (1 << n) - 1
-    masks = _masks(k, n)
-    return tuple({m: rev[(m >> a | m << (n - a)) & full] for m in masks} for a in range(n))
+    hits = sum(1 << i for c, num in steps.items() if num == t * (c - r)
+               for i in ranks[c] if vals[i] == best + num)
+    return t, hits
 
 
 @lru_cache(maxsize=None)
@@ -610,30 +640,34 @@ def _spans(n: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _greedy_bases(bases: list[int], k: int, n: int) -> list[int]:
-    """The Grassmann necklace of the matroid whose bases are the bitmasks
-    `bases`: per start a, the lexicographically first basis in the order
-    a < a+1 < ... < a-1, which the greedy algorithm picks."""
-    return [max(bases, key=key.__getitem__) for key in _greedy_keys(k, n)]
+def _greedy(A: int, k: int, n: int) -> list[tuple[int, list[int]]]:
+    """The Grassmann necklace of the matroid whose bases are the rank set
+    A: per 0-based start a, the greedy basis g_a in the order
+    a < a+1 < ... < a-1 as a one-bit rank set, with its prefix ranks
+    |g_a ∩ [a, a+size)| for every size from 0 to n."""
+    elem = _rank_sets(k, n)[1]
+    out = []
+    for a in range(n):
+        C, r, ranks = A, 0, [0]
+        for e in elem[a:] + elem[:a]:
+            if C & e:
+                C &= e
+                r += 1
+            ranks.append(r)
+        out.append((C, ranks))
+    return out
 
 
-@lru_cache(maxsize=None)
-def _prefix_ranks(n: int, a: int, g: int) -> tuple[int, ...]:
-    """|g ∩ [a, a+size)| for every size from 0 to n, g a bitmask and a a
-    0-based start; kept per greedy basis as the walk meets it."""
-    return tuple((g & s).bit_count() for s in _spans(n)[a])
-
-
-def _edge_intervals(bases: list[int], k: int, n: int, crossed):
+def _edge_intervals(A: int, k: int, n: int, crossed):
     """Each proper cyclic interval S (a bitmask) whose top face, the bases
-    B with the most elements in S, has no loop and no coloop, with that
-    face, leaving out the intervals in `crossed`.  The ranks of S, of S
-    with a neighbour added and of S with an end removed come from the
-    greedy bases; S is skipped when they show a loop or coloop of the top
-    face M|S ⊕ M/S."""
+    in the rank set A with the most elements in S, has no loop and no
+    coloop, with its rank r(S) and that face, leaving out the intervals in
+    `crossed`.  The ranks of S, of S with a neighbour added and of S with
+    an end removed come from the greedy bases; S is skipped when they show
+    a loop or coloop of the top face M|S ⊕ M/S."""
     spans = _spans(n)
-    ranks = [_prefix_ranks(n, a, g) for a, g in enumerate(_greedy_bases(bases, k, n))]
-    full = (1 << n) - 1
+    elem = _rank_sets(k, n)[1]
+    ranks = [prefix for _, prefix in _greedy(A, k, n)]
     for a in range(n):
         here, after, before = ranks[a], ranks[(a + 1) % n], ranks[a - 1]
         for size in range(1, n):
@@ -645,37 +679,33 @@ def _edge_intervals(bases: list[int], k: int, n: int, crossed):
             s = spans[a][size]
             if s in crossed:
                 continue
-            counts = [(m & s).bit_count() for m in bases]
-            if max(counts) > r:
+            _, sets, above = _interval_groups(k, n, s)
+            if A & above[r]:
                 S = [i + 1 for i in range(n) if s >> i & 1]
                 raise InvariantError(
                     f"the argmin set is no matroid: a basis has more than the greedy rank {r} "
                     f"in S = {S}"
                 )
-            top = {m for m, c in zip(bases, counts) if c == r}
-            if reduce(or_, top) == full and not reduce(and_, top):
-                yield s, top
+            top = A & sets[r]
+            if all(map(top.__and__, elem)) and top not in map(top.__and__, elem):
+                yield s, r, top
 
 
-def _face(bases: set[int], n: int):
-    """The face whose argmin bases are the bitmasks `bases`: "outside" when
-    they have a loop, "unbounded" when they have a coloop, and otherwise
-    the number of components minus one."""
-    union, inter = 0, -1
-    for m in bases:
-        union |= m
-        inter &= m
-    if union != (1 << n) - 1:
+def _face(A: int, k: int, n: int):
+    """The face whose argmin bases are the rank set A: "outside" when they
+    have a loop, "unbounded" when they have a coloop, and otherwise the
+    number of components minus one."""
+    elem = _rank_sets(k, n)[1]
+    if not all(map(A.__and__, elem)):
         return "outside"
-    if inter:
+    if A in map(A.__and__, elem):
         return "unbounded"
-    return _components(bases, n) - 1
+    return _components(A, k, n) - 1
 
 
 def _shift_face(k: int, row, w_scaled: Sequence[int]):
     """The face through a shift point, both scaled as by `_scaled_row`."""
-    n = len(w_scaled)
-    return _face(_argmin(_masks(k, n), _values(row, w_scaled, k)), n)
+    return _face(_argmin(_values(row, w_scaled, k)), k, len(w_scaled))
 
 
 def face_dimension_at(pi: PlueckerVector, w: Sequence[Rational]):
@@ -703,7 +733,8 @@ def matroid_polytope_contains(M: Matroid, x: Sequence[Rational]) -> bool:
 def subdifferential_at(pi_hat: PlueckerVector, x: Sequence[Rational]) -> list[tuple[Fraction, ...]]:
     """All bounded-complex vertices whose shift matroid polytope contains
     the strictly interior point x of the hypersimplex: x(S) <= r(S) on
-    every cyclic interval S, r read off the argmin set's greedy bases."""
+    every cyclic interval S, r read off the greedy bases of the argmin
+    rank set the walk found at the vertex."""
     xs = [as_fraction(v) for v in x]
     k, n = pi_hat.k, pi_hat.n
     if len(xs) != n:
@@ -711,14 +742,13 @@ def subdifferential_at(pi_hat: PlueckerVector, x: Sequence[Rational]) -> list[tu
     if sum(xs) != k or any(not 0 < v < 1 for v in xs):
         raise ValueError("x must be strictly interior: 0 < x_i < 1, sum = k")
     _require_positive(pi_hat)
-    report, row, points = _complex(pi_hat, False, None)
-    # x([a, a+size)) for every 0-based start a and size, in the order of `_prefix_ranks`
+    report, _, _, sets = _complex(pi_hat, False, None)
+    # x([a, a+size)) for every 0-based start a and size, in the order of `_greedy`'s ranks
     sums = [s for a in range(n) for s in itertools.accumulate(xs[a:] + xs[:a], initial=0)]
     out = []
-    for w, p in zip(report.vertices, points):
-        bases = _argmin(_masks(k, n), _values(row, p, k))
-        ranks = (_prefix_ranks(n, a, g) for a, g in enumerate(_greedy_bases(list(bases), k, n)))
-        if all(map(le, sums, itertools.chain.from_iterable(ranks))):
+    for w, A in zip(report.vertices, sets):
+        ranks = itertools.chain.from_iterable(prefix for _, prefix in _greedy(A, k, n))
+        if all(map(le, sums, ranks)):
             out.append(w)
     return out
 
@@ -728,8 +758,8 @@ def bounded_complex_edges(
 ) -> list[tuple[int, int]]:
     """Vertex pairs whose exact midpoint lies on a one-dimensional face.
 
-    Each point's value row pi_I - sum(w_i, i in I) and its argmin set are
-    formed once.  Twice the midpoint's row is the sum of the two rows,
+    Each point's value row pi_I - sum(w_i, i in I) and its argmin rank set
+    are formed once.  Twice the midpoint's row is the sum of the two rows,
     which is at least the sum of their minima, with equality exactly where
     both rows are least: so when the two argmin sets meet, the midpoint's
     argmin set is their intersection, and only otherwise are the rows
@@ -742,13 +772,12 @@ def bounded_complex_edges(
 
 def _edges(k: int, n: int, row, points) -> list[tuple[int, int]]:
     """`bounded_complex_edges` over a value row and integer points on one scale."""
-    masks = _masks(k, n)
     rows = [_values(row, w, k) for w in points]
-    tops = [_argmin(masks, row) for row in rows]
+    tops = [_argmin(row) for row in rows]
     edges = []
     for i, j in itertools.combinations(range(len(rows)), 2):
-        top = tops[i] & tops[j] or _argmin(masks, list(map(add, rows[i], rows[j])))
-        if _face(top, n) == 1:
+        top = tops[i] & tops[j] or _argmin(list(map(add, rows[i], rows[j])))
+        if _face(top, k, n) == 1:
             edges.append((i, j))
     return edges
 

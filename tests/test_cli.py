@@ -494,6 +494,43 @@ def test_verify_reports_non_unimodular_fan(monkeypatch, capsys):
     assert all(c["ok"] for name, c in checks.items() if name != "fan_unimodular")
 
 
+# `weight.bridge` one too high on the ray vector of the first noncyclic
+# subset alone: the 25 seeded samples' weight reports do not meet it.
+BRIDGE_OFF_ON_ONE_RAY = (
+    "from tropnc import combinat, ladder, ncfan, weight",
+    "ray = ladder.rho(ncfan.t_vector(combinat.noncyclic_subsets(3, 6)[0]))",
+    "bridge = weight.bridge",
+    "planted = lambda pi: bridge(pi) + (pi == ray)",
+)
+# `ncfan.nc_weight` one too high on its first call, which is the first
+# sample of the weight check and the only place `verify` calls it.
+NC_WEIGHT_OFF_ONCE = (
+    "from tropnc import ncfan",
+    "nc_weight, seen = ncfan.nc_weight, []",
+    "planted = lambda t: nc_weight(t) + (seen.append(t) or len(seen) == 1)",
+)
+PLANTED_FAULTS = {
+    "bridge_normalization": (BRIDGE_OFF_ON_ONE_RAY, weight, "bridge"),
+    "weight_equality": (NC_WEIGHT_OFF_ONCE, ncfan, "nc_weight"),
+}
+
+
+@pytest.mark.parametrize("check", sorted(PLANTED_FAULTS))
+def test_verify_reports_a_planted_fault(monkeypatch, capsys, check):
+    lines, module, name = PLANTED_FAULTS[check]
+    scope = {}
+    exec("\n".join(lines), scope)
+    monkeypatch.setattr(module, name, scope["planted"])
+    code, out = run_cli(capsys, "verify", "--k", "3", "--n", "6")
+    failed = [c["name"] for c in json.loads(out)["checks"] if not c["ok"]]
+    assert code == 1 and failed == [check]
+    # the same fault with asserts stripped
+    main = "import sys; from tropnc import cli; sys.exit(cli.main(['verify', '--k', '3', '--n', '6']))"
+    broken = run_optimized(*lines, f"{module.__name__.split('.')[-1]}.{name} = planted", main)
+    failed = [c["name"] for c in json.loads(broken.stdout)["checks"] if not c["ok"]]
+    assert broken.returncode == 1 and failed == [check]
+
+
 def test_verify_checks_survive_python_O():
     main = "import sys; from tropnc import cli; sys.exit(cli.main(['verify', '--k', '3', '--n', '6']))"
     ok = run_optimized(main)

@@ -476,32 +476,113 @@ def test_walk_finishes_a_rational_4_8_vector_with_15_roofs():
         assert troplin.is_connected(argmin_matroid(pi, w))
 
 
+def _step(vals, counts, best, r):
+    """`_breakpoint` on a row of counts |I & S|, grouped by count."""
+    ranks = [tuple(i for i, c in enumerate(counts) if c == g) for g in range(max(counts) + 1)]
+    return troplin._breakpoint(vals, ranks, best, r)
+
+
+def _counts_of(ranks, size):
+    """The row of counts that the per-count groups `ranks` hold."""
+    counts = [None] * size
+    for c, group in enumerate(ranks):
+        for i in group:
+            counts[i] = c
+    return counts
+
+
 def test_breakpoints_must_be_integers_and_exist():
-    # values 0 at the top face (r = 1), one subset with |I & S| = 3 at 3
-    assert troplin._breakpoint([0, 4], [1, 3], 0, 1) == 2
+    # values 0 at the top face (r = 1), one subset with |I & S| = 3 at 3,
+    # which reaches it at t = 2 and so is the one hit, rank 1
+    assert _step([0, 4], [1, 3], 0, 1) == (2, 0b10)
     with pytest.raises(InvariantError, match="breakpoint 3/2 of an edge is not a positive"):
-        troplin._breakpoint([0, 3], [1, 3], 0, 1)
+        _step([0, 3], [1, 3], 0, 1)
     # a subset of the top face's value with more elements in S: r was wrong
     with pytest.raises(InvariantError, match="breakpoint 0 of an edge is not a positive"):
-        troplin._breakpoint([0, 0, 4], [1, 2, 3], 0, 1)
+        _step([0, 0, 4], [1, 2, 3], 0, 1)
     with pytest.raises(InvariantError, match="unbounded edge"):
-        troplin._breakpoint([0, 3], [1, 1], 0, 1)
+        _step([0, 3], [1, 1], 0, 1)
+    # Two counts reach the far end together at t = 2 (ranks 1 and 3), one
+    # member of count 3 lies above (rank 2), and count 4 arrives later.
+    assert _step([0, 4, 5, 2, 7], [1, 3, 3, 2, 4], 0, 1) == (2, 0b1010)
 
 
 def test_breakpoint_rejects_a_half_integer_step():
     # Steps 3/2 and 2 from the top face: the least, 3/2, is no integer.
     with pytest.raises(InvariantError, match="breakpoint 3/2 of an edge is not a positive"):
-        troplin._breakpoint([0, 3, 4], [1, 3, 3], 0, 1)
+        _step([0, 3, 4], [1, 3, 3], 0, 1)
     # Over twice the scale the same edge reads as a whole step, so the
     # walk's scale must be the least one.
-    assert troplin._breakpoint([0, 6, 8], [1, 3, 3], 0, 1) == 3
+    assert _step([0, 6, 8], [1, 3, 3], 0, 1) == (3, 0b10)
+
+
+def _rank_set_vectors():
+    """A seeded integer and a seeded rational vector at (3,6) to (5,10)."""
+    rng = rng_for("rank-set-walk")
+    return [rho(point(rng, k, n)) for k, n in [(3, 6), (3, 7), (4, 8), (3, 9), (4, 9), (5, 10)]
+            for point in (random_tpoint, random_rational_tpoint)]
+
+
+def test_far_end_argmin_set_is_the_top_face_and_the_hits(monkeypatch):
+    # At every step of the walk, the top face of S (least value, r elements
+    # in S) and the breakpoint's hits are the full argmin scan of the far
+    # end's values: every other subset ends strictly above them.
+    step = troplin._breakpoint
+    checked = []
+
+    def recorded(vals, ranks, best, r):
+        t, hits = step(vals, ranks, best, r)
+        counts = _counts_of(ranks, len(vals))
+        top = sum(1 << i for i, (v, c) in enumerate(zip(vals, counts)) if v == best and c == r)
+        far = [v - t * c for v, c in zip(vals, counts)]
+        assert top and hits and not top & hits
+        assert top | hits == sum(1 << i for i, v in enumerate(far) if v == min(far))
+        checked.append(t)
+        return t, hits
+
+    monkeypatch.setattr(troplin, "_breakpoint", recorded)
+    for pi in _rank_set_vectors():
+        bounded_complex_vertices(pi)
+    assert len(checked) >= 200
+
+
+def test_walk_returns_each_vertex_argmin_set():
+    for pi in _rank_set_vectors() + [vector_312()]:
+        k, n = pi.k, pi.n
+        report, _, _, sets = troplin._complex(pi, False, None)
+        assert len(sets) == len(report.vertices)
+        for w, A in zip(report.vertices, sets):
+            assert A == _rank_set(k, n, argmin_matroid(pi, w).bases)
+
+
+@pytest.mark.parametrize("k,n", [(2, 4), (3, 6), (3, 7), (4, 8), (5, 10)])
+def test_rank_set_tables_match_the_counts(k, n):
+    subsets = list(pluecker.lex_rank(k, n))
+    rank, elem = troplin._rank_sets(k, n)
+    assert [rank[m] for m in troplin._masks(k, n)] == list(range(len(subsets)))
+    assert list(elem) == [sum(1 << i for i, I in enumerate(subsets) if e in I)
+                          for e in range(1, n + 1)]
+    for a, size in itertools.product(range(n), range(1, n)):
+        s = sum(1 << ((a + i) % n) for i in range(size))
+        counts = troplin._interval_counts(k, n, s)
+        ranks, sets, above = troplin._interval_groups(k, n, s)
+        assert len(ranks) == len(sets) == len(above) == min(k, size) + 1
+        for c in range(len(ranks)):
+            assert ranks[c] == tuple(i for i, x in enumerate(counts) if x == c)
+            assert sets[c] == sum(1 << i for i in ranks[c])
+            assert above[c] == sum(1 << i for i, x in enumerate(counts) if x > c)
 
 
 def _argmin_bases(pi, w):
-    """The argmin bitmasks of pi at the shift point w, sorted."""
+    """The argmin rank set of pi at the shift point w."""
     row, (point,) = troplin._scaled_row(pi, [[Fraction(x) for x in w]])
-    values = troplin._values(row, point, pi.k)
-    return sorted(troplin._argmin(troplin._masks(pi.k, pi.n), values))
+    return troplin._argmin(troplin._values(row, point, pi.k))
+
+
+def _rank_set(k, n, bases):
+    """The rank set of the k-subsets `bases`, each a tuple of elements."""
+    rank = pluecker.lex_rank(k, n)
+    return sum(1 << rank[tuple(B)] for B in bases)
 
 
 def test_edge_intervals_match_a_count_per_basis():
@@ -512,15 +593,16 @@ def test_edge_intervals_match_a_count_per_basis():
         vertices = bounded_complex_vertices(pi).vertices
         # the vertices, and the origin, no vertex, whose argmin sets are mostly larger
         for w in vertices + ((Fraction(0),) * n,):
-            bases = _argmin_bases(pi, w)
+            A = _argmin_bases(pi, w)
+            bases = {i: m for i, m in enumerate(troplin._masks(k, n)) if A >> i & 1}
             expected = []
             for a, size in itertools.product(range(n), range(1, n)):
                 s = sum(1 << ((a + i) % n) for i in range(size))
-                r = max((m & s).bit_count() for m in bases)
-                top = {m for m in bases if (m & s).bit_count() == r}
-                if reduce(or_, top) == (1 << n) - 1 and not reduce(and_, top):
-                    expected.append((s, top))
-            assert list(troplin._edge_intervals(bases, k, n, set())) == expected
+                r = max((m & s).bit_count() for m in bases.values())
+                top = {i: m for i, m in bases.items() if (m & s).bit_count() == r}
+                if reduce(or_, top.values()) == (1 << n) - 1 and not reduce(and_, top.values()):
+                    expected.append((s, r, sum(1 << i for i in top)))
+            assert list(troplin._edge_intervals(A, k, n, set())) == expected
 
 
 def test_greedy_bases_are_the_grassmann_necklace():
@@ -531,8 +613,12 @@ def test_greedy_bases_are_the_grassmann_necklace():
             pi = rho(t)
             for w in bounded_complex_vertices(pi).vertices:
                 necklace = grassmann_necklace(argmin_matroid(pi, w))
-                masks = [sum(1 << (i - 1) for i in B) for B in necklace]
-                assert troplin._greedy_bases(_argmin_bases(pi, w), k, n) == masks
+                for a, (C, ranks) in enumerate(troplin._greedy(_argmin_bases(pi, w), k, n)):
+                    # the one basis left is g_a, and its prefix ranks are counts in it
+                    assert C == _rank_set(k, n, [necklace[a]])
+                    order = [(a + i) % n + 1 for i in range(n)]
+                    assert ranks == [len(set(order[:size]) & set(necklace[a]))
+                                     for size in range(n + 1)]
                 checked += 1
     assert checked >= 50
 
@@ -542,11 +628,11 @@ def test_edge_intervals_reject_bases_that_are_no_matroid():
     # {1, 2}, which reads rank 1 on S = {2, 3, 4}; {3, 4} has two there.
     message = r"no matroid: a basis has more than the greedy rank 1 in S = \[2, 3, 4\]"
     with pytest.raises(InvariantError, match=message):
-        list(troplin._edge_intervals([0b0011, 0b1100], 2, 4, set()))
-    # an explicit raise, so it survives -O
+        list(troplin._edge_intervals(_rank_set(2, 4, [(1, 2), (3, 4)]), 2, 4, set()))
+    # an explicit raise, so it survives -O; {1, 2} and {3, 4} have ranks 0 and 5
     result = run_optimized(
         "from tropnc import troplin",
-        "list(troplin._edge_intervals([0b0011, 0b1100], 2, 4, set()))",
+        "list(troplin._edge_intervals(0b100001, 2, 4, set()))",
     )
     assert result.returncode == 1
     assert "InvariantError: the argmin set is no matroid" in result.stderr
@@ -555,15 +641,15 @@ def test_edge_intervals_reject_bases_that_are_no_matroid():
 def test_walk_checks_where_it_starts_and_where_edges_end(monkeypatch):
     face = troplin._face
     pi = central_pluecker_vector(J_2BLOCK)
-    monkeypatch.setattr(troplin, "_face", lambda bases, n: 1)
+    monkeypatch.setattr(troplin, "_face", lambda A, k, n: 1)
     with pytest.raises(InvariantError, match="roof gradient is not a vertex"):
         bounded_complex_vertices(pi)
     # The start classifies right, the far end of its one edge does not.
     calls = []
 
-    def far_end_off_a_vertex(bases, n):
+    def far_end_off_a_vertex(A, k, n):
         calls.append(n)
-        return face(bases, n) if len(calls) == 1 else 1
+        return face(A, k, n) if len(calls) == 1 else 1
 
     monkeypatch.setattr(troplin, "_face", far_end_off_a_vertex)
     with pytest.raises(InvariantError, match="ends off a vertex"):
@@ -576,11 +662,11 @@ def _stepped_pairs(monkeypatch, pi, walk):
     step = troplin._breakpoint
     steps = []
 
-    def recorded(vals, counts, best, r):
-        t = step(vals, counts, best, r)
-        ends = (vals, [v - t * c for v, c in zip(vals, counts)])
+    def recorded(vals, ranks, best, r):
+        t, hits = step(vals, ranks, best, r)
+        ends = (vals, [v - t * c for v, c in zip(vals, _counts_of(ranks, len(vals)))])
         steps.append(frozenset(tuple(v - row[0] for v in row) for row in ends))
-        return t
+        return t, hits
 
     monkeypatch.setattr(troplin, "_breakpoint", recorded)
     report = walk(pi)
@@ -619,9 +705,8 @@ def test_fundamental_graph_counts_the_components():
             ]
             for w in points:
                 M = argmin_matroid(pi, w)
-                masks = {sum(1 << (i - 1) for i in B) for B in M.bases}
                 count = len(components_partition(M))
-                assert troplin._components(masks, n) == count
+                assert troplin._components(_rank_set(k, n, M.bases), k, n) == count
                 seen.add(min(count, 3))
     assert seen == {1, 2, 3}
 
@@ -687,9 +772,9 @@ def test_time_budget_stops_the_walk_between_classifications(monkeypatch):
     monkeypatch.setattr(troplin, "time", SimpleNamespace(monotonic=lambda: now[0]))
     face = troplin._face
 
-    def classify(bases, n):
+    def classify(A, k, n):
         now[0] = 1e9
-        return face(bases, n)
+        return face(A, k, n)
 
     monkeypatch.setattr(troplin, "_face", classify)
     pi = central_pluecker_vector(J_2BLOCK)  # two vertices, one edge
@@ -912,6 +997,20 @@ def test_subdifferential_matches_the_matroid_reference(k, n, vectors, extra):
             points += [bary, [(5 * b + c) / 6 for b, c in zip(bary, centre)]]
         for x in points:
             assert subdifferential_at(pi, x) == _reference_subdifferential(pi, x), x
+
+
+def test_matroid_rank_is_the_largest_basis_intersection():
+    # The bitmask rank against the intersection count it restates, on
+    # argmin matroids at vertices and seeded subsets, repeats included.
+    rng = rng_for("matroid-rank")
+    for k, n in [(3, 6), (4, 8), (5, 10)]:
+        pi = rho(random_tpoint(rng, k, n))
+        for w in bounded_complex_vertices(pi).vertices[:4]:
+            M = argmin_matroid(pi, w)
+            for _ in range(30):
+                A = [rng.randint(1, n) for _ in range(rng.randint(0, n))]
+                assert M.rank(A) == max(len(set(A) & set(B)) for B in M.bases)
+    assert uniform_matroid(3, 6).rank(range(1, 7)) == 3
 
 
 def test_matroid_polytope_membership():
