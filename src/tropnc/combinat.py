@@ -88,17 +88,25 @@ def is_cyclic_interval(J: KSubset) -> bool:
     return len(cyclic_endpoints(J)) == 1
 
 
-@lru_cache(maxsize=None)
-def cyclic_intervals(k: int, n: int) -> tuple[KSubset, ...]:
-    """The n cyclic intervals of size k, by starting point."""
-    return tuple(
-        ksubset(n, (mod1(a + i, n) for i in range(k))) for a in range(1, n + 1)
-    )
-
-
 def cyc_interval(j: int, k: int, n: int) -> tuple[int, ...]:
     """The cyclic interval {j+1, ..., j+k} (mod n), sorted."""
     return tuple(sorted(mod1(j + i, n) for i in range(1, k + 1)))
+
+
+def _prefix(elems: tuple[int, ...]) -> int:
+    """The length i of the longest prefix [1, i] of a sorted subset."""
+    i = 0
+    while i < len(elems) and elems[i] == i + 1:
+        i += 1
+    return i
+
+
+def _holes(elems: tuple[int, ...]) -> int:
+    """The holes of a sorted subset: the numbers in the span of R, the
+    subset minus its longest prefix [1, i], that R misses (0 when R is
+    empty)."""
+    i = _prefix(elems)
+    return elems[-1] - elems[i] + 1 - (len(elems) - i) if i < len(elems) else 0
 
 
 def gap_interval(j: int, k: int, n: int) -> tuple[int, ...]:
@@ -206,14 +214,6 @@ def compatibility_rows(k: int, n: int) -> tuple[int, ...]:
 def _node_ids(k: int, n: int) -> dict[KSubset, int]:
     """Each noncyclic k-subset's place in `noncyclic_subsets(k, n)`."""
     return {J: i for i, J in enumerate(noncyclic_subsets(k, n))}
-
-
-def _check_noncrossing(k: int, n: int, ids) -> None:
-    """Raise ValueError if two of the nodes `ids` cross (a tableau's check)."""
-    rows, nodes = compatibility_rows(k, n), noncyclic_subsets(k, n)
-    for i, j in itertools.combinations(ids, 2):
-        if not rows[j] >> i & 1:
-            raise ValueError(f"entries {nodes[i].elems} and {nodes[j].elems} cross")
 
 
 def noncrossing_collections(k: int, n: int, size: int) -> list[tuple[KSubset, ...]]:
@@ -379,8 +379,10 @@ class NoncrossingTableau:
             if J in seen:
                 raise ValueError(f"duplicate entry {J.elems}")
             seen.add(J)
-        ids = _node_ids(self.k, self.n)
-        _check_noncrossing(self.k, self.n, [ids[J] for J, _ in self.entries])
+        ids, rows = _node_ids(self.k, self.n), compatibility_rows(self.k, self.n)
+        for (I, _), (J, _) in itertools.combinations(self.entries, 2):
+            if not rows[ids[J]] >> ids[I] & 1:
+                raise ValueError(f"entries {I.elems} and {J.elems} cross")
 
     def weight(self) -> Fraction:
         return sum((m for _, m in self.entries), Fraction(0))

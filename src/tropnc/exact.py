@@ -1,13 +1,11 @@
-"""Exact rational scalars, small dense linear algebra, and the JSON boundary.
+"""Exact rational scalars, invariant errors, and the JSON boundary.
 
 Everything in this package computes with `fractions.Fraction`, or with
 integers over one common denominator (`scaled`) in its hot loops; floats
-are rejected at the boundary so no rounding can leak in.  The linear algebra
-here is plain Gaussian elimination on small matrices (fan decompositions
-are at most a few dozen rows), kept dependency-free on purpose: `inverse`
-is the one elimination routine, applied to the fan's cone matrices, whose
-columns are the rays of `ncfan._ray` in the coordinates of
-`ncfan._lattice`.  The JSON loaders of every
+are rejected at the boundary so no rounding can leak in.  No matrix is
+inverted or reduced anywhere: the fan walk starts from a cone whose
+inverse is written down in closed form (`ncfan._walk_tables`) and
+changes it by exact rank-one steps.  The JSON loaders of every
 type (`pluecker`, `ncfan`) read their (k, n) header and their
 rationals through the checks here and raise `SchemaError`, with a JSON
 pointer to the fault, on any malformed input.  `record` makes the
@@ -21,7 +19,7 @@ from __future__ import annotations
 import math
 import operator
 import re
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from fractions import Fraction
 
 Rational = int | Fraction
@@ -204,24 +202,3 @@ def scaled(values: Iterable[Rational]) -> tuple[list[int], int]:
 def format_fraction(value: Rational) -> str:
     """Render a rational as "p/q" (or "p" when the denominator is 1)."""
     return str(Fraction(value))
-
-
-def inverse(matrix: Sequence[Sequence[Rational]]) -> list[list[Fraction]] | None:
-    """Exact inverse of a square matrix, by Gauss-Jordan elimination with
-    partial pivoting on [matrix | identity]; None when singular."""
-    size = len(matrix)
-    aug = [
-        [as_fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(size)]
-        for i, row in enumerate(matrix)
-    ]
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if aug[r][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        lead = aug[col][col]
-        for r in range(size):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col] / lead
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [[a / row[i] for a in row[size:]] for i, row in enumerate(aug)]

@@ -14,10 +14,11 @@ pi_Sbc), for S a (k-2)-subset and a < b < c < d outside it, fixes pi_Sbd
 from the other five entries.  `_plan` builds, once per (k, n), one such
 step per subset from the subset alone.  For a k-subset I let [1, i] be
 its longest prefix and R = I minus [1, i]; the holes of I are the numbers
-in R's span that R misses (none when R is empty).
+in R's span that R misses (none when R is empty; `combinat._holes`).
 - The hole-free subsets are the k(n-k)+1 rectangles [1, i] ∪ [j+1,
   j+k-i], a cluster (Scott, "Grassmannians and cluster algebras", Proc.
-  LMS 2006), and the seeds.  Read with rail k as row 1, a rectangle's
+  LMS 2006), and the seeds; the noncyclic ones start the fan walk
+  (`ncfan._walk_tables`).  Read with rail k as row 1, a rectangle's
   sources and sinks are a row and a column interval, one of them starting
   at 1: an initial minor, with one path family (Fomin-Zelevinsky, "Total
   positivity: tests and parametrizations", Math. Intelligencer 2000),
@@ -55,7 +56,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .combinat import KSubset
+from .combinat import KSubset, _holes, _prefix
 from .exact import InvariantError, as_fraction, record, scaled
 from .ncfan import TPoint
 from .pluecker import PlueckerVector, lex_rank
@@ -204,22 +205,6 @@ def tropical_pluecker(J: KSubset, y: LadderPoint) -> Fraction:
     if not totals:
         raise InvariantError(f"{J.elems} admits no path family")
     return min(totals)
-
-
-def _prefix(elems: tuple[int, ...]) -> int:
-    """The length i of the longest prefix [1, i] of a sorted subset."""
-    i = 0
-    while i < len(elems) and elems[i] == i + 1:
-        i += 1
-    return i
-
-
-def _holes(elems: tuple[int, ...]) -> int:
-    """The holes of a sorted subset: the numbers in the span of R, the
-    subset minus its longest prefix [1, i], that R misses (0 when R is
-    empty)."""
-    i = _prefix(elems)
-    return elems[-1] - elems[i] + 1 - (len(elems) - i) if i < len(elems) else 0
 
 
 def _rectangle_family(elems: tuple[int, ...], k: int, n: int) -> tuple[int, ...]:

@@ -9,17 +9,17 @@ lattice routine: each row minus its last entry, for a ray, a point or
 `psi`'s scaled rows alike.
 
 Decomposition walks the flip graph of maximal noncrossing collections
-(a visibility walk, Devillers-Pion-Teillaud 2002).  It starts in a fixed
-cone with that cone's integer inverse ray matrix and, while some cone
-coordinate of the point is negative, flips the most negative ray to its
-unique partner by an exact rank-one step; a walk that comes back to a
-cone raises `InvariantError`.  Flip partners are read off the
-compatibility rows (`combinat.compatibility_rows`, all built in one pass
-per (k, n)); sparse rays are built on first use, so a walk builds only
-those of the cones on its path.  `audit_fan` checks the whole fan with the
-same steps, searching the flip graph from the start cone, and returns its
-maximal cones.  The brute-force decomposition on every cone is the walk's
-test oracle, kept with the tests, never a fallback.
+(a visibility walk, Devillers-Pion-Teillaud 2002).  It starts in the
+rectangle cone, whose inverse ray matrix is first differences, and,
+while some cone coordinate of the point is negative, flips the most
+negative ray to its unique partner by an exact rank-one step; a walk
+that comes back to a cone, or ends on a crossing positive support,
+raises `InvariantError`.  Flip partners are read off the compatibility
+rows (`combinat.compatibility_rows`, built in one pass per (k, n)); a
+walk builds the sparse rays only of the cones on its path.  `audit_fan`
+checks the whole fan with the same steps from the start cone and returns
+its maximal cones.  The brute-force decomposition on every cone is the
+walk's test oracle, kept with the tests, never a fallback.
 """
 
 from __future__ import annotations
@@ -27,11 +27,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from . import exact, planar
+from . import planar
 from .combinat import (
     KSubset,
     NoncrossingTableau,
+    _holes,
     _maximal_cone_count,
+    _prefix,
     compatibility_rows,
     noncyclic_subsets,
 )
@@ -230,19 +232,6 @@ def _sparse_ray(J: KSubset) -> tuple[tuple[int, int], ...]:
     return tuple((c, v) for c, v in enumerate(_lattice(_ray(J))) if v)
 
 
-def _cone_matrix(coll) -> list[list[int]]:
-    """The matrix whose columns are the lattice coordinates of the rays."""
-    return [list(row) for row in zip(*(_lattice(_ray(J)) for J in coll))]
-
-
-def _integer_inverse(matrix) -> list[list[int]]:
-    """Inverse of a unimodular integer matrix, as ints."""
-    inv = exact.inverse(matrix)
-    if inv is None or any(v.denominator != 1 for row in inv for v in row):
-        raise InvariantError(f"cone matrix has no integer inverse: {matrix}")
-    return [[int(v) for v in row] for row in inv]
-
-
 def _flip_partner(rows: tuple[int, ...], coll, i: int) -> int:
     """The unique node outside `coll` compatible with every ray but coll[i]:
     the AND of the other rays' rows, without coll[i], must have one bit."""
@@ -268,31 +257,45 @@ class _WalkTables:
     start_inv: tuple[tuple[int, ...], ...]
 
 
+def _check_compatible(nodes, rows, ids, cone: str):
+    """Raise InvariantError if two of the nodes `ids` cross on `rows`, read either way."""
+    mask = sum(1 << j for j in ids)
+    for j in ids:
+        crossing = mask & ~rows[j] & ~(1 << j)
+        if crossing:
+            other = nodes[(crossing & -crossing).bit_length() - 1]
+            raise InvariantError(f"rays {nodes[j].label()} and {other.label()} of {cone} cross")
+
+
 @lru_cache(maxsize=None)
 def _walk_tables(k: int, n: int) -> _WalkTables:
     """The nodes, compatibility rows and start cone of (k, n), with the
-    start cone's integer inverse ray matrix.
+    start cone's integer inverse ray matrix in closed form.
 
-    The start cone is built greedily in lexicographic order: a node joins
-    when the rows of the nodes already chosen all have its bit.  The
-    complex is pure, so the cone must have (k-1)(n-k-1) rays.  The sparse
-    rays (`_sparse_ray`) of the nodes a walk flips to are built when first
-    needed.
+    The start cone is the noncyclic rectangles [1, i] ∪ [j+1, j+k-i]
+    (`combinat._holes` is 0) in node order.  Such a ray is 1 on [1, j-i]
+    in row i: in `_lattice` coordinates a prefix of block i, and each of
+    the k-1 blocks gets every length 1, ..., n-k-1 once.  So the inverse
+    is first differences: e_L - e_(L+1) in its block for the prefix of
+    length L (e_L at L = n-k-1).  Each ray must be its prefix, the cone
+    pairwise compatible with (k-1)(n-k-1) rays, which makes it unimodular
+    and maximal; InvariantError otherwise.  The sparse rays
+    (`_sparse_ray`) are built when a walk first flips to them.
     """
     nodes, rows = noncyclic_subsets(k, n), compatibility_rows(k, n)
-    start: list[int] = []
-    allowed = (1 << len(rows)) - 1
-    for i in range(len(rows)):
-        if allowed >> i & 1:
-            start.append(i)
-            allowed &= rows[i]
-    if len(start) != (k - 1) * (n - k - 1):
-        raise InvariantError(
-            f"greedy noncrossing collection has {len(start)} rays, "
-            f"not (k-1)(n-k-1) = {(k - 1) * (n - k - 1)}"
-        )
-    inv = _integer_inverse(_cone_matrix(nodes[i] for i in start))
-    return _WalkTables(nodes, rows, tuple(start), tuple(map(tuple, inv)))
+    width, size = n - k - 1, (k - 1) * (n - k - 1)
+    start = tuple(j for j, J in enumerate(nodes) if not _holes(J.elems))
+    if len(start) != size:
+        raise InvariantError(f"{len(start)} noncyclic rectangles, not (k-1)(n-k-1) = {size}")
+    _check_compatible(nodes, rows, start, "the start cone")
+    inv = []
+    for J in (nodes[j] for j in start):
+        i, length = _prefix(J.elems), J.elems[-1] - k
+        lo, hi = (i - 1) * width, (i - 1) * width + length - 1
+        if _lattice(_ray(J)) != tuple(int(lo <= c <= hi) for c in range(size)):
+            raise InvariantError(f"start ray {J.label()} is not the prefix [1, {length}] of row {i}")
+        inv.append(tuple(int(c == hi) - int(c == hi + 1 < lo + width) for c in range(size)))
+    return _WalkTables(nodes, rows, start, tuple(inv))
 
 
 def _check_pivot(pivot: int, old: KSubset, new: KSubset):
@@ -327,7 +330,8 @@ def _walk(k: int, n: int, target: list[int]) -> tuple[list[int], list[int]]:
     there, all >= 0.  Each mu scales with the target, the walk does not.
 
     The current cone's integer inverse ray matrix, each row extended by mu,
-    changes by `_flip`; a revisited cone raises InvariantError naming it.
+    changes by `_flip`; a revisited cone raises InvariantError naming it,
+    and so does a positive support that crosses (`_check_compatible`).
     """
     tables = _walk_tables(k, n)
     coll = list(tables.start)
@@ -346,7 +350,10 @@ def _walk(k: int, n: int, target: list[int]) -> tuple[list[int], list[int]]:
                 f"{[tables.nodes[j].label() for j in coll]}"
             )
         visited.add(key)
-    return coll, [row[-1] for row in inv]
+    mu = [row[-1] for row in inv]
+    support = [j for j, m in zip(coll, mu) if m > 0]
+    _check_compatible(tables.nodes, tables.rows, support, "the walk's last cone")
+    return coll, mu
 
 
 def nc_decompose(t: TPoint) -> NoncrossingTableau:

@@ -68,11 +68,11 @@ the fundamental graph of one basis B, reading bit rank[B - y + x] of A
 once; a pair's midpoint has the AND of the two argmin sets as its own
 when it is not empty (the summed rows are at least the summed minima,
 with equality exactly on both argmin sets), and the argmin of the
-summed rows otherwise.  `Matroid`, `argmin_matroid`, `loops`, `coloops`,
-`components_partition`, `in_linear_space`, `matroid_polytope_contains`
-and `central_roof_value` are the `Fraction` references the tests check
-against, and the tests keep the Minkowski sum of the roofs' sector
-gradients as the walk's oracle.  Every invariant is an explicit raise of
+summed rows otherwise.  `Matroid`, `argmin_matroid`, `is_connected`,
+`grassmann_necklace`, `in_linear_space` and `matroid_polytope_contains`
+are the `Fraction` references of the README's "Reference
+implementations", and the tests keep the Minkowski sum of the roofs'
+sector gradients as the walk's oracle.  Every invariant is an explicit raise of
 `InvariantError`, so the checks survive `python -O`.
 """
 

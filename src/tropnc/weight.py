@@ -17,7 +17,6 @@ from fractions import Fraction
 from . import ladder, ncfan, planar
 from .combinat import (
     KSubset,
-    _check_noncrossing,
     compatibility_rows,
     noncyclic_subsets,
     weakly_separated,
@@ -99,13 +98,12 @@ class WeightReport:
 def weight_report(pi: PlueckerVector) -> WeightReport:
     """All three weights from pi's scaled form: pk by the planar
     expansion, bridge by `bridge`, nc by the flip walk to psi's
-    lattice point (its positive support checked as a tableau's would be).
+    lattice point (which checks its positive support noncrossing).
     Only the three results are `Fraction`s."""
     k, n = pi.k, pi.n
     vals, scale = pi.scaled()
     us = planar._expand(k, n, vals)
     coll, mu = ncfan._walk(k, n, ncfan._lattice(ncfan._psi_rows(k, n, us)))
-    _check_noncrossing(k, n, [j for j, m in zip(coll, mu) if m > 0])
     pk = Fraction(sum(us), scale)
     nc = Fraction(sum([m for m in mu if m > 0]), scale)
     br = bridge(pi)

@@ -22,6 +22,21 @@ from tropnc.pluecker import PlueckerVector
 # shapes on which the fan rays are checked against written-out intervals.
 RAY_SHAPES = [(k, n) for n in range(4, 11) for k in range(2, n - 1)] + [(6, 12)]
 
+# The (3,6) nodes 1,2,4 and 1,4,5 are noncrossing, and both lie in the
+# walk's start cone, as does the weight-two point `t` on their rays.
+# `patched` is walk tables whose rows have both bits of that pair cleared,
+# so a walk to `t` ends on a support that its own rows say crosses.
+CROSSING_WALK_TABLES = (
+    "from tropnc import ncfan",
+    "tables = ncfan._walk_tables(3, 6)",
+    "t = ncfan.t_vector(tables.nodes[0]) + ncfan.t_vector(tables.nodes[5])",
+    "cleared = list(tables.rows)",
+    "cleared[0] &= ~(1 << 5)",
+    "cleared[5] &= ~1",
+    "patched = ncfan._WalkTables(tables.nodes, tuple(cleared), tables.start, tables.start_inv)",
+)
+CROSSING_WALK_ERROR = "rays 1,2,4 and 1,4,5 of the walk's last cone cross"
+
 
 def rng_for(name: str) -> random.Random:
     """Deterministic per-test generator."""

@@ -11,8 +11,14 @@ from fractions import Fraction
 from functools import lru_cache
 
 from tropnc import ladder, ncfan
-from tropnc.combinat import DecoratedOSP, KSubset, _prefix_chain, tableau
-from tropnc.exact import InvariantError, scaled
+from tropnc.combinat import (
+    DecoratedOSP,
+    KSubset,
+    _prefix_chain,
+    compatibility_rows,
+    tableau,
+)
+from tropnc.exact import InvariantError, as_fraction, scaled
 from tropnc.pluecker import lex_rank
 
 
@@ -75,6 +81,54 @@ def det(matrix) -> Fraction:
     return result
 
 
+def inverse(matrix) -> list[list[Fraction]] | None:
+    """Exact inverse of a square matrix, by Gauss-Jordan elimination with
+    partial pivoting on [matrix | identity]; None when singular."""
+    size = len(matrix)
+    aug = [
+        [as_fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(size)]
+        for i, row in enumerate(matrix)
+    ]
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if aug[r][col] != 0), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        lead = aug[col][col]
+        for r in range(size):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col] / lead
+                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
+    return [[a / row[i] for a in row[size:]] for i, row in enumerate(aug)]
+
+
+def _cone_matrix(coll) -> list[list[int]]:
+    """The matrix whose columns are the lattice coordinates of the rays,
+    read as `ncfan._lattice` of `ncfan._ray`."""
+    return [list(row) for row in zip(*(ncfan._lattice(ncfan._ray(J)) for J in coll))]
+
+
+def _integer_inverse(matrix) -> list[list[int]]:
+    """Inverse of a unimodular integer matrix, as ints, by `inverse`."""
+    inv = inverse(matrix)
+    if inv is None or any(v.denominator != 1 for row in inv for v in row):
+        raise InvariantError(f"cone matrix has no integer inverse: {matrix}")
+    return [[int(v) for v in row] for row in inv]
+
+
+def greedy_start(k: int, n: int) -> tuple[int, ...]:
+    """A maximal noncrossing collection by greedy search in node order: a
+    node joins when the rows of the nodes already chosen all have its bit
+    (the oracle of the closed-form start cone of `ncfan._walk_tables`)."""
+    rows = compatibility_rows(k, n)
+    start, allowed = [], (1 << len(rows)) - 1
+    for i in range(len(rows)):
+        if allowed >> i & 1:
+            start.append(i)
+            allowed &= rows[i]
+    return tuple(start)
+
+
 class DecompositionError(InvariantError):
     """Raised when the cone scan fails; signals a fan completeness or
     uniqueness violation, i.e. a bug, not a data condition."""
@@ -84,8 +138,7 @@ class DecompositionError(InvariantError):
 def _inverses(k: int, n: int) -> tuple[list[list[int]], ...]:
     """The integer inverse ray matrix of every maximal cone of `ncfan.audit_fan`,
     each inverted on its own."""
-    return tuple(ncfan._integer_inverse(ncfan._cone_matrix(coll))
-                 for coll in ncfan.audit_fan(k, n))
+    return tuple(_integer_inverse(_cone_matrix(coll)) for coll in ncfan.audit_fan(k, n))
 
 
 def scan(t):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import canon, run_optimized
+from conftest import CROSSING_WALK_ERROR, CROSSING_WALK_TABLES, canon, run_optimized
 from tropnc import cli, combinat, exact, ladder, ncfan, planar, pluecker, troplin, weight
 from tropnc.combinat import ksubset
 
@@ -509,8 +509,36 @@ NC_WEIGHT_OFF_ONCE = (
     "nc_weight, seen = ncfan.nc_weight, []",
     "planted = lambda t: nc_weight(t) + (seen.append(t) or len(seen) == 1)",
 )
+# Raises the entry at 1,3,5, which is neither a cyclic nor a gap interval,
+# by one: the bridge functional does not read it.
+RAISE_ONE_ENTRY = (
+    "from tropnc import combinat, ladder, ncfan, planar, pluecker",
+    "first = combinat.noncyclic_subsets(3, 6)[0]",
+    "raised = lambda pi: pluecker.PlueckerVector.from_function(3, 6, lambda I: pi[I] + (I == (1, 3, 5)))",
+)
+# `ladder.rho` one entry off on the ray vector of the first noncyclic
+# subset alone.
+RHO_OFF_ON_ONE_RAY = RAISE_ONE_ENTRY + (
+    "ray, rho = ncfan.t_vector(first), ladder.rho",
+    "planted = lambda t: raised(rho(t)) if t == ray else rho(t)",
+)
+# `planar.planar_basis_vector` one entry off on its first call, which is the
+# first basis vector of the planar duality check; the corank check calls
+# it again and gets the true vector.
+BASIS_OFF_ONCE = RAISE_ONE_ENTRY + (
+    "basis, seen = planar.planar_basis_vector, []",
+    "planted = lambda J: raised(basis(J)) if seen.append(J) or len(seen) == 1 else basis(J)",
+)
+# `planar.corank_vector` one entry off on the first noncyclic subset alone.
+CORANK_OFF_ON_ONE_SUBSET = RAISE_ONE_ENTRY + (
+    "corank = planar.corank_vector",
+    "planted = lambda J: raised(corank(J)) if J == first else corank(J)",
+)
 PLANTED_FAULTS = {
     "bridge_normalization": (BRIDGE_OFF_ON_ONE_RAY, weight, "bridge"),
+    "corank_equals_planar": (CORANK_OFF_ON_ONE_SUBSET, planar, "corank_vector"),
+    "planar_duality": (BASIS_OFF_ONCE, planar, "planar_basis_vector"),
+    "ray_duality": (RHO_OFF_ON_ONE_RAY, ladder, "rho"),
     "weight_equality": (NC_WEIGHT_OFF_ONCE, ncfan, "nc_weight"),
 }
 
@@ -529,6 +557,90 @@ def test_verify_reports_a_planted_fault(monkeypatch, capsys, check):
     broken = run_optimized(*lines, f"{module.__name__.split('.')[-1]}.{name} = planted", main)
     failed = [c["name"] for c in json.loads(broken.stdout)["checks"] if not c["ok"]]
     assert broken.returncode == 1 and failed == [check]
+
+
+def test_duality_reports_a_planted_fault(monkeypatch, capsys):
+    scope = {}
+    exec("\n".join(RHO_OFF_ON_ONE_RAY), scope)
+    monkeypatch.setattr(ladder, "rho", scope["planted"])
+    code, out = run_cli(capsys, "duality", "--k", "3", "--n", "6")
+    report = json.loads(out)
+    assert code == 1 and report["ok"] is False and report["failures"]
+    assert {f["ray"] for f in report["failures"]} == {"1,2,4"}
+    # the same fault with asserts stripped
+    main = "import sys; from tropnc import cli; sys.exit(cli.main(['duality', '--k', '3', '--n', '6']))"
+    broken = run_optimized(*RHO_OFF_ON_ONE_RAY, "ladder.rho = planted", main)
+    assert broken.returncode == 1 and json.loads(broken.stdout) == report
+
+
+def test_weight_exits_1_when_the_weights_disagree(monkeypatch, tmp_path, capsys):
+    path = write_json(tmp_path, "pi.json", weight_two_vector_payload())
+    bridge = weight.bridge
+    monkeypatch.setattr(weight, "bridge", lambda pi: bridge(pi) + 1)
+    code, out = run_cli(capsys, "weight", "--in", path)
+    report = json.loads(out)
+    assert code == 1 and report == {"pk_weight": "2", "nc_weight": "2", "bridge": "3", "agree": False}
+    # the same fault with asserts stripped
+    broken = run_optimized(
+        "import sys",
+        "from tropnc import cli, weight",
+        "bridge = weight.bridge",
+        "weight.bridge = lambda pi: bridge(pi) + 1",
+        f"sys.exit(cli.main(['weight', '--in', {path!r}]))",
+    )
+    assert broken.returncode == 1 and json.loads(broken.stdout) == report
+
+
+# t of CROSSING_WALK_TABLES, the weight-two point on the rays of 1,2,4 and 1,4,5.
+CROSSING_POINT = {"k": 3, "n": 6, "rows": [["1", "1", "0"], ["1", "0", "0"]]}
+
+
+@pytest.mark.parametrize("command", ["decompose", "weight"])
+def test_a_crossing_walk_support_exits_1_with_one_error_line(command, tmp_path, capsys, monkeypatch):
+    scope = {}
+    exec("\n".join(CROSSING_WALK_TABLES), scope)
+    assert ncfan.to_json_dict(scope["t"]) == CROSSING_POINT
+    payload = CROSSING_POINT if command == "decompose" else (
+        pluecker.to_json_dict(ladder.rho(scope["t"])))
+    path = write_json(tmp_path, "in.json", payload)
+    monkeypatch.setattr(ncfan, "_walk_tables", lambda k, n: scope["patched"])
+    code = cli.main([command, "--in", path])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: {CROSSING_WALK_ERROR}\n"
+    # the same fault with asserts stripped
+    broken = run_optimized(
+        *CROSSING_WALK_TABLES,
+        "import sys",
+        "from tropnc import cli",
+        "ncfan._walk_tables = lambda k, n: patched",
+        f"sys.exit(cli.main([{command!r}, '--in', {path!r}]))",
+    )
+    assert broken.returncode == 1 and broken.stdout == ""
+    assert broken.stderr == f"error: {CROSSING_WALK_ERROR}\n"
+
+
+def test_a_crossing_walk_support_fails_verify_as_a_check(monkeypatch, capsys):
+    # verify reports the invariant as a failed check: exit 1, a JSON report,
+    # nothing on stderr.  Seed 1 has a weight sample in the start cone on
+    # both rays of the pair (seed 0 has none).
+    scope = {}
+    exec("\n".join(CROSSING_WALK_TABLES), scope)
+    monkeypatch.setattr(ncfan, "_walk_tables", lambda k, n: scope["patched"])
+    ncfan.audit_fan.cache_clear()
+    code = cli.main(["verify", "--k", "3", "--n", "6", "--seed", "1"])
+    captured = capsys.readouterr()
+    failed = {c["name"]: c["detail"] for c in json.loads(captured.out)["checks"] if not c["ok"]}
+    assert code == 1 and captured.err == ""
+    assert failed == {
+        "fan_unimodular": "facet of collection (0, 1, 2, 13) without ray 13 has 0 flip partners, not 1",
+        "weight_equality": CROSSING_WALK_ERROR,
+    }
+    # the same fault with asserts stripped
+    main = ("import sys; from tropnc import cli; "
+            "sys.exit(cli.main(['verify', '--k', '3', '--n', '6', '--seed', '1']))")
+    broken = run_optimized(*CROSSING_WALK_TABLES, "ncfan._walk_tables = lambda k, n: patched", main)
+    assert broken.returncode == 1 and broken.stderr == "" and broken.stdout == captured.out
 
 
 def test_verify_checks_survive_python_O():

@@ -1,6 +1,8 @@
 """Fan rays, the two projections, the flip-walk decomposition and the fan audit."""
 
+import importlib
 import math
+import pkgutil
 from fractions import Fraction
 
 import pytest
@@ -16,9 +18,17 @@ from conftest import (
     run_optimized,
     vector_312,
 )
-from oracles import det, scan
+from oracles import _cone_matrix, _integer_inverse, det, greedy_start, scan
+import tropnc
 from tropnc import combinat, exact, ladder, ncfan, planar, weight
-from tropnc.combinat import all_ksubsets, ksubset, maximal_noncrossing_collections, noncyclic_subsets
+from tropnc.combinat import (
+    KSubset,
+    all_ksubsets,
+    cyc_interval,
+    ksubset,
+    maximal_noncrossing_collections,
+    noncyclic_subsets,
+)
 from tropnc.exact import InvariantError, SchemaError
 from tropnc.ncfan import (
     TPoint,
@@ -101,10 +111,8 @@ def test_integer_rays_match_the_fraction_route(k, n):
 
 @pytest.mark.parametrize("k,n", [(3, 6), (2, 6), (4, 7)])
 def test_cyclic_rays_vanish(k, n):
-    from tropnc.combinat import cyclic_intervals
-
-    for J in cyclic_intervals(k, n):
-        assert t_vector(J).is_zero()
+    for j in range(n):
+        assert t_vector(KSubset(n, cyc_interval(j, k, n))).is_zero()
 
 
 @pytest.mark.parametrize("k,n", [(2, 6), (3, 6), (3, 7)])
@@ -299,15 +307,74 @@ def test_walk_never_enumerates_maximal_collections(monkeypatch):
         raise AssertionError("an oracle ran in production")
 
     monkeypatch.setattr(combinat, "maximal_noncrossing_collections", refuse)
+    monkeypatch.setattr(combinat, "noncrossing_collections", refuse)
+    ncfan._walk_tables.cache_clear()
     rng = rng_for("walk-no-enumeration")
     for _ in range(20):
         t = random_tpoint(rng, 4, 7)
         assert combine(4, 7, nc_decompose(t).entries) == t
-    # The walk built the start cone's inverse; the audit reuses it and
-    # inverts no other cone matrix.
-    monkeypatch.setattr(exact, "inverse", refuse)
-    monkeypatch.setattr(ncfan, "_cone_matrix", refuse)
     assert len(audit_fan.__wrapped__(4, 7)) == 462
+    # The start cone's inverse is written down and every other cone's comes
+    # by a rank-one step: no module of the package inverts a matrix.
+    modules = [importlib.import_module(f"tropnc.{info.name}")
+               for info in pkgutil.iter_modules(tropnc.__path__)]
+    assert exact in modules and ncfan in modules
+    for module in modules:
+        assert not {"inverse", "_integer_inverse", "_cone_matrix"} & set(vars(module)), module
+
+
+# Every shape 2 <= k <= n - 2 with n <= 12.
+SHAPES_TO_12 = [(k, n) for n in range(4, 13) for k in range(2, n - 1)]
+
+
+def test_start_cone_is_the_greedy_cone_with_its_fraction_inverse():
+    # The rectangle cone in closed form is the cone that a greedy search in
+    # node order finds, and its first differences are the Fraction inverse
+    # of its ray matrix.
+    assert len(SHAPES_TO_12) == 45
+    for k, n in SHAPES_TO_12:
+        tables = ncfan._walk_tables(k, n)
+        assert tables.start == greedy_start(k, n), (k, n)
+        cone = _cone_matrix(tables.nodes[j] for j in tables.start)
+        assert list(map(list, tables.start_inv)) == _integer_inverse(cone), (k, n)
+
+
+# The ray of the (3,6) rectangle 1,3,4 is 1 on [1, 1] of row 1; `moved`
+# puts that 1 one column right, off the prefix.
+MOVE_ONE_RAY = (
+    "from tropnc import combinat, ncfan",
+    "rectangle = combinat.ksubset(6, (1, 3, 4))",
+    "ray = ncfan._ray",
+    "moved = lambda J: ((0, 1, 0), (0, 0, 0)) if J == rectangle else ray(J)",
+)
+
+
+def test_start_cone_rejects_a_ray_off_its_prefix(monkeypatch):
+    scope = {}
+    exec("\n".join(MOVE_ONE_RAY), scope)
+    assert ncfan._ray(scope["rectangle"]) == ((1, 0, 0), (0, 0, 0))
+    monkeypatch.setattr(ncfan, "_ray", scope["moved"])
+    message = "start ray 1,3,4 is not the prefix [1, 1] of row 1"
+    with pytest.raises(InvariantError) as exc:
+        ncfan._walk_tables.__wrapped__(3, 6)
+    assert str(exc.value) == message
+    # the check is an explicit raise, so it survives -O
+    result = run_optimized(*MOVE_ONE_RAY, "ncfan._ray = moved", "ncfan._walk_tables(3, 6)")
+    assert result.returncode == 1
+    assert result.stderr.strip().splitlines()[-1] == f"tropnc.exact.InvariantError: {message}"
+
+
+def test_start_cone_rejects_a_crossing_pair_or_a_missing_rectangle(monkeypatch):
+    rows = combinat.compatibility_rows(3, 6)
+    cleared = (rows[0] & ~(1 << 5),) + rows[1:]
+    monkeypatch.setattr(ncfan, "compatibility_rows", lambda k, n: cleared)
+    with pytest.raises(InvariantError, match="^rays 1,2,4 and 1,4,5 of the start cone cross$"):
+        ncfan._walk_tables.__wrapped__(3, 6)
+    monkeypatch.undo()
+    holes = combinat._holes
+    monkeypatch.setattr(ncfan, "_holes", lambda elems: elems == (1, 4, 5) or holes(elems))
+    with pytest.raises(InvariantError, match=r"^3 noncyclic rectangles, not \(k-1\)\(n-k-1\) = 4$"):
+        ncfan._walk_tables.__wrapped__(3, 6)
 
 
 def test_cycle_guard_raises(monkeypatch):

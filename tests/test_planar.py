@@ -10,8 +10,9 @@ from conftest import COEFFS_312, random_positive_vector, random_vector, rng_for,
 from oracles import positroid_bases
 from tropnc import combinat, planar
 from tropnc.combinat import (
+    KSubset,
     all_ksubsets,
-    cyclic_intervals,
+    cyc_interval,
     dosp,
     ksubset,
     mod1,
@@ -245,7 +246,7 @@ def _eliminate(aug, width):
 
 @pytest.mark.parametrize("k,n", [(2, 5), (3, 6)])
 def test_cyclic_basis_vectors_span_lineality(k, n):
-    cyc = cyclic_intervals(k, n)
+    cyc = [KSubset(n, cyc_interval(j, k, n)) for j in range(n)]
     keys = [I for I, _ in planar_basis_vector(cyc[0]).items()]
     columns = [[planar_basis_vector(J)[I] for J in cyc] for I in keys]
     rank, _ = _eliminate([list(map(Fraction, row)) for row in columns], n)

@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    CROSSING_WALK_ERROR,
+    CROSSING_WALK_TABLES,
     random_rational_tpoint,
     random_tpoint,
     random_vector,
@@ -273,37 +275,28 @@ def test_weight_report_matches_fraction_references(k, n):
         assert nc_decompose(t) == scan(t), t
 
 
-# The (3,6) nodes 1,2,4 and 1,4,5 are noncrossing; the weight two point
-# on their rays, with both bits cleared in the rows that the check reads.
-CLEAR_ONE_PAIR = (
-    "from tropnc import combinat, ladder, ncfan",
-    "rows, nodes = combinat.compatibility_rows(3, 6), combinat.noncyclic_subsets(3, 6)",
-    "pi = ladder.rho(ncfan.t_vector(nodes[0]) + ncfan.t_vector(nodes[5]))",
-    "cleared = list(rows)",
-    "cleared[0] &= ~(1 << 5)",
-    "cleared[5] &= ~1",
-    "cleared = tuple(cleared)",
-)
-
-
 def test_weight_report_rejects_a_crossing_support(monkeypatch):
-    # The walk's positive support is checked pairwise, as a tableau's is.
+    # The walk checks its positive support pairwise on its own rows, as an
+    # invariant: weight_report and nc_decompose raise InvariantError.
     scope = {}
-    exec("\n".join(CLEAR_ONE_PAIR), scope)
-    rows, pi = scope["rows"], scope["pi"]
-    assert rows[5] & 1 and weight_report(pi).nc_weight == 2
-    monkeypatch.setattr(combinat, "compatibility_rows", lambda k, n: scope["cleared"])
-    message = r"^entries \(1, 2, 4\) and \(1, 4, 5\) cross$"
-    with pytest.raises(ValueError, match=message):
-        weight_report(pi)
-    # the check is an explicit raise, so it survives -O
-    result = run_optimized(
-        *CLEAR_ONE_PAIR,
-        "from tropnc import weight",
-        "weight.weight_report(pi)",
-        "combinat.compatibility_rows = lambda k, n: cleared",
-        "weight.weight_report(pi)",
-    )
-    assert result.returncode == 1
-    assert result.stderr.strip().splitlines()[-1] == (
-        "ValueError: entries (1, 2, 4) and (1, 4, 5) cross")
+    exec("\n".join(CROSSING_WALK_TABLES), scope)
+    t = scope["t"]
+    pi = rho(t)
+    assert weight_report(pi).nc_weight == 2 and nc_decompose(t).weight() == 2
+    monkeypatch.setattr(ncfan, "_walk_tables", lambda k, n: scope["patched"])
+    for call in (lambda: weight_report(pi), lambda: nc_decompose(t)):
+        with pytest.raises(InvariantError) as exc:
+            call()
+        assert str(exc.value) == CROSSING_WALK_ERROR
+    # the check is an explicit raise, so it survives -O, on both paths
+    for call in ("weight.weight_report(ladder.rho(t))", "ncfan.nc_decompose(t)"):
+        result = run_optimized(
+            *CROSSING_WALK_TABLES,
+            "from tropnc import ladder, weight",
+            call,
+            "ncfan._walk_tables = lambda k, n: patched",
+            call,
+        )
+        assert result.returncode == 1, call
+        assert result.stderr.strip().splitlines()[-1] == (
+            f"tropnc.exact.InvariantError: {CROSSING_WALK_ERROR}")
