@@ -23,7 +23,7 @@ from .combinat import (
     weakly_separated,
 )
 from .ladder import LadderPoint, enumerate_path_families, rho, tropical_pluecker
-from .ncfan import TPoint, TTildePoint, d1_project, nc_decompose, nc_weight, phi, psi, t_tilde_vector, t_vector
+from .ncfan import TPoint, d1_project, nc_decompose, nc_weight, psi, t_vector
 from .planar import (
     corank_vector,
     cubical_array,

@@ -4,9 +4,13 @@ Points of the target space are (k-1) rows of (n-k) rationals, each row
 taken modulo the all-ones vector; the canonical representative subtracts
 the row minimum.  `_ray` is the one source of fan rays: J's canonical ray
 as 0/1 integer rows, straight from the interval formula, which `t_vector`,
-`psi`'s supports, the walk and the audit all read.  `_lattice` is the one
-lattice routine: each row minus its last entry, for a ray, a point or
-`psi`'s scaled rows alike.
+the walk and the audit all read.  `psi`, the sum of u_J times the ray of
+J, is read in closed form: each grid cell is a +-1 sum of at most six
+Plücker entries (`_psi_table`), grid face weights read off rectangle
+minors (Speyer-Williams, "The tropical totally positive Grassmannian",
+2005); the planar expansion composed with the rays is its test oracle.
+`_lattice` is the one lattice routine: each row minus its last entry,
+for a ray, a point or `psi`'s scaled rows alike.
 
 Decomposition walks the flip graph of maximal noncrossing collections
 (a visibility walk, Devillers-Pion-Teillaud 2002).  It starts in the
@@ -24,10 +28,11 @@ walk's test oracle, kept with the tests, never a fallback.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 
-from . import planar
 from .combinat import (
     KSubset,
     NoncrossingTableau,
@@ -46,7 +51,7 @@ from .exact import (
     record,
     scaled,
 )
-from .pluecker import PlueckerVector
+from .pluecker import PlueckerVector, lex_rank
 
 
 # Work done since import by `nc_decompose` and `weight_report`: walks run
@@ -109,19 +114,6 @@ class TPoint:
             raise ValueError("mismatched (k, n)")
 
 
-@record
-class TTildePoint:
-    """k rows of length (n-k), no quotient."""
-
-    k: int
-    n: int
-    rows: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self):
-        if len(self.rows) != self.k or any(len(r) != self.n - self.k for r in self.rows):
-            raise ValueError(f"rows must be k x (n-k) for (k,n)=({self.k},{self.n})")
-
-
 def _ray(J: KSubset) -> tuple[tuple[int, ...], ...]:
     """The canonical ray of J as 0/1 int rows: row i is 1 on
     [j_i - i + 1, j_{i+1} - i - 1] cut to [1, n - k]; a full row, like an
@@ -151,74 +143,68 @@ def t_vector(J: KSubset) -> TPoint:
     return TPoint(J.k, J.n, tuple(tuple(map(Fraction, row)) for row in _ray(J)))
 
 
-def t_tilde_vector(J: KSubset) -> TTildePoint:
-    """Unquotiented ray vector: row i carries ones on [1, j_i - i]."""
-    k, n = J.k, J.n
-    width = n - k
-    rows = []
-    for i in range(1, k + 1):
-        hi = J.elems[i - 1] - i
-        rows.append(tuple(Fraction(int(1 <= s <= hi)) for s in range(1, width + 1)))
-    return TTildePoint(k, n, tuple(rows))
+def _span(a: int, b: int) -> tuple[int, ...]:
+    """The interval [a, b] of integers, empty when b < a."""
+    return tuple(range(a, b + 1))
 
 
-def phi(point: TTildePoint) -> TPoint:
-    """Projection with row images -e_1, e_{i-1} - e_i, and e_{k-1}."""
-    k, n = point.k, point.n
-    width = n - k
-    rows = [[Fraction(0)] * width for _ in range(k - 1)]
-    for i in range(1, k + 1):
-        for j in range(width):
-            v = point.rows[i - 1][j]
-            if v == 0:
-                continue
-            if i == 1:
-                rows[0][j] -= v
-            elif i == k:
-                rows[k - 2][j] += v
-            else:
-                rows[i - 1][j] -= v
-                rows[i - 2][j] += v
-    return TPoint.of(k, n, rows)
+def _psi_cell(k: int, n: int, r: int, c: int) -> tuple[set, set]:
+    """The k-subsets read by psi's cell at row r, column c, with sign +1
+    and with sign -1, before a subset on both sides cancels; m = n - k:
+    + [1, r+1] ∪ [c+r+1, c+k-1], [1, r-1] ∪ [c+r, c+k], [1, r] ∪ [m+r+1, n];
+    - [1, r] ∪ [c+r, c+k-1], [1, r] ∪ [c+r+1, c+k], [1, r-1] ∪ {r+1} ∪ [m+r+1, n]."""
+    head, tail = _span(1, r), _span(n - k + r + 1, n)
+    plus = {(*head, r + 1, *_span(c + r + 1, c + k - 1)), (*head[:-1], *_span(c + r, c + k)),
+            (*head, *tail)}
+    minus = {(*head, *_span(c + r, c + k - 1)), (*head, *_span(c + r + 1, c + k)),
+             (*head[:-1], r + 1, *tail)}
+    return plus, minus
 
 
 @lru_cache(maxsize=None)
-def _ray_supports(k: int, n: int) -> tuple[tuple[int, ...], ...]:
-    """Per noncyclic J in `noncyclic_subsets` order, the flat indices
-    (row - 1) * (n - k) + (column - 1) where the 0/1 ray of J is 1."""
+def _psi_table(k: int, n: int) -> tuple[tuple[itemgetter, itemgetter], ...]:
+    """Per grid cell, at flat index (r - 1)(n - k) + (c - 1), getters of the
+    lexicographic ranks that psi adds and subtracts there (`_psi_cell`).
+
+    psi ignores lineality, so each element must occur as often in the +
+    subsets as in the - subsets, and there must be as many of each; each
+    sign needs two ranks, so that its getter returns a tuple.
+    InvariantError otherwise.
+    """
+    rank = lex_rank(k, n)
+    table = []
+    for r in range(1, k):
+        for c in range(1, n - k + 1):
+            plus, minus = _psi_cell(k, n, r, c)
+            plus, minus = plus - minus, minus - plus
+            elements = [Counter(e for S in side for e in S) for side in (plus, minus)]
+            if len(plus) != len(minus) or elements[0] != elements[1]:
+                raise InvariantError(f"psi cell ({r}, {c}) does not cancel lineality: "
+                                     f"+ {sorted(plus)}, - {sorted(minus)}")
+            if min(len(plus), len(minus)) < 2:
+                raise InvariantError(f"psi cell ({r}, {c}) has a sign with fewer than two terms")
+            table.append(tuple(itemgetter(*sorted(rank[S] for S in side)) for side in (plus, minus)))
+    return tuple(table)
+
+
+def _psi_grid(k: int, n: int, vals) -> list[list[int]]:
+    """scale * psi, its rows not yet in canonical form, from a vector's
+    scaled form (`PlueckerVector.scaled`) in rank order."""
     width = n - k
-    return tuple(
-        tuple(r * width + c for r, row in enumerate(_ray(J)) for c, v in enumerate(row) if v)
-        for J in noncyclic_subsets(k, n)
-    )
+    cells = [sum(plus(vals)) - sum(minus(vals)) for plus, minus in _psi_table(k, n)]
+    return [cells[r:r + width] for r in range(0, len(cells), width)]
 
 
 def psi(pi: PlueckerVector) -> TPoint:
-    """Projection along the planar basis: sum of u_J(pi) times the ray of J."""
-    return _psi_scaled(pi.k, pi.n, *planar._scaled_expansion(pi))
-
-
-def _psi_rows(k: int, n: int, us: list[int]) -> list[list[int]]:
-    """scale * psi, its rows not yet in canonical form, from the scaled
-    expansion (`planar._scaled_expansion`): each scaled u_J is added over
-    the support of J's ray in one flat integer list."""
-    width = n - k
-    acc = [0] * ((k - 1) * width)
-    for u, support in zip(us, _ray_supports(k, n)):
-        if u:
-            for i in support:
-                acc[i] += u
-    return [acc[r:r + width] for r in range(0, len(acc), width)]
-
-
-def _psi_scaled(k: int, n: int, us: list[int], scale: int) -> TPoint:
-    """`psi` from the scaled expansion: each row of `_psi_rows` is put in
-    canonical form in integers and divided by the scale at the end."""
+    """Projection along the planar basis, sum of u_J(pi) times the ray of J,
+    read off `_psi_table`; each row of `_psi_grid` is put in canonical form
+    in integers and divided by the scale at the end."""
+    vals, scale = pi.scaled()
     rows = []
-    for row in _psi_rows(k, n, us):
+    for row in _psi_grid(pi.k, pi.n, vals):
         low = min(row)
         rows.append(tuple(Fraction(v - low, scale) for v in row))
-    return TPoint(k, n, tuple(rows))
+    return TPoint(pi.k, pi.n, tuple(rows))
 
 
 def lattice_coords(t: TPoint) -> tuple[Fraction, ...]:
@@ -232,9 +218,10 @@ def _sparse_ray(J: KSubset) -> tuple[tuple[int, int], ...]:
     return tuple((c, v) for c, v in enumerate(_lattice(_ray(J))) if v)
 
 
-def _flip_partner(rows: tuple[int, ...], coll, i: int) -> int:
+def _flip_partner(tables: _WalkTables, coll, i: int) -> int:
     """The unique node outside `coll` compatible with every ray but coll[i]:
     the AND of the other rays' rows, without coll[i], must have one bit."""
+    rows = tables.rows
     common = (1 << len(rows)) - 1
     for p, j in enumerate(coll):
         if p != i:
@@ -243,8 +230,8 @@ def _flip_partner(rows: tuple[int, ...], coll, i: int) -> int:
     count = common.bit_count()
     if count != 1:
         raise InvariantError(
-            f"facet of collection {coll} without ray {coll[i]} has "
-            f"{count} flip partners, not 1"
+            f"facet of collection {[tables.nodes[j].label() for j in coll]} without ray "
+            f"{tables.nodes[coll[i]].label()} has {count} flip partners, not 1"
         )
     return common.bit_length() - 1
 
@@ -339,7 +326,7 @@ def _walk(k: int, n: int, target: list[int]) -> tuple[list[int], list[int]]:
     visited = {frozenset(coll)}
     WALK_COUNTS["walks"] += 1
     while (i := _choose_flip([row[-1] for row in inv])) is not None:
-        new = _flip_partner(tables.rows, coll, i)
+        new = _flip_partner(tables, coll, i)
         inv = _flip(inv, i, tables.nodes[coll[i]], tables.nodes[new])
         coll[i] = new
         WALK_COUNTS["flips"] += 1
@@ -389,7 +376,7 @@ def audit_fan(k: int, n: int) -> tuple[tuple[KSubset, ...], ...]:
     while todo:
         mask, coll, inv = todo.pop()
         for i, old in enumerate(coll):
-            new = _flip_partner(tables.rows, coll, i)
+            new = _flip_partner(tables, coll, i)
             flipped = mask ^ (1 << old) ^ (1 << new)
             if flipped in cones:
                 pivot = sum([inv[i][j] * v for j, v in _sparse_ray(nodes[new])])

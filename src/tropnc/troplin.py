@@ -281,15 +281,6 @@ def central_roof(J: KSubset) -> CentralRoof:
     return CentralRoof(J, tuple(vectors))
 
 
-def central_roof_value(J: KSubset, x: Sequence[Rational]) -> Fraction:
-    """Evaluate the roof -(1/k) min_a W_a . x at a point of R^n."""
-    xs = [as_fraction(v) for v in x]
-    if len(xs) != J.n:
-        raise ValueError(f"need {J.n} coordinates, got {len(xs)}")
-    best = min(sum(c * v for c, v in zip(W, xs)) for W in central_roof(J).W)
-    return -Fraction(best, 1) / J.k
-
-
 @lru_cache(maxsize=None)
 def _roof_row(J: KSubset) -> tuple[int, ...]:
     """k times the roof of J at every hypersimplex vertex e_I, in rank

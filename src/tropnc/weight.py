@@ -97,14 +97,13 @@ class WeightReport:
 
 def weight_report(pi: PlueckerVector) -> WeightReport:
     """All three weights from pi's scaled form: pk by the planar
-    expansion, bridge by `bridge`, nc by the flip walk to psi's
-    lattice point (which checks its positive support noncrossing).
-    Only the three results are `Fraction`s."""
+    expansion, bridge by `bridge`, nc by the flip walk (which checks its
+    positive support noncrossing) to the lattice point of psi's closed-form
+    rows (`ncfan._psi_grid`).  Only the three results are `Fraction`s."""
     k, n = pi.k, pi.n
     vals, scale = pi.scaled()
-    us = planar._expand(k, n, vals)
-    coll, mu = ncfan._walk(k, n, ncfan._lattice(ncfan._psi_rows(k, n, us)))
-    pk = Fraction(sum(us), scale)
+    coll, mu = ncfan._walk(k, n, ncfan._lattice(ncfan._psi_grid(k, n, vals)))
+    pk = Fraction(sum(planar._expand(k, n, vals)), scale)
     nc = Fraction(sum([m for m in mu if m > 0]), scale)
     br = bridge(pi)
     return WeightReport(pk, nc, br, pk == nc == br)

@@ -10,16 +10,19 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 
-from tropnc import ladder, ncfan
+from tropnc import ladder, ncfan, planar
 from tropnc.combinat import (
     DecoratedOSP,
     KSubset,
     _prefix_chain,
     compatibility_rows,
+    noncyclic_subsets,
     tableau,
 )
-from tropnc.exact import InvariantError, as_fraction, scaled
+from tropnc.exact import InvariantError, as_fraction, record, scaled
+from tropnc.ncfan import TPoint
 from tropnc.pluecker import lex_rank
+from tropnc.troplin import central_roof
 
 
 def positroid_bases(partition: DecoratedOSP) -> frozenset[tuple[int, ...]]:
@@ -159,3 +162,121 @@ def scan(t):
     if len(found) > 1:
         raise DecompositionError(f"multiple distinct decompositions for {t!r}")
     return tableau(t.k, t.n, found.pop())
+
+
+@record
+class TTildePoint:
+    """k rows of length (n-k), no quotient."""
+
+    k: int
+    n: int
+    rows: tuple[tuple[Fraction, ...], ...]
+
+    def __post_init__(self):
+        if len(self.rows) != self.k or any(len(r) != self.n - self.k for r in self.rows):
+            raise ValueError(f"rows must be k x (n-k) for (k,n)=({self.k},{self.n})")
+
+
+def t_tilde_vector(J: KSubset) -> TTildePoint:
+    """Unquotiented ray vector: row i carries ones on [1, j_i - i]."""
+    k, n = J.k, J.n
+    width = n - k
+    rows = []
+    for i in range(1, k + 1):
+        hi = J.elems[i - 1] - i
+        rows.append(tuple(Fraction(int(1 <= s <= hi)) for s in range(1, width + 1)))
+    return TTildePoint(k, n, tuple(rows))
+
+
+def phi(point: TTildePoint) -> TPoint:
+    """Projection with row images -e_1, e_{i-1} - e_i, and e_{k-1} (with
+    `t_tilde_vector`, the second route to the fan rays of `ncfan.t_vector`)."""
+    k, n = point.k, point.n
+    width = n - k
+    rows = [[Fraction(0)] * width for _ in range(k - 1)]
+    for i in range(1, k + 1):
+        for j in range(width):
+            v = point.rows[i - 1][j]
+            if v == 0:
+                continue
+            if i == 1:
+                rows[0][j] -= v
+            elif i == k:
+                rows[k - 2][j] += v
+            else:
+                rows[i - 1][j] -= v
+                rows[i - 2][j] += v
+    return TPoint.of(k, n, rows)
+
+
+def central_roof_value(J: KSubset, x) -> Fraction:
+    """Evaluate the roof -(1/k) min_a W_a . x at a point of R^n (the
+    reference of `troplin._roof_row`)."""
+    xs = [as_fraction(v) for v in x]
+    if len(xs) != J.n:
+        raise ValueError(f"need {J.n} coordinates, got {len(xs)}")
+    best = min(sum(c * v for c, v in zip(W, xs)) for W in central_roof(J).W)
+    return -Fraction(best, 1) / J.k
+
+
+@lru_cache(maxsize=None)
+def _ray_supports(k: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """Per noncyclic J in `noncyclic_subsets` order, the flat indices
+    (row - 1) * (n - k) + (column - 1) where the 0/1 ray of J is 1."""
+    width = n - k
+    return tuple(
+        tuple(r * width + c for r, row in enumerate(ncfan._ray(J)) for c, v in enumerate(row) if v)
+        for J in noncyclic_subsets(k, n)
+    )
+
+
+def _psi_rows(k: int, n: int, us: list[int]) -> list[list[int]]:
+    """scale * psi, its rows not yet in canonical form, from the scaled
+    expansion (`planar._expand`): each scaled u_J is added over the support
+    of J's ray in one flat integer list."""
+    width = n - k
+    acc = [0] * ((k - 1) * width)
+    for u, support in zip(us, _ray_supports(k, n)):
+        if u:
+            for i in support:
+                acc[i] += u
+    return [acc[r:r + width] for r in range(0, len(acc), width)]
+
+
+def _psi_scaled(pi) -> TPoint:
+    """psi by its definition, sum of u_J(pi) times the ray of J: the whole
+    planar expansion added over the ray supports, each row put in canonical
+    form (the oracle of `ncfan.psi`)."""
+    vals, scale = pi.scaled()
+    rows = []
+    for row in _psi_rows(pi.k, pi.n, planar._expand(pi.k, pi.n, vals)):
+        low = min(row)
+        rows.append(tuple(Fraction(v - low, scale) for v in row))
+    return TPoint(pi.k, pi.n, tuple(rows))
+
+
+def composed_psi_table(k: int, n: int) -> list[dict[int, int]]:
+    """Per grid cell, in `ncfan._psi_table` order, the nonzero coefficient
+    of each rank in the composed map: the expansion table
+    (`planar._expansion_table`) added over the ray supports (the oracle of
+    `ncfan._psi_table`)."""
+    ranks = range(len(lex_rank(k, n)))
+    cells = [{} for _ in range((k - 1) * (n - k))]
+    for (plus, minus), support in zip(planar._expansion_table(k, n), _ray_supports(k, n)):
+        for cell in (cells[i] for i in support):
+            for getter, sign in ((plus, 1), (minus, -1)):
+                for rank in getter(ranks):
+                    cell[rank] = cell.get(rank, 0) + sign
+    return [{rank: c for rank, c in sorted(cell.items()) if c} for cell in cells]
+
+
+def psi_table_coefficients(k: int, n: int) -> list[dict[int, int]]:
+    """`ncfan._psi_table` read back as `composed_psi_table` reads the
+    composed map: per cell, the coefficient of each rank it reads."""
+    ranks = range(len(lex_rank(k, n)))
+    cells = []
+    for plus, minus in ncfan._psi_table(k, n):
+        cell = dict.fromkeys(plus(ranks), 1)
+        cell.update(dict.fromkeys(minus(ranks), -1))
+        cells.append(dict(sorted(cell.items())))
+    return cells

@@ -633,7 +633,8 @@ def test_a_crossing_walk_support_fails_verify_as_a_check(monkeypatch, capsys):
     failed = {c["name"]: c["detail"] for c in json.loads(captured.out)["checks"] if not c["ok"]}
     assert code == 1 and captured.err == ""
     assert failed == {
-        "fan_unimodular": "facet of collection (0, 1, 2, 13) without ray 13 has 0 flip partners, not 1",
+        "fan_unimodular": ("facet of collection ['1,2,4', '1,2,5', '1,3,4', '3,5,6'] without ray "
+                           "3,5,6 has 0 flip partners, not 1"),
         "weight_equality": CROSSING_WALK_ERROR,
     }
     # the same fault with asserts stripped

@@ -1,14 +1,17 @@
 """Path families in the ladder network and min-plus Plücker evaluation."""
 
+import importlib
 import itertools
 import json
 import math
+import pkgutil
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from conftest import RAY_SHAPES, random_tpoint, rng_for, run_optimized
+import oracles
 from oracles import one_family_subsets, three_term_reference
 import tropnc
 from tropnc import ladder, ncfan, planar, troplin
@@ -347,7 +350,7 @@ def test_production_path_never_calls_the_fraction_references(monkeypatch):
     families = ladder.enumerate_path_families
     families.cache_clear()
     ladder._plan.cache_clear()
-    for cached in (ncfan._ray_supports, ncfan._sparse_ray, ncfan._walk_tables):
+    for cached in (ncfan._psi_table, ncfan._sparse_ray, ncfan._walk_tables):
         cached.cache_clear()
     rng = rng_for("production-path")
     shapes = [(3, 7), (4, 8)]
@@ -364,6 +367,17 @@ def test_production_path_never_calls_the_fraction_references(monkeypatch):
     # the rays come from `ncfan._ray` as ints, never from a Fraction point
     # put in canonical form
     monkeypatch.setattr(ncfan, "_canonical_rows", reference_called)
+    # the second route to the fan rays, the roof-value reference and psi's
+    # two-stage definition are oracles with the tests, in no package module
+    moved = {"t_tilde_vector", "TTildePoint", "phi", "central_roof_value",
+             "_ray_supports", "_psi_rows", "_psi_scaled"}
+    modules = [importlib.import_module(f"tropnc.{info.name}")
+               for info in pkgutil.iter_modules(tropnc.__path__)]
+    assert ncfan in modules and troplin in modules
+    for module in (tropnc, *modules):
+        assert not moved & set(vars(module)), module
+    for name in moved:
+        monkeypatch.setattr(oracles, name, reference_called)
     tableaux = []
     for (k, n), t in zip(shapes, points):
         pi = rho(t)

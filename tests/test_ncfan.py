@@ -3,6 +3,7 @@
 import importlib
 import math
 import pkgutil
+import re
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,19 @@ from conftest import (
     run_optimized,
     vector_312,
 )
-from oracles import _cone_matrix, _integer_inverse, det, greedy_start, scan
+from oracles import (
+    _cone_matrix,
+    _integer_inverse,
+    _psi_scaled,
+    _ray_supports,
+    composed_psi_table,
+    det,
+    greedy_start,
+    phi,
+    psi_table_coefficients,
+    scan,
+    t_tilde_vector,
+)
 import tropnc
 from tropnc import combinat, exact, ladder, ncfan, planar, weight
 from tropnc.combinat import (
@@ -37,9 +50,7 @@ from tropnc.ncfan import (
     lattice_coords,
     nc_decompose,
     nc_weight,
-    phi,
     psi,
-    t_tilde_vector,
     t_vector,
 )
 from tropnc.pluecker import PlueckerVector, lineality_vector
@@ -98,7 +109,7 @@ def written_out_ray(J):
 def test_integer_rays_match_the_fraction_route(k, n):
     for J in all_ksubsets(k, n):
         assert t_vector(J) == written_out_ray(J), J
-    supports = ncfan._ray_supports(k, n)
+    supports = _ray_supports(k, n)
     nodes = noncyclic_subsets(k, n)
     assert len(supports) == len(nodes)
     for J, support in zip(nodes, supports):
@@ -377,6 +388,95 @@ def test_start_cone_rejects_a_crossing_pair_or_a_missing_rectangle(monkeypatch):
         ncfan._walk_tables.__wrapped__(3, 6)
 
 
+def test_psi_table_is_the_composed_expansion():
+    # The closed form equals the whole planar expansion added over the ray
+    # supports, cell by cell: every coefficient +-1, four to six per cell.
+    for k, n in SHAPES_TO_12 + [(3, 13), (4, 14), (3, 15)]:
+        cells = psi_table_coefficients(k, n)
+        assert cells == composed_psi_table(k, n), (k, n)
+        assert len(cells) == (k - 1) * (n - k), (k, n)
+        assert all(len(cell) in (4, 6) for cell in cells), (k, n)
+
+
+@pytest.mark.parametrize("k,n", [(3, 6), (3, 7), (4, 8), (4, 9), (5, 9), (5, 10)])
+def test_psi_equals_the_two_stage_oracle(k, n):
+    rng = rng_for(f"psi-closed-form-{k}-{n}")
+    grids = [random_tpoint(rng, k, n) for _ in range(3)]
+    grids += [random_rational_tpoint(rng, k, n) for _ in range(3)]
+    vectors = [ladder.rho(t) for t in grids]  # positive, integer then rational
+    vectors += [random_vector(rng, k, n) for _ in range(3)]  # rational, not positive
+    vectors += [PlueckerVector.from_function(k, n, lambda I: rng.randint(-9, 2))
+                for _ in range(3)]  # mostly negative integers
+    for t, pi in zip(grids, vectors):
+        assert psi(pi) == t
+    for pi in vectors:
+        assert psi(pi) == _psi_scaled(pi)
+
+
+# Planted faults in one cell of psi's closed form at (4, 8): its first +
+# subset swapped for another, or every subset cancelled.
+PSI_CELL_FAULTS = {
+    "swapped": ("plus = plus - {(1, 2, 3, 6)} | {(1, 2, 3, 7)}",
+                "psi cell (2, 3) does not cancel lineality: + [(1, 2, 3, 7), (1, 2, 7, 8), "
+                "(1, 5, 6, 7)], - [(1, 2, 5, 6), (1, 2, 6, 7), (1, 3, 7, 8)]"),
+    "cancelled": ("minus = plus",
+                  "psi cell (2, 3) has a sign with fewer than two terms"),
+}
+
+
+@pytest.mark.parametrize("fault", PSI_CELL_FAULTS)
+def test_psi_table_rejects_a_planted_cell(monkeypatch, fault):
+    plant, message = PSI_CELL_FAULTS[fault]
+    cell = ncfan._psi_cell
+    assert cell(4, 8, 2, 3) == ({(1, 2, 3, 6), (1, 5, 6, 7), (1, 2, 7, 8)},
+                                {(1, 2, 5, 6), (1, 2, 6, 7), (1, 3, 7, 8)})
+
+    def planted(k, n, r, c):
+        plus, minus = cell(k, n, r, c)
+        if (k, n, r, c) == (4, 8, 2, 3):
+            scope = {"plus": plus, "minus": minus}
+            exec(plant, scope)
+            plus, minus = scope["plus"], scope["minus"]
+        return plus, minus
+
+    pi = ladder.rho(TPoint.zero(4, 8))
+    ncfan._psi_table.cache_clear()
+    monkeypatch.setattr(ncfan, "_psi_cell", planted)
+    with pytest.raises(InvariantError, match=f"^{re.escape(message)}$"):
+        psi(pi)
+    monkeypatch.undo()
+    assert psi(pi).is_zero()
+    # the checks are explicit raises, so they survive -O
+    result = run_optimized(
+        "from tropnc import ladder, ncfan",
+        "from tropnc.ncfan import TPoint",
+        "cell = ncfan._psi_cell",
+        "def planted(k, n, r, c):",
+        "    plus, minus = cell(k, n, r, c)",
+        "    if (k, n, r, c) == (4, 8, 2, 3):",
+        f"        {plant}",
+        "    return plus, minus",
+        "ncfan._psi_cell = planted",
+        "ncfan.psi(ladder.rho(TPoint.zero(4, 8)))",
+    )
+    assert result.returncode == 1
+    assert result.stderr.strip().splitlines()[-1] == f"tropnc.exact.InvariantError: {message}"
+
+
+def test_psi_never_runs_the_planar_expansion(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("psi ran the planar expansion")
+
+    rng = rng_for("psi-no-expansion")
+    grids = [random_tpoint(rng, k, n) for k, n in [(3, 7), (4, 8), (5, 10)]]
+    vectors = [ladder.rho(t) for t in grids]
+    ncfan._psi_table.cache_clear()
+    for name in ("_expand", "_expansion_table", "_scaled_expansion", "planar_expand"):
+        monkeypatch.setattr(planar, name, refuse)
+    for t, pi in zip(grids, vectors):
+        assert psi(pi) == t
+
+
 def test_cycle_guard_raises(monkeypatch):
     # Flipping position 0 twice returns to the start cone: a forced cycle.
     rng = rng_for("walk-cycle-guard")
@@ -467,11 +567,13 @@ CLEAR_ONE_BIT = (
     "target, _ = exact.scaled(ncfan.lattice_coords(t))",
     "mu = [sum(a * b for a, b in zip(row, target)) for row in tables.start_inv]",
     "i = ncfan._choose_flip(mu)",
-    "new = ncfan._flip_partner(rows, tables.start, i)",
+    "new = ncfan._flip_partner(tables, tables.start, i)",
     "victim = tables.start[i - 1]",
     "cleared = rows[:victim] + (rows[victim] & ~(1 << new),) + rows[victim + 1:]",
     "patched = ncfan._WalkTables(tables.nodes, cleared, tables.start, tables.start_inv)",
 )
+CLEAR_ONE_BIT_ERROR = ("facet of collection ['1,2,4', '1,2,5', '1,2,6', '1,3,4', '1,4,5', "
+                       "'1,5,6'] without ray 1,2,4 has 0 flip partners, not 1")
 
 
 def test_clearing_one_row_bit_breaks_the_walk(monkeypatch):
@@ -483,9 +585,9 @@ def test_clearing_one_row_bit_breaks_the_walk(monkeypatch):
     assert weight.weight_report(pi).nc_weight == 1
     assert scope["cleared"] != scope["rows"]
     monkeypatch.setattr(ncfan, "_walk_tables", lambda k, n: scope["patched"])
-    with pytest.raises(InvariantError, match="has 0 flip partners, not 1$"):
+    with pytest.raises(InvariantError, match=f"^{re.escape(CLEAR_ONE_BIT_ERROR)}$"):
         nc_decompose(t)
-    with pytest.raises(InvariantError, match="has 0 flip partners, not 1$"):
+    with pytest.raises(InvariantError, match=f"^{re.escape(CLEAR_ONE_BIT_ERROR)}$"):
         weight.weight_report(pi)
     # the check is an explicit raise, so it survives -O, on both paths
     for call in ("ncfan.nc_decompose(t)", "weight.weight_report(ladder.rho(t))"):
@@ -496,7 +598,7 @@ def test_clearing_one_row_bit_breaks_the_walk(monkeypatch):
             call,
         )
         assert result.returncode == 1, call
-        assert result.stderr.strip().splitlines()[-1].endswith("has 0 flip partners, not 1")
+        assert result.stderr.strip().splitlines()[-1].endswith(f": {CLEAR_ONE_BIT_ERROR}")
 
 
 def test_clearing_one_row_bit_breaks_the_audit(monkeypatch):
@@ -506,7 +608,9 @@ def test_clearing_one_row_bit_breaks_the_audit(monkeypatch):
     cleared = (rows[0] & ~(1 << neighbour),) + rows[1:]
     patched = ncfan._WalkTables(tables.nodes, cleared, tables.start, tables.start_inv)
     monkeypatch.setattr(ncfan, "_walk_tables", lambda k, n: patched)
-    with pytest.raises(InvariantError, match="flip partners, not 1$"):
+    expected = ("facet of collection ['1,2,4', '2,4,6', '2,5,6', '2,4,5'] without ray 2,4,6 "
+                "has 0 flip partners, not 1")
+    with pytest.raises(InvariantError, match=f"^{re.escape(expected)}$"):
         audit_fan.__wrapped__(3, 6)
 
 

@@ -28,13 +28,14 @@ from tropnc.combinat import (
 )
 from tropnc.ladder import LadderPoint, PathFamily
 from tropnc.exact import record
-from tropnc.ncfan import TPoint, TTildePoint
+from tropnc.ncfan import TPoint
 from tropnc.planar import CrossRatioExponent
 from tropnc.pluecker import PositivityCertificate
 from tropnc.troplin import BoundedComplexReport, CentralRoof, Matroid
 from tropnc.weight import WeightReport
 
 from conftest import random_positive_vector, rng_for
+from oracles import TTildePoint
 
 
 def _examples():

@@ -22,7 +22,7 @@ from conftest import (
     run_optimized,
     vector_312,
 )
-from oracles import positroid_bases
+from oracles import central_roof_value, positroid_bases
 from tropnc import combinat, exact, ladder, planar, pluecker, troplin
 from tropnc.combinat import (
     cyc_interval,
@@ -47,7 +47,6 @@ from tropnc.troplin import (
     central_pluecker_vector,
     central_representative,
     central_roof,
-    central_roof_value,
     coloops,
     components_partition,
     diameter_check,
