@@ -9,7 +9,7 @@ changes it by exact rank-one steps.  The JSON loaders of every
 type (`pluecker`, `ncfan`) read their (k, n) header and their
 rationals through the checks here and raise `SchemaError`, with a JSON
 pointer to the fault, on any malformed input.  `record` makes the
-package's frozen value classes (`KSubset`, `TPoint`, the reports, ...)
+package's frozen value classes (`KSubset`, `LadderPoint`, the reports, ...)
 without `dataclasses`, whose import and generated methods would be most
 of the command-line start-up.
 """

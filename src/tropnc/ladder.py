@@ -33,10 +33,11 @@ in R's span that R misses (none when R is empty; `combinat._holes`).
   have no more holes.  Sbc, Scd and Sac fill the hole c without widening
   R's span, so they have fewer holes.  `_plan` still checks each step's
   inputs and raises `InvariantError` on one not yet known.
-`pluecker_vector_of_grid` scales the grid to integers over one common
-denominator, sums the seeds, applies the steps in order and hands the
-integers and their scale to the vector as its scaled form, so no
-`Fraction` is built.  No family is enumerated on that path:
+`_evaluate` sums the seeds over grid integers with one scale, applies
+the steps in order and hands the integers and their scale to the vector
+as its scaled form, so no `Fraction` is built: `rho` reads a point's
+integers (`TPoint.scaled`), and `pluecker_vector_of_grid` scales a
+grid's rationals once.  No family is enumerated on that path:
 `tropical_pluecker`, the minimum over the `PathFamily` objects of
 `enumerate_path_families`, is the `Fraction` reference the plan and the
 closed form are tested against.
@@ -279,13 +280,11 @@ def _plan(k: int, n: int) -> tuple[tuple, tuple]:
     return tuple(seeds), tuple(steps)
 
 
-def pluecker_vector_of_grid(y: LadderPoint) -> PlueckerVector:
-    """All tropical Plücker coordinates of a grid point, by `_plan` over
-    the grid scaled to integers: each seed is the sum of its one family's
-    weights, and each step fills one entry by its three-term relation."""
-    k, n = y.k, y.n
+def _evaluate(k: int, n: int, ws, scale: int) -> PlueckerVector:
+    """The vector of the grid with flat entries ws / scale, by `_plan` in
+    integers: each seed is the sum of its one family's weights, and each
+    step fills one entry by its three-term relation."""
     seeds, steps = _plan(k, n)
-    ws, scale = scaled(v for row in y.rows for v in row)
     at = ws.__getitem__
     vals = [0] * len(lex_rank(k, n))
     for rank, edges in seeds:
@@ -297,6 +296,13 @@ def pluecker_vector_of_grid(y: LadderPoint) -> PlueckerVector:
     return PlueckerVector._of_scaled(k, n, vals, scale)
 
 
+def pluecker_vector_of_grid(y: LadderPoint) -> PlueckerVector:
+    """All tropical Plücker coordinates of a grid point (`_evaluate` of
+    the grid scaled to integers)."""
+    return _evaluate(y.k, y.n, *scaled(v for row in y.rows for v in row))
+
+
 def rho(t: TPoint) -> PlueckerVector:
-    """Positive parametrization at the canonical grid representative."""
-    return pluecker_vector_of_grid(grid_of(t))
+    """Positive parametrization at the canonical grid representative,
+    read off t's integers (`TPoint.scaled`)."""
+    return _evaluate(t.k, t.n, *t.scaled())

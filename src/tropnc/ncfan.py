@@ -2,10 +2,12 @@
 
 Points of the target space are (k-1) rows of (n-k) rationals, each row
 taken modulo the all-ones vector; the canonical representative subtracts
-the row minimum.  `_ray` is the one source of fan rays: J's canonical ray
-as 0/1 integer rows, straight from the interval formula, which `t_vector`,
-the walk and the audit all read.  `psi`, the sum of u_J times the ray of
-J, is read in closed form: each grid cell is a +-1 sum of at most six
+the row minimum, and a `TPoint` holds it as integers over their least
+common scale (`t.scaled()`), which `psi` writes and `rho` and the walk
+read.  `_ray` is the one source of fan rays: J's canonical ray as 0/1
+integer rows, straight from the interval formula, which `t_vector`, the
+walk and the audit all read.  `psi`, the sum of u_J times the ray of J,
+is read in closed form: each grid cell is a +-1 sum of at most six
 Plücker entries (`_psi_table`), grid face weights read off rectangle
 minors (Speyer-Williams, "The tropical totally positive Grassmannian",
 2005); the planar expansion composed with the rays is its test oracle.
@@ -28,9 +30,10 @@ walk's test oracle, kept with the tests, never a fallback.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import itemgetter
 
 from .combinat import (
@@ -59,59 +62,110 @@ from .pluecker import PlueckerVector, lex_rank
 WALK_COUNTS = {"walks": 0, "flips": 0}
 
 
-def _canonical_rows(rows) -> tuple[tuple[Fraction, ...], ...]:
-    out = []
-    for row in rows:
-        vals = tuple(as_fraction(v) for v in row)
-        m = min(vals, default=0)
-        out.append(tuple(v - m for v in vals))
-    return tuple(out)
+def _canonical(k: int, n: int, rows) -> list:
+    """The entries of k-1 rows of n-k numbers, row after row, each row less
+    its minimum; ValueError for any other shape."""
+    if len(rows) != k - 1 or any(len(row) != n - k for row in rows):
+        raise ValueError(f"rows must be (k-1) x (n-k) for (k,n)=({k},{n})")
+    lows = [min(row, default=0) for row in rows]
+    return [v - low for row, low in zip(rows, lows) for v in row]
 
 
-@record
 class TPoint:
-    """(k-1) rows of length (n-k), each modulo all-ones; stored canonically."""
+    """(k-1) rows of length (n-k), each modulo all-ones, held as integers
+    over their least common scale with each row's minimum at 0
+    (`t.scaled()`); the `Fraction` rows `t.rows` are made on first read.
+    It keeps the contract of a `record` by hand: fields k, n and rows by
+    position or keyword and in the repr, == and hash only against a
+    TPoint, AttributeError on assigning or deleting a field."""
 
     k: int
     n: int
     rows: tuple[tuple[Fraction, ...], ...]
 
-    def __post_init__(self):
-        if len(self.rows) != self.k - 1 or any(len(r) != self.n - self.k for r in self.rows):
-            raise ValueError(f"rows must be (k-1) x (n-k) for (k,n)=({self.k},{self.n})")
+    def __new__(cls, k: int, n: int, rows):
+        if any(min(row, default=0) for row in rows):
+            raise ValueError("each row's minimum must be 0; TPoint.of shifts rows there")
+        return cls.of(k, n, rows)
+
+    @classmethod
+    def _of_scaled(cls, k: int, n: int, rows, scale: int) -> "TPoint":
+        """The point of int rows over a positive scale, in canonical form."""
+        ints = _canonical(k, n, rows)
+        common = math.gcd(scale, *ints)
+        if common > 1:
+            ints, scale = [v // common for v in ints], scale // common
+        t = object.__new__(cls)
+        for name, value in (("k", k), ("n", n), ("_scaled", (tuple(ints), scale))):
+            object.__setattr__(t, name, value)
+        return t
 
     @classmethod
     def of(cls, k: int, n: int, rows) -> "TPoint":
-        return cls(k, n, _canonical_rows(rows))
+        rows = [scaled(map(as_fraction, row)) for row in rows]
+        scale = math.lcm(*(s for _, s in rows))
+        return cls._of_scaled(k, n, [[v * (scale // s) for v in ints] for ints, s in rows], scale)
 
     @classmethod
     def zero(cls, k: int, n: int) -> "TPoint":
-        return cls.of(k, n, [[0] * (n - k) for _ in range(k - 1)])
+        return cls._of_scaled(k, n, [[0] * (n - k)] * (k - 1), 1)
+
+    def scaled(self) -> tuple[tuple[int, ...], int]:
+        """(ints, scale): the entries, row after row, are ints / scale."""
+        return self._scaled
+
+    def _grid(self) -> list[tuple[int, ...]]:
+        """The rows of `scaled()`'s integers."""
+        ints, width = self._scaled[0], self.n - self.k
+        return [ints[r * width:(r + 1) * width] for r in range(self.k - 1)]
+
+    @cached_property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The rows as `Fraction`s, made on first read."""
+        scale = self._scaled[1]
+        return tuple(tuple(Fraction(v, scale) for v in row) for row in self._grid())
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.k, self.n, self._scaled) == (other.k, other.n, other._scaled)
+
+    def __hash__(self):
+        return hash((self.k, self.n, self._scaled))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(k={self.k!r}, n={self.n!r}, rows={self.rows!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return TPoint._of_scaled, (self.k, self.n, self._grid(), self._scaled[1])
 
     def __add__(self, other: "TPoint") -> "TPoint":
-        self._check_shape(other)
-        return TPoint.of(
-            self.k,
-            self.n,
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-        )
+        if (self.k, self.n) != (other.k, other.n):
+            raise ValueError("mismatched (k, n)")
+        (_, s), (_, t) = self._scaled, other._scaled
+        return TPoint._of_scaled(self.k, self.n, [
+            [a * t + b * s for a, b in zip(r1, r2)] for r1, r2 in zip(self._grid(), other._grid())
+        ], s * t)
 
     def __sub__(self, other: "TPoint") -> "TPoint":
         return self + other.scale(-1)
 
     def scale(self, c: Rational) -> "TPoint":
         c = as_fraction(c)
-        return TPoint.of(self.k, self.n, [[c * v for v in row] for row in self.rows])
+        rows = [[c.numerator * v for v in row] for row in self._grid()]
+        return TPoint._of_scaled(self.k, self.n, rows, c.denominator * self._scaled[1])
 
     def is_zero(self) -> bool:
-        return all(v == 0 for row in self.rows for v in row)
+        return not any(self._scaled[0])
 
     def is_integral(self) -> bool:
-        return all(v.denominator == 1 for row in self.rows for v in row)
-
-    def _check_shape(self, other: "TPoint"):
-        if (self.k, self.n) != (other.k, other.n):
-            raise ValueError("mismatched (k, n)")
+        return self._scaled[1] == 1
 
 
 def _ray(J: KSubset) -> tuple[tuple[int, ...], ...]:
@@ -140,7 +194,7 @@ def _lattice(rows) -> tuple:
 
 def t_vector(J: KSubset) -> TPoint:
     """Ray vector of J (`_ray`) as a `TPoint`."""
-    return TPoint(J.k, J.n, tuple(tuple(map(Fraction, row)) for row in _ray(J)))
+    return TPoint._of_scaled(J.k, J.n, _ray(J), 1)
 
 
 def _span(a: int, b: int) -> tuple[int, ...]:
@@ -197,14 +251,9 @@ def _psi_grid(k: int, n: int, vals) -> list[list[int]]:
 
 def psi(pi: PlueckerVector) -> TPoint:
     """Projection along the planar basis, sum of u_J(pi) times the ray of J,
-    read off `_psi_table`; each row of `_psi_grid` is put in canonical form
-    in integers and divided by the scale at the end."""
+    read off `_psi_table`: the integer rows of `_psi_grid` over pi's scale."""
     vals, scale = pi.scaled()
-    rows = []
-    for row in _psi_grid(pi.k, pi.n, vals):
-        low = min(row)
-        rows.append(tuple(Fraction(v - low, scale) for v in row))
-    return TPoint(pi.k, pi.n, tuple(rows))
+    return TPoint._of_scaled(pi.k, pi.n, _psi_grid(pi.k, pi.n, vals), scale)
 
 
 def lattice_coords(t: TPoint) -> tuple[Fraction, ...]:
@@ -345,10 +394,10 @@ def _walk(k: int, n: int, target: list[int]) -> tuple[list[int], list[int]]:
 
 def nc_decompose(t: TPoint) -> NoncrossingTableau:
     """Unique expression of t as a nonnegative combination of pairwise
-    noncrossing rays, by `_walk` to t's lattice coordinates over their
-    common denominator; entries in node-id order, which is lexicographic."""
-    target, scale = scaled(lattice_coords(t))
-    coll, mu = _walk(t.k, t.n, target)
+    noncrossing rays, by `_walk` to `_lattice` of t's integer rows over
+    t's scale; entries in node-id order, which is lexicographic."""
+    scale = t.scaled()[1]
+    coll, mu = _walk(t.k, t.n, _lattice(t._grid()))
     nodes = _walk_tables(t.k, t.n).nodes
     return NoncrossingTableau(t.k, t.n, tuple(
         (nodes[j], Fraction(m, scale)) for j, m in sorted(zip(coll, mu)) if m > 0
@@ -402,14 +451,15 @@ def d1_project(t: TPoint) -> TPoint:
     """Drop row 1 and shift the remaining rows down: lands in (k-1, n-1)."""
     if t.k < 3:
         raise ValueError("projection needs k >= 3")
-    return TPoint.of(t.k - 1, t.n - 1, [list(row) for row in t.rows[1:]])
+    return TPoint._of_scaled(t.k - 1, t.n - 1, t._grid()[1:], t.scaled()[1])
 
 
 def to_json_dict(t: TPoint) -> dict:
+    scale = t.scaled()[1]
     return {
         "k": t.k,
         "n": t.n,
-        "rows": [[format_fraction(v) for v in row] for row in t.rows],
+        "rows": [[format_fraction(Fraction(v, scale)) for v in row] for row in t._grid()],
     }
 
 

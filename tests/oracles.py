@@ -164,6 +164,27 @@ def scan(t):
     return tableau(t.k, t.n, found.pop())
 
 
+def _canonical_rows(rows) -> tuple[tuple[Fraction, ...], ...]:
+    """Each row of rationals less its minimum, as `Fraction`s (the oracle
+    of `ncfan.TPoint`'s canonical form, read with `exact.scaled`)."""
+    out = []
+    for row in rows:
+        vals = tuple(as_fraction(v) for v in row)
+        m = min(vals, default=0)
+        out.append(tuple(v - m for v in vals))
+    return tuple(out)
+
+
+def walk_decompose(k: int, n: int, rows):
+    """The flip walk to the lattice coordinates of `_canonical_rows(rows)`
+    over their common denominator (the oracle of `ncfan.nc_decompose`,
+    which reads a point's integers instead)."""
+    target, scale = scaled(ncfan._lattice(_canonical_rows(rows)))
+    coll, mu = ncfan._walk(k, n, target)
+    nodes = ncfan._walk_tables(k, n).nodes
+    return tableau(k, n, [(nodes[j], Fraction(m, scale)) for j, m in zip(coll, mu) if m > 0])
+
+
 @record
 class TTildePoint:
     """k rows of length (n-k), no quotient."""

@@ -364,13 +364,12 @@ def test_production_path_never_calls_the_fraction_references(monkeypatch):
     monkeypatch.setattr(troplin, "Matroid", reference_called)
     monkeypatch.setattr(troplin, "matroid_polytope_contains", reference_called)
     monkeypatch.setattr(planar, "tropical_u", reference_called)
-    # the rays come from `ncfan._ray` as ints, never from a Fraction point
-    # put in canonical form
-    monkeypatch.setattr(ncfan, "_canonical_rows", reference_called)
-    # the second route to the fan rays, the roof-value reference and psi's
-    # two-stage definition are oracles with the tests, in no package module
+    # the second route to the fan rays, the roof-value reference, psi's
+    # two-stage definition and the Fraction canonical form of a point are
+    # oracles with the tests, in no package module: rays and points are
+    # integers over a scale
     moved = {"t_tilde_vector", "TTildePoint", "phi", "central_roof_value",
-             "_ray_supports", "_psi_rows", "_psi_scaled"}
+             "_ray_supports", "_psi_rows", "_psi_scaled", "_canonical_rows"}
     modules = [importlib.import_module(f"tropnc.{info.name}")
                for info in pkgutil.iter_modules(tropnc.__path__)]
     assert ncfan in modules and troplin in modules
@@ -384,9 +383,9 @@ def test_production_path_never_calls_the_fraction_references(monkeypatch):
         assert families.cache_info().currsize == 0
         assert is_positive_tropical(pi).ok
         assert psi(pi) == t
-        # the round trip reads the scaled form that rho handed over and
-        # never builds the Fraction view
-        assert pi._values is None
+        # the round trip reads the scaled forms that rho and psi handed
+        # over and never builds the Fraction views
+        assert pi._values is None and "rows" not in vars(t)
         assert len(planar.planar_expand(pi)) == len(noncyclic_subsets(k, n))
         tableaux.append(ncfan.nc_decompose(t))
     assert weight_report(rho(weighed)).agree

@@ -1,7 +1,10 @@
 """Fan rays, the two projections, the flip-walk decomposition and the fan audit."""
 
+import copy
 import importlib
+import json
 import math
+import pickle
 import pkgutil
 import re
 from fractions import Fraction
@@ -20,6 +23,7 @@ from conftest import (
     vector_312,
 )
 from oracles import (
+    _canonical_rows,
     _cone_matrix,
     _integer_inverse,
     _psi_scaled,
@@ -31,6 +35,7 @@ from oracles import (
     psi_table_coefficients,
     scan,
     t_tilde_vector,
+    walk_decompose,
 )
 import tropnc
 from tropnc import combinat, exact, ladder, ncfan, planar, weight
@@ -54,6 +59,7 @@ from tropnc.ncfan import (
     t_vector,
 )
 from tropnc.pluecker import PlueckerVector, lineality_vector
+from tropnc.weight import weight_report
 
 
 def T(k, n, rows):
@@ -272,6 +278,101 @@ def test_rows_loaders_are_strict():
 def test_canonical_form():
     t = T(3, 6, [[5, 6, 4], [1, 1, 1]])
     assert t == T(3, 6, [[1, 2, 0], [0, 0, 0]])
+
+
+# ------------------------------------ the scaled form against the Fraction route
+
+SCALED_SHAPES = [(2, 5), (3, 6), (4, 8), (5, 9), (5, 10), (6, 12)]
+FACTORS = (0, -1, 2, Fraction(3, 2), Fraction(-5, 7))
+
+
+def raw_grids(rng, k, n):
+    """Seeded integer, rational and mostly negative rows, two of each, not
+    in canonical form."""
+    draws = (lambda: rng.randint(0, 4),
+             lambda: Fraction(rng.randint(-12, 12), rng.randint(1, 5)),
+             lambda: rng.randint(-9, 2))
+    return [[[draw() for _ in range(n - k)] for _ in range(k - 1)]
+            for draw in draws for _ in range(2)]
+
+
+def fraction_route(k, n, rows) -> TPoint:
+    """The oracle's canonical rows, handed to the strict constructor; the
+    test reads their `exact.scaled` form beside them."""
+    return TPoint(k, n, _canonical_rows(rows))
+
+
+def scaled_form(rows) -> tuple[tuple[int, ...], int]:
+    ints, scale = exact.scaled(v for row in _canonical_rows(rows) for v in row)
+    return tuple(ints), scale
+
+
+def assert_fraction_route(k, n, t, rows):
+    canonical = _canonical_rows(rows)
+    assert t.scaled() == scaled_form(rows)
+    assert t.rows == canonical
+    other = fraction_route(k, n, rows)
+    assert t == other and hash(t) == hash(other)
+    assert t.is_zero() == all(v == 0 for row in canonical for v in row)
+    assert t.is_integral() == all(v.denominator == 1 for row in canonical for v in row)
+
+
+@pytest.mark.parametrize("k,n", SCALED_SHAPES)
+def test_scaled_points_match_the_fraction_route(k, n):
+    rng = rng_for(f"scaled-tpoint-{k}-{n}")
+    grids = raw_grids(rng, k, n)
+    points = [TPoint.of(k, n, rows) for rows in grids]
+    for rows, t in zip(grids, points):
+        assert_fraction_route(k, n, t, rows)
+        # other representatives: a constant added to one row, and the
+        # integers of the scaled form doubled over twice the scale
+        middle = (k - 1) // 2
+        shifted = [[v + Fraction(7, 3) for v in row] if i == middle else row
+                   for i, row in enumerate(rows)]
+        ints, scale = scaled_form(rows)
+        doubled = TPoint._of_scaled(
+            k, n, [[2 * v for v in ints[r * (n - k):(r + 1) * (n - k)]] for r in range(k - 1)],
+            2 * scale)
+        for other in (TPoint.of(k, n, shifted), doubled):
+            assert other == t and hash(other) == hash(t) and other.scaled() == t.scaled()
+        text = json.dumps(ncfan.to_json_dict(t))
+        assert text == json.dumps({"k": k, "n": n, "rows": [
+            [exact.format_fraction(v) for v in row] for row in _canonical_rows(rows)]})
+        assert ncfan.from_json_dict(json.loads(text)) == t
+        assert pickle.loads(pickle.dumps(t)) == copy.deepcopy(t) == copy.copy(t) == t
+        assert psi(ladder.rho(t)) == t
+        assert nc_decompose(t) == walk_decompose(k, n, rows)
+        if k >= 3:
+            assert d1_project(t).scaled() == scaled_form(_canonical_rows(rows)[1:])
+    for t, u in zip(points, points[1:] + points[:1]):
+        pairs = [[*zip(r1, r2)] for r1, r2 in zip(t.rows, u.rows)]
+        assert_fraction_route(k, n, t + u, [[a + b for a, b in row] for row in pairs])
+        assert_fraction_route(k, n, t - u, [[a - b for a, b in row] for row in pairs])
+        for c in FACTORS:
+            assert_fraction_route(k, n, t.scale(c), [[c * v for v in row] for row in t.rows])
+
+
+def test_the_round_trip_builds_no_fraction_view(monkeypatch):
+    # rho, psi, the walk and the weight report read a point's integers;
+    # none of them makes its Fraction rows
+    rng = rng_for("no-fraction-view")
+    cases = []
+    for k, n in [(3, 7), (4, 8), (5, 10)]:
+        ints = [[rng.randint(0, 12) for _ in range(n - k)] for _ in range(k - 1)]
+        ref = TPoint.of(k, n, [[Fraction(v, 3) for v in row] for row in ints])
+        pi = ladder.rho(ref)
+        cases.append((k, n, ints, pi, psi(pi), nc_decompose(ref), weight_report(pi)))
+
+    def refuse(self):
+        raise AssertionError("the Fraction rows of a point were built")
+
+    monkeypatch.setattr(TPoint, "rows", property(refuse))
+    for k, n, ints, pi, back, tab, report in cases:
+        t = TPoint._of_scaled(k, n, ints, 3)
+        assert ladder.rho(t) == pi
+        assert psi(pi) == back == t
+        assert nc_decompose(t) == tab
+        assert weight_report(ladder.rho(t)) == report
 
 
 # ------------------------------------------------- walk against the full scan

@@ -170,6 +170,7 @@ def test_default_and_keyword_construction():
     lambda: NoncrossingTableau(k=3, n=6, entries=((ksubset(6, (1, 3, 5)), Fraction(0)),)),
     lambda: LadderPoint(3, 6, ((Fraction(0),) * 3,)),
     lambda: TPoint(k=3, n=6, rows=((Fraction(0),) * 2,) * 2),
+    lambda: TPoint(3, 6, ((1, 1, 2), (0, 0, 0))),  # a row whose minimum is not 0
     lambda: TTildePoint(3, 6, ((Fraction(0),) * 3,) * 2),
     lambda: Matroid(2, 4, frozenset()),
     lambda: Matroid(k=2, n=4, bases=frozenset({(1, 5)})),

@@ -215,6 +215,8 @@ def test_weight_report_expands_once_and_matches_its_parts(monkeypatch):
     monkeypatch.setattr(pluecker, "scaled", lambda values: calls.append(values) or scale_once(values))
     monkeypatch.setattr(planar, "_scaled_expansion", refuse)
     monkeypatch.setattr(ncfan, "scaled", refuse)
+    # a point is integers over a scale already, so rho scales nothing either
+    monkeypatch.setattr(ladder, "scaled", refuse)
     for (from_grid, x), (pk, nc, br) in zip(cases, expected):
         calls.clear()
         pi = rho(x) if from_grid else PlueckerVector(x.k, x.n, x.values)
