@@ -115,10 +115,17 @@ def gap_interval(j: int, k: int, n: int) -> tuple[int, ...]:
     return tuple(sorted(elems))
 
 
+def _endpoints(J: int, n: int) -> int:
+    """The elements of a subset bitmask J whose cyclic successor is not in J."""
+    return J & ~(J >> 1 | (J & 1) << (n - 1))
+
+
 @lru_cache(maxsize=None)
 def noncyclic_subsets(k: int, n: int) -> tuple[KSubset, ...]:
-    """All noncyclic k-subsets of [n] in lexicographic order."""
-    return tuple(J for J in all_ksubsets(k, n) if not is_cyclic_interval(J))
+    """All k-subsets of [n] with two cyclic endpoints or more, in order."""
+    from .pluecker import _masks  # the same subsets, in the same order
+    masks = _masks(k, n)
+    return tuple(J for J, m in zip(all_ksubsets(k, n), masks) if _endpoints(m, n).bit_count() > 1)
 
 
 def _check_same_shape(I: KSubset, J: KSubset):

@@ -12,9 +12,9 @@ array; the associated tropical functional is the dual linear form.
 it reads a vector's scaled form (`pi.scaled()`, rank-ordered integers
 over one scale) and sums it over a per-(k, n) table of each cubical
 array as two getters of ranks (`operator.itemgetter`), its +1 terms and
-its -1 terms; `tropical_u` is the `Fraction` reference it is tested
-against.  `planar_combination` sums basis vectors into one vector, value
-by value in rank order.
+its -1 terms, built on bitmasks (each submask M of J's cyclic endpoints
+gives the term (J & ~M) | rotl(M)); `cubical_array` and `tropical_u` are
+its references.  `planar_combination` sums basis vectors, in rank order.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from operator import itemgetter, lt
 
 from .combinat import (
     KSubset,
+    _endpoints,
     _prefix_chain,
     cyclic_endpoints,
     dosp,
@@ -35,7 +36,7 @@ from .combinat import (
     noncyclic_subsets,
 )
 from .exact import InvariantError, as_fraction, record
-from .pluecker import PlueckerVector, lex_rank, linear_combination
+from .pluecker import PlueckerVector, _mask_ranks, _masks, lex_rank, linear_combination
 
 
 def _distance(src: tuple[int, ...], dst: tuple[int, ...], n: int) -> int:
@@ -117,21 +118,42 @@ def tropical_u(J: KSubset, pi: PlueckerVector) -> Fraction:
     return sum((sign * pi[M] for M, sign in array.exponents.items()), Fraction(0))
 
 
+def _cubical_masks(J: int, n: int) -> tuple[list[int], list[int]]:
+    """The +1 and the -1 terms of the cubical array of a subset bitmask J:
+    moving an endpoint to its successor toggles two bits of its own."""
+    plus, minus, ends = [], [J], _endpoints(J, n)
+    while ends:
+        e = ends & -ends
+        ends ^= e
+        flip = e | (e << 1 if e >> (n - 1) == 0 else 1)
+        plus, minus = plus + [x ^ flip for x in minus], minus + [x ^ flip for x in plus]
+    return plus, minus
+
+
 @lru_cache(maxsize=None)
 def _expansion_table(k: int, n: int) -> tuple[tuple[itemgetter, itemgetter], ...]:
-    """Per noncyclic J in `noncyclic_subsets` order, getters of the
-    lexicographic ranks of its cubical array's +1 terms, then of its -1
-    terms.  A getter of one rank returns a scalar, not a tuple; a noncyclic
-    J has two cyclic endpoints or more, so each sign has two terms or more,
-    and a sign with fewer is an InvariantError."""
-    rank = lex_rank(k, n)
+    """Per noncyclic J in `noncyclic_subsets` order, getters of the ranks
+    of its cubical array's +1 and -1 terms: with m >= 2 endpoints, 2^m
+    distinct k-subsets, half of each sign (a getter of one returns a scalar)."""
+    get = _mask_ranks(k, n).get
     table = []
-    for J in noncyclic_subsets(k, n):
-        exponents = cubical_array(J).exponents
-        terms = [[rank[M] for M, s in exponents.items() if s == sign] for sign in (1, -1)]
-        if min(map(len, terms)) < 2:
-            raise InvariantError(f"cubical array of {J.elems} has a sign with fewer than two terms")
-        table.append(tuple(itemgetter(*ranks) for ranks in terms))
+    for J in _masks(k, n):
+        m = _endpoints(J, n).bit_count()
+        if m < 2:
+            continue
+        plus, minus = _cubical_masks(J, n)
+        plus, minus = list(map(get, plus)), list(map(get, minus))
+        if min(len(plus), len(minus)) < 2:
+            fault = "a sign with fewer than two terms"
+        elif len(plus) != len(minus):
+            fault = "a nonzero signed sum"
+        elif len({*plus, *minus} - {None}) != 1 << m:
+            fault = f"terms that are not {1 << m} distinct k-subsets"
+        else:
+            table.append((itemgetter(*plus), itemgetter(*minus)))
+            continue
+        elems = tuple(i + 1 for i in range(n) if J >> i & 1)
+        raise InvariantError(f"cubical array of {elems} has {fault}")
     return tuple(table)
 
 

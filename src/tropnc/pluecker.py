@@ -69,6 +69,18 @@ def lex_rank(k: int, n: int) -> dict[tuple[int, ...], int]:
 
 
 @lru_cache(maxsize=None)
+def _masks(k: int, n: int) -> tuple[int, ...]:
+    """Every k-subset of [n] in rank order as a bitmask, bit i - 1 for i."""
+    return tuple(map(sum, itertools.combinations([1 << i for i in range(n)], k)))
+
+
+@lru_cache(maxsize=None)
+def _mask_ranks(k: int, n: int) -> dict[int, int]:
+    """The rank of each k-subset bitmask."""
+    return {m: i for i, m in enumerate(_masks(k, n))}
+
+
+@lru_cache(maxsize=None)
 def _gap_ranks(k: int, n: int) -> tuple[tuple[int, int], ...]:
     """Per j in range(n), the ranks of the cyclic interval `cyc_interval(j)`
     and of its gap interval `gap_interval(j)`: the cyclic-gap pairs that

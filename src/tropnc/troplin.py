@@ -37,10 +37,10 @@ once; a lineality shift only translates a tropical linear space (Speyer,
 
 Every argmin set is a rank set: one int over the C(n,k) subset ranks,
 bit i for the subset of rank i.  Cached per (k, n) are the subset
-bitmasks (`_masks`), their ranks and per element e the rank set elem[e]
-of the subsets holding e (`_rank_sets`); per interval S, the counts
-|I ∩ S| (`_interval_counts`), grouped by count c into ranks, their rank
-set sets[c] and above[c], that of all larger counts (`_interval_groups`).
+bitmasks and their ranks (`pluecker._masks`, `_mask_ranks`), the rank
+set elem[e] of the subsets holding e (`_elem_sets`); per interval S, the
+counts |I ∩ S| (`_interval_counts`), grouped by count c into ranks, their
+rank set sets[c] and above[c], that of all larger counts (`_interval_groups`).
 Only the start is scanned: along e_S a subset off the top face with at
 most r(S) elements in S ends above it, so the far end's argmin set is
 `top | hits`, the hits reaching the breakpoint (`_breakpoint`).
@@ -95,7 +95,7 @@ from .combinat import (
     noncyclic_subsets,
 )
 from .exact import InvariantError, Rational, as_fraction, format_fraction, record
-from .pluecker import PlueckerVector, _gap_ranks, is_positive_tropical, lex_rank
+from .pluecker import PlueckerVector, _gap_ranks, _mask_ranks, _masks, is_positive_tropical
 
 
 class TimeBudgetExceeded(RuntimeError):
@@ -127,22 +127,6 @@ class Matroid:
         return max(map(int.bit_count, map(m.__and__, self._bitmasks)))
 
 
-def uniform_matroid(k: int, n: int) -> Matroid:
-    return Matroid(k, n, frozenset(itertools.combinations(range(1, n + 1), k)))
-
-
-def basis_exchange_ok(M: Matroid) -> bool:
-    """Exchange axiom sanity check on the explicit basis list."""
-    for B1, B2 in itertools.permutations(M.bases, 2):
-        for i in set(B1) - set(B2):
-            if not any(
-                tuple(sorted(set(B1) - {i} | {j})) in M.bases
-                for j in set(B2) - set(B1)
-            ):
-                return False
-    return True
-
-
 def argmin_matroid(pi: PlueckerVector, w: Sequence[Rational]) -> Matroid:
     """Bases are the subsets minimizing pi_I - sum(w_i, i in I)."""
     ws = [as_fraction(v) for v in w]
@@ -169,34 +153,17 @@ def components_partition(M: Matroid) -> tuple[tuple[int, ...], ...]:
     """Connected components: transitive closure of single exchanges,
     equivalently the finest partition on which every basis has constant
     intersection counts."""
-    parent = list(range(M.n + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    bases = [set(B) for B in M.bases]
-    classes = M.n
-    for a, b in itertools.combinations(bases, 2):
+    block = {x: frozenset([x]) for x in range(1, M.n + 1)}
+    for a, b in itertools.combinations([set(B) for B in M.bases], 2):
         diff = a ^ b
         if len(diff) == 2:
             x, y = diff
-            if find(x) != find(y):
-                union(x, y)
-                classes -= 1
-                if classes == 1:
+            if block[x] is not block[y]:
+                merged = block[x] | block[y]
+                block.update(dict.fromkeys(merged, merged))
+                if len(merged) == M.n:
                     break
-    groups: dict[int, list[int]] = {}
-    for x in range(1, M.n + 1):
-        groups.setdefault(find(x), []).append(x)
-    return tuple(sorted(tuple(sorted(g)) for g in groups.values()))
+    return tuple(sorted({tuple(sorted(c)) for c in block.values()}))
 
 
 def is_connected(M: Matroid) -> bool:
@@ -512,18 +479,10 @@ def _walk(k: int, n: int, row, terms, y, time_budget_s: float | None):
 
 
 @lru_cache(maxsize=None)
-def _masks(k: int, n: int) -> tuple[int, ...]:
-    """Every k-subset of [n] in rank order as a bitmask."""
-    return tuple(sum(1 << (i - 1) for i in I) for I in lex_rank(k, n))
-
-
-@lru_cache(maxsize=None)
-def _rank_sets(k: int, n: int) -> tuple[dict[int, int], tuple[int, ...]]:
-    """The rank of each k-subset bitmask, and per element e (0-based) the
-    rank set of the subsets that contain e."""
+def _elem_sets(k: int, n: int) -> tuple[int, ...]:
+    """Per element e (0-based), the rank set of the k-subsets holding e."""
     masks = _masks(k, n)
-    elem = tuple(sum(1 << i for i, m in enumerate(masks) if m >> e & 1) for e in range(n))
-    return {m: i for i, m in enumerate(masks)}, elem
+    return tuple(sum(1 << i for i, m in enumerate(masks) if m >> e & 1) for e in range(n))
 
 
 @lru_cache(maxsize=None)
@@ -580,7 +539,7 @@ def _components(A: int, k: int, n: int) -> int:
     basis, k(n-k) bit reads of A in all.  Each x gives the class of x and
     its neighbours as a bitmask, merged into the disjoint classes it
     meets; an element in no class is a component of its own."""
-    rank = _rank_sets(k, n)[0]
+    rank = _mask_ranks(k, n)
     B = _masks(k, n)[(A & -A).bit_length() - 1]
     inside = [1 << y for y in range(n) if B >> y & 1]
     classes = []
@@ -636,7 +595,7 @@ def _greedy(A: int, k: int, n: int) -> list[tuple[int, list[int]]]:
     A: per 0-based start a, the greedy basis g_a in the order
     a < a+1 < ... < a-1 as a one-bit rank set, with its prefix ranks
     |g_a ∩ [a, a+size)| for every size from 0 to n."""
-    elem = _rank_sets(k, n)[1]
+    elem = _elem_sets(k, n)
     out = []
     for a in range(n):
         C, r, ranks = A, 0, [0]
@@ -657,7 +616,7 @@ def _edge_intervals(A: int, k: int, n: int, crossed):
     an end removed come from the greedy bases; S is skipped when they show
     a loop or coloop of the top face M|S ⊕ M/S."""
     spans = _spans(n)
-    elem = _rank_sets(k, n)[1]
+    elem = _elem_sets(k, n)
     ranks = [prefix for _, prefix in _greedy(A, k, n)]
     for a in range(n):
         here, after, before = ranks[a], ranks[(a + 1) % n], ranks[a - 1]
@@ -686,7 +645,7 @@ def _face(A: int, k: int, n: int):
     """The face whose argmin bases are the rank set A: "outside" when they
     have a loop, "unbounded" when they have a coloop, and otherwise the
     number of components minus one."""
-    elem = _rank_sets(k, n)[1]
+    elem = _elem_sets(k, n)
     if not all(map(A.__and__, elem)):
         return "outside"
     if A in map(A.__and__, elem):

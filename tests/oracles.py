@@ -10,7 +10,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 
-from tropnc import ladder, ncfan, planar
+from tropnc import ladder, ncfan, planar, troplin
 from tropnc.combinat import (
     DecoratedOSP,
     KSubset,
@@ -301,3 +301,31 @@ def psi_table_coefficients(k: int, n: int) -> list[dict[int, int]]:
         cell.update(dict.fromkeys(minus(ranks), -1))
         cells.append(dict(sorted(cell.items())))
     return cells
+
+
+def cubical_expansion_table(k: int, n: int) -> list[tuple[list[int], list[int]]]:
+    """Per noncyclic J in `noncyclic_subsets` order, the sorted ranks of
+    the +1 terms and of the -1 terms of `planar.cubical_array(J)` (the
+    oracle of `planar._expansion_table`, built on bitmasks)."""
+    rank = lex_rank(k, n)
+    return [
+        tuple(sorted(rank[M] for M, s in planar.cubical_array(J).exponents.items() if s == sign)
+              for sign in (1, -1))
+        for J in noncyclic_subsets(k, n)
+    ]
+
+
+def uniform_matroid(k: int, n: int) -> troplin.Matroid:
+    return troplin.Matroid(k, n, frozenset(itertools.combinations(range(1, n + 1), k)))
+
+
+def basis_exchange_ok(M: troplin.Matroid) -> bool:
+    """Exchange axiom sanity check on the explicit basis list."""
+    for B1, B2 in itertools.permutations(M.bases, 2):
+        for i in set(B1) - set(B2):
+            if not any(
+                tuple(sorted(set(B1) - {i} | {j})) in M.bases
+                for j in set(B2) - set(B1)
+            ):
+                return False
+    return True

@@ -19,7 +19,7 @@ from conftest import (
     random_tableau_point,
     vector_312,
 )
-from oracles import det
+from oracles import basis_exchange_ok, det
 from tropnc import combinat, ladder, ncfan, planar, pluecker, troplin, weight
 from tropnc.combinat import (
     cyc_interval,
@@ -37,7 +37,6 @@ from tropnc.planar import corank_vector, planar_basis_vector, tropical_u
 from tropnc.pluecker import equivalent_mod_lineality, face_restrict_one, is_positive_tropical
 from tropnc.troplin import (
     argmin_matroid,
-    basis_exchange_ok,
     bounded_complex_vertices,
     central_pluecker_vector,
     central_representative,

@@ -48,6 +48,18 @@ def test_cyclic_interval_examples():
     assert len(noncyclic_subsets(2, 6)) == 9
 
 
+def test_noncyclic_subsets_equal_the_predicate_route():
+    # Two cyclic endpoints or more, counted on the bitmask, against the
+    # KSubset predicate, at every shape with n <= 12.
+    for n in range(4, 13):
+        for k in range(2, n - 1):
+            expected = tuple(J for J in combinat.all_ksubsets(k, n) if not is_cyclic_interval(J))
+            assert noncyclic_subsets.__wrapped__(k, n) == expected
+    for k, n in [(1, 5), (4, 5), (0, 4)]:
+        with pytest.raises(ValueError, match=r"^need 2 <= k <= n-2"):
+            noncyclic_subsets.__wrapped__(k, n)
+
+
 def test_weak_separation_examples():
     assert not weakly_separated(ksubset(6, [1, 2, 4]), ksubset(6, [3, 5, 6]))
     assert not weakly_separated(ksubset(6, [1, 4, 5]), ksubset(6, [2, 3, 6]))

@@ -14,7 +14,7 @@ from conftest import RAY_SHAPES, random_tpoint, rng_for, run_optimized
 import oracles
 from oracles import one_family_subsets, three_term_reference
 import tropnc
-from tropnc import ladder, ncfan, planar, troplin
+from tropnc import cli, ladder, ncfan, planar, troplin
 from tropnc.combinat import (
     all_ksubsets,
     cyclic_endpoints,
@@ -350,7 +350,8 @@ def test_production_path_never_calls_the_fraction_references(monkeypatch):
     families = ladder.enumerate_path_families
     families.cache_clear()
     ladder._plan.cache_clear()
-    for cached in (ncfan._psi_table, ncfan._sparse_ray, ncfan._walk_tables):
+    for cached in (ncfan._psi_table, ncfan._sparse_ray, ncfan._walk_tables,
+                   planar._expansion_table, planar.cubical_array):
         cached.cache_clear()
     rng = rng_for("production-path")
     shapes = [(3, 7), (4, 8)]
@@ -364,6 +365,8 @@ def test_production_path_never_calls_the_fraction_references(monkeypatch):
     monkeypatch.setattr(troplin, "Matroid", reference_called)
     monkeypatch.setattr(troplin, "matroid_polytope_contains", reference_called)
     monkeypatch.setattr(planar, "tropical_u", reference_called)
+    # the expansion table is built on bitmasks, not from the cubical arrays
+    monkeypatch.setattr(planar, "cubical_array", reference_called)
     # the second route to the fan rays, the roof-value reference, psi's
     # two-stage definition and the Fraction canonical form of a point are
     # oracles with the tests, in no package module: rays and points are
@@ -390,6 +393,11 @@ def test_production_path_never_calls_the_fraction_references(monkeypatch):
         tableaux.append(ncfan.nc_decompose(t))
     assert weight_report(rho(weighed)).agree
     assert troplin.subdifferential_at(rho(weighed), [Fraction(3, 7)] * 7)
+    report = troplin.diameter_check(rho(weighed))
+    balanced = troplin.balanced_representative(rho(weighed))
+    assert troplin.bounded_complex_edges(balanced, report.vertices) and report.within_dilate
+    ncyc = noncyclic_subsets(4, 8)
+    assert cli._duality_failures(ncyc, [rho(t_vector(K)) for K in ncyc]) == []
     assert len(audit_fan.__wrapped__(4, 7)) == 462
     monkeypatch.undo()
     for t, tab in zip(points, tableaux):
@@ -403,7 +411,7 @@ def test_production_path_never_calls_the_fraction_references(monkeypatch):
 # "Reference implementations"): (module, name) pairs.
 REFERENCES = (
     ("ladder", "enumerate_path_families"), ("ladder", "PathFamily"),
-    ("ladder", "tropical_pluecker"), ("planar", "tropical_u"),
+    ("ladder", "tropical_pluecker"), ("planar", "tropical_u"), ("planar", "cubical_array"),
     ("troplin", "argmin_matroid"), ("troplin", "Matroid"),
     ("troplin", "matroid_polytope_contains"), ("troplin", "is_connected"),
     ("troplin", "grassmann_necklace"), ("troplin", "in_linear_space"),

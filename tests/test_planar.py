@@ -1,13 +1,21 @@
 """Planar basis vectors, coranks, cubical arrays, and cross-ratio duality."""
 
 import itertools
+import math
 from collections import deque
 from fractions import Fraction
 
 import pytest
 
-from conftest import COEFFS_312, random_positive_vector, random_vector, rng_for, vector_312
-from oracles import positroid_bases
+from conftest import (
+    COEFFS_312,
+    random_positive_vector,
+    random_vector,
+    rng_for,
+    run_optimized,
+    vector_312,
+)
+from oracles import cubical_expansion_table, positroid_bases
 from tropnc import combinat, planar
 from tropnc.combinat import (
     KSubset,
@@ -273,17 +281,68 @@ def test_planar_expand_matches_tropical_u(k, n):
     assert fractional
 
 
-def test_expansion_table_needs_two_terms_of_each_sign(monkeypatch):
-    # A getter of one rank returns a scalar, not a tuple, so the table
-    # refuses a cubical array with a lone term of either sign.
-    array = cubical_array
+# Planted faults in the cubical array of a subset bitmask: each rewrites
+# the (+1 masks, -1 masks) of `planar._cubical_masks` and trips one check
+# of `planar._expansion_table` at (3,6), with the message shown.
+CUBE_FAULTS = {
+    # a getter of one rank returns a scalar, not a tuple
+    "lone_plus_term": ("lambda plus, minus: (plus[:1], minus)",
+                       "cubical array of (1, 2, 4) has a sign with fewer than two terms"),
+    # with three endpoints each sign keeps two terms or more
+    "moved_term": ("lambda plus, minus: (plus + minus[3:], minus[:3])",
+                   "cubical array of (1, 3, 5) has a nonzero signed sum"),
+    "collision": ("lambda plus, minus: (plus[:1] * len(plus), minus)",
+                  "cubical array of (1, 2, 4) has terms that are not 4 distinct k-subsets"),
+}
 
-    def lone_plus_term(J):
-        exponents = array(J).exponents
-        first = next(M for M, s in exponents.items() if s == 1)
-        kept = {M: s for M, s in exponents.items() if s == -1 or M == first}
-        return planar.CrossRatioExponent(J, kept)
 
-    monkeypatch.setattr(planar, "cubical_array", lone_plus_term)
-    with pytest.raises(InvariantError, match=r"of \(1, 2, 4\) has a sign with fewer than two"):
+def planted_fault(monkeypatch, name: str) -> str:
+    """The message of the InvariantError that a planted cube fault raises."""
+    source, _ = CUBE_FAULTS[name]
+    fault, cube = eval(source), planar._cubical_masks
+    monkeypatch.setattr(planar, "_cubical_masks", lambda J, n: fault(*cube(J, n)))
+    with pytest.raises(InvariantError) as exc:
         planar._expansion_table.__wrapped__(3, 6)
+    return str(exc.value)
+
+
+def test_expansion_table_needs_two_terms_of_each_sign(monkeypatch):
+    assert planted_fault(monkeypatch, "lone_plus_term") == CUBE_FAULTS["lone_plus_term"][1]
+
+
+def test_expansion_table_needs_as_many_terms_of_each_sign(monkeypatch):
+    assert planted_fault(monkeypatch, "moved_term") == CUBE_FAULTS["moved_term"][1]
+
+
+def test_expansion_table_needs_distinct_terms(monkeypatch):
+    assert planted_fault(monkeypatch, "collision") == CUBE_FAULTS["collision"][1]
+
+
+def test_expansion_table_refuses_planted_faults_under_optimize():
+    result = run_optimized(
+        "from tropnc import planar",
+        "from tropnc.exact import InvariantError",
+        "cube = planar._cubical_masks",
+        f"for source, _ in {list(CUBE_FAULTS.values())!r}:",
+        "    fault = eval(source)",
+        "    planar._cubical_masks = lambda J, n: fault(*cube(J, n))",
+        "    try:",
+        "        planar._expansion_table.__wrapped__(3, 6)",
+        "    except InvariantError as exc:",
+        "        print(exc)",
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [message for _, message in CUBE_FAULTS.values()]
+
+
+# Every shape with n <= 10, and two at desk scale.
+TABLE_SHAPES = [(k, n) for n in range(4, 11) for k in range(2, n - 1)] + [(3, 12), (6, 12)]
+
+
+@pytest.mark.parametrize("k,n", TABLE_SHAPES)
+def test_expansion_table_equals_the_cubical_array_table(k, n):
+    ranks = range(math.comb(n, k))
+    table = [
+        (sorted(plus(ranks)), sorted(minus(ranks))) for plus, minus in planar._expansion_table(k, n)
+    ]
+    assert table == cubical_expansion_table(k, n)

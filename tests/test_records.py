@@ -35,7 +35,7 @@ from tropnc.troplin import BoundedComplexReport, CentralRoof, Matroid
 from tropnc.weight import WeightReport
 
 from conftest import random_positive_vector, rng_for
-from oracles import TTildePoint
+from oracles import TTildePoint, uniform_matroid
 
 
 def _examples():
@@ -52,7 +52,7 @@ def _examples():
         ncfan._walk_tables(3, 6),
         planar.cubical_array(J),
         PositivityCertificate(False, ((1,), (2, 3, 4, 5), Fraction(1), Fraction(0))),
-        troplin.uniform_matroid(2, 4),
+        uniform_matroid(2, 4),
         troplin.central_roof(J),
         troplin.diameter_check(random_positive_vector(rng_for("records"), 3, 6)),
         WeightReport(Fraction(2), Fraction(2), Fraction(2), True),

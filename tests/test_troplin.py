@@ -22,7 +22,7 @@ from conftest import (
     run_optimized,
     vector_312,
 )
-from oracles import central_roof_value, positroid_bases
+from oracles import basis_exchange_ok, central_roof_value, positroid_bases, uniform_matroid
 from tropnc import combinat, exact, ladder, planar, pluecker, troplin
 from tropnc.combinat import (
     cyc_interval,
@@ -41,7 +41,6 @@ from tropnc.troplin import (
     TimeBudgetExceeded,
     argmin_matroid,
     balanced_representative,
-    basis_exchange_ok,
     bounded_complex_edges,
     bounded_complex_vertices,
     central_pluecker_vector,
@@ -57,7 +56,6 @@ from tropnc.troplin import (
     loops,
     matroid_polytope_contains,
     subdifferential_at,
-    uniform_matroid,
 )
 
 J_2BLOCK = ksubset(6, [2, 3, 6])  # blocks (123|456), decorations (2,1)
@@ -557,8 +555,8 @@ def test_walk_returns_each_vertex_argmin_set():
 @pytest.mark.parametrize("k,n", [(2, 4), (3, 6), (3, 7), (4, 8), (5, 10)])
 def test_rank_set_tables_match_the_counts(k, n):
     subsets = list(pluecker.lex_rank(k, n))
-    rank, elem = troplin._rank_sets(k, n)
-    assert [rank[m] for m in troplin._masks(k, n)] == list(range(len(subsets)))
+    rank, elem = pluecker._mask_ranks(k, n), troplin._elem_sets(k, n)
+    assert [rank[m] for m in pluecker._masks(k, n)] == list(range(len(subsets)))
     assert list(elem) == [sum(1 << i for i, I in enumerate(subsets) if e in I)
                           for e in range(1, n + 1)]
     for a, size in itertools.product(range(n), range(1, n)):
@@ -593,7 +591,7 @@ def test_edge_intervals_match_a_count_per_basis():
         # the vertices, and the origin, no vertex, whose argmin sets are mostly larger
         for w in vertices + ((Fraction(0),) * n,):
             A = _argmin_bases(pi, w)
-            bases = {i: m for i, m in enumerate(troplin._masks(k, n)) if A >> i & 1}
+            bases = {i: m for i, m in enumerate(pluecker._masks(k, n)) if A >> i & 1}
             expected = []
             for a, size in itertools.product(range(n), range(1, n)):
                 s = sum(1 << ((a + i) % n) for i in range(size))
@@ -720,7 +718,7 @@ def test_combinations_yield_subsets_in_rank_order():
             assert list(rank.values()) == list(range(math.comb(n, k)))
             by_rank = [tuple(labels[i - 1] for i in I) for I in rank]
             assert list(itertools.combinations(labels, k)) == by_rank
-            assert troplin._masks(k, n) == tuple(sum(1 << (i - 1) for i in I) for I in rank)
+            assert pluecker._masks(k, n) == tuple(sum(1 << (i - 1) for i in I) for I in rank)
 
 
 KERNEL_SIZES = [(2, 5), (3, 6), (3, 8), (4, 8), (4, 9), (5, 10), (6, 12)]
