@@ -68,6 +68,14 @@ class KSubset:
         return ",".join(str(e) for e in self.elems)
 
 
+def _trusted(n: int, elems: tuple[int, ...]) -> KSubset:
+    """A KSubset without `__post_init__`'s checks, for one valid by construction."""
+    J = object.__new__(KSubset)
+    object.__setattr__(J, "n", n)
+    object.__setattr__(J, "elems", elems)
+    return J
+
+
 def ksubset(n: int, elems) -> KSubset:
     """Build a KSubset from any iterable of distinct elements of [n]."""
     return KSubset(n, tuple(sorted(elems)))
@@ -124,8 +132,10 @@ def _endpoints(J: int, n: int) -> int:
 def noncyclic_subsets(k: int, n: int) -> tuple[KSubset, ...]:
     """All k-subsets of [n] with two cyclic endpoints or more, in order."""
     from .pluecker import _masks  # the same subsets, in the same order
-    masks = _masks(k, n)
-    return tuple(J for J, m in zip(all_ksubsets(k, n), masks) if _endpoints(m, n).bit_count() > 1)
+    KSubset(n, tuple(range(1, k + 1)))  # checks (k, n) once; every subset below is valid
+    keep = (_endpoints(m, n).bit_count() > 1 for m in _masks(k, n))
+    subsets = itertools.compress(itertools.combinations(range(1, n + 1), k), keep)
+    return tuple(_trusted(n, elems) for elems in subsets)
 
 
 def _check_same_shape(I: KSubset, J: KSubset):

@@ -43,7 +43,9 @@ counts |I ∩ S| (`_interval_counts`), grouped by count c into ranks, their
 rank set sets[c] and above[c], that of all larger counts (`_interval_groups`).
 Only the start is scanned: along e_S a subset off the top face with at
 most r(S) elements in S ends above it, so the far end's argmin set is
-`top | hits`, the hits reaching the breakpoint (`_breakpoint`).
+`top | hits`, the hits reaching the breakpoint (`_breakpoint`).  The walk
+reads a vertex's values only against their least one, so a step along
+e_S subtracts t|I ∩ S| from each and adds no constant.
 
 At a vertex the walk reads every interval rank from the Grassmann
 necklace of the argmin matroid (Oh, "Positroids and Schubert
@@ -62,13 +64,17 @@ inequalities x(S) <= r(S) at the ranks of the sets the walk returns.
 
 One classifier, `_face`, reads an argmin rank set A: e is a loop when
 A & elem[e] is empty and a coloop when it is A; it counts components on
-the fundamental graph of one basis B, reading bit rank[B - y + x] of A
-(`_components`), and also serves `face_dimension_at` (`_shift_face`).
-`bounded_complex_edges` forms each point's value row and argmin set
-once; a pair's midpoint has the AND of the two argmin sets as its own
-when it is not empty (the summed rows are at least the summed minima,
-with equality exactly on both argmin sets), and the argmin of the
-summed rows otherwise.  `Matroid`, `argmin_matroid`, `is_connected`,
+the fundamental graph of A's least basis B (`_components`), read off B's
+exchange rows (`_exchange_rows`, made on B's first use), and also serves
+`face_dimension_at` (`_shift_face`).  `bounded_complex_edges` forms each
+point's value row and argmin set once (the CLI reuses the walk's sets); a
+pair's midpoint has the AND of the two argmin sets as its own when it is
+not empty (the summed rows are at least the summed minima, with equality
+exactly on both argmin sets), and the argmin of the summed rows
+otherwise.  Two-value test: the difference d of the two points is
+constant on that AND, where both rows are least, so d_x = d_y for each
+exchange B - y + x in it, and d takes two values at most on a face of
+two components.  `Matroid`, `argmin_matroid`, `is_connected`,
 `grassmann_necklace`, `in_linear_space` and `matroid_polytope_contains`
 are the `Fraction` references of the README's "Reference
 implementations", and the tests keep the Minkowski sum of the roofs'
@@ -256,6 +262,12 @@ def _roof_row(J: KSubset) -> tuple[int, ...]:
     return tuple(-v for v in map(min, *dots))  # a noncyclic J has two blocks or more
 
 
+@lru_cache(maxsize=None)
+def _start_sector(J: KSubset) -> tuple[int, ...]:
+    """J's sector W_a at the centre perturbed by sum_(j < n-1) eps^(j+1) (e_j - e_(n-1))."""
+    return min(central_roof(J).W, key=lambda W: (sum(W), [x - W[-1] for x in W[:-1]]))
+
+
 def central_pluecker_vector(J: KSubset) -> PlueckerVector:
     """The central vector with entries equal to roof values at e_I."""
     return PlueckerVector._of_scaled(J.k, J.n, _roof_row(J), J.k)
@@ -405,7 +417,8 @@ def _complex(pi: PlueckerVector, balance: bool, time_budget_s: float | None):
     found = [tuple(times * v + d for v, d in zip(w, move)) for w in points]
     scale, total = times * scale, times * total
     spread = max(max(w) - min(w) for w in found)
-    vertices = tuple(tuple(Fraction(v, scale) for v in w) for w in found)
+    fraction = {v: Fraction(v, scale) for v in set(itertools.chain.from_iterable(found))}
+    vertices = tuple(tuple(map(fraction.__getitem__, w)) for w in found)
     report = BoundedComplexReport(vertices, Fraction(total, scale), Fraction(spread, scale),
                                   spread <= total)
     return report, row, points, sets
@@ -414,8 +427,8 @@ def _complex(pi: PlueckerVector, balance: bool, time_budget_s: float | None):
 def _complex_with_edges(pi: PlueckerVector, balance: bool, time_budget_s: float | None):
     """`_complex`'s report and its edges; balancing adds a constant to each
     value row of n*pi, so the argmin sets and edges are pi's."""
-    report, row, points, _ = _complex(pi, balance, time_budget_s)
-    return report, _edges(pi.k, pi.n, row, points)
+    report, row, points, sets = _complex(pi, balance, time_budget_s)
+    return report, _edges(pi.k, pi.n, row, points, sets)
 
 
 def _walk(k: int, n: int, row, terms, y, time_budget_s: float | None):
@@ -430,12 +443,9 @@ def _walk(k: int, n: int, row, terms, y, time_budget_s: float | None):
     ends at w.  A far end's argmin set is `top | hits`."""
     deadline = time.monotonic() + time_budget_s if time_budget_s is not None else None
 
-    # Each roof's sector at the centre, ties broken by the perturbation
-    # sum over j < n-1 of eps^(j+1) (e_j - e_(n-1)), eps small.
     start = [-v for v in y]
     for J, factor in terms:
-        W = min(central_roof(J).W, key=lambda W: (sum(W), [x - W[-1] for x in W[:-1]]))
-        start = [a - factor * x for a, x in zip(start, W)]
+        start = list(map(sub, start, map(factor.__mul__, _start_sector(J))))
 
     def over_budget():
         if deadline is not None and time.monotonic() > deadline:
@@ -457,14 +467,14 @@ def _walk(k: int, n: int, row, terms, y, time_budget_s: float | None):
         best = min(vals)
         for s, r, top in _edge_intervals(A, k, n, crossed.pop(w)):
             t, hits = _breakpoint(vals, _interval_groups(k, n, s)[0], best, r)
-            lead = t * (s & 1)  # w[0] is 0: keep the first coordinate 0
-            nxt = tuple(x + t * (s >> i & 1) - lead for i, x in enumerate(w))
+            nxt = tuple(map(add, w, map(t.__mul__, _direction(n, s))))
             if nxt not in faces:
                 over_budget()
                 far = top | hits
                 faces[nxt] = _face(far, k, n)
                 if faces[nxt] == 0:
-                    nvals = [v - t * c + k * lead for v, c in zip(vals, _interval_counts(k, n, s))]
+                    # w + t e_S; the walk reads values only against their minimum
+                    nvals = list(map(sub, vals, map(t.__mul__, _interval_counts(k, n, s))))
                     sets[nxt] = far
                     crossed[nxt] = set()
                     todo.append((nxt, nvals, far))
@@ -489,6 +499,12 @@ def _elem_sets(k: int, n: int) -> tuple[int, ...]:
 def _interval_counts(k: int, n: int, s: int) -> bytes:
     """|I ∩ S| for every k-subset I in rank order, as bytes; S a bitmask."""
     return bytes((m & s).bit_count() for m in _masks(k, n))
+
+
+@lru_cache(maxsize=None)
+def _direction(n: int, s: int) -> tuple[int, ...]:
+    """e_S less its first coordinate times all-ones: steps keep w_1 = 0."""
+    return tuple((s >> i & 1) - (s & 1) for i in range(n))
 
 
 @lru_cache(maxsize=None)
@@ -532,25 +548,35 @@ def _argmin(vals: list[int]) -> int:
     return A
 
 
+@lru_cache(maxsize=None)
+def _exchange_rows(k: int, n: int, b: int) -> tuple:
+    """Per x outside the basis B of rank b, made on B's first use: x's bit,
+    the rank set of the exchanges B - y + x, and their (rank, y's bit) pairs."""
+    rank, B = _mask_ranks(k, n), _masks(k, n)[b]
+    inside = [1 << y for y in range(n) if B >> y & 1]
+    rows = [(1 << x, tuple((rank[B ^ 1 << x ^ y], y) for y in inside))
+            for x in range(n) if not B >> x & 1]
+    return tuple((bit, sum(1 << r for r, _ in pairs), pairs) for bit, pairs in rows)
+
+
 def _components(A: int, k: int, n: int) -> int:
     """Number of connected components of the matroid on n elements whose
     bases are the rank set A.  They are those of the fundamental graph of
-    one basis B: x outside B and y in B are joined when B - y + x is a
-    basis, k(n-k) bit reads of A in all.  Each x gives the class of x and
-    its neighbours as a bitmask, merged into the disjoint classes it
-    meets; an element in no class is a component of its own."""
-    rank = _mask_ranks(k, n)
-    B = _masks(k, n)[(A & -A).bit_length() - 1]
-    inside = [1 << y for y in range(n) if B >> y & 1]
+    its least basis B: x outside B and y in B are joined when B - y + x is
+    a basis, read off B's exchange rows, x to all of B when A holds them
+    all.  Each x gives the class of x and its neighbours as a bitmask,
+    merged into the disjoint classes it meets; an element in no class is
+    a component of its own."""
+    b = (A & -A).bit_length() - 1
+    B = _masks(k, n)[b]
     classes = []
-    for x in range(n):
-        bit = 1 << x
-        if B & bit:
-            continue
-        merged = bit
-        for y in inside:
-            if A >> rank[B ^ bit ^ y] & 1:
-                merged |= y
+    for merged, every, pairs in _exchange_rows(k, n, b):
+        if A & every == every:
+            merged |= B
+        else:
+            for r, y in pairs:
+                if A >> r & 1:
+                    merged |= y
         apart = []
         for c in classes:
             if c & merged:
@@ -604,6 +630,9 @@ def _greedy(A: int, k: int, n: int) -> list[tuple[int, list[int]]]:
                 C &= e
                 r += 1
             ranks.append(r)
+            if r == k:  # C is one basis: no later element joins it
+                break
+        ranks += [k] * (n + 1 - len(ranks))
         out.append((C, ranks))
     return out
 
@@ -720,13 +749,19 @@ def bounded_complex_edges(
     return _edges(pi_hat.k, pi_hat.n, *_scaled_row(pi_hat, verts))
 
 
-def _edges(k: int, n: int, row, points) -> list[tuple[int, int]]:
-    """`bounded_complex_edges` over a value row and integer points on one scale."""
-    rows = [_values(row, w, k) for w in points]
-    tops = [_argmin(row) for row in rows]
+def _edges(k: int, n: int, row, points, tops=None) -> list[tuple[int, int]]:
+    """`bounded_complex_edges` over a value row and integer points on one
+    scale; given their argmin rank sets, a point's row is formed on need."""
+    rows = [None] * len(points) if tops else [_values(row, w, k) for w in points]
+    tops = tops or list(map(_argmin, rows))
     edges = []
-    for i, j in itertools.combinations(range(len(rows)), 2):
-        top = tops[i] & tops[j] or _argmin(list(map(add, rows[i], rows[j])))
+    for i, j in itertools.combinations(range(len(points)), 2):
+        top = tops[i] & tops[j]
+        if not top:
+            rows[i], rows[j] = (rows[m] or _values(row, points[m], k) for m in (i, j))
+            top = _argmin(list(map(add, rows[i], rows[j])))
+        elif len(set(map(sub, points[i], points[j]))) > 2:
+            continue  # p_i - p_j is constant on each component of top: two at most
         if _face(top, k, n) == 1:
             edges.append((i, j))
     return edges

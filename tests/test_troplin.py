@@ -2,10 +2,12 @@
 
 import gc
 import itertools
+import json
 import math
+import random
 import time
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import and_, or_
 from types import SimpleNamespace
 
@@ -22,7 +24,15 @@ from conftest import (
     run_optimized,
     vector_312,
 )
-from oracles import basis_exchange_ok, central_roof_value, positroid_bases, uniform_matroid
+from oracles import (
+    basis_exchange_ok,
+    central_roof_value,
+    fundamental_graph_components,
+    pair_rule_edges,
+    positroid_bases,
+    two_value_skips,
+    uniform_matroid,
+)
 from tropnc import combinat, exact, ladder, planar, pluecker, troplin
 from tropnc.combinat import (
     cyc_interval,
@@ -708,6 +718,62 @@ def test_fundamental_graph_counts_the_components():
     assert seen == {1, 2, 3}
 
 
+def _component_cases():
+    """(k, n, rank set, component count): every vertex's argmin set on
+    seeded walks and every nonempty meet of two of them (an edge midpoint's
+    or a face barycentre's), counted by `components_partition`; and seeded
+    random rank sets that are no matroid, counted on the fundamental graph
+    of their least basis."""
+    rng = rng_for("exchange-rows")
+    cases = []
+    for k, n in [(3, 6), (3, 7), (4, 8), (4, 9)]:
+        subsets = list(pluecker.lex_rank(k, n))
+        for _ in range(2):
+            _, _, _, sets = troplin._complex(rho(random_tpoint(rng, k, n, hi=2)), False, None)
+            for A in {a & b for a, b in itertools.combinations_with_replacement(sets, 2)} - {0}:
+                M = Matroid(k, n, frozenset(I for i, I in enumerate(subsets) if A >> i & 1))
+                cases.append((k, n, A, len(components_partition(M))))
+    for k, n in [(3, 6), (3, 7), (4, 8)]:
+        subsets = list(pluecker.lex_rank(k, n))
+        for density in (0.3, 0.6, 0.9, 0.97):
+            for _ in range(10):
+                bases = [I for I in subsets if rng.random() < density] or subsets[:1]
+                if not basis_exchange_ok(Matroid(k, n, frozenset(bases))):
+                    cases.append((k, n, _rank_set(k, n, bases),
+                                  fundamental_graph_components(k, n, bases)))
+    return cases
+
+
+def test_exchange_rows_count_components_cold_and_warm(tmp_path):
+    # The per-basis exchange rows against the matroid reference and, on
+    # rank sets that are no matroid, the fundamental graph of the least
+    # basis; with the rows built on first use and then read back, in-process
+    # and under python -O.  Both ways of reading a row are taken: x joined
+    # to all of B when the rank set holds all of x's exchanges, and bit by bit.
+    cases = _component_cases()
+    counts = [c for *_, c in cases]
+    assert {1, 2, 3} <= set(counts) and len(cases) > 300
+    troplin._exchange_rows.cache_clear()
+    for _ in ("cold", "warm"):
+        assert [troplin._components(A, k, n) for k, n, A, _ in cases] == counts
+    # made on first use: one row set per least basis met, and no other
+    used = {(k, n, (A & -A).bit_length() - 1) for k, n, A, _ in cases}
+    assert troplin._exchange_rows.cache_info().currsize == len(used)
+    whole = [A & every == every for k, n, A, _ in cases
+             for _, every, _ in troplin._exchange_rows(k, n, (A & -A).bit_length() - 1)]
+    assert any(whole) and not all(whole)
+    path = tmp_path / "cases.json"
+    path.write_text(json.dumps(cases))
+    result = run_optimized(
+        "import json, pathlib, sys",
+        "from tropnc import troplin",
+        f"cases = json.loads(pathlib.Path({str(path)!r}).read_text())",
+        "got = [[troplin._components(A, k, n) for k, n, A, _ in cases] for _ in ('cold', 'warm')]",
+        "sys.exit(0 if got[0] == got[1] == [c for *_, c in cases] else 'component counts differ')",
+    )
+    assert result.returncode == 0, result.stderr
+
+
 def test_combinations_yield_subsets_in_rank_order():
     # The subset-sum kernel reads sums off `itertools.combinations` of the
     # coordinates themselves, so it needs their subsets in rank order.
@@ -916,6 +982,58 @@ def test_every_reported_edge_lies_in_the_linear_space():
     for i, j in edges:
         quarter = [a + (b - a) / 4 for a, b in zip(vertices[i], vertices[j])]
         assert in_linear_space(pi, quarter), (i, j)
+
+
+PHANTOM_GRID = ((1, 1, 0, 1), (0, 0, 2, 2))  # (3,7): the pair (1, 2) is a phantom edge
+
+
+@lru_cache(maxsize=None)
+def _seeded_vectors():
+    """The 200 seeded rho vectors: `random.Random(1)`, entries 0 to 3, 40
+    each at (3,6), (3,7), (4,8), (3,8) and (4,9), then the phantom grid's."""
+    rng = random.Random(1)
+    sizes = [(3, 6), (3, 7), (4, 8), (3, 8), (4, 9)]
+    seeded = [rho(random_tpoint(rng, k, n, hi=3)) for k, n in sizes for _ in range(40)]
+    return tuple(seeded) + (rho(TPoint.of(3, 7, PHANTOM_GRID)),)
+
+
+def test_edges_equal_the_unfiltered_pair_rule():
+    # The two-value test leaves out only pairs that `_face` would not call
+    # an edge, on the public path and on the CLI's, which reads the walk's
+    # argmin sets; the phantom pairs of the summed-rows fallback included.
+    skipped = pairs = 0
+    for pi in _seeded_vectors() + (vector_312(), rho(ci_grid_612())):
+        vertices = bounded_complex_vertices(pi).vertices
+        expected = pair_rule_edges(pi, vertices)
+        assert bounded_complex_edges(pi, vertices) == expected
+        for balance in (False, True):
+            assert troplin._complex_with_edges(pi, balance, None)[1] == expected
+        skipped += two_value_skips(pi, vertices)
+        pairs += math.comb(len(vertices), 2)
+    assert 0 < skipped < pairs
+
+
+def test_walk_argmin_sets_are_the_argmins_of_the_value_rows():
+    # The CLI path takes the walk's rank sets as the points' argmin sets.
+    for pi in _seeded_vectors():
+        for vec in (pi, balanced_representative(pi)):
+            _, row, points, sets = troplin._complex(vec, False, None)
+            assert list(sets) == [troplin._argmin(troplin._values(row, w, vec.k)) for w in points]
+
+
+def test_two_value_test_keeps_a_point_paired_with_itself():
+    # An edge's midpoint m lies on a 1-dimensional face, and so does the
+    # midpoint of m and m, or of m and m + 5 (1, ..., 1), the same point
+    # modulo all-ones: a difference of one value is kept for `_face`.
+    pi = rho(TPoint.of(3, 7, PHANTOM_GRID))
+    vertices = bounded_complex_vertices(pi).vertices
+    edges = bounded_complex_edges(pi, vertices)
+    assert edges
+    for i, j in edges:
+        m = [(a + b) / 2 for a, b in zip(vertices[i], vertices[j])]
+        assert bounded_complex_edges(pi, [m, m]) == [(0, 1)]
+        assert bounded_complex_edges(pi, [m, [x + 5 for x in m]]) == [(0, 1)]
+    assert bounded_complex_edges(pi, [vertices[0], vertices[0]]) == []
 
 
 def test_production_path_does_not_use_the_fraction_reference(monkeypatch):
