@@ -43,7 +43,9 @@ grid's rationals once.  No family is enumerated on that path:
 closed form are tested against.
 
 The steps also decide positivity (`pluecker.is_positive_tropical`): a
-vector that satisfies them is the plan's output from its seed values.
+vector that satisfies them is the plan's output from its seed values,
+so the certificate is `_fill`, the one step loop, on a copy of the
+vector's own row, compared with the row.
 `_plan` checks that the seed incidence [family edges | subset indicator],
 the linear map from (grid, lineality shift) to seed values, has full
 rank k(n-k)+1, so those seed values are also those of some rho vector
@@ -280,19 +282,24 @@ def _plan(k: int, n: int) -> tuple[tuple, tuple]:
     return tuple(seeds), tuple(steps)
 
 
-def _evaluate(k: int, n: int, ws, scale: int) -> PlueckerVector:
-    """The vector of the grid with flat entries ws / scale, by `_plan` in
-    integers: each seed is the sum of its one family's weights, and each
-    step fills one entry by its three-term relation."""
-    seeds, steps = _plan(k, n)
-    at = ws.__getitem__
-    vals = [0] * len(lex_rank(k, n))
-    for rank, edges in seeds:
-        vals[rank] = sum(map(at, edges))
-    for target, ab, cd, ad, bc, other in steps:
+def _fill(k: int, n: int, vals: list):
+    """Apply the steps of `_plan(k, n)` to the rank-order row vals in
+    place: each fills its target by its three-term relation."""
+    for target, ab, cd, ad, bc, other in _plan(k, n)[1]:
         x = vals[ab] + vals[cd]
         z = vals[ad] + vals[bc]
         vals[target] = (x if x < z else z) - vals[other]
+
+
+def _evaluate(k: int, n: int, ws, scale: int) -> PlueckerVector:
+    """The vector of the grid with flat entries ws / scale, by `_plan` in
+    integers: each seed is the sum of its one family's weights, and
+    `_fill` gives the rest."""
+    at = ws.__getitem__
+    vals = [0] * len(lex_rank(k, n))
+    for rank, edges in _plan(k, n)[0]:
+        vals[rank] = sum(map(at, edges))
+    _fill(k, n, vals)
     return PlueckerVector._of_scaled(k, n, vals, scale)
 
 

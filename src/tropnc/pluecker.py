@@ -26,11 +26,15 @@ three-term relations that `ladder._plan(k, n)` applies as its steps:
 3. q is positive (Speyer-Williams, "The tropical totally positive
    Grassmannian", J. Algebraic Combin. 2005), so it satisfies every step
    and is the plan's output from the same seed values: the vector is q.
+So the certificate runs the plan's own step loop, `ladder._fill`, on a
+copy of the vector's row and compares: until the first failing step every
+entry a step reads is the vector's own, so that step writes a value the
+vector lacks, and no later step writes its target again.
 Only a vector that fails a step is scanned over every relation, in
 order of S and then of its quadruple, to name the lexicographically
-first violation; no table of the relations is built.  The scan reads the
-rank of each S + {x, y} in closed form (`_pair_ranks`) and checks one
-quadruple pattern across every S at once, as fields of one integer.
+first violation; no table of the relations is built.  Per S the scan
+reads the C(n-k+2, 2) entries S + {x, y} once, each by its closed-form
+rank (`_pair_ranks`), and checks the quadruples in order.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ import math
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from operator import sub
 
 from .combinat import KSubset, cyc_interval, gap_interval
 from .exact import (
@@ -249,27 +252,27 @@ def is_positive_tropical(pi: PlueckerVector) -> PositivityCertificate:
     for every S in C([n], k-2) and a < b < c < d disjoint from S.
 
     With no such relation (k <= 1 or k >= n - 1) the vector is positive
-    and no plan is built.  Otherwise only the steps of `ladder._plan(k, n)`
-    are checked (see the module docstring for why they decide it); when
-    one fails, `_first_violation` names the first failing relation."""
+    and no plan is built.  Otherwise the vector is positive exactly when
+    `ladder._fill` gives it back from its own seed values (see the module
+    docstring); when it does not, `_first_violation` names the first
+    failing relation."""
     k, n = pi.k, pi.n
     if k <= 1 or k >= n - 1:
         return PositivityCertificate(True)
     from . import ladder
 
     vals = pi.scaled()[0]
-    for target, ab, cd, ad, bc, other in ladder._plan(k, n)[1]:
-        x = vals[ab] + vals[cd]
-        z = vals[ad] + vals[bc]
-        if vals[target] + vals[other] != (x if x < z else z):
-            violation = _first_violation(pi)
-            if violation is None:
-                raise InvariantError(
-                    f"({k},{n}): a step of the three-term plan fails, "
-                    "but no three-term relation does"
-                )
-            return PositivityCertificate(False, violation)
-    return PositivityCertificate(True)
+    filled = list(vals)
+    ladder._fill(k, n, filled)
+    if filled == vals:
+        return PositivityCertificate(True)
+    violation = _first_violation(pi)
+    if violation is None:
+        raise InvariantError(
+            f"({k},{n}): a step of the three-term plan fails, "
+            "but no three-term relation does"
+        )
+    return PositivityCertificate(False, violation)
 
 
 def _pair_ranks(S: tuple[int, ...], k: int, n: int):
@@ -312,61 +315,25 @@ def _quadruple_pairs(m: int) -> tuple[tuple[int, ...], ...]:
 def _first_violation(pi: PlueckerVector) -> tuple | None:
     """The first failing three-term relation in scan order, S in
     lexicographic order and then a < b < c < d outside S, as (S, (a, b, c,
-    d), lhs, rhs), or None when every relation holds.
-
-    Every relation is checked, one quadruple pattern at a time across all
-    S at once.  The entries of S + {x, y}, for x and y at fixed positions
-    among the elements outside S, form one integer with a field of
-    `width` bits per S (entry minus the least entry, so fields are
-    nonnegative).  With half = 2^(width-1), the fields of d1 = ab + cd -
-    ac - bd + half and d2 = ad + bc - ac - bd + half lie in (0, 2^width),
-    so integer sums and differences act field by field.  A relation holds
-    exactly when both fields are at least half and one of them equals
-    half; the lowest failing field names the first S."""
+    d), lhs, rhs), or None when every relation holds.  Per S, the entries
+    of S + {x, y} are read once, by their closed-form ranks."""
     k, n = pi.k, pi.n
     quadruples = _quadruple_pairs(n - k + 2)
-    if not quadruples:
-        return None
     vals, scale = pi.scaled()
-    subsets = list(itertools.combinations(range(1, n + 1), k - 2))
-    # per S, then per position outside S, transposed to one tuple over all S
-    base, first, second = zip(*(_pair_ranks(S, k, n) for S in subsets))
-    first, second = list(zip(*first)), list(zip(*second))
-    least = min(vals)
-    size = ((max(vals) - least) * 2).bit_length() + 9 >> 3  # bytes per field, top bit spare
-    width = 8 * size
-    ones = int.from_bytes((b"\x01" + bytes(size - 1)) * len(subsets), "little")
-    half = ones << (width - 1)
-    low = half - ones
-    encoded = [(v - least).to_bytes(size, "little") for v in vals]
-    columns = []
-    for i, j in itertools.combinations(range(n - k + 2), 2):
-        ranks = map(sub, map(sub, base, first[i]), second[j])
-        columns.append(int.from_bytes(b"".join(map(encoded.__getitem__, ranks)), "little"))
-    found = None
-    for q, (ac, bd, ab, cd, ad, bc) in enumerate(quadruples):
-        lhs = columns[ac] + columns[bd] - half
-        d1 = columns[ab] + columns[cd] - lhs
-        d2 = columns[ad] + columns[bc] - lhs
-        e1, e2 = d1 ^ half, d2 ^ half  # zero fields where the side equals ac + bd
-        # (e & low) + low | e has a field's top bit set exactly when the field is nonzero
-        fails = half & ~(d1 & d2) | half & ((e1 & low) + low | e1) & ((e2 & low) + low | e2)
-        if fails:
-            at = ((fails & -fails).bit_length() - 1) // width
-            if found is None or at < found[0]:
-                found = at, q
-    if found is None:
-        return None
-    at, q = found
-    S = subsets[at]
-    a, b, c, d = quad = next(itertools.islice(
-        itertools.combinations([x for x in range(1, n + 1) if x not in S], 4), q, None))
-
-    def entry(x: int, y: int) -> Fraction:
-        return pi[S + (x, y)]
-
-    return (S, quad, entry(a, c) + entry(b, d),
-            min(entry(a, b) + entry(c, d), entry(a, d) + entry(b, c)))
+    pairs = list(itertools.combinations(range(n - k + 2), 2))
+    for S in itertools.combinations(range(1, n + 1), k - 2):
+        base, first, second = _pair_ranks(S, k, n)
+        e = [vals[base - first[i] - second[j]] for i, j in pairs]
+        for q, (ac, bd, ab, cd, ad, bc) in enumerate(quadruples):
+            lhs = e[ac] + e[bd]
+            left = e[ab] + e[cd]
+            right = e[ad] + e[bc]
+            rhs = left if left < right else right
+            if lhs != rhs:
+                outside = [x for x in range(1, n + 1) if x not in S]
+                quad = next(itertools.islice(itertools.combinations(outside, 4), q, None))
+                return S, quad, Fraction(lhs, scale), Fraction(rhs, scale)
+    return None
 
 
 def equivalent_mod_lineality(a: PlueckerVector, b: PlueckerVector) -> bool:

@@ -34,6 +34,8 @@ query makes one walk (`_walk`) over the vector's own roof sum, formed
 once; a lineality shift only translates a tropical linear space (Speyer,
 "Tropical linear spaces", SIAM J. Discrete Math. 2008), so for
 `diameter_check` `_complex` moves the walk's vertices by one vector.
+A walk that finds more vertices than the hypersimplex has alcoves
+(`_vertex_bound`) raises `InvariantError`, budget or not.
 
 Every argmin set is a rank set: one int over the C(n,k) subset ranks,
 bit i for the subset of rank i.  Cached per (k, n) are the subset
@@ -311,11 +313,11 @@ def central_representative(pi: PlueckerVector) -> PlueckerVector:
 
 def _gap_shift(row, target, k: int, n: int):
     """The lineality shift y, with y_1 = 0, that makes every cyclic-gap
-    difference of row_I - sum(y_i for i in I) equal to `target`, and that
-    shifted row.  The j-th difference moves by y_{j+k+1} - y_{j+k}, so the
-    n differences fix y modulo all-ones once they sum to n * target; every
-    caller passes a central representative and the weight its planar
-    coefficients claim, so any other sum is an InvariantError."""
+    difference of row_I - sum(y_i for i in I) equal to `target`.  The j-th
+    difference moves by y_{j+k+1} - y_{j+k}, so the n differences fix y
+    modulo all-ones once they sum to n * target; every caller passes a
+    central representative and the weight its planar coefficients claim,
+    so any other sum is an InvariantError."""
     delta = [0] * (n + 1)
     for j, (c, g) in enumerate(_gap_ranks(k, n)):
         delta[mod1(j + k, n)] = row[c] - row[g] - target
@@ -324,15 +326,16 @@ def _gap_shift(row, target, k: int, n: int):
     y = [0] * n
     for m in range(1, n):
         y[m] = y[m - 1] - delta[m]
-    return y, _values(row, y, k)
+    return y
 
 
 def _central_shift(central, row, k: int, n: int):
     """The lineality shift y that makes central - row zero on every
     cyclic-gap difference; the difference must then be constant, else the
     planar coefficients do not expand the vector."""
-    y, rest = _gap_shift(list(map(sub, central, row)), 0, k, n)
-    if len(set(rest)) != 1:
+    rest = list(map(sub, central, row))
+    y = _gap_shift(rest, 0, k, n)
+    if len(set(_values(rest, y, k))) != 1:
         raise InvariantError("the planar coefficients do not expand the vector modulo lineality")
     return y
 
@@ -344,8 +347,9 @@ def balanced_representative(pi: PlueckerVector) -> PlueckerVector:
     scale, row, terms, central = _roof_sum(pi)
     _central_shift(central, row, k, n)
     # Over n * scale, so that the target weight / n is an integer.
-    _, balanced = _gap_shift([n * c for c in central], k * sum(f for _, f in terms), k, n)
-    return PlueckerVector._of_scaled(k, n, balanced, n * scale)
+    central = [n * c for c in central]
+    y = _gap_shift(central, k * sum(f for _, f in terms), k, n)
+    return PlueckerVector._of_scaled(k, n, _values(central, y, k), n * scale)
 
 
 @record
@@ -411,7 +415,7 @@ def _complex(pi: PlueckerVector, balance: bool, time_budget_s: float | None):
     y = _central_shift(central, row, k, n)
     times, move = 1, [0] * n
     if balance:
-        yb, _ = _gap_shift([n * c for c in central], total, k, n)
+        yb = _gap_shift([n * c for c in central], total, k, n)
         times, move = n, [n * a - b for a, b in zip(y, yb)]
     points, sets = zip(*_walk(k, n, row, terms, y, time_budget_s))
     found = [tuple(times * v + d for v, d in zip(w, move)) for w in points]
@@ -452,6 +456,7 @@ def _walk(k: int, n: int, row, terms, y, time_budget_s: float | None):
             raise TimeBudgetExceeded(f"vertex walk over its {time_budget_s} s budget")
 
     full = (1 << n) - 1
+    bound = _vertex_bound(k, n)
     w = tuple(v - start[0] for v in start)
     vals = _values(row, w, k)
     A = _argmin(vals)
@@ -473,6 +478,9 @@ def _walk(k: int, n: int, row, terms, y, time_budget_s: float | None):
                 far = top | hits
                 faces[nxt] = _face(far, k, n)
                 if faces[nxt] == 0:
+                    if len(sets) == bound:
+                        raise InvariantError(f"({k},{n}): the walk found more than {bound} "
+                                             "vertices, the alcoves of the hypersimplex")
                     # w + t e_S; the walk reads values only against their minimum
                     nvals = list(map(sub, vals, map(t.__mul__, _interval_counts(k, n, s))))
                     sets[nxt] = far
@@ -486,6 +494,16 @@ def _walk(k: int, n: int, row, terms, y, time_budget_s: float | None):
 
     # One positive scale: the integer tuples sort as the vertices do.
     return sorted(sets.items())
+
+
+@lru_cache(maxsize=None)
+def _vertex_bound(k: int, n: int) -> int:
+    """The Eulerian number A(n-1, k-1), the number of alcoves of the
+    hypersimplex Delta(k, n).  Every cell of a positive vector's subdivision
+    is a positroid polytope, a union of alcoves (Lam-Postnikov, "Alcoved
+    polytopes I", Discrete Comput. Geom. 2007), and each vertex of the
+    bounded complex is a maximal cell, so no walk finds more vertices."""
+    return sum((-1) ** i * math.comb(n, i) * (k - i) ** (n - 1) for i in range(k))
 
 
 @lru_cache(maxsize=None)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    ci_grid_612,
     random_positive_vector,
     random_rational_tpoint,
     random_tpoint,
@@ -441,9 +442,40 @@ def test_positivity_without_three_term_relations_builds_no_plan(monkeypatch, k, 
     # a relation needs S of size k - 2 and four elements outside it, so none
     # exists for k <= 1 or k >= n - 1 (k = 1 is dual to k = n - 1)
     monkeypatch.setattr(ladder, "_plan", _refuse)
+    monkeypatch.setattr(ladder, "_fill", _refuse)
     monkeypatch.setattr(pluecker, "_first_violation", _refuse)
     pi = random_vector(rng_for(f"no-relations-{k}-{n}"), k, n)
     assert is_positive_tropical(pi) == PositivityCertificate(True)
+
+
+def test_rho_and_the_certificate_share_one_step_loop(monkeypatch):
+    # `ladder._fill` is the one step loop: evaluation and the certificate
+    # both run it, so with it refused neither can answer
+    rng = rng_for("one-step-loop")
+    t = random_tpoint(rng, 4, 8)
+    pi = ladder.rho(t)
+    monkeypatch.setattr(ladder, "_fill", _refuse)
+    with pytest.raises(AssertionError, match="^refused$"):
+        ladder.rho(t)
+    with pytest.raises(AssertionError, match="^refused$"):
+        is_positive_tropical(pi)
+
+
+@pytest.mark.parametrize("raised", [(7, 8, 9, 10, 11, 12), (6, 8, 9, 10, 11, 12)])
+def test_full_scan_at_desk_scale(raised):
+    # One entry of the CI grid's rho vector raised by 1.  Both first fail
+    # at S = (8, 9, 10, 11), the latest S at which any entry of that
+    # vector moved by 1 first fails; no such move fails at the last S,
+    # (9, 10, 11, 12), first.
+    pi = ladder.rho(ci_grid_612())
+    vals, scale = pi.scaled()
+    vals = list(vals)
+    vals[pluecker.lex_rank(6, 12)[raised]] += scale
+    bumped = PlueckerVector._of_scaled(6, 12, vals, scale)
+    expected = three_term_reference(bumped)
+    assert expected[0] == (8, 9, 10, 11)
+    assert pluecker._first_violation(bumped) == expected
+    assert is_positive_tropical(bumped) == PositivityCertificate(False, expected)
 
 
 @pytest.mark.parametrize("k,n", [(2, 4), (2, 6), (4, 6), (5, 7)])

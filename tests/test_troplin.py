@@ -290,6 +290,50 @@ def test_roof_sum_uses_the_least_scale(k, n):
         assert diameter_check(pi) == bounded_complex_vertices(balanced_representative(pi))
 
 
+# The first rational point of the (3,7) least-scale test: a walk whose
+# `_components` counts one component on every face takes every far end
+# for a vertex and, with no time budget, would grow without end.
+ALCOVES_37 = "(3,7): the walk found more than 302 vertices, the alcoves of the hypersimplex"
+
+
+def _alcove_fault_point():
+    return random_rational_tpoint(rng_for("roof-scale-3-7"), 3, 7)
+
+
+def test_vertex_bound_is_the_eulerian_number():
+    # A(n-1, k-1): the permutations of [n-1] with k-1 descents
+    for n in range(2, 8):
+        descents = [sum(a > b for a, b in zip(p, p[1:]))
+                    for p in itertools.permutations(range(n - 1))]
+        for k in range(1, n):
+            assert troplin._vertex_bound(k, n) == descents.count(k - 1)
+
+
+def test_a_miscounting_walk_stops_at_the_alcove_count(monkeypatch):
+    pi = rho(_alcove_fault_point())
+    assert len(diameter_check(pi).vertices) <= troplin._vertex_bound(3, 7)
+    monkeypatch.setattr(troplin, "_components", lambda A, k, n: 1)
+    with pytest.raises(InvariantError) as exc:
+        diameter_check(pi)
+    assert str(exc.value) == ALCOVES_37
+
+
+def test_a_miscounting_walk_stops_at_the_alcove_count_under_optimize():
+    rows = [[exact.format_fraction(v) for v in row] for row in _alcove_fault_point().rows]
+    result = run_optimized(
+        "from tropnc import ladder, ncfan, troplin",
+        "from tropnc.exact import InvariantError",
+        "troplin._components = lambda A, k, n: 1",
+        f"t = ncfan.from_json_dict({{'k': 3, 'n': 7, 'rows': {rows!r}}})",
+        "try:",
+        "    troplin.diameter_check(ladder.rho(t))",
+        "except InvariantError as exc:",
+        "    print(exc)",
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == ALCOVES_37 + "\n"
+
+
 def _check_translated_walk(pi):
     """diameter_check walks pi once and translates its vertices; a walk of
     the balanced vector itself is the reference, and the two complexes
@@ -426,7 +470,7 @@ def _minkowski_vertices(pi_hat):
     integers.  Returns the canonical vertices."""
     k, n = pi_hat.k, pi_hat.n
     scale, row, terms, central = troplin._roof_sum(pi_hat)
-    y, _ = troplin._gap_shift([c - v for c, v in zip(central, row)], 0, k, n)
+    y = troplin._gap_shift([c - v for c, v in zip(central, row)], 0, k, n)
     level = {tuple(-v for v in y)}
     for J, factor in terms:
         sectors = [[-factor * (x - W[0]) for x in W] for W in central_roof(J).W]
