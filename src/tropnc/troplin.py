@@ -30,24 +30,26 @@ bounded complex is connected (Speyer), so the walk reaches every vertex.
 It crosses each edge once: a step from w along e_S that ends at a vertex
 not yet left marks the interval [n] - S as crossed there (-e_S is
 e_([n] - S) modulo all-ones, and the step back would end at w).  Each
-query makes one walk (`_walk`) over the vector's own roof sum, formed
-once; a lineality shift only translates a tropical linear space (Speyer,
-"Tropical linear spaces", SIAM J. Discrete Math. 2008), so for
-`diameter_check` `_complex` moves the walk's vertices by one vector.
+query makes one walk (`_walk`) over the vector's own roof sum and central
+shift, formed and checked once per vector (`_roof_sum`); a lineality
+shift only translates a tropical linear space (Speyer, "Tropical linear
+spaces", SIAM J. Discrete Math. 2008), so for `diameter_check`
+`_complex` moves the walk's vertices by one vector.
 A walk that finds more vertices than the hypersimplex has alcoves
 (`_vertex_bound`) raises `InvariantError`, budget or not.
 
 Every argmin set is a rank set: one int over the C(n,k) subset ranks,
 bit i for the subset of rank i.  Cached per (k, n) are the subset
 bitmasks and their ranks (`pluecker._masks`, `_mask_ranks`), the rank
-set elem[e] of the subsets holding e (`_elem_sets`); per interval S, the
-counts |I ∩ S| (`_interval_counts`), grouped by count c into ranks, their
-rank set sets[c] and above[c], that of all larger counts (`_interval_groups`).
-Only the start is scanned: along e_S a subset off the top face with at
-most r(S) elements in S ends above it, so the far end's argmin set is
-`top | hits`, the hits reaching the breakpoint (`_breakpoint`).  The walk
-reads a vertex's values only against their least one, so a step along
-e_S subtracts t|I ∩ S| from each and adds no constant.
+set elem[e] of the subsets holding e (`_elem_sets`); per interval S, one
+table (`_interval_table`): the step direction, the counts |I ∩ S|, and
+by count c the ranks, their rank set sets[c] and above[c], that of all
+larger counts.  Only the start is scanned: along e_S a subset off the top
+face with at most r(S) elements in S ends above it, so the far end's
+argmin set is `top | hits`, the hits reaching the breakpoint
+(`_breakpoint`).  The walk reads a vertex's values only against their
+least one, so a step along e_S subtracts t|I ∩ S| from each and adds no
+constant.
 
 At a vertex the walk reads every interval rank from the Grassmann
 necklace of the argmin matroid (Oh, "Positroids and Schubert
@@ -68,7 +70,8 @@ One classifier, `_face`, reads an argmin rank set A: e is a loop when
 A & elem[e] is empty and a coloop when it is A; it counts components on
 the fundamental graph of A's least basis B (`_components`), read off B's
 exchange rows (`_exchange_rows`, made on B's first use), and also serves
-`face_dimension_at` (`_shift_face`).  `bounded_complex_edges` forms each
+`face_dimension_at`.  Outside points enter at one place, `_scaled_row`,
+which checks their length.  `bounded_complex_edges` forms each
 point's value row and argmin set once (the CLI reuses the walk's sets); a
 pair's midpoint has the AND of the two argmin sets as its own when it is
 not empty (the summed rows are at least the summed minima, with equality
@@ -232,10 +235,6 @@ class CentralRoof:
     J: KSubset
     W: tuple[tuple[int, ...], ...]
 
-    @property
-    def k(self) -> int:
-        return self.J.k
-
 
 @lru_cache(maxsize=None)
 def central_roof(J: KSubset) -> CentralRoof:
@@ -280,9 +279,11 @@ def _roof_sum(pi: PlueckerVector):
     the least that clears pi's values and k times each nonzero planar
     coefficient u_J(pi) (a larger one could make a fractional breakpoint
     look integral to `_breakpoint`); pi's values over it; the
-    (J, factor = scale * u_J / k) pairs; and the sum of factor times roof
-    row, in rank order.  pi's values and the sum are rows over the scale.
-    Kept in pi's `_roof` slot; callers never change the lists."""
+    (J, factor = scale * u_J / k) pairs; the sum of factor times roof
+    row, in rank order; and the central shift y (`_central_shift`, which
+    checks that the coefficients expand pi).  pi's values, the sum and y
+    are over the scale.  Kept in pi's `_roof` slot, so the check runs once
+    per vector; callers never change the lists."""
     if pi._roof is not None:
         return pi._roof
     k, n = pi.k, pi.n
@@ -299,7 +300,8 @@ def _roof_sum(pi: PlueckerVector):
             raise InvariantError(f"scale {scale} leaves roof factor {factor} fractional")
         terms.append((J, factor))
         central = list(map(add, central, map(mul, _roof_row(J), itertools.repeat(factor))))
-    pi._roof = scale, [v * (scale // s) for v in vals], terms, central
+    row = [v * (scale // s) for v in vals]
+    pi._roof = scale, row, terms, central, _central_shift(central, row, k, n)
     return pi._roof
 
 
@@ -307,7 +309,7 @@ def central_representative(pi: PlueckerVector) -> PlueckerVector:
     """Planar-coefficient combination of central roofs; equivalent to pi
     modulo lineality, and piecewise-linear as a function on the
     hypersimplex (no affine offset)."""
-    scale, _, _, central = _roof_sum(pi)
+    scale, _, _, central, _ = _roof_sum(pi)
     return PlueckerVector._of_scaled(pi.k, pi.n, central, scale)
 
 
@@ -344,8 +346,7 @@ def balanced_representative(pi: PlueckerVector) -> PlueckerVector:
     """Lineality shift of the central representative making all n
     cyclic-gap differences equal to (total weight)/n."""
     k, n = pi.k, pi.n
-    scale, row, terms, central = _roof_sum(pi)
-    _central_shift(central, row, k, n)
+    scale, _, terms, central, _ = _roof_sum(pi)
     # Over n * scale, so that the target weight / n is an integer.
     central = [n * c for c in central]
     y = _gap_shift(central, k * sum(f for _, f in terms), k, n)
@@ -410,9 +411,8 @@ def _complex(pi: PlueckerVector, balance: bool, time_budget_s: float | None):
     Balanced, w moves to n*w + (n*y - yb) over n times the scale, y the
     central and yb the balancing shift; all have first coordinate 0."""
     k, n = pi.k, pi.n
-    scale, row, terms, central = _roof_sum(pi)
+    scale, row, terms, central, y = _roof_sum(pi)
     total = k * sum(f for _, f in terms)  # the weight, over scale
-    y = _central_shift(central, row, k, n)
     times, move = 1, [0] * n
     if balance:
         yb = _gap_shift([n * c for c in central], total, k, n)
@@ -438,8 +438,7 @@ def _complex_with_edges(pi: PlueckerVector, balance: bool, time_budget_s: float 
 def _walk(k: int, n: int, row, terms, y, time_budget_s: float | None):
     """The (vertex, argmin rank set) pairs of the bounded complex of a
     positive vector, sorted, each vertex as integers over the roof scale,
-    walked from its `_roof_sum` row and (J, factor) terms and the central
-    shift y (`_central_shift`).
+    walked from its `_roof_sum` row, (J, factor) terms and central shift y.
 
     Each edge is crossed once: a step from w along e_S that ends at a
     vertex not yet left records the interval [n] - S as crossed there,
@@ -471,8 +470,9 @@ def _walk(k: int, n: int, row, terms, y, time_budget_s: float | None):
         w, vals, A = todo.pop()
         best = min(vals)
         for s, r, top in _edge_intervals(A, k, n, crossed.pop(w)):
-            t, hits = _breakpoint(vals, _interval_groups(k, n, s)[0], best, r)
-            nxt = tuple(map(add, w, map(t.__mul__, _direction(n, s))))
+            direction, counts, ranks, _, _ = _interval_table(k, n, s)
+            t, hits = _breakpoint(vals, ranks, best, r)
+            nxt = tuple(map(add, w, map(t.__mul__, direction)))
             if nxt not in faces:
                 over_budget()
                 far = top | hits
@@ -482,7 +482,7 @@ def _walk(k: int, n: int, row, terms, y, time_budget_s: float | None):
                         raise InvariantError(f"({k},{n}): the walk found more than {bound} "
                                              "vertices, the alcoves of the hypersimplex")
                     # w + t e_S; the walk reads values only against their minimum
-                    nvals = list(map(sub, vals, map(t.__mul__, _interval_counts(k, n, s))))
+                    nvals = list(map(sub, vals, map(t.__mul__, counts)))
                     sets[nxt] = far
                     crossed[nxt] = set()
                     todo.append((nxt, nvals, far))
@@ -514,31 +514,27 @@ def _elem_sets(k: int, n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _interval_counts(k: int, n: int, s: int) -> bytes:
-    """|I ∩ S| for every k-subset I in rank order, as bytes; S a bitmask."""
-    return bytes((m & s).bit_count() for m in _masks(k, n))
-
-
-@lru_cache(maxsize=None)
-def _direction(n: int, s: int) -> tuple[int, ...]:
-    """e_S less its first coordinate times all-ones: steps keep w_1 = 0."""
-    return tuple((s >> i & 1) - (s & 1) for i in range(n))
-
-
-@lru_cache(maxsize=None)
-def _interval_groups(k: int, n: int, s: int):
-    """`_interval_counts` grouped by count c: per c, the ranks with that
-    count, their rank set, and the rank set of all counts above c."""
-    counts = _interval_counts(k, n, s)
+def _interval_table(k: int, n: int, s: int):
+    """The walk's table of the cyclic interval S, a bitmask: e_S less s_1
+    times all-ones (steps keep w_1 = 0); the counts |I ∩ S| of the k-subsets
+    I in rank order, as bytes; and per count c, the ranks with that count,
+    their rank set, and the rank set of all counts above c."""
+    direction = tuple((s >> i & 1) - (s & 1) for i in range(n))
+    counts = bytes((m & s).bit_count() for m in _masks(k, n))
     ranks = tuple(tuple(i for i, c in enumerate(counts) if c == g) for g in range(max(counts) + 1))
     sets = tuple(sum(1 << i for i in g) for g in ranks)
     above = tuple(reduce(or_, sets[c + 1:], 0) for c in range(len(sets)))
-    return ranks, sets, above
+    return direction, counts, ranks, sets, above
 
 
 def _scaled_row(pi: PlueckerVector, points):
-    """pi's values and the coordinates of the `Fraction` points as integers
-    over one common scale: pi's row in rank order and the integer points."""
+    """pi's values and the coordinates of the points, each n exact
+    rationals, as integers over one common scale: pi's row in rank order
+    and the integer points."""
+    points = [[as_fraction(v) for v in w] for w in points]
+    for w in points:
+        if len(w) != pi.n:
+            raise ValueError(f"need {pi.n} coordinates, got {len(w)}")
     ints, s = pi.scaled()
     scale = math.lcm(s, *(v.denominator for w in points for v in w))
     points = [[v.numerator * (scale // v.denominator) for v in w] for w in points]
@@ -676,7 +672,7 @@ def _edge_intervals(A: int, k: int, n: int, crossed):
             s = spans[a][size]
             if s in crossed:
                 continue
-            _, sets, above = _interval_groups(k, n, s)
+            _, _, _, sets, above = _interval_table(k, n, s)
             if A & above[r]:
                 S = [i + 1 for i in range(n) if s >> i & 1]
                 raise InvariantError(
@@ -700,19 +696,11 @@ def _face(A: int, k: int, n: int):
     return _components(A, k, n) - 1
 
 
-def _shift_face(k: int, row, w_scaled: Sequence[int]):
-    """The face through a shift point, both scaled as by `_scaled_row`."""
-    return _face(_argmin(_values(row, w_scaled, k)), k, len(w_scaled))
-
-
 def face_dimension_at(pi: PlueckerVector, w: Sequence[Rational]):
     """Dimension of the face through w, or "outside" when w misses the
     linear space, "unbounded" when the face through w is unbounded."""
-    ws = [as_fraction(v) for v in w]
-    if len(ws) != pi.n:
-        raise ValueError(f"need {pi.n} coordinates, got {len(ws)}")
-    row, (point,) = _scaled_row(pi, [ws])
-    return _shift_face(pi.k, row, point)
+    row, (point,) = _scaled_row(pi, [w])
+    return _face(_argmin(_values(row, point, pi.k)), pi.k, pi.n)
 
 
 def matroid_polytope_contains(M: Matroid, x: Sequence[Rational]) -> bool:
@@ -761,10 +749,7 @@ def bounded_complex_edges(
     both rows are least: so when the two argmin sets meet, the midpoint's
     argmin set is their intersection, and only otherwise are the rows
     added."""
-    verts = [[as_fraction(v) for v in w] for w in vertices]
-    if any(len(w) != pi_hat.n for w in verts):
-        raise ValueError(f"every vertex needs {pi_hat.n} coordinates")
-    return _edges(pi_hat.k, pi_hat.n, *_scaled_row(pi_hat, verts))
+    return _edges(pi_hat.k, pi_hat.n, *_scaled_row(pi_hat, vertices))
 
 
 def _edges(k: int, n: int, row, points, tops=None) -> list[tuple[int, int]]:

@@ -247,7 +247,8 @@ def test_coefficients_that_do_not_expand_the_vector_raise(monkeypatch):
     monkeypatch.setattr(
         planar, "_expand", lambda k, n, vals: [2 * u for u in expand(k, n, vals)]
     )
-    for call in (bounded_complex_vertices, diameter_check):
+    for call in (bounded_complex_vertices, diameter_check, balanced_representative,
+                 central_representative):
         with pytest.raises(InvariantError, match="do not expand"):
             call(pi)
     # The same weight on another roof: the gap differences still sum
@@ -256,7 +257,8 @@ def test_coefficients_that_do_not_expand_the_vector_raise(monkeypatch):
     monkeypatch.setattr(planar, "_expand", lambda k, n, vals: [
         scale if J == J_3SPLIT else 0 for J in combinat.noncyclic_subsets(k, n)
     ])
-    for call in (bounded_complex_vertices, diameter_check):
+    for call in (bounded_complex_vertices, diameter_check, balanced_representative,
+                 central_representative):
         with pytest.raises(InvariantError, match="do not expand"):
             call(pi)
     # the check is an explicit raise, so it survives -O
@@ -272,6 +274,26 @@ def test_coefficients_that_do_not_expand_the_vector_raise(monkeypatch):
     assert "InvariantError: the planar coefficients do not expand" in result.stderr
 
 
+def test_the_expansion_check_runs_once_per_vector(monkeypatch):
+    # `_roof_sum` keeps the central shift on the vector beside its roof
+    # sum, so every query on one vector shares one expansion check.
+    calls = []
+    central_shift = troplin._central_shift
+
+    def counted(*args):
+        calls.append(args)
+        return central_shift(*args)
+
+    monkeypatch.setattr(troplin, "_central_shift", counted)
+    pi = rho(random_tpoint(rng_for("central-shift-once"), 3, 7))
+    diameter_check(pi)
+    balanced_representative(pi)
+    bounded_complex_vertices(pi)
+    central_representative(pi)
+    subdifferential_at(pi, [Fraction(3, 7)] * 7)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("k,n", [(3, 6), (3, 7)])
 def test_roof_sum_uses_the_least_scale(k, n):
     # The least common denominator of the values and of k times each
@@ -282,7 +304,7 @@ def test_roof_sum_uses_the_least_scale(k, n):
         pi = rho(random_rational_tpoint(rng, k, n))
         coeffs = [c for c in planar.planar_expand(pi).values() if c]
         least = math.lcm(*(v.denominator for v in pi.values), *(k * c.denominator for c in coeffs))
-        scale, row, terms, central = troplin._roof_sum(pi)
+        scale, row, terms, central, _ = troplin._roof_sum(pi)
         assert scale == least
         assert [Fraction(v, scale) for v in row] == list(pi.values)
         assert sorted(Fraction(k * f, scale) for _, f in terms) == sorted(coeffs)
@@ -469,13 +491,14 @@ def _minkowski_vertices(pi_hat):
     pi_hat's own cyclic-gap differences, each classified in scaled
     integers.  Returns the canonical vertices."""
     k, n = pi_hat.k, pi_hat.n
-    scale, row, terms, central = troplin._roof_sum(pi_hat)
+    scale, row, terms, central, _ = troplin._roof_sum(pi_hat)
     y = troplin._gap_shift([c - v for c, v in zip(central, row)], 0, k, n)
     level = {tuple(-v for v in y)}
     for J, factor in terms:
         sectors = [[-factor * (x - W[0]) for x in W] for W in central_roof(J).W]
         level = {tuple(a + x for a, x in zip(acc, W)) for acc in level for W in sectors}
-    vertices = [w for w in level if troplin._shift_face(k, row, w) == 0]
+    vertices = [w for w in level
+                if troplin._face(troplin._argmin(troplin._values(row, w, k)), k, n) == 0]
     return {tuple(Fraction(v, scale) for v in w) for w in vertices}
 
 
@@ -615,8 +638,9 @@ def test_rank_set_tables_match_the_counts(k, n):
                           for e in range(1, n + 1)]
     for a, size in itertools.product(range(n), range(1, n)):
         s = sum(1 << ((a + i) % n) for i in range(size))
-        counts = troplin._interval_counts(k, n, s)
-        ranks, sets, above = troplin._interval_groups(k, n, s)
+        direction, counts, ranks, sets, above = troplin._interval_table(k, n, s)
+        S = {(a + i) % n for i in range(size)}
+        assert direction == tuple((i in S) - (0 in S) for i in range(n))  # e_S - s_1 * all-ones
         assert len(ranks) == len(sets) == len(above) == min(k, size) + 1
         for c in range(len(ranks)):
             assert ranks[c] == tuple(i for i, x in enumerate(counts) if x == c)
@@ -975,11 +999,11 @@ def test_shift_face_classifier_matches_fraction_reference(k, n):
                 assert in_bounded_part(vec, w) == isinstance(face, int)
                 seen.add(face)
             assert all(face_dimension_at(vec, w) == 0 for w in vertices)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"need {n} coordinates, got {n - 1}"):
             face_dimension_at(pi, [0] * (n - 1))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"need {n} coordinates, got {n + 1}"):
             in_bounded_part(pi, [0] * (n + 1))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"need {n} coordinates, got {n - 1}"):
             bounded_complex_edges(pi, [[0] * n, [0] * (n - 1)])
     assert {0, 1, "outside", "unbounded"} <= seen
 
