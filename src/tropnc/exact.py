@@ -141,6 +141,14 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
+def coordinates(values: Iterable, n: int) -> list[Fraction]:
+    """n coordinates through `as_fraction`: the one reader of outside points."""
+    values = [as_fraction(v) for v in values]
+    if len(values) != n:
+        raise ValueError(f"need {n} coordinates, got {len(values)}")
+    return values
+
+
 # The one spelling of a rational in a JSON string: ASCII digits, an
 # optional leading minus, an optional "/q"; no sign "+", space, point or
 # exponent.

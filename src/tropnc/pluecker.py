@@ -1,17 +1,18 @@
 """Tropical Plücker vectors over exact rationals.
 
 A vector is C(n, k) rationals, one per k-subset I of [n] (one per vertex
-e_I of the hypersimplex), held once as integers over their least common
-denominator (`pi.scaled()`, which the kernels index by rank) in the
-lexicographic rank order of `lex_rank(k, n)`, the single definition of
-that order.  `pi[I]`, `pi.items()` (pairs in rank order) and `pi.values`
-read a tuple of `Fraction`s made on first read.  `from_json_dict` is the
-one place that checks that labels cover every subset.
+e_I of the hypersimplex), held as integers over their least common
+denominator (`pi.scaled()`, formed with the vector and indexed by rank in
+the kernels) in the lexicographic rank order of `lex_rank(k, n)`, the
+single definition of that order.  `pi[I]`, `pi.items()` (pairs in rank
+order) and `pi.values` read the `Fraction`s the vector was made from, or
+ones made on first read.  `from_json_dict` is the one place that checks
+that labels cover every subset.
 
-The module also covers lineality shifts, linear combinations, the
-three-term positivity certificate, equivalence modulo the lineality
-space, and the two families of face restriction maps (to the facets
-x_l = 1 and x_l = 0 of the hypersimplex).
+The module also covers sums, linear combinations and lineality elements,
+all formed on the scaled integers, the three-term positivity certificate,
+equivalence modulo the lineality space, and the two families of face
+restriction maps (to the facets x_l = 1 and x_l = 0 of the hypersimplex).
 
 The certificate decides positivity on the C(n, k) - k(n-k) - 1
 three-term relations that `ladder._plan(k, n)` applies as its steps:
@@ -33,8 +34,8 @@ vector lacks, and no later step writes its target again.
 Only a vector that fails a step is scanned over every relation, in
 order of S and then of its quadruple, to name the lexicographically
 first violation; no table of the relations is built.  Per S the scan
-reads the C(n-k+2, 2) entries S + {x, y} once, each by its closed-form
-rank (`_pair_ranks`), and checks the quadruples in order.
+reads the C(n-k+2, 2) entries S + {x, y} once, each by the rank of its
+bitmask (`_mask_ranks`), and checks the quadruples in order.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .exact import (
     Rational,
     SchemaError,
     as_fraction,
+    coordinates,
     format_fraction,
     json_fraction,
     json_kn,
@@ -101,8 +103,8 @@ def _check_count(k: int, n: int, count: int):
 
 class PlueckerVector:
     """One exact rational per k-subset of [n], in `lex_rank(k, n)` order,
-    held as `scaled()`; the `Fraction` view `values` is made on first read,
-    and `troplin._roof_sum` keeps the vector's roof sum in `_roof`."""
+    held as `scaled()`; the `Fraction` view `values` is the one it was made
+    from or made on first read, and `troplin._roof_sum` keeps its roof sum."""
 
     __slots__ = ("k", "n", "_values", "_scaled", "_roof")
 
@@ -112,7 +114,8 @@ class PlueckerVector:
         self.k = k
         self.n = n
         self._values = values
-        self._scaled = self._roof = None
+        self._scaled = scaled(values)
+        self._roof = None
 
     @classmethod
     def _of_scaled(cls, k: int, n: int, ints: Iterable[int], scale: int) -> "PlueckerVector":
@@ -137,10 +140,8 @@ class PlueckerVector:
         return self._values
 
     def scaled(self) -> tuple[list[int], int]:
-        """`exact.scaled(self.values)`, (ints, scale) over the least scale,
-        formed once and shared: callers read the list and never change it."""
-        if self._scaled is None:
-            self._scaled = scaled(self._values)
+        """(ints, scale) over the least scale, `exact.scaled(self.values)`,
+        shared: callers read the list and never change it."""
         return self._scaled
 
     @classmethod
@@ -166,19 +167,16 @@ class PlueckerVector:
         )
 
     def __add__(self, other: "PlueckerVector") -> "PlueckerVector":
-        self._check_shape(other)
-        return PlueckerVector(self.k, self.n, [a + b for a, b in zip(self.values, other.values)])
+        return linear_combination(self.k, self.n, ((1, self), (1, other)))
 
     def __sub__(self, other: "PlueckerVector") -> "PlueckerVector":
-        self._check_shape(other)
-        return PlueckerVector(self.k, self.n, [a - b for a, b in zip(self.values, other.values)])
+        return linear_combination(self.k, self.n, ((1, self), (-1, other)))
 
     def __neg__(self) -> "PlueckerVector":
         return self.scale(-1)
 
     def scale(self, c: Rational) -> "PlueckerVector":
-        c = as_fraction(c)
-        return PlueckerVector(self.k, self.n, [c * v for v in self.values])
+        return linear_combination(self.k, self.n, ((c, self),))
 
     def support(self) -> list[tuple[int, ...]]:
         return [I for I, v in self.items() if v != 0]
@@ -198,22 +196,32 @@ class PlueckerVector:
 
 
 def linear_combination(k: int, n: int, terms) -> PlueckerVector:
-    """The sum of c * v over the (c, v) pairs of `terms`, formed as one vector."""
-    acc = [Fraction(0)] * math.comb(n, k)
+    """The sum of c * v over the (c, v) pairs of `terms`, on the scaled
+    integers: the sum so far and c * v meet over the lcm of their scales."""
+    acc, scale = [0] * math.comb(n, k), 1
     for c, v in terms:
         if (v.k, v.n) != (k, n):
             raise ValueError(f"mismatched (k, n): ({k},{n}) vs ({v.k},{v.n})")
         c = as_fraction(c)
-        acc = [a + c * x for a, x in zip(acc, v.values)]
-    return PlueckerVector(k, n, acc)
+        ints, s = v.scaled()
+        s *= c.denominator
+        common = math.lcm(scale, s)
+        up, factor = common // scale, c.numerator * (common // s)
+        acc = [a * up + factor * x for a, x in zip(acc, ints)]
+        scale = common
+    return PlueckerVector._of_scaled(k, n, acc, scale)
+
+
+def _subset_sums(w: Sequence[int], k: int):
+    """sum(w_i, i in I) for every k-subset I, in rank order: the order in
+    which `itertools.combinations` yields the subsets of positions."""
+    return map(sum, itertools.combinations(w, k))
 
 
 def lineality_vector(k: int, n: int, x: Sequence[Rational]) -> PlueckerVector:
     """The lineality element with entries sum(x_i for i in I)."""
-    if len(x) != n:
-        raise ValueError(f"need {n} coordinates, got {len(x)}")
-    xs = [as_fraction(v) for v in x]
-    return PlueckerVector.from_function(k, n, lambda I: sum(xs[i - 1] for i in I))
+    ints, scale = scaled(coordinates(x, n))
+    return PlueckerVector._of_scaled(k, n, _subset_sums(ints, k), scale)
 
 
 def lineality_basis(k: int, n: int, i: int) -> PlueckerVector:
@@ -275,34 +283,6 @@ def is_positive_tropical(pi: PlueckerVector) -> PositivityCertificate:
     return PositivityCertificate(False, violation)
 
 
-def _pair_ranks(S: tuple[int, ...], k: int, n: int):
-    """(base, first, second) such that the rank of S + {x, y}, x and y
-    the i-th and j-th elements outside S with i < j, is base - first[i] -
-    second[j]: closed forms, with no subset built.  The k-subsets after
-    c_1 < ... < c_k in rank order that first differ at position i number
-    C(n - c_i, k - i + 1), so the rank is C(n, k) - 1 minus their sum.  An
-    element of S moves up one position per element of {x, y} below it.
-    `base` takes every term of S as if both were below it; second[j] holds
-    y's own term and moves the elements of S below y down one position,
-    first[i] holds x's and moves those below x down one more."""
-    comb = math.comb
-    cumulative = [(0, 0, 0)]  # per prefix of S, its terms with 0, 1 or 2 of x, y below
-    for j, s in enumerate(S, 1):
-        c0, c1, c2 = cumulative[-1]
-        cumulative.append((c0 + comb(n - s, k - j + 1), c1 + comb(n - s, k - j),
-                           c2 + comb(n - s, k - j - 1)))
-    first, second = [], []
-    below = 0
-    for e in range(1, n + 1):
-        if below < len(S) and S[below] == e:
-            below += 1
-            continue
-        c0, c1, c2 = cumulative[below]
-        first.append(comb(n - e, k - below) + c0 - c1)
-        second.append(comb(n - e, k - below - 1) + c1 - c2)
-    return comb(n, k) - 1 - cumulative[-1][2], first, second
-
-
 @lru_cache(maxsize=None)
 def _quadruple_pairs(m: int) -> tuple[tuple[int, ...], ...]:
     """Per a < b < c < d in range(m), in order, the ranks of ac, bd, ab,
@@ -315,23 +295,21 @@ def _quadruple_pairs(m: int) -> tuple[tuple[int, ...], ...]:
 def _first_violation(pi: PlueckerVector) -> tuple | None:
     """The first failing three-term relation in scan order, S in
     lexicographic order and then a < b < c < d outside S, as (S, (a, b, c,
-    d), lhs, rhs), or None when every relation holds.  Per S, the entries
-    of S + {x, y} are read once, by their closed-form ranks."""
+    d), lhs, rhs), or None when every relation holds.  Per S, with mask m,
+    each entry S + {x, y} is read once, at the rank of m | pair."""
     k, n = pi.k, pi.n
     quadruples = _quadruple_pairs(n - k + 2)
     vals, scale = pi.scaled()
-    pairs = list(itertools.combinations(range(n - k + 2), 2))
-    for S in itertools.combinations(range(1, n + 1), k - 2):
-        base, first, second = _pair_ranks(S, k, n)
-        e = [vals[base - first[i] - second[j]] for i, j in pairs]
-        for q, (ac, bd, ab, cd, ad, bc) in enumerate(quadruples):
+    rank, pairs = _mask_ranks(k, n), _masks(2, n)
+    for S, m in zip(itertools.combinations(range(1, n + 1), k - 2), _masks(k - 2, n)):
+        e = [vals[rank[m | pair]] for pair in pairs if not m & pair]
+        outside = [x for x in range(1, n + 1) if x not in S]
+        for quad, (ac, bd, ab, cd, ad, bc) in zip(itertools.combinations(outside, 4), quadruples):
             lhs = e[ac] + e[bd]
             left = e[ab] + e[cd]
             right = e[ad] + e[bc]
             rhs = left if left < right else right
             if lhs != rhs:
-                outside = [x for x in range(1, n + 1) if x not in S]
-                quad = next(itertools.islice(itertools.combinations(outside, 4), q, None))
                 return S, quad, Fraction(lhs, scale), Fraction(rhs, scale)
     return None
 

@@ -15,9 +15,9 @@ one routine, `_gap_shift`, finds a lineality shift from the n cyclic-gap
 differences, both to balance (`balanced_representative`, every gap
 weight/n) and to carry the roof gradients back to the caller's vector.
 A vector is a plain row of integers in rank order; every subset sum,
-sum(w_i, i in I) for all k-subsets I at once, comes from one kernel,
-`_subset_sums`: `itertools.combinations(w, k)` yields the subsets in rank
-order, so the sums are `map(sum, ...)` over it (`_values`, `_roof_row`).
+sum(w_i, i in I) for all k-subsets I at once, comes from the kernel of
+the lineality elements, `pluecker._subset_sums`: `map(sum,
+itertools.combinations(w, k))`, whose subsets come in rank order.
 
 `bounded_complex_vertices` walks the bounded complex of a positive
 vector vertex to vertex.  It starts at the gradient of the central roof
@@ -70,21 +70,21 @@ One classifier, `_face`, reads an argmin rank set A: e is a loop when
 A & elem[e] is empty and a coloop when it is A; it counts components on
 the fundamental graph of A's least basis B (`_components`), read off B's
 exchange rows (`_exchange_rows`, made on B's first use), and also serves
-`face_dimension_at`.  Outside points enter at one place, `_scaled_row`,
-which checks their length.  `bounded_complex_edges` forms each
-point's value row and argmin set once (the CLI reuses the walk's sets); a
-pair's midpoint has the AND of the two argmin sets as its own when it is
-not empty (the summed rows are at least the summed minima, with equality
-exactly on both argmin sets), and the argmin of the summed rows
-otherwise.  Two-value test: the difference d of the two points is
-constant on that AND, where both rows are least, so d_x = d_y for each
-exchange B - y + x in it, and d takes two values at most on a face of
-two components.  `Matroid`, `argmin_matroid`, `is_connected`,
-`grassmann_necklace`, `in_linear_space` and `matroid_polytope_contains`
-are the `Fraction` references of the README's "Reference
-implementations", and the tests keep the Minkowski sum of the roofs'
-sector gradients as the walk's oracle.  Every invariant is an explicit raise of
-`InvariantError`, so the checks survive `python -O`.
+`face_dimension_at`.  Outside points are read by `exact.coordinates`,
+which checks their length, and `_scaled_row` puts them on pi's scale.
+`bounded_complex_edges` forms each point's value row and argmin set once
+(the CLI reuses the walk's sets); a pair's midpoint has the AND of the
+two argmin sets as its own when it is not empty (the summed rows are at
+least the summed minima, with equality exactly on both argmin sets), and
+the argmin of the summed rows otherwise.  Two-value test: the difference
+d of the two points is constant on that AND, where both rows are least,
+so d_x = d_y for each exchange B - y + x in it, and d takes two values at
+most on a face of two components.  `Matroid`, `argmin_matroid`,
+`is_connected`, `grassmann_necklace`, `in_linear_space` and
+`matroid_polytope_contains` are the `Fraction` references of the README's
+"Reference implementations", and the tests keep the Minkowski sum of the
+roofs' sector gradients as the walk's oracle.  Every invariant is an
+explicit raise of `InvariantError`, so the checks survive `python -O`.
 """
 
 from __future__ import annotations
@@ -105,8 +105,15 @@ from .combinat import (
     mod1,
     noncyclic_subsets,
 )
-from .exact import InvariantError, Rational, as_fraction, format_fraction, record
-from .pluecker import PlueckerVector, _gap_ranks, _mask_ranks, _masks, is_positive_tropical
+from .exact import InvariantError, Rational, coordinates, format_fraction, record
+from .pluecker import (
+    PlueckerVector,
+    _gap_ranks,
+    _mask_ranks,
+    _masks,
+    _subset_sums,
+    is_positive_tropical,
+)
 
 
 class TimeBudgetExceeded(RuntimeError):
@@ -140,9 +147,7 @@ class Matroid:
 
 def argmin_matroid(pi: PlueckerVector, w: Sequence[Rational]) -> Matroid:
     """Bases are the subsets minimizing pi_I - sum(w_i, i in I)."""
-    ws = [as_fraction(v) for v in w]
-    if len(ws) != pi.n:
-        raise ValueError(f"need {pi.n} coordinates, got {len(ws)}")
+    ws = coordinates(w, pi.n)
     vals = {I: v - sum(ws[i - 1] for i in I) for I, v in pi.items()}
     best = min(vals.values())
     return Matroid(pi.k, pi.n, frozenset(I for I, v in vals.items() if v == best))
@@ -206,10 +211,8 @@ def grassmann_necklace(M: Matroid) -> list[tuple[int, ...]]:
 def in_linear_space(pi: PlueckerVector, w: Sequence[Rational]) -> bool:
     """Membership via the (k+1)-subset test: every minimum is achieved
     at least twice.  Independent of the matroid characterization."""
-    ws = [as_fraction(v) for v in w]
     k, n = pi.k, pi.n
-    if len(ws) != n:
-        raise ValueError(f"need {n} coordinates, got {len(ws)}")
+    ws = coordinates(w, n)
     for tau in itertools.combinations(range(1, n + 1), k + 1):
         vals = [pi[tuple(x for x in tau if x != i)] + ws[i - 1] for i in tau]
         m = min(vals)
@@ -528,23 +531,13 @@ def _interval_table(k: int, n: int, s: int):
 
 
 def _scaled_row(pi: PlueckerVector, points):
-    """pi's values and the coordinates of the points, each n exact
-    rationals, as integers over one common scale: pi's row in rank order
-    and the integer points."""
-    points = [[as_fraction(v) for v in w] for w in points]
-    for w in points:
-        if len(w) != pi.n:
-            raise ValueError(f"need {pi.n} coordinates, got {len(w)}")
+    """pi's row in rank order and the points (`exact.coordinates`), as
+    integers over one common scale."""
+    points = [coordinates(w, pi.n) for w in points]
     ints, s = pi.scaled()
     scale = math.lcm(s, *(v.denominator for w in points for v in w))
     points = [[v.numerator * (scale // v.denominator) for v in w] for w in points]
     return [v * (scale // s) for v in ints], points
-
-
-def _subset_sums(w: Sequence[int], k: int):
-    """sum(w_i, i in I) for every k-subset I, in rank order: the order in
-    which `itertools.combinations` yields the subsets of positions."""
-    return map(sum, itertools.combinations(w, k))
 
 
 def _values(row, w_scaled: Sequence[int], k: int) -> list[int]:
@@ -706,9 +699,7 @@ def face_dimension_at(pi: PlueckerVector, w: Sequence[Rational]):
 def matroid_polytope_contains(M: Matroid, x: Sequence[Rational]) -> bool:
     """Exact membership in the basis polytope via the rank inequalities
     x(A) <= rank(A) together with x >= 0 and x([n]) = k."""
-    xs = [as_fraction(v) for v in x]
-    if len(xs) != M.n:
-        raise ValueError(f"need {M.n} coordinates")
+    xs = coordinates(x, M.n)
     if any(v < 0 for v in xs) or sum(xs) != M.k:
         return False
     return all(sum(xs[i - 1] for i in A) <= M.rank(A)
@@ -720,10 +711,8 @@ def subdifferential_at(pi_hat: PlueckerVector, x: Sequence[Rational]) -> list[tu
     the strictly interior point x of the hypersimplex: x(S) <= r(S) on
     every cyclic interval S, r read off the greedy bases of the argmin
     rank set the walk found at the vertex."""
-    xs = [as_fraction(v) for v in x]
     k, n = pi_hat.k, pi_hat.n
-    if len(xs) != n:
-        raise ValueError(f"need {n} coordinates, got {len(xs)}")
+    xs = coordinates(x, n)
     if sum(xs) != k or any(not 0 < v < 1 for v in xs):
         raise ValueError("x must be strictly interior: 0 < x_i < 1, sum = k")
     _require_positive(pi_hat)

@@ -107,6 +107,46 @@ def test_dense_vector_matches_dict_reference(k, n):
             pa + PlueckerVector.zero(k, n + 1)
 
 
+def test_arithmetic_runs_on_the_scaled_integers():
+    # Each operation against its entrywise Fraction definition, on vectors
+    # over the scales 2 and 3.  Inputs made by `_of_scaled` hold no Fraction
+    # view, and neither the inputs nor the result may form one.
+    k, n = 3, 6
+    rng = rng_for("integer-arithmetic")
+    subsets = list(itertools.combinations(range(1, n + 1), k))
+    a_ints = [rng.randint(-9, 9) | 1 for _ in subsets]  # odd: a is over 2 exactly
+    b_ints = [3 * rng.randint(-9, 9) + rng.choice((1, 2)) for _ in subsets]
+    a_vals = [Fraction(v, 2) for v in a_ints]
+    b_vals = [Fraction(v, 3) for v in b_ints]
+    x = [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range(n)]
+    sums = [sum(x[i - 1] for i in I) for I in subsets]
+    c = Fraction(-5, 3)
+    cases = {
+        "a + b": (lambda a, b: a + b, [p + q for p, q in zip(a_vals, b_vals)]),
+        "a - b": (lambda a, b: a - b, [p - q for p, q in zip(a_vals, b_vals)]),
+        "a - a": (lambda a, b: a - a, [0] * len(subsets)),
+        "-b": (lambda a, b: -b, [-q for q in b_vals]),
+        "a.scale(c)": (lambda a, b: a.scale(c), [c * p for p in a_vals]),
+        "a.scale(2/3)": (lambda a, b: a.scale(Fraction(2, 3)), [Fraction(2, 3) * p for p in a_vals]),
+        "a.scale(0)": (lambda a, b: a.scale(0), [0] * len(subsets)),
+        "c a + 2 b + 0 a": (
+            lambda a, b: pluecker.linear_combination(k, n, [(c, a), (2, b), (0, a)]),
+            [c * p + 2 * q for p, q in zip(a_vals, b_vals)]),
+        "no terms": (lambda a, b: pluecker.linear_combination(k, n, []), [0] * len(subsets)),
+        "lineality_vector": (lambda a, b: lineality_vector(k, n, x), sums),
+        "lineality_shift": (lambda a, b: lineality_shift(b, x),
+                            [q - s for q, s in zip(b_vals, sums)]),
+    }
+    for name, (op, expected) in cases.items():
+        a = PlueckerVector._of_scaled(k, n, a_ints, 2)
+        b = PlueckerVector._of_scaled(k, n, b_ints, 3)
+        result = op(a, b)
+        assert (a._values, b._values, result._values) == (None, None, None), name
+        ints, scale = result.scaled()
+        assert math.gcd(scale, *ints) == 1, name
+        assert [Fraction(v, scale) for v in ints] == expected, name
+
+
 def _fraction_grid(rng, k, n, den):
     return TPoint.of(k, n, [[Fraction(rng.randint(-9, 9), den) for _ in range(n - k)]
                             for _ in range(k - 1)])
@@ -404,21 +444,12 @@ def test_positivity_scan_matches_three_term_reference(k, n):
     assert 0 < violations < len(vectors)
 
 
-@pytest.mark.parametrize("k,n", [(2, 4), (2, 7), (3, 6), (4, 8), (5, 10), (6, 12)])
-def test_pair_ranks_are_the_lexicographic_ranks(k, n):
-    rank = pluecker.lex_rank(k, n)
-    for S in itertools.combinations(range(1, n + 1), k - 2):
-        rest = [x for x in range(1, n + 1) if x not in S]
-        base, first, second = pluecker._pair_ranks(S, k, n)
-        for (i, x), (j, y) in itertools.combinations(enumerate(rest), 2):
-            assert base - first[i] - second[j] == rank[tuple(sorted(S + (x, y)))]
-
-
-@pytest.mark.parametrize("k,n", [(3, 6), (3, 7), (4, 7), (4, 8), (3, 9), (5, 9), (5, 10)])
+@pytest.mark.parametrize(
+    "k,n", [(2, 4), (2, 7), (3, 6), (3, 7), (4, 7), (4, 8), (3, 9), (5, 9), (5, 10)])
 def test_full_scan_names_the_reference_violation(k, n):
     # Seeded vectors that are not positive: one entry of a positive one
-    # moved (large and negative entries too, so that fields need many
-    # bits), and arbitrary rational ones; the scan runs on each directly.
+    # moved (large and negative entries too), and arbitrary rational ones;
+    # the scan runs on each directly.  At k = 2, S is empty and its mask 0.
     rng = rng_for(f"full-scan-{k}-{n}")
     vectors = [random_vector(rng, k, n) for _ in range(2)]
     for _ in range(4):
@@ -429,7 +460,9 @@ def test_full_scan_names_the_reference_violation(k, n):
         expected = three_term_reference(pi)
         assert pluecker._first_violation(pi) == expected
         found += expected is not None
-    assert found >= len(vectors) - 2
+    # (2,4) has one relation, so a moved entry on its larger side leaves
+    # the vector positive more often: 7 of its 10 vectors fail
+    assert found >= len(vectors) - (3 if (k, n) == (2, 4) else 2)
     assert pluecker._first_violation(random_positive_vector(rng, k, n)) is None
 
 

@@ -935,6 +935,32 @@ def test_reference_functions_check_the_coordinate_count():
                 call(pi, w)
 
 
+_J2_VECTOR = central_pluecker_vector(J_2BLOCK)
+OUTSIDE_POINT_READERS = {
+    "face_dimension_at": lambda w: face_dimension_at(_J2_VECTOR, w),
+    "in_bounded_part": lambda w: in_bounded_part(_J2_VECTOR, w),
+    "bounded_complex_edges": lambda w: bounded_complex_edges(_J2_VECTOR, [[0] * 6, w]),
+    "subdifferential_at": lambda w: subdifferential_at(_J2_VECTOR, w),
+    "argmin_matroid": lambda w: argmin_matroid(_J2_VECTOR, w),
+    "in_linear_space": lambda w: in_linear_space(_J2_VECTOR, w),
+    "matroid_polytope_contains": lambda w: matroid_polytope_contains(
+        argmin_matroid(_J2_VECTOR, [0] * 6), w),
+    "lineality_vector": lambda w: lineality_vector(3, 6, w),
+}
+
+
+@pytest.mark.parametrize("name", OUTSIDE_POINT_READERS)
+def test_every_outside_point_is_read_with_one_message(name):
+    # each reads its point through exact.coordinates: the length check
+    # with one message, after the conversion, which refuses a float first
+    call = OUTSIDE_POINT_READERS[name]
+    for w in ([0] * 5, [Fraction(1, 2)] * 7, []):
+        with pytest.raises(ValueError, match=f"^need 6 coordinates, got {len(w)}$"):
+            call(w)
+    with pytest.raises(TypeError, match="not an exact rational"):
+        call([0.5] * 5)
+
+
 def test_face_dimensions():
     eta = central_pluecker_vector(J_2BLOCK)
     rep = bounded_complex_vertices(eta)

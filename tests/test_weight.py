@@ -195,11 +195,10 @@ def test_weight_two_candidates_empty_for_k2(n):
 
 
 def test_weight_report_expands_once_and_matches_its_parts(monkeypatch):
-    # A vector is scaled at most once, by its own cache (the one caller of
-    # exact.scaled in pluecker): a vector built from Fractions on its first
-    # read, a rho vector never, since rho hands over integers and a scale.
-    # The expansion, the projection and the walk read those integers and
-    # scale nothing again.
+    # A vector built from Fractions is scaled once, when it is made, and a
+    # rho vector never, since rho hands over integers and a scale.  The
+    # expansion, the projection and the walk read those integers and scale
+    # nothing again.
     rng = rng_for("weight-report-one-expansion")
     grids = [random_tpoint(rng, 4, 7) for _ in range(5)]
     fraction_vectors = [random_vector(rng, 3, 6), random_vector(rng, 4, 7)]
