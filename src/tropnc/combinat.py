@@ -4,7 +4,9 @@ This module is the indexing and predicate layer for everything else:
 cyclic intervals, weak separation, the noncrossing predicate, noncrossing
 collections, decorated ordered set partitions, and noncrossing set
 partitions.  All index arithmetic is cyclic with representatives in
-[1, n], never 0, and subsets are stored sorted ascending.
+[1, n], never 0, and subsets are stored sorted ascending.  Each cyclic
+endpoint of J (an element whose successor is not in J) ends one block of
+`dosp`, the first holding 1; `noncyclic_subsets` reads them on bitmasks.
 
 The noncrossing predicate `noncrossing` is implemented literally,
 window by window, with no shortcut formulas, so that it can serve as the
@@ -318,30 +320,16 @@ class DecoratedOSP:
 
 
 def dosp(J: KSubset) -> DecoratedOSP:
-    """Decorated ordered set partition of J: runs with their preceding gaps."""
-    n = J.n
-    members = set(J.elems)
-    starts = [j for j in J.elems if mod1(j - 1, n) not in members]
-    raw_blocks = []
-    for start in starts:
-        run = [start]
-        while mod1(run[-1] + 1, n) in members:
-            run.append(mod1(run[-1] + 1, n))
-        gap = []
-        g = mod1(start - 1, n)
-        while g not in members:
-            gap.append(g)
-            g = mod1(g - 1, n)
-        gap.reverse()
-        raw_blocks.append((tuple(gap + run), len(run)))
-    # anchor: the block containing 1 comes first, then cyclic order
-    anchor = next(i for i, (block, _) in enumerate(raw_blocks) if 1 in block)
-    first = raw_blocks[anchor][0][0]
-    order = sorted(range(len(raw_blocks)),
-                   key=lambda i: mod1(raw_blocks[i][0][0] - first + 1, n))
-    blocks = tuple(raw_blocks[i][0] for i in order)
-    decorations = tuple(raw_blocks[i][1] for i in order)
-    return DecoratedOSP(n, blocks, decorations)
+    """Decorated ordered set partition of J: per cyclic endpoint e, in
+    increasing order, the interval (e', e] from the endpoint e' cyclically
+    before it, decorated by its number of elements of J."""
+    n, ends = J.n, cyclic_endpoints(J)
+    blocks = []
+    for prev, end in zip(ends[-1:] + ends[:-1], ends):
+        stop = end + n if end <= prev else end  # one endpoint: the whole circle after it
+        blocks.append(tuple(mod1(x, n) for x in range(prev + 1, stop + 1)))
+    decorations = tuple(sum(x in J for x in block) for block in blocks)
+    return DecoratedOSP(n, tuple(blocks), decorations)
 
 
 def _prefix_chain(partition: DecoratedOSP) -> list[tuple[frozenset[int], int]]:

@@ -557,33 +557,27 @@ def _argmin(vals: list[int]) -> int:
 
 @lru_cache(maxsize=None)
 def _exchange_rows(k: int, n: int, b: int) -> tuple:
-    """Per x outside the basis B of rank b, made on B's first use: x's bit,
-    the rank set of the exchanges B - y + x, and their (rank, y's bit) pairs."""
+    """Per x outside the basis B of rank b, made on B's first use: x's bit
+    and the (rank, y's bit) pair of each exchange B - y + x."""
     rank, B = _mask_ranks(k, n), _masks(k, n)[b]
     inside = [1 << y for y in range(n) if B >> y & 1]
-    rows = [(1 << x, tuple((rank[B ^ 1 << x ^ y], y) for y in inside))
-            for x in range(n) if not B >> x & 1]
-    return tuple((bit, sum(1 << r for r, _ in pairs), pairs) for bit, pairs in rows)
+    return tuple((1 << x, tuple((rank[B ^ 1 << x ^ y], y) for y in inside))
+                 for x in range(n) if not B >> x & 1)
 
 
 def _components(A: int, k: int, n: int) -> int:
     """Number of connected components of the matroid on n elements whose
     bases are the rank set A.  They are those of the fundamental graph of
-    its least basis B: x outside B and y in B are joined when B - y + x is
-    a basis, read off B's exchange rows, x to all of B when A holds them
-    all.  Each x gives the class of x and its neighbours as a bitmask,
-    merged into the disjoint classes it meets; an element in no class is
-    a component of its own."""
+    its least basis B: x outside B joins each y in B whose exchange
+    B - y + x is in A, read bit by bit at the ranks of B's exchange rows.
+    Each x gives its class as a bitmask, merged into the disjoint classes
+    it meets; an element in no class is a component of its own."""
     b = (A & -A).bit_length() - 1
-    B = _masks(k, n)[b]
     classes = []
-    for merged, every, pairs in _exchange_rows(k, n, b):
-        if A & every == every:
-            merged |= B
-        else:
-            for r, y in pairs:
-                if A >> r & 1:
-                    merged |= y
+    for merged, pairs in _exchange_rows(k, n, b):
+        for r, y in pairs:
+            if A >> r & 1:
+                merged |= y
         apart = []
         for c in classes:
             if c & merged:
@@ -627,7 +621,8 @@ def _greedy(A: int, k: int, n: int) -> list[tuple[int, list[int]]]:
     """The Grassmann necklace of the matroid whose bases are the rank set
     A: per 0-based start a, the greedy basis g_a in the order
     a < a+1 < ... < a-1 as a one-bit rank set, with its prefix ranks
-    |g_a ∩ [a, a+size)| for every size from 0 to n."""
+    |g_a ∩ [a, a+size)| for every size from 0 to n.  The chain runs over
+    all n elements: once C is one basis, no later element meets it."""
     elem = _elem_sets(k, n)
     out = []
     for a in range(n):
@@ -637,9 +632,6 @@ def _greedy(A: int, k: int, n: int) -> list[tuple[int, list[int]]]:
                 C &= e
                 r += 1
             ranks.append(r)
-            if r == k:  # C is one basis: no later element joins it
-                break
-        ranks += [k] * (n + 1 - len(ranks))
         out.append((C, ranks))
     return out
 

@@ -17,6 +17,7 @@ from tropnc.combinat import (
     KSubset,
     _prefix_chain,
     compatibility_rows,
+    mod1,
     noncyclic_subsets,
     tableau,
 )
@@ -36,6 +37,35 @@ def positroid_bases(partition: DecoratedOSP) -> frozenset[tuple[int, ...]]:
         cand for cand in itertools.combinations(range(1, partition.n + 1), k)
         if all(len(prefix.intersection(cand)) >= need for prefix, need in chain)
     )
+
+
+def dosp_by_runs(J: KSubset) -> DecoratedOSP:
+    """Decorated ordered set partition of J by walking each run of J
+    forward and the gap before it backward, the blocks then sorted from
+    the one holding 1 (the oracle of `combinat.dosp`)."""
+    n = J.n
+    members = set(J.elems)
+    starts = [j for j in J.elems if mod1(j - 1, n) not in members]
+    raw_blocks = []
+    for start in starts:
+        run = [start]
+        while mod1(run[-1] + 1, n) in members:
+            run.append(mod1(run[-1] + 1, n))
+        gap = []
+        g = mod1(start - 1, n)
+        while g not in members:
+            gap.append(g)
+            g = mod1(g - 1, n)
+        gap.reverse()
+        raw_blocks.append((tuple(gap + run), len(run)))
+    # anchor: the block containing 1 comes first, then cyclic order
+    anchor = next(i for i, (block, _) in enumerate(raw_blocks) if 1 in block)
+    first = raw_blocks[anchor][0][0]
+    order = sorted(range(len(raw_blocks)),
+                   key=lambda i: mod1(raw_blocks[i][0][0] - first + 1, n))
+    blocks = tuple(raw_blocks[i][0] for i in order)
+    decorations = tuple(raw_blocks[i][1] for i in order)
+    return DecoratedOSP(n, blocks, decorations)
 
 
 def one_family_subsets(k: int, n: int) -> list[tuple[int, ...]]:

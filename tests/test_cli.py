@@ -423,6 +423,49 @@ def test_walk_over_its_budget_exits_1_with_one_error_line(command, tmp_path, cap
     assert captured.err == "error: vertex walk over its -1 s budget\n"
 
 
+# _gap_shift wrapped to move y_2 by 10 * target: the balancing shift moves, the central one not
+GAP_SHIFT_OFF = [
+    "from tropnc import troplin",
+    "gap_shift = troplin._gap_shift",
+    "def planted(row, target, k, n):",
+    "    y = gap_shift(row, target, k, n)",
+    "    if target:",
+    "        y[1] += 10 * target",
+    "    return y",
+]
+
+
+def test_diameter_outside_its_dilate_exits_1_with_its_report(tmp_path, capsys, monkeypatch):
+    path = write_json(tmp_path, "pi.json",
+                      pluecker.to_json_dict(ladder.rho(ncfan.from_json_dict(POINT_PAYLOAD))))
+    scope = {}
+    exec("\n".join(GAP_SHIFT_OFF), scope)
+    monkeypatch.setattr(troplin, "_gap_shift", scope["planted"])
+    code, out = run_cli(capsys, "diameter", "--in", path)
+    report = json.loads(out)
+    assert code == 1 and report["within_dilate"] is False and report["pk_weight"] == "3"
+    # the same fault with asserts stripped
+    broken = run_optimized(
+        *GAP_SHIFT_OFF,
+        "import sys",
+        "from tropnc import cli",
+        "troplin._gap_shift = planted",
+        f"sys.exit(cli.main(['diameter', '--in', {path!r}]))",
+    )
+    assert broken.returncode == 1 and json.loads(broken.stdout) == report
+
+
+def test_only_diameter_exits_on_the_dilate(tmp_path, capsys):
+    # A lineality vector's one vertex is -x modulo all-ones: bounded reports
+    # it outside the zero dilate and exits 0; diameter balances it to 0.
+    x = [3, Fraction(-1, 2), 5, 0, 7, 2]
+    path = write_json(tmp_path, "pi.json", pluecker.to_json_dict(pluecker.lineality_vector(3, 6, x)))
+    code, out = run_cli(capsys, "bounded", "--in", path)
+    assert code == 0 and json.loads(out)["within_dilate"] is False
+    code, out = run_cli(capsys, "diameter", "--in", path)
+    assert code == 0 and json.loads(out)["within_dilate"] is True
+
+
 def test_decompose_and_weight_desk_scale_guard(tmp_path, capsys):
     t = ncfan.t_vector(ksubset(13, [1, 5]))
     tpath = write_json(tmp_path, "t.json", ncfan.to_json_dict(t))

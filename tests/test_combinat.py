@@ -9,11 +9,12 @@ import re
 import pytest
 
 from conftest import literal_rows, rng_for, run_optimized
-from oracles import positroid_bases
+from oracles import dosp_by_runs, positroid_bases
 from tropnc import combinat
 from tropnc.combinat import (
     DecoratedOSP,
     KSubset,
+    _prefix_chain,
     dosp,
     is_cyclic_interval,
     is_noncrossing_partition,
@@ -199,6 +200,20 @@ def test_dosp_wrapping_run():
     assert d.blocks == ((5, 6, 7, 8, 9, 1), (2, 3, 4))
     assert d.decorations == (2, 1)
     assert d.subset().elems == (1, 4, 9)
+
+
+def test_dosp_equals_the_run_and_gap_walk():
+    # The cyclic-endpoint blocks against the run-and-gap walk of the oracle,
+    # on every k-subset with 4 <= n <= 12: blocks, decorations and chain.
+    count = 0
+    for n in range(4, 13):
+        for k in range(2, n - 1):
+            for J in combinat.all_ksubsets(k, n):
+                got, expected = dosp(J), dosp_by_runs(J)
+                assert (got.blocks, got.decorations) == (expected.blocks, expected.decorations), J
+                assert _prefix_chain(got) == _prefix_chain(expected), J
+                count += 1
+    assert count == 8014
 
 
 def test_label_serialization():
