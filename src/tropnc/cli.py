@@ -9,9 +9,9 @@ also refuses past `VERIFY_MAX_CONES` cones unless given --force.  Each
 subcommand takes only the options it reads.  Rationals travel as "p/q"
 strings (never floats), outputs are deterministic given the same input
 and seed, and exit codes are 0 = pass, 1 = mathematical failure, 2 =
-usage or schema error.  `main` turns an `InvariantError` raised by any
-layer, and the vertex walk overrunning `BOUNDED_BUDGET_S` in `bounded` or
-`diameter`, into exit 1 with one `error:` line on stderr.
+usage or schema error.  `main` turns a `ValueError` or `InvariantError`
+raised by any layer, and the vertex walk overrunning `BOUNDED_BUDGET_S`,
+into exit 1 with one `error:` line on stderr.
 """
 
 from __future__ import annotations
@@ -84,11 +84,6 @@ def _check_kn(k: int, n: int, force: bool, pointer: str):
         )
 
 
-def _failure(message: str) -> tuple[int, None]:
-    print(f"error: {message}", file=sys.stderr)
-    return 1, None
-
-
 def _duality_failures(ncyc, vectors) -> list[dict]:
     """Pairs (J, K) with u_J of the vector of K off the identity matrix,
     compared in scaled integers; a `Fraction` is built only for a failure."""
@@ -131,9 +126,6 @@ def _bounded_complex(pi: pluecker.PlueckerVector, balance: bool):
     """Vertices and edges of the bounded complex of a positive vector, at
     its balanced representative when `balance` (then exit 1 unless the
     complex sits inside the weight dilate)."""
-    cert = pluecker.is_positive_tropical(pi)
-    if not cert.ok:
-        return _failure(f"vector is not positive tropical: {cert.describe()}")
     report, edges = troplin._complex_with_edges(pi, balance, BOUNDED_BUDGET_S)
     code = 1 if balance and not report.within_dilate else 0
     return code, report.to_json_dict(edges=edges)
@@ -273,7 +265,7 @@ def main(argv=None) -> int:
     except (SchemaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (InvariantError, troplin.TimeBudgetExceeded) as exc:
+    except (ValueError, InvariantError, troplin.TimeBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return code

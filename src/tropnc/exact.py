@@ -3,12 +3,13 @@
 Everything in this package computes with `fractions.Fraction`, or with
 integers over one common denominator (`scaled`) in its hot loops; floats
 are rejected at the boundary so no rounding can leak in.  No matrix is
-inverted or reduced anywhere: the fan walk starts from a cone whose
-inverse is written down in closed form (`ncfan._walk_tables`) and
-changes it by exact rank-one steps.  The JSON loaders of every
-type (`pluecker`, `ncfan`) read their (k, n) header and their
-rationals through the checks here and raise `SchemaError`, with a JSON
-pointer to the fault, on any malformed input.  `record` makes the
+inverted anywhere: the fan walk starts from a cone whose inverse is
+written down in closed form (`ncfan._walk_tables`) and changes it by
+exact rank-one steps.  The one reduction is over GF(2): `ladder._plan`
+eliminates its seed incidence (`_gf2_rank`) once per (k, n).  The JSON
+loaders of every type (`pluecker`, `ncfan`) read their (k, n) header and
+their rationals through the checks here and raise `SchemaError`, with a
+JSON pointer to the fault, on any malformed input.  `record` makes the
 package's frozen value classes (`KSubset`, `LadderPoint`, the reports, ...)
 without `dataclasses`, whose import and generated methods would be most
 of the command-line start-up.

@@ -27,16 +27,15 @@ the cyclic intervals S (Ardila–Rincón–Williams, "Positroids and
 non-crossing partitions", Trans. AMS 2016), so every edge at a vertex
 runs along some e_S and ends at an exact integer breakpoint; the
 bounded complex is connected (Speyer), so the walk reaches every vertex.
-It crosses each edge once: a step from w along e_S that ends at a vertex
-not yet left marks the interval [n] - S as crossed there (-e_S is
-e_([n] - S) modulo all-ones, and the step back would end at w).  Each
-query makes one walk (`_walk`) over the vector's own roof sum and central
-shift, formed and checked once per vector (`_roof_sum`); a lineality
-shift only translates a tropical linear space (Speyer, "Tropical linear
-spaces", SIAM J. Discrete Math. 2008), so for `diameter_check`
-`_complex` moves the walk's vertices by one vector.
-A walk that finds more vertices than the hypersimplex has alcoves
-(`_vertex_bound`) raises `InvariantError`, budget or not.
+It steps only along edges, and crosses each once (`_walk`).  Every query
+and the CLI go through `_complex`, which alone refuses a vector that is
+not positive tropical (`ValueError`) and walks the roof sum and central
+shift `_roof_sum` forms once per vector; a lineality shift only
+translates a tropical linear space (Speyer, "Tropical linear spaces",
+SIAM J. Discrete Math. 2008), so for `diameter_check` it moves the
+walk's vertices by one vector.  A walk that finds more vertices than the
+hypersimplex has alcoves (`_vertex_bound`) raises `InvariantError`,
+budget or not.
 
 Every argmin set is a rank set: one int over the C(n,k) subset ranks,
 bit i for the subset of rank i.  Cached per (k, n) are the subset
@@ -61,17 +60,18 @@ taken, x is taken when C & elem[x] is not empty, and C shrinks to it.
 The top face of S = [a, b] is M|S ⊕ M/S, so `_edge_intervals` skips S
 on its ranks alone when b+1 or a-1 is a loop of M/S (adding it leaves
 the rank unchanged) or a or b is a coloop of M|S (removing it lowers
-the rank), and forms the top face A & sets[r] only of the intervals
-left, and of those not yet crossed; A & above[r] not empty means the
-argmin set A is no matroid.  `subdifferential_at` tests a point on the
-inequalities x(S) <= r(S) at the ranks of the sets the walk returns.
+the rank); of the rest, not yet crossed, it keeps S when `_face` calls
+the top face A & sets[r] an edge, and A & above[r] not empty means A is
+no matroid.  `subdifferential_at` tests a point on x(S) <= r(S) at the
+ranks of the sets the walk returns.
 
-One classifier, `_face`, reads an argmin rank set A: e is a loop when
-A & elem[e] is empty and a coloop when it is A; it counts components on
-the fundamental graph of A's least basis B (`_components`), read off B's
-exchange rows (`_exchange_rows`, made on B's first use), and also serves
-`face_dimension_at`.  Outside points are read by `exact.coordinates`,
-which checks their length, and `_scaled_row` puts them on pi's scale.
+One classifier, `_face`, reads every argmin rank set A, the walk's and
+the edge test's: e is a loop when A & elem[e] is empty and a coloop when
+it is A; it counts components on the fundamental graph of A's least
+basis B (`_components`), read off B's exchange rows (`_exchange_rows`,
+made on B's first use), and also serves `face_dimension_at`.  Outside
+points are read by `exact.coordinates`, which checks their length, and
+`_scaled_row` puts them on pi's scale.
 `bounded_complex_edges` forms each point's value row and argmin set once
 (the CLI reuses the walk's sets); a pair's midpoint has the AND of the
 two argmin sets as its own when it is not empty (the summed rows are at
@@ -397,14 +397,7 @@ def bounded_complex_vertices(
     the start, and every entry is checked against it).  A vector that is
     not positive tropical is a ValueError: the walk would be incomplete.
     """
-    _require_positive(pi_hat)
     return _complex(pi_hat, False, time_budget_s)[0]
-
-
-def _require_positive(pi: PlueckerVector):
-    cert = is_positive_tropical(pi)
-    if not cert.ok:
-        raise ValueError(f"vector is not positive tropical: {cert.describe()}")
 
 
 def _complex(pi: PlueckerVector, balance: bool, time_budget_s: float | None):
@@ -412,7 +405,11 @@ def _complex(pi: PlueckerVector, balance: bool, time_budget_s: float | None):
     its balanced representative when `balance`, pi's row over the roof
     scale, and the walk's sorted integer vertices w and argmin rank sets.
     Balanced, w moves to n*w + (n*y - yb) over n times the scale, y the
-    central and yb the balancing shift; all have first coordinate 0."""
+    central and yb the balancing shift; all have first coordinate 0.  A
+    vector that is not positive tropical is a ValueError, here alone."""
+    cert = is_positive_tropical(pi)
+    if not cert.ok:
+        raise ValueError(f"vector is not positive tropical: {cert.describe()}")
     k, n = pi.k, pi.n
     scale, row, terms, central, y = _roof_sum(pi)
     total = k * sum(f for _, f in terms)  # the weight, over scale
@@ -443,10 +440,11 @@ def _walk(k: int, n: int, row, terms, y, time_budget_s: float | None):
     positive vector, sorted, each vertex as integers over the roof scale,
     walked from its `_roof_sum` row, (J, factor) terms and central shift y.
 
-    Each edge is crossed once: a step from w along e_S that ends at a
-    vertex not yet left records the interval [n] - S as crossed there,
-    since -e_S is e_([n] - S) modulo all-ones and the step back along it
-    ends at w.  A far end's argmin set is `top | hits`."""
+    Each step is an edge, crossed once: `_edge_intervals` yields only
+    edges, and a step from w along e_S that ends at a vertex not yet left
+    records [n] - S as crossed there, since -e_S is e_([n] - S) modulo
+    all-ones and the step back along it ends at w.  A far end's argmin set
+    is `top | hits`, and `_face` must call it a vertex."""
     deadline = time.monotonic() + time_budget_s if time_budget_s is not None else None
 
     start = [-v for v in y]
@@ -465,7 +463,6 @@ def _walk(k: int, n: int, row, terms, y, time_budget_s: float | None):
     over_budget()
     if _face(A, k, n) != 0:
         raise InvariantError("the perturbed centre's roof gradient is not a vertex")
-    faces = {w: 0}
     sets = {w: A}  # the vertices' argmin rank sets
     crossed = {w: set()}  # per vertex not yet left, the intervals already crossed to it
     todo = [(w, vals, A)]
@@ -476,22 +473,20 @@ def _walk(k: int, n: int, row, terms, y, time_budget_s: float | None):
             direction, counts, ranks, _, _ = _interval_table(k, n, s)
             t, hits = _breakpoint(vals, ranks, best, r)
             nxt = tuple(map(add, w, map(t.__mul__, direction)))
-            if nxt not in faces:
+            if nxt not in sets:
                 over_budget()
                 far = top | hits
-                faces[nxt] = _face(far, k, n)
-                if faces[nxt] == 0:
-                    if len(sets) == bound:
-                        raise InvariantError(f"({k},{n}): the walk found more than {bound} "
-                                             "vertices, the alcoves of the hypersimplex")
-                    # w + t e_S; the walk reads values only against their minimum
-                    nvals = list(map(sub, vals, map(t.__mul__, counts)))
-                    sets[nxt] = far
-                    crossed[nxt] = set()
-                    todo.append((nxt, nvals, far))
-            if faces[nxt] != 0 and _components(top, k, n) == 2:
-                S = [i + 1 for i in range(n) if s >> i & 1]
-                raise InvariantError(f"the edge along e_S, S = {S}, ends off a vertex")
+                if _face(far, k, n) != 0:
+                    S = [i + 1 for i in range(n) if s >> i & 1]
+                    raise InvariantError(f"the edge along e_S, S = {S}, ends off a vertex")
+                if len(sets) == bound:
+                    raise InvariantError(f"({k},{n}): the walk found more than {bound} "
+                                         "vertices, the alcoves of the hypersimplex")
+                # w + t e_S; the walk reads values only against their minimum
+                nvals = list(map(sub, vals, map(t.__mul__, counts)))
+                sets[nxt] = far
+                crossed[nxt] = set()
+                todo.append((nxt, nvals, far))
             if nxt in crossed:
                 crossed[nxt].add(full ^ s)
 
@@ -548,11 +543,7 @@ def _values(row, w_scaled: Sequence[int], k: int) -> list[int]:
 def _argmin(vals: list[int]) -> int:
     """The rank set of the subsets that attain the least value."""
     best = min(vals)
-    i, A = -1, 0
-    for _ in range(vals.count(best)):
-        i = vals.index(best, i + 1)
-        A |= 1 << i
-    return A
+    return sum(1 << i for i, v in enumerate(vals) if v == best)
 
 
 @lru_cache(maxsize=None)
@@ -638,13 +629,12 @@ def _greedy(A: int, k: int, n: int) -> list[tuple[int, list[int]]]:
 
 def _edge_intervals(A: int, k: int, n: int, crossed):
     """Each proper cyclic interval S (a bitmask) whose top face, the bases
-    in the rank set A with the most elements in S, has no loop and no
-    coloop, with its rank r(S) and that face, leaving out the intervals in
+    in the rank set A with the most elements in S, is an edge (`_face` 1),
+    with its rank r(S) and that face, leaving out the intervals in
     `crossed`.  The ranks of S, of S with a neighbour added and of S with
-    an end removed come from the greedy bases; S is skipped when they show
-    a loop or coloop of the top face M|S ⊕ M/S."""
+    an end removed come from the greedy bases; S is skipped before its top
+    face is formed when they show a loop or coloop of M|S ⊕ M/S."""
     spans = _spans(n)
-    elem = _elem_sets(k, n)
     ranks = [prefix for _, prefix in _greedy(A, k, n)]
     for a in range(n):
         here, after, before = ranks[a], ranks[(a + 1) % n], ranks[a - 1]
@@ -665,7 +655,7 @@ def _edge_intervals(A: int, k: int, n: int, crossed):
                     f"in S = {S}"
                 )
             top = A & sets[r]
-            if all(map(top.__and__, elem)) and top not in map(top.__and__, elem):
+            if _face(top, k, n) == 1:
                 yield s, r, top
 
 
@@ -707,7 +697,6 @@ def subdifferential_at(pi_hat: PlueckerVector, x: Sequence[Rational]) -> list[tu
     xs = coordinates(x, n)
     if sum(xs) != k or any(not 0 < v < 1 for v in xs):
         raise ValueError("x must be strictly interior: 0 < x_i < 1, sum = k")
-    _require_positive(pi_hat)
     report, _, _, sets = _complex(pi_hat, False, None)
     # x([a, a+size)) for every 0-based start a and size, in the order of `_greedy`'s ranks
     sums = [s for a in range(n) for s in itertools.accumulate(xs[a:] + xs[:a], initial=0)]
@@ -757,5 +746,4 @@ def diameter_check(
     """Balanced representative, vertex enumeration, and the dilate bound:
     every vertex spread must be at most the total weight.  Convexity of
     the dilated region makes the vertex check sufficient."""
-    _require_positive(pi)
     return _complex(pi, True, time_budget_s)[0]

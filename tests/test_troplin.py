@@ -1,5 +1,6 @@
 """Tropical linear spaces: matroids, roofs, vertices, and the dilate bound."""
 
+import collections
 import gc
 import itertools
 import json
@@ -313,8 +314,10 @@ def test_roof_sum_uses_the_least_scale(k, n):
 
 
 # The first rational point of the (3,7) least-scale test: a walk whose
-# `_components` counts one component on every face takes every far end
-# for a vertex and, with no time budget, would grow without end.
+# step directions drift (each `_interval_table` read scales its direction
+# by a fresh factor, and leaves counts, ranks and rank sets alone) never
+# ends a step at a vertex it has found, takes every far end for a new one
+# and, with no time budget, would grow without end.
 ALCOVES_37 = "(3,7): the walk found more than 302 vertices, the alcoves of the hypersimplex"
 
 
@@ -334,7 +337,13 @@ def test_vertex_bound_is_the_eulerian_number():
 def test_a_miscounting_walk_stops_at_the_alcove_count(monkeypatch):
     pi = rho(_alcove_fault_point())
     assert len(diameter_check(pi).vertices) <= troplin._vertex_bound(3, 7)
-    monkeypatch.setattr(troplin, "_components", lambda A, k, n: 1)
+    table, factors = troplin._interval_table, itertools.count(2)
+
+    def drifting(k, n, s):
+        factor, (direction, *rest) = next(factors), table(k, n, s)
+        return (tuple(factor * d for d in direction), *rest)
+
+    monkeypatch.setattr(troplin, "_interval_table", drifting)
     with pytest.raises(InvariantError) as exc:
         diameter_check(pi)
     assert str(exc.value) == ALCOVES_37
@@ -343,9 +352,14 @@ def test_a_miscounting_walk_stops_at_the_alcove_count(monkeypatch):
 def test_a_miscounting_walk_stops_at_the_alcove_count_under_optimize():
     rows = [[exact.format_fraction(v) for v in row] for row in _alcove_fault_point().rows]
     result = run_optimized(
+        "import itertools",
         "from tropnc import ladder, ncfan, troplin",
         "from tropnc.exact import InvariantError",
-        "troplin._components = lambda A, k, n: 1",
+        "table, factors = troplin._interval_table, itertools.count(2)",
+        "def drifting(k, n, s):",
+        "    factor, (direction, *rest) = next(factors), table(k, n, s)",
+        "    return (tuple(factor * d for d in direction), *rest)",
+        "troplin._interval_table = drifting",
         f"t = ncfan.from_json_dict({{'k': 3, 'n': 7, 'rows': {rows!r}}})",
         "try:",
         "    troplin.diameter_check(ladder.rho(t))",
@@ -665,6 +679,7 @@ def test_edge_intervals_match_a_count_per_basis():
     sizes = [(3, 6), (3, 7), (4, 8), (3, 9), (3, 10), (5, 10)]
     for pi in [rho(random_tpoint(rng, k, n, hi=2)) for k, n in sizes] + [vector_312()]:
         k, n = pi.k, pi.n
+        subsets = list(pluecker.lex_rank(k, n))
         vertices = bounded_complex_vertices(pi).vertices
         # the vertices, and the origin, no vertex, whose argmin sets are mostly larger
         for w in vertices + ((Fraction(0),) * n,):
@@ -675,7 +690,9 @@ def test_edge_intervals_match_a_count_per_basis():
                 s = sum(1 << ((a + i) % n) for i in range(size))
                 r = max((m & s).bit_count() for m in bases.values())
                 top = {i: m for i, m in bases.items() if (m & s).bit_count() == r}
-                if reduce(or_, top.values()) == (1 << n) - 1 and not reduce(and_, top.values()):
+                edge = Matroid(k, n, frozenset(subsets[i] for i in top))
+                if (reduce(or_, top.values()) == (1 << n) - 1 and not reduce(and_, top.values())
+                        and len(components_partition(edge)) == 2):
                     expected.append((s, r, sum(1 << i for i in top)))
             assert list(troplin._edge_intervals(A, k, n, set())) == expected
 
@@ -749,11 +766,12 @@ def _stepped_pairs(monkeypatch, pi, walk):
     return report, steps
 
 
-@pytest.mark.parametrize("name,calls", [("3,12", 20), ("6,12", 143)])
+@pytest.mark.parametrize("name,calls", [("3,12", 20), ("6,12", 87)])
 def test_walk_crosses_each_edge_once(monkeypatch, name, calls):
-    # Every step back along an edge to the vertex it came from is left
-    # out: 143 steps at (6,12) for 87 edges, where crossing every edge
-    # from both ends took 236, and at (3,12) one step per edge.
+    # The walk steps only along edges, and every step back along an edge
+    # to the vertex it came from is left out: one step per edge, 87 at
+    # (6,12), where crossing every edge from both ends took 236, and 20
+    # at (3,12).
     pi = vector_312() if name == "3,12" else rho(ci_grid_612())
     balanced = balanced_representative(pi)
     for walk, vec in ((bounded_complex_vertices, pi), (diameter_check, balanced)):
@@ -1101,6 +1119,35 @@ def test_edges_equal_the_unfiltered_pair_rule():
         skipped += two_value_skips(pi, vertices)
         pairs += math.comb(len(vertices), 2)
     assert 0 < skipped < pairs
+
+
+def test_walk_steps_are_the_face_rule_edges(monkeypatch):
+    # The walk's steps, read as vertex-index pairs, are the face rule's
+    # edges: the pairs whose argmin rank sets meet in a face with `_face` 1.
+    # `bounded_complex_edges` reports each of them and, from its summed-rows
+    # fallback, phantom pairs.  G4, the (6,12) vector of `random.Random(4)`
+    # with entries 0 to 4, comes last.
+    rng = random.Random(4)
+    g4 = rho(TPoint.of(6, 12, [[rng.randint(0, 4) for _ in range(6)] for _ in range(5)]))
+    phantoms, vectors = collections.Counter(), 0
+    for pi in _seeded_vectors() + (g4,):
+        report, steps = _stepped_pairs(monkeypatch, pi, bounded_complex_vertices)
+        _, row, points, sets = troplin._complex(pi, False, None)
+        index = {}
+        for i, w in enumerate(points):
+            vals = troplin._values(row, w, pi.k)
+            index[tuple(v - vals[0] for v in vals)] = i
+        stepped = sorted(tuple(sorted(map(index.__getitem__, step))) for step in steps)
+        rule = [(i, j) for i, j in itertools.combinations(range(len(sets)), 2)
+                if troplin._face(sets[i] & sets[j], pi.k, pi.n) == 1]
+        assert stepped == rule
+        reported = bounded_complex_edges(pi, report.vertices)
+        assert set(rule) <= set(reported)
+        phantoms[pi.k, pi.n] += len(reported) - len(rule)
+        vectors += len(reported) > len(rule)
+    assert phantoms == {(3, 6): 3, (3, 7): 6, (4, 8): 8, (3, 8): 13, (4, 9): 53, (6, 12): 5}
+    assert vectors == 52
+    assert (len(stepped), len(reported)) == (134, 139)  # G4's
 
 
 def test_walk_argmin_sets_are_the_argmins_of_the_value_rows():
