@@ -184,12 +184,6 @@ class PlueckerVector:
     def is_zero(self) -> bool:
         return not any(self.scaled()[0])
 
-    def _check_shape(self, other: "PlueckerVector"):
-        if (self.k, self.n) != (other.k, other.n):
-            raise ValueError(
-                f"mismatched (k, n): ({self.k},{self.n}) vs ({other.k},{other.n})"
-            )
-
     def __repr__(self) -> str:
         nonzero = len(self.support())
         return f"PlueckerVector(k={self.k}, n={self.n}, nonzero={nonzero})"
@@ -315,12 +309,12 @@ def _first_violation(pi: PlueckerVector) -> tuple | None:
 
 
 def equivalent_mod_lineality(a: PlueckerVector, b: PlueckerVector) -> bool:
-    """True iff every tropical cross-ratio agrees on a and b (cross-multiplied)."""
-    a._check_shape(b)
+    """True iff every tropical cross-ratio vanishes on a - b: they are
+    linear, and vanish exactly on the lineality space.  Vectors of two
+    shapes are a ValueError, from the subtraction."""
     from . import planar
 
-    (us, s), (vs, t) = planar._scaled_expansion(a), planar._scaled_expansion(b)
-    return [u * t for u in us] == [v * s for v in vs]
+    return not any(planar._scaled_expansion(a - b)[0])
 
 
 # Dropping an element that every kept subset contains, or that none

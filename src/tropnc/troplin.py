@@ -48,7 +48,7 @@ face with at most r(S) elements in S ends above it, so the far end's
 argmin set is `top | hits`, the hits reaching the breakpoint
 (`_breakpoint`).  The walk reads a vertex's values only against their
 least one, so a step along e_S subtracts t|I ∩ S| from each and adds no
-constant.
+constant; it returns each vertex with its argmin set and its values.
 
 At a vertex the walk reads every interval rank from the Grassmann
 necklace of the argmin matroid (Oh, "Positroids and Schubert
@@ -72,14 +72,9 @@ basis B (`_components`), read off B's exchange rows (`_exchange_rows`,
 made on B's first use), and also serves `face_dimension_at`.  Outside
 points are read by `exact.coordinates`, which checks their length, and
 `_scaled_row` puts them on pi's scale.
-`bounded_complex_edges` forms each point's value row and argmin set once
-(the CLI reuses the walk's sets); a pair's midpoint has the AND of the
-two argmin sets as its own when it is not empty (the summed rows are at
-least the summed minima, with equality exactly on both argmin sets), and
-the argmin of the summed rows otherwise.  Two-value test: the difference
-d of the two points is constant on that AND, where both rows are least,
-so d_x = d_y for each exchange B - y + x in it, and d takes two values at
-most on a face of two components.  `Matroid`, `argmin_matroid`,
+`_edges` reads value rows alone, the walk's on the CLI's path and each
+point's in `bounded_complex_edges`, and keeps a pair when `_face` calls
+its midpoint's argmin set an edge.  `Matroid`, `argmin_matroid`,
 `is_connected`, `grassmann_necklace`, `in_linear_space` and
 `matroid_polytope_contains` are the `Fraction` references of the README's
 "Reference implementations", and the tests keep the Minkowski sum of the
@@ -402,11 +397,11 @@ def bounded_complex_vertices(
 
 def _complex(pi: PlueckerVector, balance: bool, time_budget_s: float | None):
     """The report of the bounded complex of the positive vector pi, or of
-    its balanced representative when `balance`, pi's row over the roof
-    scale, and the walk's sorted integer vertices w and argmin rank sets.
-    Balanced, w moves to n*w + (n*y - yb) over n times the scale, y the
-    central and yb the balancing shift; all have first coordinate 0.  A
-    vector that is not positive tropical is a ValueError, here alone."""
+    its balanced representative when `balance`, and the walk's argmin rank
+    sets and value rows, in the order of the report's vertices.  Balanced,
+    each integer vertex w moves to n*w + (n*y - yb) over n times the scale,
+    y the central and yb the balancing shift; all have first coordinate 0.
+    A vector that is not positive tropical is a ValueError, here alone."""
     cert = is_positive_tropical(pi)
     if not cert.ok:
         raise ValueError(f"vector is not positive tropical: {cert.describe()}")
@@ -417,7 +412,7 @@ def _complex(pi: PlueckerVector, balance: bool, time_budget_s: float | None):
     if balance:
         yb = _gap_shift([n * c for c in central], total, k, n)
         times, move = n, [n * a - b for a, b in zip(y, yb)]
-    points, sets = zip(*_walk(k, n, row, terms, y, time_budget_s))
+    points, sets, rows = zip(*_walk(k, n, row, terms, y, time_budget_s))
     found = [tuple(times * v + d for v, d in zip(w, move)) for w in points]
     scale, total = times * scale, times * total
     spread = max(max(w) - min(w) for w in found)
@@ -425,20 +420,21 @@ def _complex(pi: PlueckerVector, balance: bool, time_budget_s: float | None):
     vertices = tuple(tuple(map(fraction.__getitem__, w)) for w in found)
     report = BoundedComplexReport(vertices, Fraction(total, scale), Fraction(spread, scale),
                                   spread <= total)
-    return report, row, points, sets
+    return report, sets, rows
 
 
 def _complex_with_edges(pi: PlueckerVector, balance: bool, time_budget_s: float | None):
-    """`_complex`'s report and its edges; balancing adds a constant to each
-    value row of n*pi, so the argmin sets and edges are pi's."""
-    report, row, points, sets = _complex(pi, balance, time_budget_s)
-    return report, _edges(pi.k, pi.n, row, points, sets)
+    """`_complex`'s report and its edges, read off the walk's value rows;
+    balancing moves each row by a constant, so the edges are pi's."""
+    report, _, rows = _complex(pi, balance, time_budget_s)
+    return report, _edges(pi.k, pi.n, rows)
 
 
 def _walk(k: int, n: int, row, terms, y, time_budget_s: float | None):
-    """The (vertex, argmin rank set) pairs of the bounded complex of a
-    positive vector, sorted, each vertex as integers over the roof scale,
-    walked from its `_roof_sum` row, (J, factor) terms and central shift y.
+    """The (vertex, argmin rank set, value row) triples of the bounded
+    complex of a positive vector, sorted, each vertex as integers over the
+    roof scale, walked from its `_roof_sum` row, (J, factor) terms and
+    central shift y; each row is `_values(row, w)` up to one constant.
 
     Each step is an edge, crossed once: `_edge_intervals` yields only
     edges, and a step from w along e_S that ends at a vertex not yet left
@@ -463,11 +459,12 @@ def _walk(k: int, n: int, row, terms, y, time_budget_s: float | None):
     over_budget()
     if _face(A, k, n) != 0:
         raise InvariantError("the perturbed centre's roof gradient is not a vertex")
-    sets = {w: A}  # the vertices' argmin rank sets
+    sets = {w: (A, vals)}  # the vertices' argmin rank sets and value rows
     crossed = {w: set()}  # per vertex not yet left, the intervals already crossed to it
-    todo = [(w, vals, A)]
+    todo = [w]
     while todo:
-        w, vals, A = todo.pop()
+        w = todo.pop()
+        A, vals = sets[w]
         best = min(vals)
         for s, r, top in _edge_intervals(A, k, n, crossed.pop(w)):
             direction, counts, ranks, _, _ = _interval_table(k, n, s)
@@ -483,15 +480,14 @@ def _walk(k: int, n: int, row, terms, y, time_budget_s: float | None):
                     raise InvariantError(f"({k},{n}): the walk found more than {bound} "
                                          "vertices, the alcoves of the hypersimplex")
                 # w + t e_S; the walk reads values only against their minimum
-                nvals = list(map(sub, vals, map(t.__mul__, counts)))
-                sets[nxt] = far
+                sets[nxt] = far, list(map(sub, vals, map(t.__mul__, counts)))
                 crossed[nxt] = set()
-                todo.append((nxt, nvals, far))
+                todo.append(nxt)
             if nxt in crossed:
                 crossed[nxt].add(full ^ s)
 
     # One positive scale: the integer tuples sort as the vertices do.
-    return sorted(sets.items())
+    return sorted((w, A, vals) for w, (A, vals) in sets.items())
 
 
 @lru_cache(maxsize=None)
@@ -608,12 +604,12 @@ def _spans(n: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _greedy(A: int, k: int, n: int) -> list[tuple[int, list[int]]]:
-    """The Grassmann necklace of the matroid whose bases are the rank set
-    A: per 0-based start a, the greedy basis g_a in the order
-    a < a+1 < ... < a-1 as a one-bit rank set, with its prefix ranks
-    |g_a ∩ [a, a+size)| for every size from 0 to n.  The chain runs over
-    all n elements: once C is one basis, no later element meets it."""
+def _greedy(A: int, k: int, n: int) -> list[list[int]]:
+    """The interval ranks of the matroid whose bases are the rank set A,
+    read off its Grassmann necklace: per 0-based start a, the prefix ranks
+    |g_a ∩ [a, a+size)| for every size from 0 to n, g_a the greedy basis
+    in the order a < a+1 < ... < a-1.  The chain runs over all n
+    elements: once C is one basis, no later element meets it."""
     elem = _elem_sets(k, n)
     out = []
     for a in range(n):
@@ -623,7 +619,7 @@ def _greedy(A: int, k: int, n: int) -> list[tuple[int, list[int]]]:
                 C &= e
                 r += 1
             ranks.append(r)
-        out.append((C, ranks))
+        out.append(ranks)
     return out
 
 
@@ -635,7 +631,7 @@ def _edge_intervals(A: int, k: int, n: int, crossed):
     an end removed come from the greedy bases; S is skipped before its top
     face is formed when they show a loop or coloop of M|S ⊕ M/S."""
     spans = _spans(n)
-    ranks = [prefix for _, prefix in _greedy(A, k, n)]
+    ranks = _greedy(A, k, n)
     for a in range(n):
         here, after, before = ranks[a], ranks[(a + 1) % n], ranks[a - 1]
         for size in range(1, n):
@@ -697,12 +693,12 @@ def subdifferential_at(pi_hat: PlueckerVector, x: Sequence[Rational]) -> list[tu
     xs = coordinates(x, n)
     if sum(xs) != k or any(not 0 < v < 1 for v in xs):
         raise ValueError("x must be strictly interior: 0 < x_i < 1, sum = k")
-    report, _, _, sets = _complex(pi_hat, False, None)
+    report, sets, _ = _complex(pi_hat, False, None)
     # x([a, a+size)) for every 0-based start a and size, in the order of `_greedy`'s ranks
     sums = [s for a in range(n) for s in itertools.accumulate(xs[a:] + xs[:a], initial=0)]
     out = []
     for w, A in zip(report.vertices, sets):
-        ranks = itertools.chain.from_iterable(prefix for _, prefix in _greedy(A, k, n))
+        ranks = itertools.chain.from_iterable(_greedy(A, k, n))
         if all(map(le, sums, ranks)):
             out.append(w)
     return out
@@ -711,30 +707,25 @@ def subdifferential_at(pi_hat: PlueckerVector, x: Sequence[Rational]) -> list[tu
 def bounded_complex_edges(
     pi_hat: PlueckerVector, vertices: Sequence[Sequence[Rational]]
 ) -> list[tuple[int, int]]:
-    """Vertex pairs whose exact midpoint lies on a one-dimensional face.
-
-    Each point's value row pi_I - sum(w_i, i in I) and its argmin rank set
-    are formed once.  Twice the midpoint's row is the sum of the two rows,
-    which is at least the sum of their minima, with equality exactly where
-    both rows are least: so when the two argmin sets meet, the midpoint's
-    argmin set is their intersection, and only otherwise are the rows
-    added."""
-    return _edges(pi_hat.k, pi_hat.n, *_scaled_row(pi_hat, vertices))
+    """Vertex pairs whose exact midpoint lies on a one-dimensional face,
+    read by `_edges` off each point's value row pi_I - sum(w_i, i in I)
+    over one common scale."""
+    row, points = _scaled_row(pi_hat, vertices)
+    return _edges(pi_hat.k, pi_hat.n, [_values(row, w, pi_hat.k) for w in points])
 
 
-def _edges(k: int, n: int, row, points, tops=None) -> list[tuple[int, int]]:
-    """`bounded_complex_edges` over a value row and integer points on one
-    scale; given their argmin rank sets, a point's row is formed on need."""
-    rows = [None] * len(points) if tops else [_values(row, w, k) for w in points]
-    tops = tops or list(map(_argmin, rows))
+def _edges(k: int, n: int, rows) -> list[tuple[int, int]]:
+    """The pairs (i < j) of value rows whose midpoint `_face` calls an edge.
+    Twice the midpoint's row is the sum of the two rows, which is at least
+    the sum of their minima, with equality exactly where both rows are
+    least: so when the two argmin sets meet, the midpoint's argmin set is
+    their intersection, and otherwise the argmin of the summed rows.
+    Neither moves when a constant is added to one row, so each row may
+    carry a constant of its own, as the walk's rows do."""
+    tops = list(map(_argmin, rows))
     edges = []
-    for i, j in itertools.combinations(range(len(points)), 2):
-        top = tops[i] & tops[j]
-        if not top:
-            rows[i], rows[j] = (rows[m] or _values(row, points[m], k) for m in (i, j))
-            top = _argmin(list(map(add, rows[i], rows[j])))
-        elif len(set(map(sub, points[i], points[j]))) > 2:
-            continue  # p_i - p_j is constant on each component of top: two at most
+    for i, j in itertools.combinations(range(len(rows)), 2):
+        top = tops[i] & tops[j] or _argmin(list(map(add, rows[i], rows[j])))
         if _face(top, k, n) == 1:
             edges.append((i, j))
     return edges

@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, sub
+from operator import add
 
 from tropnc import ladder, ncfan, planar, troplin
 from tropnc.combinat import (
@@ -383,31 +383,17 @@ def fundamental_graph_components(k: int, n: int, bases) -> int:
     return len({find(x) for x in range(1, n + 1)})
 
 
-def _pair_rows(pi, vertices):
-    """The vertices as integers over one scale with pi's row, each one's
-    value row, and each one's argmin rank set."""
-    row, points = troplin._scaled_row(pi, [[as_fraction(v) for v in w] for w in vertices])
-    rows = [troplin._values(row, w, pi.k) for w in points]
-    return points, rows, list(map(troplin._argmin, rows))
-
-
 def pair_rule_edges(pi, vertices) -> list[tuple[int, int]]:
     """The integer pair rule with no filter: every pair's midpoint argmin
     set, the meet of the two argmin sets or else the argmin of the summed
-    rows, classified by `troplin._face` (the oracle of the two-value test
-    in `troplin._edges`)."""
-    points, rows, tops = _pair_rows(pi, vertices)
+    rows, classified by `troplin._face` (the reference of `troplin._edges`
+    on the CLI's path, which reads the walk's rows)."""
+    row, points = troplin._scaled_row(pi, [[as_fraction(v) for v in w] for w in vertices])
+    rows = [troplin._values(row, w, pi.k) for w in points]
+    tops = list(map(troplin._argmin, rows))
     return [
         (i, j) for i, j in itertools.combinations(range(len(points)), 2)
         if troplin._face(tops[i] & tops[j] or troplin._argmin(list(map(add, rows[i], rows[j]))),
                          pi.k, pi.n) == 1
     ]
 
-
-def two_value_skips(pi, vertices) -> int:
-    """The pairs the two-value test passes over without a face count: their
-    argmin sets meet and the difference of the two points takes more than
-    two values."""
-    points, _, tops = _pair_rows(pi, vertices)
-    return sum(1 for i, j in itertools.combinations(range(len(points)), 2)
-               if tops[i] & tops[j] and len(set(map(sub, points[i], points[j]))) > 2)

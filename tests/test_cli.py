@@ -143,6 +143,20 @@ def test_bounded_and_diameter_print_the_same_edges(tmp_path, capsys):
     assert bounded["vertices"] != diameter["vertices"]
 
 
+def test_bounded_and_diameter_read_the_walks_value_rows(tmp_path, capsys, monkeypatch):
+    # The edges read the walk's own value rows, so a run forms two: the
+    # central shift's check and the walk's start.  The (3,7) grid has a
+    # pair whose argmin sets do not meet, whose rows are summed.
+    pi = ladder.rho(ncfan.TPoint.of(3, 7, [[1, 1, 0, 1], [0, 0, 2, 2]]))
+    path = write_json(tmp_path, "pi.json", pluecker.to_json_dict(pi))
+    values, calls = troplin._values, []
+    monkeypatch.setattr(troplin, "_values", lambda *args: calls.append(1) or values(*args))
+    for command in ("bounded", "diameter"):
+        calls.clear()
+        assert run_cli(capsys, command, "--in", path)[0] == 0
+        assert len(calls) == 2, command
+
+
 def test_verify_suite(tmp_path, capsys):
     code, out = run_cli(capsys, "verify", "--k", "2", "--n", "5", "--seed", "3")
     assert code == 0

@@ -334,6 +334,30 @@ def test_equivalence_mod_lineality():
     )
 
 
+def _cross_multiplied(a, b):
+    """The two planar expansions agree, cross-multiplied by their scales."""
+    (us, s), (vs, t) = planar._scaled_expansion(a), planar._scaled_expansion(b)
+    return [u * t for u in us] == [v * s for v in vs]
+
+
+def test_equivalence_is_a_vanishing_expansion_of_the_difference():
+    # Against the two expansions cross-multiplied, on lineality shifts,
+    # half of them with one entry moved by 1, which no shift undoes.
+    rng = rng_for("equivalence-difference")
+    for k, n in [(3, 6), (3, 7), (4, 8)]:
+        for i in range(8):
+            a = (random_vector if i % 4 < 2 else random_positive_vector)(rng, k, n)
+            x = [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)]
+            values = list(lineality_shift(a, x).values)
+            if i % 2:
+                values[rng.randrange(len(values))] += rng.choice((-1, 1))
+            b = PlueckerVector(k, n, values)
+            assert equivalent_mod_lineality(a, b) == _cross_multiplied(a, b) == (i % 2 == 0)
+    for a, b in [((3, 6), (3, 7)), ((2, 6), (3, 6))]:
+        with pytest.raises(ValueError, match="mismatched"):
+            equivalent_mod_lineality(PlueckerVector.zero(*a), PlueckerVector.zero(*b))
+
+
 def test_face_restrict_one_formula():
     # deleting l = 1 sends the basis vector of {j_1..j_k} to that of
     # {j_2 - 1, ..., j_k - 1}

@@ -31,7 +31,6 @@ from oracles import (
     fundamental_graph_components,
     pair_rule_edges,
     positroid_bases,
-    two_value_skips,
     uniform_matroid,
 )
 from tropnc import combinat, exact, ladder, planar, pluecker, troplin
@@ -637,7 +636,7 @@ def test_far_end_argmin_set_is_the_top_face_and_the_hits(monkeypatch):
 def test_walk_returns_each_vertex_argmin_set():
     for pi in _rank_set_vectors() + [vector_312()]:
         k, n = pi.k, pi.n
-        report, _, _, sets = troplin._complex(pi, False, None)
+        report, sets, _ = troplin._complex(pi, False, None)
         assert len(sets) == len(report.vertices)
         for w, A in zip(report.vertices, sets):
             assert A == _rank_set(k, n, argmin_matroid(pi, w).bases)
@@ -697,7 +696,7 @@ def test_edge_intervals_match_a_count_per_basis():
             assert list(troplin._edge_intervals(A, k, n, set())) == expected
 
 
-def test_greedy_bases_are_the_grassmann_necklace():
+def test_greedy_prefix_ranks_count_the_grassmann_necklace():
     rng = rng_for("greedy-necklace")
     checked = 0
     for k, n in [(3, 6), (3, 7), (4, 7), (3, 8), (4, 8)]:
@@ -705,9 +704,8 @@ def test_greedy_bases_are_the_grassmann_necklace():
             pi = rho(t)
             for w in bounded_complex_vertices(pi).vertices:
                 necklace = grassmann_necklace(argmin_matroid(pi, w))
-                for a, (C, ranks) in enumerate(troplin._greedy(_argmin_bases(pi, w), k, n)):
-                    # the one basis left is g_a, and its prefix ranks are counts in it
-                    assert C == _rank_set(k, n, [necklace[a]])
+                for a, ranks in enumerate(troplin._greedy(_argmin_bases(pi, w), k, n)):
+                    # the prefix ranks are counts in the greedy basis g_a
                     order = [(a + i) % n + 1 for i in range(n)]
                     assert ranks == [len(set(order[:size]) & set(necklace[a]))
                                      for size in range(n + 1)]
@@ -815,7 +813,7 @@ def _component_cases():
     for k, n in [(3, 6), (3, 7), (4, 8), (4, 9)]:
         subsets = list(pluecker.lex_rank(k, n))
         for _ in range(2):
-            _, _, _, sets = troplin._complex(rho(random_tpoint(rng, k, n, hi=2)), False, None)
+            _, sets, _ = troplin._complex(rho(random_tpoint(rng, k, n, hi=2)), False, None)
             for A in {a & b for a, b in itertools.combinations_with_replacement(sets, 2)} - {0}:
                 M = Matroid(k, n, frozenset(I for i, I in enumerate(subsets) if A >> i & 1))
                 cases.append((k, n, A, len(components_partition(M))))
@@ -1106,19 +1104,15 @@ def _seeded_vectors():
 
 
 def test_edges_equal_the_unfiltered_pair_rule():
-    # The two-value test leaves out only pairs that `_face` would not call
-    # an edge, on the public path and on the CLI's, which reads the walk's
-    # argmin sets; the phantom pairs of the summed-rows fallback included.
-    skipped = pairs = 0
+    # `_edges` is the pair rule over the points' value rows on the public
+    # path and over the walk's own rows on the CLI's; the phantom pairs of
+    # the summed-rows fallback included.
     for pi in _seeded_vectors() + (vector_312(), rho(ci_grid_612())):
         vertices = bounded_complex_vertices(pi).vertices
         expected = pair_rule_edges(pi, vertices)
         assert bounded_complex_edges(pi, vertices) == expected
         for balance in (False, True):
             assert troplin._complex_with_edges(pi, balance, None)[1] == expected
-        skipped += two_value_skips(pi, vertices)
-        pairs += math.comb(len(vertices), 2)
-    assert 0 < skipped < pairs
 
 
 def test_walk_steps_are_the_face_rule_edges(monkeypatch):
@@ -1132,11 +1126,8 @@ def test_walk_steps_are_the_face_rule_edges(monkeypatch):
     phantoms, vectors = collections.Counter(), 0
     for pi in _seeded_vectors() + (g4,):
         report, steps = _stepped_pairs(monkeypatch, pi, bounded_complex_vertices)
-        _, row, points, sets = troplin._complex(pi, False, None)
-        index = {}
-        for i, w in enumerate(points):
-            vals = troplin._values(row, w, pi.k)
-            index[tuple(v - vals[0] for v in vals)] = i
+        _, sets, rows = troplin._complex(pi, False, None)
+        index = {tuple(v - vals[0] for v in vals): i for i, vals in enumerate(rows)}
         stepped = sorted(tuple(sorted(map(index.__getitem__, step))) for step in steps)
         rule = [(i, j) for i, j in itertools.combinations(range(len(sets)), 2)
                 if troplin._face(sets[i] & sets[j], pi.k, pi.n) == 1]
@@ -1151,17 +1142,25 @@ def test_walk_steps_are_the_face_rule_edges(monkeypatch):
 
 
 def test_walk_argmin_sets_are_the_argmins_of_the_value_rows():
-    # The CLI path takes the walk's rank sets as the points' argmin sets.
+    # The CLI path reads the walk's rows as the vertices' value rows: each
+    # is `_values` at its vertex, over the roof scale, plus one constant,
+    # and the walk's rank set is its argmin set.
     for pi in _seeded_vectors():
         for vec in (pi, balanced_representative(pi)):
-            _, row, points, sets = troplin._complex(vec, False, None)
-            assert list(sets) == [troplin._argmin(troplin._values(row, w, vec.k)) for w in points]
+            scale, row, _, _, _ = troplin._roof_sum(vec)
+            report, sets, rows = troplin._complex(vec, False, None)
+            for w, A, vals in zip(report.vertices, sets, rows):
+                point = [x * scale for x in w]
+                assert all(v.denominator == 1 for v in point)
+                exact = troplin._values(row, point, vec.k)
+                assert len({v - x for v, x in zip(vals, exact)}) == 1
+                assert A == troplin._argmin(exact) == troplin._argmin(vals)
 
 
-def test_two_value_test_keeps_a_point_paired_with_itself():
+def test_edges_keep_a_point_paired_with_itself():
     # An edge's midpoint m lies on a 1-dimensional face, and so does the
     # midpoint of m and m, or of m and m + 5 (1, ..., 1), the same point
-    # modulo all-ones: a difference of one value is kept for `_face`.
+    # modulo all-ones: `_edges` keeps either pair.
     pi = rho(TPoint.of(3, 7, PHANTOM_GRID))
     vertices = bounded_complex_vertices(pi).vertices
     edges = bounded_complex_edges(pi, vertices)
