@@ -11,17 +11,18 @@ clears the values and k times each coefficient (a larger one could make
 a fractional breakpoint look whole); each roof has an integer row, k
 times its central vector in rank order (`_roof_row`, cached per subset), so
 the central representative is an integer sum of rows over that scale;
-one routine, `_gap_shift`, finds a lineality shift from the n cyclic-gap
-differences, both to balance (`balanced_representative`, every gap
-weight/n) and to carry the roof gradients back to the caller's vector.
+`_roof_sum` forms both its lineality shifts by `_gap_shift`, from the n
+cyclic-gap differences: y carries it to the caller's vector, and yb
+balances it (`balanced_representative`, every gap weight/n).
 A vector is a plain row of integers in rank order; every subset sum,
 sum(w_i, i in I) for all k-subsets I at once, comes from the kernel of
 the lineality elements, `pluecker._subset_sums`: `map(sum,
 itertools.combinations(w, k))`, whose subsets come in rank order.
 
 `bounded_complex_vertices` walks the bounded complex of a positive
-vector vertex to vertex.  It starts at the gradient of the central roof
-function at the perturbed centre of the hypersimplex.  Every cell is a
+vector vertex to vertex, on the central roof function: its values are
+the central representative's, and it starts at the function's gradient
+at the perturbed centre of the hypersimplex.  Every cell is a
 positroid polytope, cut out in the hypersimplex by x(S) <= r(S) over
 the cyclic intervals S (Ardila–Rincón–Williams, "Positroids and
 non-crossing partitions", Trans. AMS 2016), so every edge at a vertex
@@ -29,11 +30,11 @@ runs along some e_S and ends at an exact integer breakpoint; the
 bounded complex is connected (Speyer), so the walk reaches every vertex.
 It steps only along edges, and crosses each once (`_walk`).  Every query
 and the CLI go through `_complex`, which alone refuses a vector that is
-not positive tropical (`ValueError`) and walks the roof sum and central
-shift `_roof_sum` forms once per vector; a lineality shift only
-translates a tropical linear space (Speyer, "Tropical linear spaces",
-SIAM J. Discrete Math. 2008), so for `diameter_check` it moves the
-walk's vertices by one vector.  A walk that finds more vertices than the
+not positive tropical (`ValueError`) and walks the roof sum `_roof_sum`
+forms once per vector; a lineality shift only translates a tropical
+linear space (Speyer, "Tropical linear spaces", SIAM J. Discrete Math.
+2008), so one translation moves the walk's vertices to the caller's
+vector, or to the balanced one.  A walk that finds more vertices than the
 hypersimplex has alcoves (`_vertex_bound`) raises `InvariantError`,
 budget or not.
 
@@ -273,15 +274,16 @@ def central_pluecker_vector(J: KSubset) -> PlueckerVector:
 
 
 def _roof_sum(pi: PlueckerVector):
-    """The central representative of pi in scaled integers: the scale,
-    the least that clears pi's values and k times each nonzero planar
+    """The central representative of pi in scaled integers, with its two
+    lineality shifts, as (scale, terms, central, y, yb): the scale, the
+    least that clears pi's values and k times each nonzero planar
     coefficient u_J(pi) (a larger one could make a fractional breakpoint
-    look integral to `_breakpoint`); pi's values over it; the
-    (J, factor = scale * u_J / k) pairs; the sum of factor times roof
-    row, in rank order; and the central shift y (`_central_shift`, which
-    checks that the coefficients expand pi).  pi's values, the sum and y
-    are over the scale.  Kept in pi's `_roof` slot, so the check runs once
-    per vector; callers never change the lists."""
+    look integral to `_breakpoint`); the (J, factor = scale * u_J / k)
+    pairs; the sum of factor times roof row, in rank order, over the
+    scale; the central shift y, with central_I = pi_I + y(I) + c over the
+    scale for one constant c, the expansion check; and the balancing shift
+    yb of n times the sum, over n times the scale.  Kept in pi's `_roof`
+    slot, so the check runs once per vector; callers never change the lists."""
     if pi._roof is not None:
         return pi._roof
     k, n = pi.k, pi.n
@@ -298,8 +300,13 @@ def _roof_sum(pi: PlueckerVector):
             raise InvariantError(f"scale {scale} leaves roof factor {factor} fractional")
         terms.append((J, factor))
         central = list(map(add, central, map(mul, _roof_row(J), itertools.repeat(factor))))
-    row = [v * (scale // s) for v in vals]
-    pi._roof = scale, row, terms, central, _central_shift(central, row, k, n)
+    diff = [c - v * (scale // s) for c, v in zip(central, vals)]
+    y = _gap_shift(diff, 0, k, n)
+    if len(set(_values(diff, y, k))) != 1:
+        raise InvariantError("the planar coefficients do not expand the vector modulo lineality")
+    # Over n * scale, so that the target weight / n is an integer.
+    yb = _gap_shift([n * c for c in central], k * sum(f for _, f in terms), k, n)
+    pi._roof = scale, terms, central, y, yb
     return pi._roof
 
 
@@ -307,7 +314,7 @@ def central_representative(pi: PlueckerVector) -> PlueckerVector:
     """Planar-coefficient combination of central roofs; equivalent to pi
     modulo lineality, and piecewise-linear as a function on the
     hypersimplex (no affine offset)."""
-    scale, _, _, central, _ = _roof_sum(pi)
+    scale, _, central, _, _ = _roof_sum(pi)
     return PlueckerVector._of_scaled(pi.k, pi.n, central, scale)
 
 
@@ -315,9 +322,9 @@ def _gap_shift(row, target, k: int, n: int):
     """The lineality shift y, with y_1 = 0, that makes every cyclic-gap
     difference of row_I - sum(y_i for i in I) equal to `target`.  The j-th
     difference moves by y_{j+k+1} - y_{j+k}, so the n differences fix y
-    modulo all-ones once they sum to n * target; every caller passes a
-    central representative and the weight its planar coefficients claim,
-    so any other sum is an InvariantError."""
+    modulo all-ones once they sum to n * target; `_roof_sum` passes a
+    central representative less pi, target 0, and the representative with
+    its claimed weight, so any other sum is an InvariantError."""
     delta = [0] * (n + 1)
     for j, (c, g) in enumerate(_gap_ranks(k, n)):
         delta[mod1(j + k, n)] = row[c] - row[g] - target
@@ -329,26 +336,12 @@ def _gap_shift(row, target, k: int, n: int):
     return y
 
 
-def _central_shift(central, row, k: int, n: int):
-    """The lineality shift y that makes central - row zero on every
-    cyclic-gap difference; the difference must then be constant, else the
-    planar coefficients do not expand the vector."""
-    rest = list(map(sub, central, row))
-    y = _gap_shift(rest, 0, k, n)
-    if len(set(_values(rest, y, k))) != 1:
-        raise InvariantError("the planar coefficients do not expand the vector modulo lineality")
-    return y
-
-
 def balanced_representative(pi: PlueckerVector) -> PlueckerVector:
     """Lineality shift of the central representative making all n
-    cyclic-gap differences equal to (total weight)/n."""
+    cyclic-gap differences equal to (total weight)/n: `_roof_sum`'s yb."""
     k, n = pi.k, pi.n
-    scale, _, terms, central, _ = _roof_sum(pi)
-    # Over n * scale, so that the target weight / n is an integer.
-    central = [n * c for c in central]
-    y = _gap_shift(central, k * sum(f for _, f in terms), k, n)
-    return PlueckerVector._of_scaled(k, n, _values(central, y, k), n * scale)
+    scale, _, central, _, yb = _roof_sum(pi)
+    return PlueckerVector._of_scaled(k, n, _values([n * c for c in central], yb, k), n * scale)
 
 
 @record
@@ -388,9 +381,9 @@ def bounded_complex_vertices(
     e_S, S a proper cyclic interval, and ends at the first breakpoint of
     w + t e_S; the bounded complex is connected, so the walk reaches every
     vertex.  All in scaled integers; pi_hat may be any lineality
-    representative (the shift to its own cyclic-gap differences realigns
-    the start, and every entry is checked against it).  A vector that is
-    not positive tropical is a ValueError: the walk would be incomplete.
+    representative: the central shift carries the central walk's vertices
+    back.  A vector that is not positive tropical is a ValueError: the walk
+    would be incomplete.
     """
     return _complex(pi_hat, False, time_budget_s)[0]
 
@@ -398,22 +391,20 @@ def bounded_complex_vertices(
 def _complex(pi: PlueckerVector, balance: bool, time_budget_s: float | None):
     """The report of the bounded complex of the positive vector pi, or of
     its balanced representative when `balance`, and the walk's argmin rank
-    sets and value rows, in the order of the report's vertices.  Balanced,
-    each integer vertex w moves to n*w + (n*y - yb) over n times the scale,
-    y the central and yb the balancing shift; all have first coordinate 0.
-    A vector that is not positive tropical is a ValueError, here alone."""
+    sets and value rows, in the order of the report's vertices.  Each
+    integer vertex w of the central walk moves by one translation: to
+    w - y, y the central shift, or balanced, to n*w - yb over n times the
+    scale, yb the balancing shift; all have first coordinate 0.  A vector
+    that is not positive tropical is a ValueError, here alone."""
     cert = is_positive_tropical(pi)
     if not cert.ok:
         raise ValueError(f"vector is not positive tropical: {cert.describe()}")
     k, n = pi.k, pi.n
-    scale, row, terms, central, y = _roof_sum(pi)
+    scale, terms, central, y, yb = _roof_sum(pi)
     total = k * sum(f for _, f in terms)  # the weight, over scale
-    times, move = 1, [0] * n
-    if balance:
-        yb = _gap_shift([n * c for c in central], total, k, n)
-        times, move = n, [n * a - b for a, b in zip(y, yb)]
-    points, sets, rows = zip(*_walk(k, n, row, terms, y, time_budget_s))
-    found = [tuple(times * v + d for v, d in zip(w, move)) for w in points]
+    times, move = (n, yb) if balance else (1, y)
+    points, sets, rows = zip(*_walk(k, n, central, terms, time_budget_s))
+    found = [tuple(times * v - d for v, d in zip(w, move)) for w in points]
     scale, total = times * scale, times * total
     spread = max(max(w) - min(w) for w in found)
     fraction = {v: Fraction(v, scale) for v in set(itertools.chain.from_iterable(found))}
@@ -424,17 +415,18 @@ def _complex(pi: PlueckerVector, balance: bool, time_budget_s: float | None):
 
 
 def _complex_with_edges(pi: PlueckerVector, balance: bool, time_budget_s: float | None):
-    """`_complex`'s report and its edges, read off the walk's value rows;
-    balancing moves each row by a constant, so the edges are pi's."""
+    """`_complex`'s report and its edges, read off the walk's value rows,
+    the central representative's: each is a constant from pi's at its
+    vertex, balanced or not, so the edges are pi's."""
     report, _, rows = _complex(pi, balance, time_budget_s)
     return report, _edges(pi.k, pi.n, rows)
 
 
-def _walk(k: int, n: int, row, terms, y, time_budget_s: float | None):
+def _walk(k: int, n: int, central, terms, time_budget_s: float | None):
     """The (vertex, argmin rank set, value row) triples of the bounded
-    complex of a positive vector, sorted, each vertex as integers over the
-    roof scale, walked from its `_roof_sum` row, (J, factor) terms and
-    central shift y; each row is `_values(row, w)` up to one constant.
+    complex of the central roof function, sorted, each vertex as integers
+    over the roof scale: from -sum(factor * `_start_sector`(J)) over the
+    `_roof_sum` terms, each row `_values(central, w)` up to one constant.
 
     Each step is an edge, crossed once: `_edge_intervals` yields only
     edges, and a step from w along e_S that ends at a vertex not yet left
@@ -443,7 +435,7 @@ def _walk(k: int, n: int, row, terms, y, time_budget_s: float | None):
     is `top | hits`, and `_face` must call it a vertex."""
     deadline = time.monotonic() + time_budget_s if time_budget_s is not None else None
 
-    start = [-v for v in y]
+    start = [0] * n
     for J, factor in terms:
         start = list(map(sub, start, map(factor.__mul__, _start_sector(J))))
 
@@ -454,7 +446,7 @@ def _walk(k: int, n: int, row, terms, y, time_budget_s: float | None):
     full = (1 << n) - 1
     bound = _vertex_bound(k, n)
     w = tuple(v - start[0] for v in start)
-    vals = _values(row, w, k)
+    vals = _values(central, w, k)
     A = _argmin(vals)
     over_budget()
     if _face(A, k, n) != 0:
@@ -732,7 +724,7 @@ def _edges(k: int, n: int, rows) -> list[tuple[int, int]]:
 
 
 def diameter_check(
-    pi: PlueckerVector, time_budget_s: float | None = None
+    pi: PlueckerVector, *, time_budget_s: float | None = None
 ) -> BoundedComplexReport:
     """Balanced representative, vertex enumeration, and the dilate bound:
     every vertex spread must be at most the total weight.  Convexity of

@@ -397,3 +397,27 @@ def pair_rule_edges(pi, vertices) -> list[tuple[int, int]]:
                          pi.k, pi.n) == 1
     ]
 
+
+@lru_cache(maxsize=None)
+def hypersimplex_alcoves(k: int, n: int) -> tuple[int, ...]:
+    """The alcoves of the hypersimplex Delta(k, n), each as the rank set of
+    its n vertices: the cycles of k-subsets I -> I - {i} + {i + 1} (mod n)
+    that move each i once (Lam-Postnikov, "Alcoved polytopes I"), each
+    listed once, starting with its move of n.  There are A(n-1, k-1) of them (the
+    completeness reference of `troplin._walk`)."""
+    rank = lex_rank(k, n)
+    out = []
+
+    def cycle(I, moved, ranks):
+        if len(moved) == n:
+            out.append(ranks)
+        for i in set(I) - moved:
+            if mod1(i + 1, n) not in I:
+                J = tuple(sorted(set(I) - {i} | {mod1(i + 1, n)}))
+                cycle(J, moved | {i}, ranks | 1 << rank[J])
+
+    for I in itertools.combinations(range(1, n + 1), k):
+        if n in I and 1 not in I:
+            J = tuple(sorted(set(I) - {n} | {1}))
+            cycle(J, {n}, 1 << rank[J])
+    return tuple(out)

@@ -29,6 +29,7 @@ from oracles import (
     basis_exchange_ok,
     central_roof_value,
     fundamental_graph_components,
+    hypersimplex_alcoves,
     pair_rule_edges,
     positroid_bases,
     uniform_matroid,
@@ -275,23 +276,24 @@ def test_coefficients_that_do_not_expand_the_vector_raise(monkeypatch):
 
 
 def test_the_expansion_check_runs_once_per_vector(monkeypatch):
-    # `_roof_sum` keeps the central shift on the vector beside its roof
-    # sum, so every query on one vector shares one expansion check.
+    # `_roof_sum` keeps both lineality shifts on the vector beside its roof
+    # sum, so every query on one vector shares one expansion check and one
+    # balancing shift: two `_gap_shift` calls in all.
     calls = []
-    central_shift = troplin._central_shift
+    gap_shift = troplin._gap_shift
 
     def counted(*args):
         calls.append(args)
-        return central_shift(*args)
+        return gap_shift(*args)
 
-    monkeypatch.setattr(troplin, "_central_shift", counted)
+    monkeypatch.setattr(troplin, "_gap_shift", counted)
     pi = rho(random_tpoint(rng_for("central-shift-once"), 3, 7))
     diameter_check(pi)
     balanced_representative(pi)
     bounded_complex_vertices(pi)
     central_representative(pi)
     subdifferential_at(pi, [Fraction(3, 7)] * 7)
-    assert len(calls) == 1
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("k,n", [(3, 6), (3, 7)])
@@ -304,9 +306,9 @@ def test_roof_sum_uses_the_least_scale(k, n):
         pi = rho(random_rational_tpoint(rng, k, n))
         coeffs = [c for c in planar.planar_expand(pi).values() if c]
         least = math.lcm(*(v.denominator for v in pi.values), *(k * c.denominator for c in coeffs))
-        scale, row, terms, central, _ = troplin._roof_sum(pi)
+        scale, terms, central, _, _ = troplin._roof_sum(pi)
         assert scale == least
-        assert [Fraction(v, scale) for v in row] == list(pi.values)
+        assert scale % pi.scaled()[1] == 0
         assert sorted(Fraction(k * f, scale) for _, f in terms) == sorted(coeffs)
         assert [Fraction(v, scale) for v in central] == list(central_representative(pi).values)
         assert diameter_check(pi) == bounded_complex_vertices(balanced_representative(pi))
@@ -331,6 +333,46 @@ def test_vertex_bound_is_the_eulerian_number():
                     for p in itertools.permutations(range(n - 1))]
         for k in range(1, n):
             assert troplin._vertex_bound(k, n) == descents.count(k - 1)
+
+
+@pytest.mark.parametrize("k,n", [(2, 5), (2, 6), (3, 6), (3, 7), (4, 7), (4, 8), (3, 8), (3, 9),
+                                 (5, 10), (4, 10)])
+def test_the_walk_finds_every_maximal_cell(k, n):
+    # A finest positroidal subdivision has C(n-2, k-1) maximal cells
+    # (Speyer-Williams, "The positive Dressian equals the positive tropical
+    # Grassmannian", 2021), each vertex of the complex is one maximal cell,
+    # and every positroidal subdivision coarsens a finest one: the walk of
+    # a generic grid finds exactly that many, and a grid with ties at most
+    # that many.  About one grid in thirty with entries 0-1000 lands on a
+    # wall and has fewer cells (the next test walks one); this seed's grids
+    # miss every wall.
+    cells = math.comb(n - 2, k - 1)
+    rng = rng_for(f"walk-complete-6-{k}-{n}")
+    for _ in range(4):
+        pi = rho(random_tpoint(rng, k, n, hi=1000))
+        assert len(bounded_complex_vertices(pi).vertices) == cells
+    for _ in range(8):
+        pi = rho(random_tpoint(rng, k, n, hi=3))
+        assert len(bounded_complex_vertices(pi).vertices) <= cells
+
+
+@pytest.mark.parametrize("k,n", [(2, 5), (3, 6), (3, 7), (4, 7), (4, 8), (3, 9)])
+def test_every_alcove_lies_in_one_cell_of_the_walk(k, n):
+    # Every cell is a positroid polytope, a union of alcoves, and the
+    # maximal cells tile the hypersimplex: the walk found every vertex
+    # exactly when the vertices of each alcove are bases at exactly one of
+    # the walk's vertices.
+    alcoves = hypersimplex_alcoves(k, n)
+    assert len(alcoves) == troplin._vertex_bound(k, n)
+    rng = rng_for(f"alcove-cover-{k}-{n}")
+    points = [random_tpoint(rng, k, n, hi=hi) for hi in (1, 3, 1000)]
+    if (k, n) == (4, 7):  # a 0-1000 grid on a wall: 7 cells of C(5, 3) = 10
+        wall = random_tpoint(rng_for("walk-complete-3-4-7"), k, n, hi=1000)
+        assert len(bounded_complex_vertices(rho(wall)).vertices) == 7
+        points.append(wall)
+    for t in points:
+        _, sets, _ = troplin._complex(rho(t), False, None)
+        assert all(sum(a & A == a for A in sets) == 1 for a in alcoves)
 
 
 def test_a_miscounting_walk_stops_at_the_alcove_count(monkeypatch):
@@ -504,7 +546,9 @@ def _minkowski_vertices(pi_hat):
     pi_hat's own cyclic-gap differences, each classified in scaled
     integers.  Returns the canonical vertices."""
     k, n = pi_hat.k, pi_hat.n
-    scale, row, terms, central, _ = troplin._roof_sum(pi_hat)
+    scale, terms, central, _, _ = troplin._roof_sum(pi_hat)
+    ints, s = pi_hat.scaled()
+    row = [v * (scale // s) for v in ints]
     y = troplin._gap_shift([c - v for c, v in zip(central, row)], 0, k, n)
     level = {tuple(-v for v in y)}
     for J, factor in terms:
@@ -906,6 +950,10 @@ def test_time_budget_stops_the_walk():
     pi = rho(TPoint.of(3, 6, [[2, 0, 1], [1, 3, 0]]))
     with pytest.raises(TimeBudgetExceeded, match="vertex walk over its -1 s budget"):
         diameter_check(pi, time_budget_s=-1)
+    # both public walks take the budget by keyword only
+    for walk in (diameter_check, bounded_complex_vertices):
+        with pytest.raises(TypeError):
+            walk(pi, -1)
 
 
 def test_time_budget_stops_the_walk_between_classifications(monkeypatch):
@@ -1147,7 +1195,9 @@ def test_walk_argmin_sets_are_the_argmins_of_the_value_rows():
     # and the walk's rank set is its argmin set.
     for pi in _seeded_vectors():
         for vec in (pi, balanced_representative(pi)):
-            scale, row, _, _, _ = troplin._roof_sum(vec)
+            scale = troplin._roof_sum(vec)[0]
+            ints, s = vec.scaled()
+            row = [v * (scale // s) for v in ints]
             report, sets, rows = troplin._complex(vec, False, None)
             for w, A, vals in zip(report.vertices, sets, rows):
                 point = [x * scale for x in w]
