@@ -290,21 +290,23 @@ def _first_violation(pi: PlueckerVector) -> tuple | None:
     """The first failing three-term relation in scan order, S in
     lexicographic order and then a < b < c < d outside S, as (S, (a, b, c,
     d), lhs, rhs), or None when every relation holds.  Per S, with mask m,
-    each entry S + {x, y} is read once, at the rank of m | pair."""
+    each entry S + {x, y} is read once, at the rank of m | pair; the pairs
+    outside S come in rank order, so the failing relation's (a, b, c, d)
+    is read off the ranks of ab and cd, and no other relation builds one."""
     k, n = pi.k, pi.n
     quadruples = _quadruple_pairs(n - k + 2)
     vals, scale = pi.scaled()
     rank, pairs = _mask_ranks(k, n), _masks(2, n)
     for S, m in zip(itertools.combinations(range(1, n + 1), k - 2), _masks(k - 2, n)):
         e = [vals[rank[m | pair]] for pair in pairs if not m & pair]
-        outside = [x for x in range(1, n + 1) if x not in S]
-        for quad, (ac, bd, ab, cd, ad, bc) in zip(itertools.combinations(outside, 4), quadruples):
+        for ac, bd, ab, cd, ad, bc in quadruples:
             lhs = e[ac] + e[bd]
             left = e[ab] + e[cd]
             right = e[ad] + e[bc]
             rhs = left if left < right else right
             if lhs != rhs:
-                return S, quad, Fraction(lhs, scale), Fraction(rhs, scale)
+                outside = list(itertools.combinations([x for x in range(1, n + 1) if x not in S], 2))
+                return S, outside[ab] + outside[cd], Fraction(lhs, scale), Fraction(rhs, scale)
     return None
 
 

@@ -41,9 +41,10 @@ budget or not.
 Every argmin set is a rank set: one int over the C(n,k) subset ranks,
 bit i for the subset of rank i.  Cached per (k, n) are the subset
 bitmasks and their ranks (`pluecker._masks`, `_mask_ranks`), the rank
-set elem[e] of the subsets holding e (`_elem_sets`); per interval S, one
-table (`_interval_table`): the step direction, the counts |I ∩ S|, and
-by count c the ranks, their rank set sets[c] and above[c], that of all
+set elem[e] of the subsets holding e in each cyclic order of the
+elements (`_elem_orders`); per interval S, one table
+(`_interval_table`): the step direction, the counts |I ∩ S|, and by
+count c the ranks, their rank set sets[c] and above[c], that of all
 larger counts.  Only the start is scanned: along e_S a subset off the top
 face with at most r(S) elements in S ends above it, so the far end's
 argmin set is `top | hits`, the hits reaching the breakpoint
@@ -67,19 +68,22 @@ no matroid.  `subdifferential_at` tests a point on x(S) <= r(S) at the
 ranks of the sets the walk returns.
 
 One classifier, `_face`, reads every argmin rank set A, the walk's and
-the edge test's: e is a loop when A & elem[e] is empty and a coloop when
-it is A; it counts components on the fundamental graph of A's least
-basis B (`_components`), read off B's exchange rows (`_exchange_rows`,
-made on B's first use), and also serves `face_dimension_at`.  Outside
-points are read by `exact.coordinates`, which checks their length, and
-`_scaled_row` puts them on pi's scale.
+the edge test's, in one pass over the exchange rows of A's least basis
+B (`_components`; `_exchange_rows`, made on B's first use): per x
+outside B, the hit A & X_x, X_x the rank set of x's k exchanges
+B - y + x.  By basis exchange, an empty hit makes x a loop, a y in B
+that no hit holds is a coloop, and the hits join the fundamental graph,
+whose components are the matroid's.  It also serves `face_dimension_at`.
+Outside points are read by `exact.coordinates`, which checks their
+length, and `_scaled_row` puts them on pi's scale.
 `_edges` reads value rows alone, the walk's on the CLI's path and each
 point's in `bounded_complex_edges`, and keeps a pair when `_face` calls
-its midpoint's argmin set an edge.  `Matroid`, `argmin_matroid`,
-`is_connected`, `grassmann_necklace`, `in_linear_space` and
-`matroid_polytope_contains` are the `Fraction` references of the README's
-"Reference implementations", and the tests keep the Minkowski sum of the
-roofs' sector gradients as the walk's oracle.  Every invariant is an
+its midpoint's argmin set an edge, classifying each distinct set once
+per call.  `Matroid`, `argmin_matroid`, `is_connected`,
+`grassmann_necklace`, `in_linear_space` and `matroid_polytope_contains`
+are the `Fraction` references of the README's "Reference
+implementations", and the tests keep the Minkowski sum of the roofs'
+sector gradients as the walk's oracle.  Every invariant is an
 explicit raise of `InvariantError`, so the checks survive `python -O`.
 """
 
@@ -493,10 +497,13 @@ def _vertex_bound(k: int, n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _elem_sets(k: int, n: int) -> tuple[int, ...]:
-    """Per element e (0-based), the rank set of the k-subsets holding e."""
+def _elem_orders(k: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """Per 0-based start a, the rank sets elem[a], elem[a+1], ...,
+    elem[a-1], `_greedy`'s order from a, where elem[e] is the rank set of
+    the k-subsets holding the element e (0-based); the first is elem."""
     masks = _masks(k, n)
-    return tuple(sum(1 << i for i, m in enumerate(masks) if m >> e & 1) for e in range(n))
+    elem = tuple(sum(1 << i for i, m in enumerate(masks) if m >> e & 1) for e in range(n))
+    return tuple(elem[a:] + elem[:a] for a in range(n))
 
 
 @lru_cache(maxsize=None)
@@ -536,27 +543,40 @@ def _argmin(vals: list[int]) -> int:
 
 @lru_cache(maxsize=None)
 def _exchange_rows(k: int, n: int, b: int) -> tuple:
-    """Per x outside the basis B of rank b, made on B's first use: x's bit
-    and the (rank, y's bit) pair of each exchange B - y + x."""
+    """The basis B of rank b as a bitmask, and per x outside it, made on
+    B's first use: the rank set X_x of x's k exchanges B - y + x, and each
+    exchange's rank bit with y's bit."""
     rank, B = _mask_ranks(k, n), _masks(k, n)[b]
-    inside = [1 << y for y in range(n) if B >> y & 1]
-    return tuple((1 << x, tuple((rank[B ^ 1 << x ^ y], y) for y in inside))
-                 for x in range(n) if not B >> x & 1)
+    rows = []
+    for x in range(n):
+        if not B >> x & 1:
+            pairs = tuple((1 << rank[B ^ 1 << x ^ 1 << y], 1 << y) for y in range(n) if B >> y & 1)
+            rows.append((reduce(or_, (r for r, _ in pairs)), pairs))
+    return B, tuple(rows)
 
 
-def _components(A: int, k: int, n: int) -> int:
-    """Number of connected components of the matroid on n elements whose
-    bases are the rank set A.  They are those of the fundamental graph of
-    its least basis B: x outside B joins each y in B whose exchange
-    B - y + x is in A, read bit by bit at the ranks of B's exchange rows.
-    Each x gives its class as a bitmask, merged into the disjoint classes
-    it meets; an element in no class is a component of its own."""
-    b = (A & -A).bit_length() - 1
+def _components(A: int, k: int, n: int):
+    """The number of connected components of the matroid on n elements
+    whose bases are the rank set A, or "outside" at a loop and "unbounded"
+    at a coloop, in one pass over the exchange rows of its least basis B:
+    x outside B is a loop iff its hit A & X_x is empty, y in B a coloop iff
+    no hit holds an exchange B - y + x, and the hits' y sets, a full hit
+    all of B, merge into disjoint classes of B, one per component of the
+    fundamental graph.  On a rank set that is no matroid, "outside" and
+    "unbounded" come at least as often as its elements' rank sets give."""
+    B, rows = _exchange_rows(k, n, (A & -A).bit_length() - 1)
     classes = []
-    for merged, pairs in _exchange_rows(k, n, b):
-        for r, y in pairs:
-            if A >> r & 1:
-                merged |= y
+    for X, pairs in rows:
+        hit = A & X
+        if not hit:
+            return "outside"
+        if hit == X:
+            merged = B
+        else:
+            merged = 0
+            for r, y in pairs:
+                if hit & r:
+                    merged |= y
         apart = []
         for c in classes:
             if c & merged:
@@ -565,7 +585,9 @@ def _components(A: int, k: int, n: int) -> int:
                 apart.append(c)
         apart.append(merged)
         classes = apart
-    return len(classes) + (n - reduce(or_, classes, 0).bit_count())
+    if reduce(or_, classes, 0) != B:
+        return "unbounded"
+    return len(classes)
 
 
 def _breakpoint(vals, ranks, best: int, r: int) -> tuple[int, int]:
@@ -600,13 +622,13 @@ def _greedy(A: int, k: int, n: int) -> list[list[int]]:
     """The interval ranks of the matroid whose bases are the rank set A,
     read off its Grassmann necklace: per 0-based start a, the prefix ranks
     |g_a ∩ [a, a+size)| for every size from 0 to n, g_a the greedy basis
-    in the order a < a+1 < ... < a-1.  The chain runs over all n
-    elements: once C is one basis, no later element meets it."""
-    elem = _elem_sets(k, n)
+    in the order a < a+1 < ... < a-1, whose element rank sets
+    `_elem_orders` holds per a.  The chain runs over all n elements: once
+    C is one basis, no later element meets it."""
     out = []
-    for a in range(n):
+    for order in _elem_orders(k, n):
         C, r, ranks = A, 0, [0]
-        for e in elem[a:] + elem[:a]:
+        for e in order:
             if C & e:
                 C &= e
                 r += 1
@@ -650,13 +672,9 @@ def _edge_intervals(A: int, k: int, n: int, crossed):
 def _face(A: int, k: int, n: int):
     """The face whose argmin bases are the rank set A: "outside" when they
     have a loop, "unbounded" when they have a coloop, and otherwise the
-    number of components minus one."""
-    elem = _elem_sets(k, n)
-    if not all(map(A.__and__, elem)):
-        return "outside"
-    if A in map(A.__and__, elem):
-        return "unbounded"
-    return _components(A, k, n) - 1
+    number of components minus one (`_components`)."""
+    c = _components(A, k, n)
+    return c if isinstance(c, str) else c - 1
 
 
 def face_dimension_at(pi: PlueckerVector, w: Sequence[Rational]):
@@ -715,10 +733,13 @@ def _edges(k: int, n: int, rows) -> list[tuple[int, int]]:
     Neither moves when a constant is added to one row, so each row may
     carry a constant of its own, as the walk's rows do."""
     tops = list(map(_argmin, rows))
+    edge = {}  # per distinct midpoint argmin set, whether `_face` calls it an edge
     edges = []
     for i, j in itertools.combinations(range(len(rows)), 2):
         top = tops[i] & tops[j] or _argmin(list(map(add, rows[i], rows[j])))
-        if _face(top, k, n) == 1:
+        if top not in edge:
+            edge[top] = _face(top, k, n) == 1
+        if edge[top]:
             edges.append((i, j))
     return edges
 

@@ -383,18 +383,54 @@ def fundamental_graph_components(k: int, n: int, bases) -> int:
     return len({find(x) for x in range(1, n + 1)})
 
 
+@lru_cache(maxsize=None)
+def _exchanges(k: int, n: int, b: int) -> tuple:
+    """Per x outside the basis B of rank b: x's bit and the (rank, y's
+    bit) pair of each exchange B - y + x."""
+    masks = troplin._masks(k, n)
+    rank, B = troplin._mask_ranks(k, n), masks[b]
+    inside = [1 << y for y in range(n) if B >> y & 1]
+    return tuple((1 << x, tuple((rank[B ^ 1 << x ^ y], y) for y in inside))
+                 for x in range(n) if not B >> x & 1)
+
+
+def elem_face(A: int, k: int, n: int):
+    """The face classifier by element rank sets, for any rank set A: e is
+    a loop when A & elem[e] is empty and a coloop when it is A, and
+    otherwise the face has the components of the fundamental graph of A's
+    least basis, less one, an element in no class a component of its own
+    (the reference of `troplin._face`)."""
+    elem = troplin._elem_orders(k, n)[0]
+    if not all(map(A.__and__, elem)):
+        return "outside"
+    if A in map(A.__and__, elem):
+        return "unbounded"
+    classes = []
+    for merged, pairs in _exchanges(k, n, (A & -A).bit_length() - 1):
+        for r, y in pairs:
+            if A >> r & 1:
+                merged |= y
+        apart = [c for c in classes if not c & merged]
+        for c in classes:
+            if c & merged:
+                merged |= c
+        classes = apart + [merged]
+    covered = sum(map(int.bit_count, classes))
+    return len(classes) + (n - covered) - 1
+
+
 def pair_rule_edges(pi, vertices) -> list[tuple[int, int]]:
     """The integer pair rule with no filter: every pair's midpoint argmin
     set, the meet of the two argmin sets or else the argmin of the summed
-    rows, classified by `troplin._face` (the reference of `troplin._edges`
+    rows, classified by `elem_face` (the reference of `troplin._edges`
     on the CLI's path, which reads the walk's rows)."""
     row, points = troplin._scaled_row(pi, [[as_fraction(v) for v in w] for w in vertices])
     rows = [troplin._values(row, w, pi.k) for w in points]
     tops = list(map(troplin._argmin, rows))
     return [
         (i, j) for i, j in itertools.combinations(range(len(points)), 2)
-        if troplin._face(tops[i] & tops[j] or troplin._argmin(list(map(add, rows[i], rows[j]))),
-                         pi.k, pi.n) == 1
+        if elem_face(tops[i] & tops[j] or troplin._argmin(list(map(add, rows[i], rows[j]))),
+                     pi.k, pi.n) == 1
     ]
 
 

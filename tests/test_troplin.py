@@ -9,7 +9,7 @@ import random
 import time
 from fractions import Fraction
 from functools import lru_cache, reduce
-from operator import and_, or_
+from operator import add, and_, or_
 from types import SimpleNamespace
 
 import pytest
@@ -28,6 +28,7 @@ from conftest import (
 from oracles import (
     basis_exchange_ok,
     central_roof_value,
+    elem_face,
     fundamental_graph_components,
     hypersimplex_alcoves,
     pair_rule_edges,
@@ -689,7 +690,7 @@ def test_walk_returns_each_vertex_argmin_set():
 @pytest.mark.parametrize("k,n", [(2, 4), (3, 6), (3, 7), (4, 8), (5, 10)])
 def test_rank_set_tables_match_the_counts(k, n):
     subsets = list(pluecker.lex_rank(k, n))
-    rank, elem = pluecker._mask_ranks(k, n), troplin._elem_sets(k, n)
+    rank, elem = pluecker._mask_ranks(k, n), troplin._elem_orders(k, n)[0]
     assert [rank[m] for m in pluecker._masks(k, n)] == list(range(len(subsets)))
     assert list(elem) == [sum(1 << i for i, I in enumerate(subsets) if e in I)
                           for e in range(1, n + 1)]
@@ -824,9 +825,21 @@ def test_walk_crosses_each_edge_once(monkeypatch, name, calls):
         assert (len(report.vertices), len(edges)) == {"3,12": (11, 20), "6,12": (43, 87)}[name]
 
 
+def _matroid_verdict(M):
+    """`troplin._components`'s verdict on M from the matroid reference:
+    "outside" when M has a loop, "unbounded" when it has a coloop, and
+    otherwise its number of components."""
+    if loops(M):
+        return "outside"
+    if coloops(M):
+        return "unbounded"
+    return len(components_partition(M))
+
+
 def test_fundamental_graph_counts_the_components():
-    # Argmin matroids at vertices, edge midpoints and face barycentres:
-    # 1, 2 and 3 or more components, against the pairwise reference.
+    # Argmin matroids at vertices, edge midpoints and the barycentres of
+    # 2 to 4 vertices: 1, 2 and 3 or more components, a loop or a coloop,
+    # against the pairwise reference.
     rng = rng_for("fundamental-graph")
     seen = set()
     for k, n, count in [(3, 6, 3), (3, 7, 3), (4, 8, 3), (5, 10, 1)]:
@@ -840,18 +853,19 @@ def test_fundamental_graph_counts_the_components():
             ]
             for w in points:
                 M = argmin_matroid(pi, w)
-                count = len(components_partition(M))
-                assert troplin._components(_rank_set(k, n, M.bases), k, n) == count
-                seen.add(min(count, 3))
-    assert seen == {1, 2, 3}
+                verdict = _matroid_verdict(M)
+                assert troplin._components(_rank_set(k, n, M.bases), k, n) == verdict
+                seen.add(min(verdict, 3) if isinstance(verdict, int) else verdict)
+    assert seen == {1, 2, 3, "outside", "unbounded"}
 
 
 def _component_cases():
-    """(k, n, rank set, component count): every vertex's argmin set on
-    seeded walks and every nonempty meet of two of them (an edge midpoint's
-    or a face barycentre's), counted by `components_partition`; and seeded
-    random rank sets that are no matroid, counted on the fundamental graph
-    of their least basis."""
+    """(k, n, rank set, verdict, matroid): every vertex's argmin set on
+    seeded walks and every nonempty meet of two of them (an edge
+    midpoint's or a face barycentre's), with `_matroid_verdict`; and
+    seeded random rank sets that are no matroid, with the verdict of the
+    element oracle `elem_face` in components, whose count is that of the
+    fundamental graph of the least basis."""
     rng = rng_for("exchange-rows")
     cases = []
     for k, n in [(3, 6), (3, 7), (4, 8), (4, 9)]:
@@ -860,42 +874,144 @@ def _component_cases():
             _, sets, _ = troplin._complex(rho(random_tpoint(rng, k, n, hi=2)), False, None)
             for A in {a & b for a, b in itertools.combinations_with_replacement(sets, 2)} - {0}:
                 M = Matroid(k, n, frozenset(I for i, I in enumerate(subsets) if A >> i & 1))
-                cases.append((k, n, A, len(components_partition(M))))
+                cases.append((k, n, A, _matroid_verdict(M), True))
     for k, n in [(3, 6), (3, 7), (4, 8)]:
         subsets = list(pluecker.lex_rank(k, n))
         for density in (0.3, 0.6, 0.9, 0.97):
             for _ in range(10):
                 bases = [I for I in subsets if rng.random() < density] or subsets[:1]
                 if not basis_exchange_ok(Matroid(k, n, frozenset(bases))):
-                    cases.append((k, n, _rank_set(k, n, bases),
-                                  fundamental_graph_components(k, n, bases)))
+                    A = _rank_set(k, n, bases)
+                    face = elem_face(A, k, n)
+                    if isinstance(face, int):
+                        assert face + 1 == fundamental_graph_components(k, n, bases)
+                    cases.append((k, n, A, face + 1 if isinstance(face, int) else face, False))
     return cases
+
+
+def _agrees(got, verdict, matroid):
+    """On a matroid the verdict itself; on a rank set that is no matroid
+    the oracle's verdict, or "outside" or "unbounded", which the one pass
+    over the exchange rows may give more often."""
+    return got == verdict or not matroid and got in ("outside", "unbounded")
 
 
 def test_exchange_rows_count_components_cold_and_warm(tmp_path):
     # The per-basis exchange rows against the matroid reference and, on
-    # rank sets that are no matroid, the fundamental graph of the least
-    # basis; with the rows built on first use and then read back, in-process
-    # and under python -O.
+    # rank sets that are no matroid, the element oracle; with the rows
+    # built on first use and then read back, in-process and under python -O.
     cases = _component_cases()
-    counts = [c for *_, c in cases]
-    assert {1, 2, 3} <= set(counts) and len(cases) > 300
+    verdicts = [v for *_, v, _ in cases]
+    assert {1, 2, 3, "outside", "unbounded"} <= set(verdicts) and len(cases) > 300
     troplin._exchange_rows.cache_clear()
     for _ in ("cold", "warm"):
-        assert [troplin._components(A, k, n) for k, n, A, _ in cases] == counts
+        got = [troplin._components(A, k, n) for k, n, A, *_ in cases]
+        assert all(_agrees(g, v, m) for g, (*_, v, m) in zip(got, cases))
+    # on the rank sets that are no matroid, counts and both stricter verdicts occur
+    strict = collections.Counter(
+        "count" if isinstance(g, int) else "same" if g == v else "stricter"
+        for g, (*_, v, m) in zip(got, cases) if not m)
+    assert set(strict) == {"count", "same", "stricter"}
     # made on first use: one row set per least basis met, and no other
-    used = {(k, n, (A & -A).bit_length() - 1) for k, n, A, _ in cases}
+    used = {(k, n, (A & -A).bit_length() - 1) for k, n, A, *_ in cases}
     assert troplin._exchange_rows.cache_info().currsize == len(used)
+    masks, rank = {}, {}
+    for k, n, b in used:
+        masks.setdefault((k, n), pluecker._masks(k, n))
+        rank.setdefault((k, n), pluecker._mask_ranks(k, n))
+        B, rows = troplin._exchange_rows(k, n, b)
+        assert B == masks[k, n][b] and len(rows) == n - k
+        outside = [1 << x for x in range(n) if not B >> x & 1]
+        for x, (X, pairs) in zip(outside, rows):
+            assert len(pairs) == k and X == sum(r for r, _ in pairs)
+            assert [r for r, _ in pairs] == [1 << rank[k, n][B ^ x ^ y] for _, y in pairs]
+            assert sum(y for _, y in pairs) == B
     path = tmp_path / "cases.json"
     path.write_text(json.dumps(cases))
     result = run_optimized(
         "import json, pathlib, sys",
         "from tropnc import troplin",
         f"cases = json.loads(pathlib.Path({str(path)!r}).read_text())",
-        "got = [[troplin._components(A, k, n) for k, n, A, _ in cases] for _ in ('cold', 'warm')]",
-        "sys.exit(0 if got[0] == got[1] == [c for *_, c in cases] else 'component counts differ')",
+        "got = [[troplin._components(A, k, n) for k, n, A, *_ in cases] for _ in ('cold', 'warm')]",
+        "ok = got[0] == got[1] and all(g == v or not m and g in ('outside', 'unbounded')",
+        "                              for g, (*_, v, m) in zip(got[0], cases))",
+        "sys.exit(0 if ok else 'component verdicts differ')",
     )
     assert result.returncode == 0, result.stderr
+
+
+@lru_cache(maxsize=None)
+def _g4():
+    """G4: the (6,12) vector of `random.Random(4)` with entries 0 to 4."""
+    rng = random.Random(4)
+    return rho(TPoint.of(6, 12, [[rng.randint(0, 4) for _ in range(6)] for _ in range(5)]))
+
+
+def _face_cases():
+    """(k, n, rank set): every vertex's argmin set, every meet of two and
+    every pair's summed-rows argmin set, on seeded walks at (3,6), (3,7),
+    (4,8), (3,9) and (5,10) and on the (6,12) CI and G4 vectors."""
+    rng = rng_for("face-oracle")
+    vectors = [rho(random_tpoint(rng, k, n, hi=3))
+               for k, n in [(3, 6), (3, 7), (4, 8), (3, 9), (5, 10)] for _ in range(2)]
+    cases = set()
+    for pi in vectors + [rho(ci_grid_612()), _g4()]:
+        k, n = pi.k, pi.n
+        _, sets, rows = troplin._complex(pi, False, None)
+        cases.update((k, n, A) for A in sets)
+        for (a, r), (b, s) in itertools.combinations(zip(sets, rows), 2):
+            cases.add((k, n, a & b))
+            cases.add((k, n, troplin._argmin(list(map(add, r, s)))))
+    return sorted(cases)
+
+
+def test_face_equals_the_element_oracle(tmp_path):
+    # One pass over the least basis's exchange rows against the element
+    # rank-set classifier it replaced, in-process and under python -O.
+    cases = _face_cases()
+    expected = [elem_face(A, k, n) for k, n, A in cases]
+    assert {0, 1, 2, "outside", "unbounded"} <= set(expected)
+    assert {(k, n) for k, n, _ in cases} == {(3, 6), (3, 7), (4, 8), (3, 9), (5, 10), (6, 12)}
+    assert [troplin._face(A, k, n) for k, n, A in cases] == expected
+    path = tmp_path / "faces.json"
+    path.write_text(json.dumps([cases, expected]))
+    result = run_optimized(
+        "import json, pathlib, sys",
+        "from tropnc import troplin",
+        f"cases, expected = json.loads(pathlib.Path({str(path)!r}).read_text())",
+        "got = [troplin._face(A, k, n) for k, n, A in cases]",
+        "sys.exit(0 if got == expected else 'face verdicts differ from the element oracle')",
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_edges_classify_each_distinct_midpoint_set_once(monkeypatch):
+    # `_edges` calls `_face` once per distinct midpoint argmin set, and
+    # its pairs are the unfiltered pair rule's: G4 keeps its 139 pairs, 5
+    # of them phantom (not face-rule steps of the walk).
+    rng = rng_for("edges-once")
+    face = troplin._face
+    vectors = [(rho(random_tpoint(rng, k, n, hi=3)), False)
+               for k, n in [(4, 8), (3, 9)] for _ in range(3)]
+    repeated = 0
+    for pi, balance in vectors + [(_g4(), True)]:
+        k, n = pi.k, pi.n
+        report, sets, rows = troplin._complex(pi, balance, None)
+        tops = list(map(troplin._argmin, rows))
+        pairs = list(itertools.combinations(range(len(rows)), 2))
+        tops = [tops[i] & tops[j] or troplin._argmin(list(map(add, rows[i], rows[j])))
+                for i, j in pairs]
+        calls = []
+        monkeypatch.setattr(troplin, "_face", lambda A, k, n: calls.append(A) or face(A, k, n))
+        edges = troplin._edges(k, n, rows)
+        monkeypatch.undo()
+        assert sorted(calls) == sorted(set(tops))
+        repeated += len(pairs) - len(calls)
+        vec = balanced_representative(pi) if balance else pi
+        assert edges == pair_rule_edges(vec, report.vertices)
+    steps = sum(face(a & b, 6, 12) == 1 for a, b in itertools.combinations(sets, 2))
+    assert (len(edges), len(edges) - steps) == (139, 5)  # G4's
+    assert repeated > 0
 
 
 def test_combinations_yield_subsets_in_rank_order():
@@ -1041,12 +1157,8 @@ def test_face_dimensions():
 def _reference_face(pi, w):
     """Face through w from the Fraction reference: argmin matroid, then
     loops, coloops and components."""
-    M = argmin_matroid(pi, w)
-    if loops(M):
-        return "outside"
-    if coloops(M):
-        return "unbounded"
-    return len(components_partition(M)) - 1
+    verdict = _matroid_verdict(argmin_matroid(pi, w))
+    return verdict if isinstance(verdict, str) else verdict - 1
 
 
 def _reference_edges(pi, points):
@@ -1169,10 +1281,8 @@ def test_walk_steps_are_the_face_rule_edges(monkeypatch):
     # `bounded_complex_edges` reports each of them and, from its summed-rows
     # fallback, phantom pairs.  G4, the (6,12) vector of `random.Random(4)`
     # with entries 0 to 4, comes last.
-    rng = random.Random(4)
-    g4 = rho(TPoint.of(6, 12, [[rng.randint(0, 4) for _ in range(6)] for _ in range(5)]))
     phantoms, vectors = collections.Counter(), 0
-    for pi in _seeded_vectors() + (g4,):
+    for pi in _seeded_vectors() + (_g4(),):
         report, steps = _stepped_pairs(monkeypatch, pi, bounded_complex_vertices)
         _, sets, rows = troplin._complex(pi, False, None)
         index = {tuple(v - vals[0] for v in vals): i for i, vals in enumerate(rows)}
