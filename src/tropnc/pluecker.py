@@ -305,8 +305,8 @@ def _first_violation(pi: PlueckerVector) -> tuple | None:
             right = e[ad] + e[bc]
             rhs = left if left < right else right
             if lhs != rhs:
-                outside = list(itertools.combinations([x for x in range(1, n + 1) if x not in S], 2))
-                return S, outside[ab] + outside[cd], Fraction(lhs, scale), Fraction(rhs, scale)
+                apart = list(itertools.combinations([x for x in range(1, n + 1) if x not in S], 2))
+                return S, apart[ab] + apart[cd], Fraction(lhs, scale), Fraction(rhs, scale)
     return None
 
 

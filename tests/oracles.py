@@ -387,8 +387,7 @@ def fundamental_graph_components(k: int, n: int, bases) -> int:
 def _exchanges(k: int, n: int, b: int) -> tuple:
     """Per x outside the basis B of rank b: x's bit and the (rank, y's
     bit) pair of each exchange B - y + x."""
-    masks = troplin._masks(k, n)
-    rank, B = troplin._mask_ranks(k, n), masks[b]
+    rank, B = troplin._mask_ranks(k, n), troplin._masks(k, n)[b]
     inside = [1 << y for y in range(n) if B >> y & 1]
     return tuple((1 << x, tuple((rank[B ^ 1 << x ^ y], y) for y in inside))
                  for x in range(n) if not B >> x & 1)

@@ -915,16 +915,15 @@ def test_exchange_rows_count_components_cold_and_warm(tmp_path):
     # made on first use: one row set per least basis met, and no other
     used = {(k, n, (A & -A).bit_length() - 1) for k, n, A, *_ in cases}
     assert troplin._exchange_rows.cache_info().currsize == len(used)
-    masks, rank = {}, {}
+    # per x outside B, X_x and each exchange's rank bit with y's bit
     for k, n, b in used:
-        masks.setdefault((k, n), pluecker._masks(k, n))
-        rank.setdefault((k, n), pluecker._mask_ranks(k, n))
         B, rows = troplin._exchange_rows(k, n, b)
-        assert B == masks[k, n][b] and len(rows) == n - k
+        rank = pluecker._mask_ranks(k, n)
+        assert B == pluecker._masks(k, n)[b] and len(rows) == n - k
         outside = [1 << x for x in range(n) if not B >> x & 1]
         for x, (X, pairs) in zip(outside, rows):
             assert len(pairs) == k and X == sum(r for r, _ in pairs)
-            assert [r for r, _ in pairs] == [1 << rank[k, n][B ^ x ^ y] for _, y in pairs]
+            assert [r for r, _ in pairs] == [1 << rank[B ^ x ^ y] for _, y in pairs]
             assert sum(y for _, y in pairs) == B
     path = tmp_path / "cases.json"
     path.write_text(json.dumps(cases))
@@ -997,9 +996,9 @@ def test_edges_classify_each_distinct_midpoint_set_once(monkeypatch):
     for pi, balance in vectors + [(_g4(), True)]:
         k, n = pi.k, pi.n
         report, sets, rows = troplin._complex(pi, balance, None)
-        tops = list(map(troplin._argmin, rows))
+        argmins = list(map(troplin._argmin, rows))
         pairs = list(itertools.combinations(range(len(rows)), 2))
-        tops = [tops[i] & tops[j] or troplin._argmin(list(map(add, rows[i], rows[j])))
+        tops = [argmins[i] & argmins[j] or troplin._argmin(list(map(add, rows[i], rows[j])))
                 for i, j in pairs]
         calls = []
         monkeypatch.setattr(troplin, "_face", lambda A, k, n: calls.append(A) or face(A, k, n))
