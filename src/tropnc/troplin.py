@@ -41,10 +41,9 @@ budget or not.
 Every argmin set is a rank set: one int over the C(n,k) subset ranks,
 bit i for the subset of rank i.  Cached per (k, n) are the subset
 bitmasks and their ranks (`pluecker._masks`, `_mask_ranks`), the rank
-set elem[e] of the subsets holding e in each cyclic order of the
-elements (`_elem_orders`); per interval S, one table
-(`_interval_table`): the step direction, the counts |I ∩ S|, and by
-count c the ranks, their rank set sets[c] and above[c], that of all
+set elem[e] of the subsets holding e (`_elem_sets`); per interval S, one
+table (`_interval_table`): the step direction, the counts |I ∩ S|, and
+by count c the ranks, their rank set sets[c] and above[c], that of all
 larger counts.  Only the start is scanned: along e_S a subset off the top
 face with at most r(S) elements in S ends above it, so the far end's
 argmin set is `top | hits`, the hits reaching the breakpoint
@@ -69,13 +68,13 @@ ranks of the sets the walk returns.
 
 One classifier, `_face`, reads every argmin rank set A, the walk's and
 the edge test's, in one pass over the exchange rows of A's least basis
-B (`_components`; `_exchange_rows`, made on B's first use): per x
-outside B, the hit A & X_x, X_x the rank set of x's k exchanges
-B - y + x.  By basis exchange, an empty hit makes x a loop, a y in B
-that no hit holds is a coloop, and the hits join the fundamental graph,
-whose components are the matroid's.  It also serves `face_dimension_at`.
-Outside points are read by `exact.coordinates`, which checks their
-length, and `_scaled_row` puts them on pi's scale.
+B (`_exchange_rows`, made on B's first use): per x outside B, the
+hit A & X_x, X_x the rank set of x's k exchanges B - y + x.  By basis
+exchange, an empty hit makes x a loop, a y in B that no hit holds is a
+coloop, and the hits join the fundamental graph, whose components are
+the matroid's.  It also serves `face_dimension_at`.  Outside points are
+read by `exact.coordinates`, which checks their length, and
+`_scaled_row` puts them on pi's scale.
 `_edges` reads value rows alone, the walk's on the CLI's path and each
 point's in `bounded_complex_edges`, and keeps a pair when `_face` calls
 its midpoint's argmin set an edge, classifying each distinct set once
@@ -222,7 +221,8 @@ def in_linear_space(pi: PlueckerVector, w: Sequence[Rational]) -> bool:
 
 
 def in_bounded_part(pi: PlueckerVector, w: Sequence[Rational]) -> bool:
-    """Loopless and coloopless shift matroid."""
+    """Loopless and coloopless shift matroid; pi must be a tropical
+    Plücker vector (`face_dimension_at`)."""
     return isinstance(face_dimension_at(pi, w), int)
 
 
@@ -497,13 +497,10 @@ def _vertex_bound(k: int, n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _elem_orders(k: int, n: int) -> tuple[tuple[int, ...], ...]:
-    """Per 0-based start a, the rank sets elem[a], elem[a+1], ...,
-    elem[a-1], `_greedy`'s order from a, where elem[e] is the rank set of
-    the k-subsets holding the element e (0-based); the first is elem."""
+def _elem_sets(k: int, n: int) -> tuple[int, ...]:
+    """Per element e (0-based), the rank set of the k-subsets holding e."""
     masks = _masks(k, n)
-    elem = tuple(sum(1 << i for i, m in enumerate(masks) if m >> e & 1) for e in range(n))
-    return tuple(elem[a:] + elem[:a] for a in range(n))
+    return tuple(sum(1 << i for i, m in enumerate(masks) if m >> e & 1) for e in range(n))
 
 
 @lru_cache(maxsize=None)
@@ -555,41 +552,6 @@ def _exchange_rows(k: int, n: int, b: int) -> tuple:
     return B, tuple(rows)
 
 
-def _components(A: int, k: int, n: int):
-    """The number of connected components of the matroid on n elements
-    whose bases are the rank set A, or "outside" at a loop and "unbounded"
-    at a coloop, in one pass over the exchange rows of its least basis B:
-    x outside B is a loop iff its hit A & X_x is empty, y in B a coloop iff
-    no hit holds an exchange B - y + x, and the hits' y sets, a full hit
-    all of B, merge into disjoint classes of B, one per component of the
-    fundamental graph.  On a rank set that is no matroid, "outside" and
-    "unbounded" come at least as often as its elements' rank sets give."""
-    B, rows = _exchange_rows(k, n, (A & -A).bit_length() - 1)
-    classes = []
-    for X, pairs in rows:
-        hit = A & X
-        if not hit:
-            return "outside"
-        if hit == X:
-            merged = B
-        else:
-            merged = 0
-            for r, y in pairs:
-                if hit & r:
-                    merged |= y
-        apart = []
-        for c in classes:
-            if c & merged:
-                merged |= c
-            else:
-                apart.append(c)
-        apart.append(merged)
-        classes = apart
-    if reduce(or_, classes, 0) != B:
-        return "unbounded"
-    return len(classes)
-
-
 def _breakpoint(vals, ranks, best: int, r: int) -> tuple[int, int]:
     """The least t > 0 at which a subset I with c = |I & S| > r reaches
     the top face's value along w + t e_S, the far end of the edge, and the
@@ -622,13 +584,13 @@ def _greedy(A: int, k: int, n: int) -> list[list[int]]:
     """The interval ranks of the matroid whose bases are the rank set A,
     read off its Grassmann necklace: per 0-based start a, the prefix ranks
     |g_a ∩ [a, a+size)| for every size from 0 to n, g_a the greedy basis
-    in the order a < a+1 < ... < a-1, whose element rank sets
-    `_elem_orders` holds per a.  The chain runs over all n elements: once
-    C is one basis, no later element meets it."""
+    in the order a < a+1 < ... < a-1.  The chain runs over all n
+    elements: once C is one basis, no later element meets it."""
+    elem = _elem_sets(k, n)
     out = []
-    for order in _elem_orders(k, n):
+    for a in range(n):
         C, r, ranks = A, 0, [0]
-        for e in order:
+        for e in elem[a:] + elem[:a]:
             if C & e:
                 C &= e
                 r += 1
@@ -672,14 +634,40 @@ def _edge_intervals(A: int, k: int, n: int, crossed):
 def _face(A: int, k: int, n: int):
     """The face whose argmin bases are the rank set A: "outside" when they
     have a loop, "unbounded" when they have a coloop, and otherwise the
-    number of components minus one (`_components`)."""
-    c = _components(A, k, n)
-    return c if isinstance(c, str) else c - 1
+    number of components less one, in one pass over the exchange rows of
+    the least basis B: x outside B is a loop iff its hit A & X_x is empty,
+    y in B a coloop iff no hit holds an exchange B - y + x, and the hits'
+    y sets merge into disjoint classes of B, one per component of the
+    fundamental graph.  On a rank set that is no matroid, "outside" and
+    "unbounded" come at least as often as its elements' rank sets give."""
+    B, rows = _exchange_rows(k, n, (A & -A).bit_length() - 1)
+    classes = []
+    for X, pairs in rows:
+        hit = A & X
+        if not hit:
+            return "outside"
+        merged = 0
+        for r, y in pairs:
+            if hit & r:
+                merged |= y
+        apart = []
+        for c in classes:
+            if c & merged:
+                merged |= c
+            else:
+                apart.append(c)
+        apart.append(merged)
+        classes = apart
+    if reduce(or_, classes, 0) != B:
+        return "unbounded"
+    return len(classes) - 1
 
 
 def face_dimension_at(pi: PlueckerVector, w: Sequence[Rational]):
     """Dimension of the face through w, or "outside" when w misses the
-    linear space, "unbounded" when the face through w is unbounded."""
+    linear space, "unbounded" when the face through w is unbounded.  pi
+    must be a tropical Plücker vector, which the constructor does not
+    check: the verdict is defined only where the argmin set is a matroid."""
     row, (point,) = _scaled_row(pi, [w])
     return _face(_argmin(_values(row, point, pi.k)), pi.k, pi.n)
 

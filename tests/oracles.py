@@ -365,8 +365,8 @@ def basis_exchange_ok(M: troplin.Matroid) -> bool:
 def fundamental_graph_components(k: int, n: int, bases) -> int:
     """Components of the graph on [n] that joins x outside the least basis
     B to y in B when B - y + x is in `bases`, by union-find on the tuples:
-    the count `troplin._components` makes, for any basis list.  On a
-    matroid it is `len(components_partition(M))`."""
+    on a matroid it is `len(components_partition(M))`, one more than the
+    dimension `troplin._face` gives."""
     bases = set(bases)
     B = min(bases)
     parent = list(range(n + 1))
@@ -399,7 +399,7 @@ def elem_face(A: int, k: int, n: int):
     otherwise the face has the components of the fundamental graph of A's
     least basis, less one, an element in no class a component of its own
     (the reference of `troplin._face`)."""
-    elem = troplin._elem_orders(k, n)[0]
+    elem = troplin._elem_sets(k, n)
     if not all(map(A.__and__, elem)):
         return "outside"
     if A in map(A.__and__, elem):

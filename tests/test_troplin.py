@@ -690,7 +690,7 @@ def test_walk_returns_each_vertex_argmin_set():
 @pytest.mark.parametrize("k,n", [(2, 4), (3, 6), (3, 7), (4, 8), (5, 10)])
 def test_rank_set_tables_match_the_counts(k, n):
     subsets = list(pluecker.lex_rank(k, n))
-    rank, elem = pluecker._mask_ranks(k, n), troplin._elem_orders(k, n)[0]
+    rank, elem = pluecker._mask_ranks(k, n), troplin._elem_sets(k, n)
     assert [rank[m] for m in pluecker._masks(k, n)] == list(range(len(subsets)))
     assert list(elem) == [sum(1 << i for i, I in enumerate(subsets) if e in I)
                           for e in range(1, n + 1)]
@@ -826,14 +826,14 @@ def test_walk_crosses_each_edge_once(monkeypatch, name, calls):
 
 
 def _matroid_verdict(M):
-    """`troplin._components`'s verdict on M from the matroid reference:
+    """`troplin._face`'s verdict on M from the matroid reference:
     "outside" when M has a loop, "unbounded" when it has a coloop, and
-    otherwise its number of components."""
+    otherwise its number of components less one."""
     if loops(M):
         return "outside"
     if coloops(M):
         return "unbounded"
-    return len(components_partition(M))
+    return len(components_partition(M)) - 1
 
 
 def test_fundamental_graph_counts_the_components():
@@ -854,9 +854,9 @@ def test_fundamental_graph_counts_the_components():
             for w in points:
                 M = argmin_matroid(pi, w)
                 verdict = _matroid_verdict(M)
-                assert troplin._components(_rank_set(k, n, M.bases), k, n) == verdict
-                seen.add(min(verdict, 3) if isinstance(verdict, int) else verdict)
-    assert seen == {1, 2, 3, "outside", "unbounded"}
+                assert troplin._face(_rank_set(k, n, M.bases), k, n) == verdict
+                seen.add(min(verdict, 2) if isinstance(verdict, int) else verdict)
+    assert seen == {0, 1, 2, "outside", "unbounded"}
 
 
 def _component_cases():
@@ -864,8 +864,8 @@ def _component_cases():
     seeded walks and every nonempty meet of two of them (an edge
     midpoint's or a face barycentre's), with `_matroid_verdict`; and
     seeded random rank sets that are no matroid, with the verdict of the
-    element oracle `elem_face` in components, whose count is that of the
-    fundamental graph of the least basis."""
+    element oracle `elem_face`, whose count is that of the fundamental
+    graph of the least basis, less one."""
     rng = rng_for("exchange-rows")
     cases = []
     for k, n in [(3, 6), (3, 7), (4, 8), (4, 9)]:
@@ -885,7 +885,7 @@ def _component_cases():
                     face = elem_face(A, k, n)
                     if isinstance(face, int):
                         assert face + 1 == fundamental_graph_components(k, n, bases)
-                    cases.append((k, n, A, face + 1 if isinstance(face, int) else face, False))
+                    cases.append((k, n, A, face, False))
     return cases
 
 
@@ -902,10 +902,10 @@ def test_exchange_rows_count_components_cold_and_warm(tmp_path):
     # built on first use and then read back, in-process and under python -O.
     cases = _component_cases()
     verdicts = [v for *_, v, _ in cases]
-    assert {1, 2, 3, "outside", "unbounded"} <= set(verdicts) and len(cases) > 300
+    assert {0, 1, 2, "outside", "unbounded"} <= set(verdicts) and len(cases) > 300
     troplin._exchange_rows.cache_clear()
     for _ in ("cold", "warm"):
-        got = [troplin._components(A, k, n) for k, n, A, *_ in cases]
+        got = [troplin._face(A, k, n) for k, n, A, *_ in cases]
         assert all(_agrees(g, v, m) for g, (*_, v, m) in zip(got, cases))
     # on the rank sets that are no matroid, counts and both stricter verdicts occur
     strict = collections.Counter(
@@ -931,7 +931,7 @@ def test_exchange_rows_count_components_cold_and_warm(tmp_path):
         "import json, pathlib, sys",
         "from tropnc import troplin",
         f"cases = json.loads(pathlib.Path({str(path)!r}).read_text())",
-        "got = [[troplin._components(A, k, n) for k, n, A, *_ in cases] for _ in ('cold', 'warm')]",
+        "got = [[troplin._face(A, k, n) for k, n, A, *_ in cases] for _ in ('cold', 'warm')]",
         "ok = got[0] == got[1] and all(g == v or not m and g in ('outside', 'unbounded')",
         "                              for g, (*_, v, m) in zip(got[0], cases))",
         "sys.exit(0 if ok else 'component verdicts differ')",
@@ -1156,8 +1156,7 @@ def test_face_dimensions():
 def _reference_face(pi, w):
     """Face through w from the Fraction reference: argmin matroid, then
     loops, coloops and components."""
-    verdict = _matroid_verdict(argmin_matroid(pi, w))
-    return verdict if isinstance(verdict, str) else verdict - 1
+    return _matroid_verdict(argmin_matroid(pi, w))
 
 
 def _reference_edges(pi, points):
